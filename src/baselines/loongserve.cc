@@ -22,9 +22,6 @@ LoongServeEngine::LoongServeEngine(sim::Simulator* simulator,
   link_ = std::make_unique<sim::Channel>(
       sim_, "loongserve/reshard", deployment_.gpu.nvlink_bandwidth,
       sim::Microseconds(10));
-  // Elastic re-sharding moves KV between whichever instance groups the
-  // scale decision picks: an any-to-any crossing in the partition map.
-  link_->AnnotateShards(sim::kNoShard, sim::kNoShard);
   cost_by_tp_.resize(static_cast<std::size_t>(deployment_.num_gpus) + 1);
   for (int k = 1; k <= deployment_.num_gpus; ++k) {
     cost_by_tp_[static_cast<std::size_t>(k)] = std::make_unique<llm::CostModel>(

@@ -31,9 +31,6 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
         sim_, "muxwise/host-spill",
         options_.overload.spill_bandwidth_bytes_per_s,
         options_.overload.spill_latency);
-    // Spills cross from this engine's one instance (shard 0) to the
-    // host tier, which lives outside the shard partition.
-    host_link_->AnnotateShards(0, sim::kNoShard);
   }
 }
 

@@ -16,10 +16,6 @@ Cluster::Cluster(sim::Simulator* simulator, GpuSpec spec, int total_gpus)
                                          spec_.nvlink_bandwidth,
                                          sim::Microseconds(10));
   control_ = std::make_unique<sim::Channel>(sim_, "cluster/control");
-  // Fabric links are shared by every instance pair: annotate them as
-  // any-to-any crossings so the shard partition map stays complete.
-  link_->AnnotateShards(sim::kNoShard, sim::kNoShard);
-  control_->AnnotateShards(sim::kNoShard, sim::kNoShard);
 }
 
 Instance& Cluster::AddInstance(int tp_degree) {
@@ -34,8 +30,6 @@ Instance& Cluster::AddInstance(int tp_degree) {
   instance->device = std::make_unique<Gpu>(sim_, spec_);
   instance->host = std::make_unique<HostThread>(sim_);
   instance->tp_degree = tp_degree;
-  // Partition map: instance i is event-loop shard i.
-  instance->shard = static_cast<sim::ShardId>(instances_.size());
   instances_.push_back(std::move(instance));
   return *instances_.back();
 }
@@ -56,17 +50,6 @@ void Cluster::RegisterAudits(check::InvariantRegistry& registry) const {
                   "instance TP degrees sum to " + std::to_string(sum) +
                       ", allocation bookkeeping says " +
                       std::to_string(allocated_gpus_));
-      });
-  registry.Register(
-      "Cluster", "shard-partition-map", [this](check::AuditContext& ctx) {
-        // Instance i must be shard i — dense, unique, in creation
-        // order — or the parallel kernel's partition map is ambiguous.
-        for (std::size_t i = 0; i < instances_.size(); ++i) {
-          ctx.Check(instances_[i]->shard == static_cast<sim::ShardId>(i),
-                    "instance " + std::to_string(i) + " carries shard id " +
-                        std::to_string(instances_[i]->shard) +
-                        "; the partition map must be instance i = shard i");
-        }
       });
   for (const auto& instance : instances_) {
     instance->device->RegisterAudits(registry);

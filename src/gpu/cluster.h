@@ -37,14 +37,6 @@ struct Instance {
   std::unique_ptr<HostThread> host;
   int tp_degree = 0;
 
-  /**
-   * The event-loop shard this instance's events belong to — the
-   * partition map of the parallel simulation kernel (ROADMAP item 2):
-   * instance i is shard i, assigned at AddInstance. Sequential runs
-   * carry the id inertly.
-   */
-  sim::ShardId shard = sim::kNoShard;
-
   /** Aggregate HBM capacity across the group, bytes. */
   double TotalHbmCapacity() const {
     return device->spec().hbm_capacity * tp_degree;
@@ -84,20 +76,12 @@ class Cluster {
    * The control channel for cluster-level callbacks: every same-tick
    * hand-off between instances (prefill batch done -> decode admission,
    * decode drain -> prefill pump) is delivered through here instead of
-   * one shard calling into another directly. Deliveries run inline, so
-   * the event stream is identical to a direct call — but the crossing
+   * one instance calling into another directly. Deliveries run inline,
+   * so the event stream is identical to a direct call — but the crossing
    * is explicit, counted, and enforceable by muxlint's shard-safety
-   * rule, which is the prerequisite for sharding the event loop.
+   * rule.
    */
   sim::Channel& control() { return *control_; }
-
-  /**
-   * The natural conservative lookahead for sharding this cluster by
-   * instance: every cross-instance interaction rides link() or
-   * control(), and the NVLink fabric's fixed latency is the minimum
-   * cross-shard event delay a sharded kernel may exploit.
-   */
-  sim::Duration ShardLookaheadBound() const { return link_->latency(); }
 
   /**
    * Registers GPU-conservation audits (instances never over-allocate

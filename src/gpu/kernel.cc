@@ -1,16 +1,22 @@
 #include "gpu/kernel.h"
 
+#include <deque>
 #include <map>
+#include <mutex>
 #include <string>
-#include <vector>
 
 namespace muxwise::gpu {
 
 namespace {
 
-/** Process-wide tag tables; index 0 is reserved for "untagged". */
+/**
+ * Process-wide tag tables; index 0 is reserved for "untagged". `names`
+ * is a deque so the strings never move: a KernelTagName view stays
+ * valid while later tags are interned, from any thread.
+ */
 struct TagTables {
-  std::vector<std::string> names{""};
+  std::mutex mu;
+  std::deque<std::string> names{""};
   std::map<std::string, KernelTagId, std::less<>> index;
 };
 
@@ -24,6 +30,7 @@ TagTables& Tags() {
 KernelTagId InternKernelTag(std::string_view name) {
   if (name.empty()) return kUntaggedKernel;
   TagTables& tables = Tags();
+  const std::lock_guard<std::mutex> lock(tables.mu);
   const auto it = tables.index.find(name);
   if (it != tables.index.end()) return it->second;
   const auto id = static_cast<KernelTagId>(tables.names.size());
@@ -33,7 +40,8 @@ KernelTagId InternKernelTag(std::string_view name) {
 }
 
 std::string_view KernelTagName(KernelTagId id) {
-  const TagTables& tables = Tags();
+  TagTables& tables = Tags();
+  const std::lock_guard<std::mutex> lock(tables.mu);
   if (id >= tables.names.size()) return {};
   return tables.names[id];
 }

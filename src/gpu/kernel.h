@@ -19,9 +19,10 @@ inline constexpr KernelTagId kUntaggedKernel = 0;
 
 /**
  * Interns `name` into the process-wide kernel-tag table, returning its
- * stable id. Deterministic: ids depend only on first-intern order,
- * which the (single-threaded) simulation fixes. Intern once at setup
- * (e.g. in a constructor), not per kernel.
+ * stable id. Thread-safe. Ids depend only on first-intern order, which
+ * a single-threaded process fixes; ids are labels only and never reach
+ * the event stream or a digest. Intern once at setup (e.g. in a
+ * constructor), not per kernel.
  */
 KernelTagId InternKernelTag(std::string_view name);
 

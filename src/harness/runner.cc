@@ -54,21 +54,13 @@ std::uint64_t MixSummary(std::uint64_t h, const serve::LatencySummary& s) {
 /**
  * Runs every audit the scenario's components registered; aborts on any
  * violation. Called at scenario end, once the event queue has quiesced.
- * When the run was hosted on the parallel kernel, the kernel's audits
- * (which subsume the shard simulators') run in place of the plain
- * simulator's.
  */
 void RunScenarioAudits(const sim::Simulator& simulator,
-                       const sim::ParallelSimulator* parallel,
                        const serve::Engine& engine,
                        const serve::MetricsCollector& metrics,
                        const fault::FaultInjector* injector) {
   check::InvariantRegistry registry;
-  if (parallel != nullptr) {
-    parallel->RegisterAudits(registry);
-  } else {
-    simulator.RegisterAudits(registry);
-  }
+  simulator.RegisterAudits(registry);
   engine.RegisterAudits(registry);
   metrics.RegisterAudits(registry);
   if (injector != nullptr) injector->RegisterAudits(registry);
@@ -79,18 +71,12 @@ void RunScenarioAudits(const sim::Simulator& simulator,
   }
 }
 
-/**
- * The drive loop, generic over the event-loop host: `SimT` is either the
- * plain sequential sim::Simulator or the sharded ParallelSimulator. Both
- * expose the same RunUntil/Step/Empty surface with identical semantics
- * (the parallel kernel's merged event stream is bit-identical to the
- * sequential one), so one body serves both and the overloads below are
- * thin dispatchers.
- */
-template <typename SimT>
-DriveResult DriveScenarioImpl(SimT& simulator, const serve::Frontend& frontend,
-                              const workload::Trace& trace,
-                              const RunConfig& config) {
+}  // namespace
+
+DriveResult DriveScenario(sim::Simulator& simulator,
+                          const serve::Frontend& frontend,
+                          const workload::Trace& trace,
+                          const RunConfig& config) {
   DriveResult result;
   const double last_arrival =
       trace.requests.empty() ? 0.0
@@ -137,8 +123,6 @@ DriveResult DriveScenarioImpl(SimT& simulator, const serve::Frontend& frontend,
   return result;
 }
 
-}  // namespace
-
 const char* EngineKindName(EngineKind kind) {
   switch (kind) {
     case EngineKind::kMuxWise:
@@ -157,20 +141,6 @@ const char* EngineKindName(EngineKind kind) {
       return "Temporal*";
   }
   return "?";
-}
-
-DriveResult DriveScenario(sim::Simulator& simulator,
-                          const serve::Frontend& frontend,
-                          const workload::Trace& trace,
-                          const RunConfig& config) {
-  return DriveScenarioImpl(simulator, frontend, trace, config);
-}
-
-DriveResult DriveScenario(sim::ParallelSimulator& simulator,
-                          const serve::Frontend& frontend,
-                          const workload::Trace& trace,
-                          const RunConfig& config) {
-  return DriveScenarioImpl(simulator, frontend, trace, config);
 }
 
 EngineInstance MakeEngine(EngineKind kind, sim::Simulator* simulator,
@@ -240,23 +210,8 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
                        const workload::Trace& trace,
                        const core::ContentionEstimator* shared_estimator,
                        const RunConfig& config) {
-  MUX_CHECK(config.threads >= 1);
-  // threads == 1 keeps the plain sequential simulator (zero-risk path,
-  // bit-identical to every earlier build). threads > 1 hosts the same
-  // scenario on the parallel kernel's single-shard fast path: the engine
-  // drives shard 0, the event loop runs on a worker thread, and the
-  // digest below proves the streams match.
-  std::optional<sim::ParallelSimulator> parallel;
-  std::optional<sim::Simulator> sequential;
-  if (config.threads != 1) {
-    sim::ParallelSimulator::Options parallel_options;
-    parallel_options.shards = 1;
-    parallel_options.threads = config.threads;
-    parallel.emplace(parallel_options);
-  } else {
-    sequential.emplace();
-  }
-  sim::Simulator& simulator = parallel ? parallel->shard(0) : *sequential;
+  MUX_CHECK(config.threads == 1);
+  sim::Simulator simulator;
   RunOutcome outcome;
   outcome.engine = EngineKindName(kind);
   outcome.total = trace.requests.size();
@@ -285,9 +240,7 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
   serve::Frontend frontend(&simulator, engine, &trace, &metrics);
   frontend.Start();
 
-  const DriveResult drive =
-      parallel ? DriveScenario(*parallel, frontend, trace, config)
-               : DriveScenario(simulator, frontend, trace, config);
+  const DriveResult drive = DriveScenario(simulator, frontend, trace, config);
   outcome.stable = drive.stable;
   outcome.diagnostic = drive.diagnostic;
 
@@ -379,16 +332,11 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
   } else if (loong != nullptr) {
     outcome.gpu_utilization = {UtilPercent(loong->device(), end)};
   }
-  // On the parallel host, EventDigest/ExecutedEvents come from the
-  // kernel; its single-shard fast path reports shard 0's values, so the
-  // digest is comparable across threads settings by construction.
-  outcome.event_digest =
-      parallel ? parallel->EventDigest() : simulator.EventDigest();
-  outcome.executed_events =
-      parallel ? parallel->ExecutedEvents() : simulator.ExecutedEvents();
+  outcome.event_digest = simulator.EventDigest();
+  outcome.executed_events = simulator.ExecutedEvents();
   if (outcome.diagnostic.empty()) {
-    RunScenarioAudits(simulator, parallel ? &*parallel : nullptr, *engine,
-                      metrics, injector ? &*injector : nullptr);
+    RunScenarioAudits(simulator, *engine, metrics,
+                      injector ? &*injector : nullptr);
   }
   return outcome;
 }

@@ -18,7 +18,6 @@
 #include "serve/deployment.h"
 #include "serve/frontend.h"
 #include "serve/metrics.h"
-#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "workload/request_spec.h"
 
@@ -115,15 +114,9 @@ struct RunConfig {
   obs::TraceRecorder* trace = nullptr;
 
   /**
-   * Event-loop threading. 1 (the default) drives the plain sequential
-   * simulator, bit-identical to every pre-parallel build. N > 1 hosts
-   * the same scenario on the parallel kernel's single-shard sequential
-   * fast path — the event loop executes on a worker thread with
-   * mutex-ordered hand-offs, preserving the event stream and every
-   * digest bit-for-bit while proving under TSan that engine state is
-   * shard-confined. (Engines run against one simulator, so harness
-   * scenarios stay single-shard; multi-shard windowed execution is
-   * exercised by tests/test_parallel_sim.cc and simcore.parallel.)
+   * Event-loop threads. The simulator is single-threaded, so 1 is the
+   * only accepted value; RunWorkload and RunStreamingWorkload reject
+   * any other.
    */
   int threads = 1;
 };
@@ -278,12 +271,6 @@ struct DriveResult {
  * RunConfig::drain_timeout_seconds).
  */
 DriveResult DriveScenario(sim::Simulator& simulator,
-                          const serve::Frontend& frontend,
-                          const workload::Trace& trace,
-                          const RunConfig& config = RunConfig());
-
-/** The same drive loop over the sharded parallel kernel. */
-DriveResult DriveScenario(sim::ParallelSimulator& simulator,
                           const serve::Frontend& frontend,
                           const workload::Trace& trace,
                           const RunConfig& config = RunConfig());

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -794,13 +795,18 @@ serve::Deployment MakeDeployment(const ScenarioSpec& spec) {
  * Offline contention profiling is by far the most expensive step of a
  * scenario, and it depends only on the hardware/model shape — never on
  * SLO overrides (estimators are built from the pristine deployment) —
- * so matrix runs share one estimator across repeats and thread counts.
+ * so matrix runs share one estimator across repeats. Entries are never
+ * erased and the map is node-based, so a returned reference stays valid
+ * after the lock is released; runs only read the estimator (engines
+ * copy it).
  */
 const core::ContentionEstimator& CachedEstimator(const ScenarioSpec& spec) {
+  static std::mutex mu;
   static std::map<std::string, std::unique_ptr<core::ContentionEstimator>>
       cache;
   const std::string key =
       spec.model + "|" + spec.gpu + "|" + std::to_string(spec.num_gpus);
+  const std::lock_guard<std::mutex> lock(mu);
   auto it = cache.find(key);
   if (it == cache.end()) {
     const serve::Deployment pristine = serve::Deployment::Make(
@@ -836,8 +842,8 @@ ScenarioParseResult ParseScenarioJson(const std::string& text,
 
   ScenarioSpec spec;
   if (!CheckKeys(root, "(root)",
-                 {"name", "engine", "deployment", "threads", "trace", "slo",
-                  "run", "overload", "fleet", "faults", "recovery"},
+                 {"name", "engine", "deployment", "trace", "slo", "run",
+                  "overload", "fleet", "faults", "recovery"},
                  ctx)) {
     result.error = ctx.error;
     return result;
@@ -855,26 +861,11 @@ ScenarioParseResult ParseScenarioJson(const std::string& text,
     return result;
   }
 
-  std::int64_t threads = 1;
-  if (!ParseDeployment(root, spec, ctx) ||
-      !GetInteger(root, "(root)", "threads", false, 1, &threads, ctx) ||
-      !ParseTrace(root, spec, ctx) || !ParseSlo(root, spec, ctx) ||
-      !ParseRun(root, spec, ctx) || !ParseOverload(root, spec, ctx) ||
-      !ParseFleet(root, spec, ctx) || !ParseFaults(root, spec, ctx) ||
-      !ParseRecovery(root, spec, ctx)) {
+  if (!ParseDeployment(root, spec, ctx) || !ParseTrace(root, spec, ctx) ||
+      !ParseSlo(root, spec, ctx) || !ParseRun(root, spec, ctx) ||
+      !ParseOverload(root, spec, ctx) || !ParseFleet(root, spec, ctx) ||
+      !ParseFaults(root, spec, ctx) || !ParseRecovery(root, spec, ctx)) {
     result.error = ctx.error;
-    return result;
-  }
-  if (threads < 1 || threads > 64) {
-    result.error = source + ": threads: out of range [1, 64]";
-    return result;
-  }
-  spec.config.threads = static_cast<int>(threads);
-
-  if (spec.IsStreaming() && spec.config.threads != 1) {
-    result.error = source +
-                   ": threads: streaming scenarios are sequential-only "
-                   "(threads must be 1)";
     return result;
   }
 

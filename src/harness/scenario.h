@@ -15,9 +15,9 @@ namespace muxwise::harness {
 /**
  * Declarative scenario DSL: one JSON file describes everything a run
  * needs — engine, deployment shape, trace composition (dataset mix,
- * MMPP phases, or a synthetic stream), SLO targets, overload / fleet /
- * fault configuration, and the event-loop thread count — so new
- * end-to-end scenarios are data, not recompiled C++. The parser is
+ * MMPP phases, or a synthetic stream), SLO targets, and overload /
+ * fleet / fault configuration — so new end-to-end scenarios are data,
+ * not recompiled C++. The parser is
  * strict: unknown keys, unknown enum spellings, and malformed values
  * are reported with the offending path rather than silently defaulted,
  * because a typo that half-applies a scenario would still produce a
@@ -31,7 +31,6 @@ namespace muxwise::harness {
  *                                      // sglang-pd|loongserve|
  *                                      // windserve|temporal
  *     "deployment": {"model": "Llama-70B", "gpu": "A100", "num_gpus": 8},
- *     "threads": 1,
  *     "trace": {
  *       "mix": [ {"dataset": "sharegpt", "requests": 30,
  *                 "rate_per_second": 2.0, "seed": 901} ]
@@ -112,8 +111,8 @@ struct ScenarioSpec {
   std::optional<workload::SloTargets> slo;
 
   /**
-   * Harness knobs assembled by the parser: threads, drain timeout,
-   * event budget, overload policy, fleet routing, fault plan, recovery.
+   * Harness knobs assembled by the parser: drain timeout, event
+   * budget, overload policy, fleet routing, fault plan, recovery.
    */
   RunConfig config;
 
@@ -146,8 +145,8 @@ workload::Trace BuildScenarioTrace(const ScenarioSpec& spec);
  * Builds the deployment (ByName lookups + SLO overrides) and replays
  * the scenario through RunWorkload. Contention estimators are profiled
  * once per (model, gpu, num_gpus) and cached for the process lifetime,
- * so matrix runs re-use them across repeats and thread counts. Fatal on
- * a streaming spec.
+ * so matrix runs re-use them across repeats. The cache is guarded, so
+ * concurrent runs may share it. Fatal on a streaming spec.
  */
 RunOutcome RunScenario(const ScenarioSpec& spec);
 

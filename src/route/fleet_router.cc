@@ -46,9 +46,6 @@ FleetRouter::FleetRouter(sim::Simulator* simulator,
   link_ = std::make_unique<sim::Channel>(simulator, "fleet-host-link",
                                          options_.link_bandwidth_bytes_per_s,
                                          options_.link_latency);
-  // Re-home migrations hop between arbitrary replica shards over the
-  // shared host tier: an any-to-any crossing in the partition map.
-  link_->AnnotateShards(sim::kNoShard, sim::kNoShard);
 
   // The re-home migrate-vs-recompute decision reuses the overload
   // controller's spill cost model verbatim, tuned to the fleet link:

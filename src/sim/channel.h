@@ -9,24 +9,23 @@
 #include <utility>
 
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
 /**
- * Shard-boundary annotations, read by tools/muxlint's shard-safety pass.
+ * Instance-boundary annotations, read by tools/muxlint's shard-safety
+ * pass (a "shard" there is one GPU instance).
  *
- * The parallel-simulation roadmap (ROADMAP item 2) partitions the event
- * loop by GPU instance. That is only safe if every cross-instance
- * interaction flows through an explicit sim::Channel, because a channel
- * crossing is where a sharded kernel inserts its synchronisation point.
- * The macros expand to nothing at compile time; they exist so the
- * analyzer can tell blessed cross-shard surfaces from accidental ones:
+ * Every cross-instance interaction flows through an explicit
+ * sim::Channel, so each crossing is named, counted, and — for wire
+ * transfers — subject to the link's fault model. The macros expand to
+ * nothing at compile time; they exist so the analyzer can tell blessed
+ * cross-instance surfaces from accidental ones:
  *
  *  - MUX_SHARD_LOCAL marks a function that touches at most one GPU
  *    instance. muxlint flags it if it ever references two.
- *  - MUX_CHANNEL_ENTRY marks a deliberate cross-shard entry point — a
- *    function allowed to touch several instances because it *is* the
+ *  - MUX_CHANNEL_ENTRY marks a deliberate cross-instance entry point —
+ *    a function allowed to touch several instances because it *is* the
  *    channel discipline (constructors wiring a cluster, fault injection
  *    fan-out, channel completion handlers).
  *
@@ -41,7 +40,7 @@ namespace muxwise::sim {
 /**
  * The one conduit for cross-instance interactions: interconnect
  * transfers (KV migration, spill/restore over host links), and
- * cluster-level control callbacks between shards.
+ * cluster-level control callbacks between instances.
  *
  * Clocked transfers model a FIFO point-to-point wire: transfers queue
  * behind each other; duration is latency + bytes / bandwidth. The idle
@@ -51,11 +50,9 @@ namespace muxwise::sim {
  * when the bytes actually land (never at enqueue).
  *
  * Control deliveries (`Deliver`) are same-tick hand-offs between
- * shards: they run inline today — the simulator is single-threaded, so
+ * instances: they run inline — the simulator is single-threaded, so
  * routing them through the channel changes no event ordering and no
- * digest — but they are counted, named, and statically enforceable,
- * which is exactly the surface a sharded event loop later turns into a
- * bounded-lookahead queue crossing.
+ * digest — but they are counted, named, and statically enforceable.
  *
  * With EnableFaults() armed, each transfer attempt may be lost with the
  * model's probability (drawn from a seeded sim::Rng — deterministic).
@@ -136,8 +133,7 @@ class Channel {
    * Typed transfer: carries `payload` across the wire and hands it to
    * exactly one of the two receivers. The payload is owned by the
    * channel while in flight, so the sender can release its side
-   * immediately — the shape a sharded kernel needs, since the receiving
-   * shard must not reach back into sender state.
+   * immediately and the receiver never reaches back into sender state.
    */
   template <typename Payload>
   void Send(double bytes, Payload payload,
@@ -155,11 +151,11 @@ class Channel {
   }
 
   /**
-   * Same-tick cross-shard control delivery: runs `fn` immediately (the
-   * simulator is single-threaded; no event is scheduled, so digests are
-   * unchanged) while making the crossing explicit and counted. Every
+   * Same-tick cross-instance control delivery: runs `fn` immediately
+   * (the simulator is single-threaded; no event is scheduled, so digests
+   * are unchanged) while making the crossing explicit and counted. Every
    * cluster-level callback that hops between instances routes through
-   * here rather than calling the other shard directly.
+   * here rather than calling the other instance directly.
    */
   MUX_CHANNEL_ENTRY void Deliver(const std::function<void()>& fn) {
     ++deliveries_;
@@ -184,24 +180,6 @@ class Channel {
   /** The wire's fixed latency term (0 on control-only channels). */
   Duration latency() const { return latency_; }
 
-  /**
-   * Declares which shards this channel crosses — the partition-map
-   * metadata a sharded kernel reads to derive its lookahead bound.
-   * kNoShard on either side means "any shard" (a fabric link shared by
-   * all instance pairs, or a host-tier endpoint outside the partition).
-   * Annotation never changes behaviour on the sequential simulator.
-   */
-  void AnnotateShards(ShardId src_shard, ShardId dst_shard) {
-    src_shard_ = src_shard;
-    dst_shard_ = dst_shard;
-    shard_annotated_ = true;
-  }
-
-  /** True once AnnotateShards has declared the crossing. */
-  bool shard_annotated() const { return shard_annotated_; }
-  ShardId src_shard() const { return src_shard_; }
-  ShardId dst_shard() const { return dst_shard_; }
-
  private:
   /** Occupies the wire for one attempt and schedules its landing. */
   void StartAttempt(double bytes, int attempt, std::function<void()> done,
@@ -219,9 +197,6 @@ class Channel {
   std::size_t attempts_failed_ = 0;
   std::size_t transfers_failed_ = 0;
   std::size_t deliveries_ = 0;
-  ShardId src_shard_ = kNoShard;
-  ShardId dst_shard_ = kNoShard;
-  bool shard_annotated_ = false;
   FaultModel fault_model_;
   std::optional<Rng> fault_rng_;
 };

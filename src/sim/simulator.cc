@@ -198,7 +198,6 @@ void Simulator::ExecuteTop() {
   --live_events_;
   ++executed_;
   FoldDigest(entry.when, entry.id);
-  if (log_ != nullptr) log_->push_back(ExecutedEvent{entry.when, entry.id});
   callback();
 }
 
@@ -242,24 +241,6 @@ std::size_t Simulator::RunUntil(Time until, std::size_t max_events) {
   // Budget exhausted mid-stream: Now() stays at the last event's time so
   // the caller can see where the scenario stalled.
   return n;
-}
-
-std::size_t Simulator::RunBefore(Time until, std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events) {
-    const HeapEntry* top = PeekLive();
-    if (top == nullptr || top->when >= until) break;
-    ExecuteTop();
-    ++n;
-  }
-  return n;
-}
-
-void Simulator::AdvanceTo(Time t) {
-  MUX_CHECK(t >= now_);
-  const HeapEntry* top = PeekLive();
-  MUX_CHECK(top == nullptr || top->when >= t);
-  now_ = t;
 }
 
 Time Simulator::NextEventTime() {

@@ -45,15 +45,6 @@ class Simulator {
  public:
   using Callback = std::function<void()>;
 
-  /**
-   * One executed event as captured by SetExecutionLog: exactly the
-   * (when, id) pair folded into EventDigest, in execution order.
-   */
-  struct ExecutedEvent {
-    Time when = 0;
-    EventId id = kInvalidEventId;
-  };
-
   Simulator() = default;
 
   Simulator(const Simulator&) = delete;
@@ -97,24 +88,6 @@ class Simulator {
   std::size_t RunUntil(Time until, std::size_t max_events);
 
   /**
-   * Runs all events with timestamp strictly before `until`, leaving
-   * Now() at the last executed event's time (it never force-advances to
-   * `until`). This is the parallel kernel's window primitive: a shard
-   * executes its slice of a lookahead window [start, until) and the
-   * coordinator aligns clocks at the barrier via AdvanceTo(). Executes
-   * at most `max_events` (the livelock guard). Returns events executed.
-   */
-  std::size_t RunBefore(Time until, std::size_t max_events);
-
-  /**
-   * Advances Now() to `t` without executing anything. Fatal if an event
-   * earlier than `t` is still pending — advancing past it would violate
-   * causality. Used by the parallel kernel to align shard clocks at a
-   * window barrier.
-   */
-  void AdvanceTo(Time t);
-
-  /**
    * Timestamp of the earliest pending event, kTimeNever when drained.
    * Non-const: discards cancelled tombstones on its way to the answer.
    */
@@ -140,15 +113,6 @@ class Simulator {
    * timing change perturbs it.
    */
   std::uint64_t EventDigest() const { return digest_; }
-
-  /**
-   * Attaches (or detaches, with nullptr) an execution log: every event
-   * executed from then on appends its (when, id) pair. The parallel
-   * kernel merges per-shard logs into the global event stream at window
-   * barriers; recording never changes execution order or the digest.
-   * The log is owned by the caller and must outlive the attachment.
-   */
-  void SetExecutionLog(std::vector<ExecutedEvent>* log) { log_ = log; }
 
   /**
    * Registers event-queue consistency audits: the live-event count
@@ -239,7 +203,6 @@ class Simulator {
   std::size_t executed_ = 0;
   std::uint64_t digest_ = 0x9e3779b97f4a7c15ULL;
   std::size_t live_events_ = 0;
-  std::vector<ExecutedEvent>* log_ = nullptr;
 
   std::vector<Event> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;

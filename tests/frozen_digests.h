@@ -13,11 +13,8 @@ namespace muxwise::tests {
 
 /**
  * The seven-engine acceptance scenario's frozen digests — recorded from
- * the seed BEFORE the channel refactor (PR 6) and re-enforced by every
- * structural change since. Shared by test_channel.cc (the sequential
- * regression) and test_parallel_sim.cc (which must reproduce the same
- * digests through the parallel kernel at every thread count): both
- * suites gate on one table, so the constants cannot drift apart.
+ * the seed BEFORE the channel refactor and re-enforced by every
+ * structural change since (test_channel.cc gates on them).
  */
 struct FrozenDigest {
   harness::EngineKind kind;

@@ -99,8 +99,8 @@ TEST(ChannelTest, ChannelsAreNamed) {
 // must be invisible to the simulation: the per-engine event digests of
 // the acceptance scenario are bit-identical to the pre-refactor seed.
 // The constants live in tests/frozen_digests.h (recorded from the seed
-// BEFORE the refactor), shared with the parallel-kernel suite; any
-// drift means a structural change altered scheduling behaviour.
+// BEFORE the refactor); any drift means a structural change altered
+// scheduling behaviour.
 
 TEST(ChannelTest, SevenEngineDigestsMatchPreRefactorSeed) {
   const serve::Deployment deployment = tests::FrozenDeployment();

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "gpu/gpu_spec.h"
@@ -37,6 +40,31 @@ TEST_F(GpuTest, ByNameRoundTrips) {
   EXPECT_EQ(GpuSpec::ByName("A100").name, "A100");
   EXPECT_EQ(GpuSpec::ByName("H100").name, "H100");
   EXPECT_EQ(GpuSpec::ByName("H200").name, "H200");
+}
+
+TEST(KernelTagTest, ConcurrentInterningAgreesAndNamesStayValid) {
+  // The tag table is process-wide: runs on different threads intern
+  // into it concurrently, and a name view taken early must survive
+  // every later intern.
+  const KernelTagId first = InternKernelTag("tag-test-first");
+  const std::string_view first_name = KernelTagName(first);
+  constexpr int kThreads = 4;
+  constexpr int kTags = 200;
+  std::vector<std::vector<KernelTagId>> ids(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&ids, t] {
+      for (int i = 0; i < kTags; ++i) {
+        ids[t].push_back(InternKernelTag("tag-test-" + std::to_string(i)));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
+  for (int i = 0; i < kTags; ++i) {
+    EXPECT_EQ(KernelTagName(ids[0][i]), "tag-test-" + std::to_string(i));
+  }
+  EXPECT_EQ(first_name, "tag-test-first");
 }
 
 TEST_F(GpuTest, BandwidthCapSaturatesAtFraction) {

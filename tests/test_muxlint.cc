@@ -733,52 +733,6 @@ TEST(MuxlintTest, ShardSafetyScopedToEngineLayers) {
   EXPECT_FALSE(HasRule(r, "shard-safety"));
 }
 
-TEST(MuxlintTest, ShardSafetyFlagsKernelMultiShardFunction) {
-  // In src/sim the vocabulary changes: reaching into several entries of
-  // the per-shard simulator table is the cross-shard act.
-  const LintReport r = Lint(
-      "src/sim/foo.cc",
-      "namespace muxwise::sim {\n"
-      "void Leak() {\n"
-      "  shards_[0]->Step();\n"
-      "  shards_[best]->Step();\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-  EXPECT_NE(r.findings[0].message.find("event-loop shards"),
-            std::string::npos);
-}
-
-TEST(MuxlintTest, ShardSafetyAcceptsAnnotatedKernelCrossing) {
-  const LintReport r = Lint(
-      "src/sim/foo.cc",
-      "namespace muxwise::sim {\n"
-      "MUX_CHANNEL_ENTRY void Drain() {\n"
-      "  shards_[d.dst]->ScheduleAt(d.when, fn);\n"
-      "  shards_[0]->Step();\n"
-      "}\n"
-      "MUX_SHARD_LOCAL void Slice(ShardId s) {\n"
-      "  counts_[s] = shards_[s]->RunBefore(end, budget);\n"
-      "}\n"
-      "void Accessor(ShardId s) { return *shards_[s]; }\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyFlagsEngineShardHandleCoupling) {
-  // Grabbing two shard-local simulator handles couples shards exactly
-  // like touching two instances.
-  const LintReport r = Lint(
-      "src/core/foo.cc",
-      "namespace muxwise::core {\n"
-      "void Hop() {\n"
-      "  psim_->shard(0).ScheduleAfter(d, fn);\n"
-      "  psim_->shard(1).ScheduleAfter(d, fn);\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-}
-
 TEST(MuxlintTest, ShardSafetySuppressibleOnSignatureLine) {
   const LintReport r = Lint(
       "src/core/foo.cc",

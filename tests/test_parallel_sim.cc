@@ -1,15 +1,13 @@
-#include "sim/parallel_simulator.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <functional>
+#include <iterator>
+#include <thread>
 #include <vector>
 
 #include "core/estimator.h"
 #include "harness/runner.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -19,38 +17,58 @@ namespace muxwise::sim {
 namespace {
 
 // ===========================================================================
-// Thread-count digest matrix: the tentpole's acceptance criterion.
+// Parallel simulations: independent runs on concurrent host threads.
 //
-// The parallel kernel's merged event stream must be bit-identical to the
-// sequential simulator's at ANY thread count. The strongest witnesses
-// this repo owns are the frozen seven-engine digests (recorded before
-// the channel refactor, tests/frozen_digests.h) and the frozen same-tick
-// storm digest 0x3a2d5d1435052199 (tests/test_simulator.cc) — so the
-// matrix replays both through the kernel at threads = 1/2/4/8 and
-// demands the exact sequential constants.
+// The event loop is single-threaded; what may run in parallel is whole
+// runs, each on its own Simulator (the run-level parallelism ROADMAP
+// item 2 proposes). That is sound only if runs share no mutable state
+// beyond the mutex-guarded process tables (kernel-tag interner, cached
+// estimators). These tests spread the repo's strongest witnesses — the
+// frozen seven-engine digests (tests/frozen_digests.h) and the frozen
+// same-tick storm digest 0x3a2d5d1435052199 (tests/test_simulator.cc) —
+// over 1/2/4/8 worker threads and demand the exact sequential constants.
 // ===========================================================================
 
 constexpr int kThreadMatrix[] = {1, 2, 4, 8};
+
+/**
+ * Runs `job(0) .. job(jobs - 1)` on `threads` workers, job i on worker
+ * i % threads. Each job writes only its own result slot.
+ */
+void RunJobsOnThreads(int threads, int jobs,
+                      const std::function<void(int)>& job) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&job, t, threads, jobs] {
+      for (int i = t; i < jobs; i += threads) job(i);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+}
 
 TEST(ParallelSimTest, SevenEngineDigestMatrixMatchesFrozenSequentialSeeds) {
   const serve::Deployment deployment = tests::FrozenDeployment();
   const core::ContentionEstimator estimator =
       core::ContentionEstimator::BuildOffline(deployment);
   const workload::Trace trace = tests::FrozenTrace();
+  constexpr int kEngines =
+      static_cast<int>(std::size(tests::kFrozenEngineDigests));
 
   for (const int threads : kThreadMatrix) {
-    harness::RunConfig config;
-    config.threads = threads;
-    for (const tests::FrozenDigest& expect : tests::kFrozenEngineDigests) {
-      const harness::RunOutcome outcome = harness::RunWorkload(
-          expect.kind, deployment, trace, &estimator, config);
-      EXPECT_EQ(outcome.event_digest, expect.event_digest)
+    std::vector<harness::RunOutcome> outcomes(kEngines);
+    RunJobsOnThreads(threads, kEngines, [&](int i) {
+      outcomes[i] = harness::RunWorkload(tests::kFrozenEngineDigests[i].kind,
+                                         deployment, trace, &estimator);
+    });
+    for (int i = 0; i < kEngines; ++i) {
+      const tests::FrozenDigest& expect = tests::kFrozenEngineDigests[i];
+      EXPECT_EQ(outcomes[i].event_digest, expect.event_digest)
           << harness::EngineKindName(expect.kind) << " at threads="
           << threads;
-      EXPECT_EQ(outcome.executed_events, expect.executed_events)
+      EXPECT_EQ(outcomes[i].executed_events, expect.executed_events)
           << harness::EngineKindName(expect.kind) << " at threads="
           << threads;
-      EXPECT_EQ(harness::OutcomeDigest(outcome), expect.outcome_digest)
+      EXPECT_EQ(harness::OutcomeDigest(outcomes[i]), expect.outcome_digest)
           << harness::EngineKindName(expect.kind) << " at threads="
           << threads;
     }
@@ -62,20 +80,34 @@ TEST(ParallelSimTest, DoubleRunIdentityAtEachThreadCount) {
   const core::ContentionEstimator estimator =
       core::ContentionEstimator::BuildOffline(deployment);
   const workload::Trace trace = tests::FrozenTrace();
+  const tests::FrozenDigest& muxwise = tests::kFrozenEngineDigests[0];
+  ASSERT_EQ(muxwise.kind, harness::EngineKind::kMuxWise);
 
   for (const int threads : kThreadMatrix) {
-    harness::RunConfig config;
-    config.threads = threads;
-    const harness::DeterminismReport report = harness::VerifyDeterminism(
-        harness::EngineKind::kMuxWise, deployment, trace, &estimator, config);
-    EXPECT_TRUE(report.deterministic)
-        << "threads=" << threads << ": " << report.mismatch;
+    // One double run per worker, all at once.
+    std::vector<harness::DeterminismReport> reports(threads);
+    RunJobsOnThreads(threads, threads, [&](int i) {
+      reports[i] = harness::VerifyDeterminism(muxwise.kind, deployment, trace,
+                                              &estimator);
+    });
+    for (int i = 0; i < threads; ++i) {
+      EXPECT_TRUE(reports[i].deterministic)
+          << "threads=" << threads << " worker " << i << ": "
+          << reports[i].mismatch;
+      EXPECT_EQ(reports[i].first_digest, muxwise.outcome_digest)
+          << "threads=" << threads << " worker " << i;
+      EXPECT_EQ(reports[i].first_events, muxwise.executed_events)
+          << "threads=" << threads << " worker " << i;
+    }
   }
 }
 
-/** The exact storm schedule test_simulator.cc froze, hosted on `psim`. */
-std::uint64_t RunFrozenStorm(ParallelSimulator& psim) {
-  Simulator& simulator = psim.shard(0);
+/**
+ * The exact storm schedule test_simulator.cc froze, on a fresh
+ * simulator. Returns its digest, or 0 if events were left pending.
+ */
+std::uint64_t RunFrozenStorm() {
+  Simulator simulator;
   std::vector<EventId> ids;
   for (int round = 0; round < 16; ++round) {
     const Time tick = Microseconds(10 * (round + 1));
@@ -86,293 +118,22 @@ std::uint64_t RunFrozenStorm(ParallelSimulator& psim) {
     for (int i = 1; i < 32; i += 4) simulator.Cancel(ids[i]);
     for (int i = 0; i < 4; ++i) simulator.ScheduleAt(tick, [] {});
   }
-  psim.Run();
-  return psim.EventDigest();
+  simulator.Run();
+  return simulator.Empty() ? simulator.EventDigest() : 0;
 }
 
 TEST(ParallelSimTest, FrozenStormDigestReproducedAtEveryThreadCount) {
+  constexpr int kStormsPerWorker = 4;
   for (const int threads : kThreadMatrix) {
-    ParallelSimulator::Options options;
-    options.shards = 1;
-    options.threads = threads;
-    ParallelSimulator psim(options);
-    EXPECT_EQ(RunFrozenStorm(psim), 0x3a2d5d1435052199ULL)
-        << "threads=" << threads;
-    EXPECT_TRUE(psim.Empty());
-  }
-}
-
-// ===========================================================================
-// Cross-shard torture: seeded same-tick storms of channel sends between
-// shards over adversarial latencies — several crossings pinned exactly
-// AT the lookahead bound, others one nanosecond past it — swept over
-// shard counts and thread counts. Determinism is asserted on three
-// surfaces at once: the merged digest, the executed-event count, and
-// the per-destination delivery logs (payload arrival order), which pin
-// the mailbox-drain (when, sender shard, send serial) contract and the
-// destination heap's FIFO tie-break.
-// ===========================================================================
-
-struct TortureResult {
-  std::uint64_t digest = 0;
-  std::size_t events = 0;
-  std::size_t posts = 0;
-  std::vector<std::vector<int>> deliveries;  // Per dst shard, in order.
-};
-
-TortureResult RunTorture(std::size_t num_shards, int threads,
-                         bool drive_by_steps) {
-  ParallelSimulator::Options options;
-  options.shards = num_shards;
-  options.threads = threads;
-  ParallelSimulator psim(options);
-
-  // Ring crossings sit exactly at the lookahead (10 us); skip crossings
-  // land one nanosecond past it — deliveries that *just* miss a window
-  // and must wait for the next barrier.
-  std::vector<std::unique_ptr<ShardChannel>> channels;
-  std::vector<ShardChannel*> out(num_shards * 2, nullptr);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    channels.push_back(std::make_unique<ShardChannel>(
-        &psim, "torture/ring" + std::to_string(s),
-        static_cast<ShardId>(s), static_cast<ShardId>((s + 1) % num_shards),
-        Microseconds(10)));
-    out[s * 2] = channels.back().get();
-    if (num_shards > 2) {
-      channels.push_back(std::make_unique<ShardChannel>(
-          &psim, "torture/skip" + std::to_string(s),
-          static_cast<ShardId>(s), static_cast<ShardId>((s + 2) % num_shards),
-          Microseconds(10) + Nanoseconds(1)));
-      out[s * 2 + 1] = channels.back().get();
+    const int storms = threads * kStormsPerWorker;
+    std::vector<std::uint64_t> digests(storms, 0);
+    RunJobsOnThreads(threads, storms,
+                     [&](int i) { digests[i] = RunFrozenStorm(); });
+    for (int i = 0; i < storms; ++i) {
+      EXPECT_EQ(digests[i], 0x3a2d5d1435052199ULL)
+          << "threads=" << threads << " storm " << i;
     }
   }
-
-  TortureResult result;
-  result.deliveries.resize(num_shards);
-  std::vector<std::vector<int>>& log = result.deliveries;
-
-  // Every shard fires storm rounds at the SAME ticks (5 us apart): each
-  // round schedules eight same-tick events, every one posting a payload
-  // on alternating crossings with a tiny seeded extra delay (0-3 ns) so
-  // arrivals collide at equal timestamps across senders and rounds.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    Simulator& shard = psim.shard(static_cast<ShardId>(s));
-    for (int round = 0; round < 24; ++round) {
-      const Time tick = Microseconds(5 * (round + 1));
-      for (int burst = 0; burst < 8; ++burst) {
-        const int payload = static_cast<int>(s) * 100000 + round * 100 + burst;
-        // Seeded per-event mix: which crossing, how much extra delay.
-        const std::uint64_t mix =
-            (s * 2654435761ULL + static_cast<std::uint64_t>(round) * 40503ULL +
-             static_cast<std::uint64_t>(burst) * 9973ULL);
-        ShardChannel* channel = out[s * 2 + (num_shards > 2 ? mix % 2 : 0)];
-        const Duration extra = static_cast<Duration>(mix % 4);
-        shard.ScheduleAt(tick, [&psim, &log, channel, extra, payload] {
-          channel->Post(extra, [&log, channel, payload] {
-            log[channel->dst()].push_back(payload);
-          });
-        });
-      }
-    }
-  }
-
-  if (drive_by_steps) {
-    while (psim.Step()) {
-    }
-  } else {
-    psim.Run();
-  }
-  EXPECT_TRUE(psim.Empty());
-  result.digest = psim.EventDigest();
-  result.events = psim.ExecutedEvents();
-  result.posts = psim.cross_shard_posts();
-  return result;
-}
-
-TEST(ParallelSimTest, TortureDigestsInvariantAcrossThreadAndShardSweeps) {
-  for (const std::size_t shards : {2u, 3u, 5u, 8u}) {
-    const TortureResult base = RunTorture(shards, 1, false);
-    ASSERT_GT(base.posts, 0u) << shards << " shards";
-    ASSERT_EQ(base.posts, shards * 24 * 8) << shards << " shards";
-    for (const int threads : {2, 4, 8}) {
-      const TortureResult run = RunTorture(shards, threads, false);
-      EXPECT_EQ(run.digest, base.digest)
-          << shards << " shards at threads=" << threads;
-      EXPECT_EQ(run.events, base.events)
-          << shards << " shards at threads=" << threads;
-      EXPECT_EQ(run.deliveries, base.deliveries)
-          << shards << " shards at threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelSimTest, TortureDoubleRunIsBitIdentical) {
-  const TortureResult first = RunTorture(5, 4, false);
-  const TortureResult second = RunTorture(5, 4, false);
-  EXPECT_EQ(first.digest, second.digest);
-  EXPECT_EQ(first.events, second.events);
-  EXPECT_EQ(first.deliveries, second.deliveries);
-}
-
-TEST(ParallelSimTest, StepDrainMatchesWindowedRun) {
-  // Step() is a degenerate window; draining the torture scenario one
-  // global-minimum event at a time must merge the identical stream.
-  const TortureResult windowed = RunTorture(3, 2, false);
-  const TortureResult stepped = RunTorture(3, 2, true);
-  EXPECT_EQ(stepped.digest, windowed.digest);
-  EXPECT_EQ(stepped.events, windowed.events);
-  EXPECT_EQ(stepped.deliveries, windowed.deliveries);
-}
-
-TEST(ParallelSimTest, MailboxDrainOrdersSameTickArrivalsBySenderThenSerial) {
-  // Two senders, one destination, equal latencies, coordinator-staged
-  // sends: all four arrivals share one timestamp, so delivery order is
-  // decided purely by the documented (when, sender shard, send serial)
-  // drain contract — and the destination's FIFO tie-break preserves it.
-  ParallelSimulator::Options options;
-  options.shards = 3;
-  options.threads = 2;
-  ParallelSimulator psim(options);
-  ShardChannel a(&psim, "torture/a", 0, 2, Microseconds(10));
-  ShardChannel b(&psim, "torture/b", 1, 2, Microseconds(10));
-
-  std::vector<std::string> order;
-  b.Post([&order] { order.push_back("b0"); });  // Staged first...
-  a.Post([&order] { order.push_back("a0"); });
-  b.Post([&order] { order.push_back("b1"); });
-  a.Post([&order] { order.push_back("a1"); });
-  psim.Run();
-  // ...but shard 0's sends outrank shard 1's: the serial embeds the
-  // sender shard in its high bits.
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"a0", "a1", "b0", "b1"}));
-  EXPECT_EQ(psim.cross_shard_posts(), 4u);
-}
-
-// ===========================================================================
-// Lookahead unit tests.
-// ===========================================================================
-
-TEST(ParallelSimTest, LookaheadIsMinimumRegisteredChannelLatency) {
-  ParallelSimulator::Options options;
-  options.shards = 3;
-  ParallelSimulator psim(options);
-  ShardChannel slow(&psim, "look/slow", 0, 1, Microseconds(80));
-  EXPECT_EQ(psim.Lookahead(), Microseconds(80));
-  ShardChannel fast(&psim, "look/fast", 1, 2, Microseconds(20));
-  EXPECT_EQ(psim.Lookahead(), Microseconds(20));
-  ShardChannel mid(&psim, "look/mid", 2, 0, Microseconds(50));
-  EXPECT_EQ(psim.Lookahead(), Microseconds(20));
-}
-
-TEST(ParallelSimTest, DeclaredLookaheadPinsTheWindowBound) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  options.lookahead = Microseconds(5);
-  ParallelSimulator psim(options);
-  ShardChannel link(&psim, "look/link", 0, 1, Microseconds(50));
-  EXPECT_EQ(psim.Lookahead(), Microseconds(5));
-}
-
-TEST(ParallelSimTest, IndependentShardsRunInOneUnboundedWindow) {
-  // No channels: the lookahead is infinite, so the whole run is a
-  // single window regardless of how much work each shard holds.
-  ParallelSimulator::Options options;
-  options.shards = 4;
-  ParallelSimulator psim(options);
-  EXPECT_EQ(psim.Lookahead(), kTimeNever);
-  int fired = 0;
-  for (ShardId s = 0; s < 4; ++s) {
-    for (int i = 0; i < 10; ++i) {
-      psim.shard(s).ScheduleAfter(Microseconds(i + 1), [&fired] { ++fired; });
-    }
-  }
-  psim.Run();
-  EXPECT_EQ(fired, 40);
-  EXPECT_EQ(psim.ExecutedEvents(), 40u);
-  EXPECT_EQ(psim.windows_executed(), 1u);
-}
-
-TEST(ParallelSimTest, SingleShardCollapsesToSequentialFastPath) {
-  ParallelSimulator::Options options;
-  options.shards = 1;
-  ParallelSimulator psim(options);
-  EXPECT_TRUE(psim.sequential_fast_path());
-
-  Simulator reference;
-  auto schedule = [](Simulator& simulator) {
-    for (int i = 0; i < 100; ++i) {
-      simulator.ScheduleAfter(Nanoseconds(7 * (i % 13) + 1), [] {});
-    }
-  };
-  schedule(psim.shard(0));
-  schedule(reference);
-  psim.Run();
-  reference.Run();
-  // No windows, no merge: the kernel's digest IS the shard's digest,
-  // which is the plain sequential simulator's digest.
-  EXPECT_EQ(psim.windows_executed(), 0u);
-  EXPECT_EQ(psim.EventDigest(), reference.EventDigest());
-  EXPECT_EQ(psim.ExecutedEvents(), reference.ExecutedEvents());
-  EXPECT_EQ(psim.Now(), reference.Now());
-}
-
-TEST(ParallelSimTest, MultiShardRunUntilAlignsEveryShardClock) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  ParallelSimulator psim(options);
-  ShardChannel link(&psim, "look/link", 0, 1, Microseconds(10));
-  psim.shard(0).ScheduleAfter(Microseconds(1), [] {});
-  psim.RunUntil(Milliseconds(3));
-  EXPECT_EQ(psim.Now(), Milliseconds(3));
-  EXPECT_EQ(psim.shard(0).Now(), Milliseconds(3));
-  EXPECT_EQ(psim.shard(1).Now(), Milliseconds(3));
-}
-
-// ===========================================================================
-// Configuration death tests: misdeclared crossings must fail fast, not
-// silently corrupt the window protocol.
-// ===========================================================================
-
-TEST(ParallelSimDeathTest, ChannelLatencyBelowDeclaredLookaheadIsFatal) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  options.lookahead = Microseconds(10);
-  ParallelSimulator psim(options);
-  EXPECT_EXIT(ShardChannel(&psim, "death/fast", 0, 1, Microseconds(9)),
-              ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ParallelSimDeathTest, ZeroLatencyChannelIsFatal) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  ParallelSimulator psim(options);
-  EXPECT_EXIT(ShardChannel(&psim, "death/zero", 0, 1, 0),
-              ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ParallelSimDeathTest, SameShardChannelIsFatal) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  ParallelSimulator psim(options);
-  EXPECT_EXIT(ShardChannel(&psim, "death/loop", 1, 1, Microseconds(10)),
-              ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ParallelSimDeathTest, ChannelOnSingleShardKernelIsFatal) {
-  ParallelSimulator::Options options;
-  options.shards = 1;
-  ParallelSimulator psim(options);
-  EXPECT_EXIT(ShardChannel(&psim, "death/solo", 0, 0, Microseconds(10)),
-              ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ParallelSimDeathTest, EndpointOutOfRangeIsFatal) {
-  ParallelSimulator::Options options;
-  options.shards = 2;
-  ParallelSimulator psim(options);
-  EXPECT_EXIT(ShardChannel(&psim, "death/range", 0, 7, Microseconds(10)),
-              ::testing::ExitedWithCode(1), "");
 }
 
 }  // namespace

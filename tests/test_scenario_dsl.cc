@@ -82,17 +82,6 @@ TEST(ScenarioDslTest, EveryCheckedInScenarioParses) {
   EXPECT_GE(seen, 8u);  // 6 matrix scenarios + 2 nightly streaming ones.
 }
 
-TEST(ScenarioDslTest, ThreadCountDoesNotChangeTheDigest) {
-  ScenarioParseResult base =
-      LoadScenarioFile(RepoPath("scenarios/acceptance_sharegpt.json"));
-  ASSERT_TRUE(base.ok()) << base.error;
-  const RunOutcome single = RunScenario(*base.spec);
-  base.spec->config.threads = 4;
-  const RunOutcome sharded = RunScenario(*base.spec);
-  EXPECT_EQ(OutcomeDigest(single), OutcomeDigest(sharded));
-  EXPECT_EQ(single.event_digest, sharded.event_digest);
-}
-
 TEST(ScenarioDslTest, StreamingSmokeIsDeterministicAndAccurate) {
   const std::string text = R"json({
     "name": "stream-smoke",

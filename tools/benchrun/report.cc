@@ -66,7 +66,7 @@ MachineInfo MachineInfo::Detect() {
   // Prefer the affinity mask: in a cgroup-limited container,
   // hardware_concurrency() may report the host's full core count while
   // the process is pinned to far fewer — and it may also return 0 when
-  // detection fails. Either way `cpus` must reflect what a parallel run
+  // detection fails. Either way `cpus` must reflect what the process
   // can actually use, with a floor of 1.
 #if defined(__linux__)
   cpu_set_t affinity;
@@ -145,8 +145,8 @@ bool FromJson(const std::string& json, BenchReport& report,
     report.machine.compiler = GetString(machine->Find("compiler"));
     report.machine.build_type = GetString(machine->Find("build_type"));
     report.machine.cpus = static_cast<int>(GetNumber(machine->Find("cpus")));
-    // hw_threads joined the schema with the parallel kernel; older
-    // reports simply leave it 0 (absent ≠ schema mismatch).
+    // hw_threads joined the schema after schema_version 1 shipped;
+    // older reports simply leave it 0 (absent ≠ schema mismatch).
     report.machine.hw_threads =
         static_cast<int>(GetNumber(machine->Find("hw_threads")));
   }

@@ -17,8 +17,8 @@ struct MachineInfo {
   /**
    * CPUs actually available to this process (Linux: the scheduling
    * affinity mask, so cgroup/container limits are respected), floor 1.
-   * This is the number that decides whether parallel-kernel speedup
-   * claims are meaningful on the recording machine.
+   * Part of the machine class that decides whether two reports' wall
+   * times are comparable.
    */
   int cpus = 0;
 

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 #include <utility>
 
 #include "core/estimator.h"
@@ -15,8 +15,6 @@
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
-#include "sim/parallel_simulator.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
@@ -286,72 +284,6 @@ OneRun DriveFleetGoodput(double duration_seconds) {
   return run;
 }
 
-/**
- * Sharded-kernel throughput (ISSUE 8): eight event-loop shards joined
- * in a ring of ShardChannels (latencies 20/27/34 us — the 20 us minimum
- * is the lookahead window), each running the simcore.events
- * self-rescheduling actor at nanosecond granularity and forwarding a
- * token around the ring every 16th firing. Thousands of shard-local
- * events fit in every window, so window execution dominates barrier
- * cost and thread scaling is visible. The workload is identical for
- * every `threads` setting — the t1/t2/t4 bench rows must report the
- * same event count and merged digest, making thread-count determinism a
- * gated property of the benchmark suite, while their events_per_sec
- * ratio measures kernel speedup.
- */
-OneRun DriveParallel(int threads, std::size_t rounds_per_shard) {
-  constexpr std::size_t kShards = 8;
-  sim::ParallelSimulator::Options options;
-  options.shards = kShards;
-  options.threads = threads;
-  sim::ParallelSimulator psim(options);
-
-  std::vector<std::unique_ptr<sim::ShardChannel>> ring;
-  ring.reserve(kShards);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ring.push_back(std::make_unique<sim::ShardChannel>(
-        &psim, "bench/ring" + std::to_string(s),
-        static_cast<sim::ShardId>(s),
-        static_cast<sim::ShardId>((s + 1) % kShards),
-        sim::Microseconds(20 + 7 * static_cast<sim::Duration>(s % 3))));
-  }
-
-  // Per-shard firing counters, cache-line padded: worker threads bump
-  // adjacent shards' counters concurrently, and false sharing here
-  // would charge a memory-system tax to the very scaling this bench
-  // exists to measure.
-  struct alignas(64) ShardCounter {
-    std::size_t fired = 0;
-  };
-  std::vector<ShardCounter> counters(kShards);
-  std::vector<std::function<void()>> bodies(kShards);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    bodies[s] = [&psim, &ring, &bodies, &counters, rounds_per_shard, s] {
-      std::size_t& fired = counters[s].fired;
-      ++fired;
-      if (fired >= rounds_per_shard) return;
-      if (fired % 16 == 0) {
-        // Token hop: delivered to shard (s+1)%kShards at the barrier,
-        // where it runs that shard's actor body once.
-        const std::size_t next = (s + 1) % kShards;
-        ring[s]->Post([&bodies, next] { bodies[next](); });
-      }
-      const sim::Duration delay = sim::Nanoseconds(
-          200 + static_cast<sim::Duration>(fired % 97) *
-                    static_cast<sim::Duration>(s + 1));
-      psim.shard(static_cast<sim::ShardId>(s))
-          .ScheduleAfter(delay, bodies[s]);
-    };
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    psim.shard(static_cast<sim::ShardId>(s))
-        .ScheduleAfter(sim::Nanoseconds(static_cast<sim::Duration>(s + 1)),
-                       bodies[s]);
-  }
-  psim.Run();
-  return OneRun{psim.ExecutedEvents(), psim.EventDigest()};
-}
-
 BenchResult Measure(const std::string& name, const SimcoreOptions& options,
                     const std::function<OneRun()>& body) {
   BenchResult result;
@@ -390,11 +322,14 @@ double Median(std::vector<double> samples) {
 }
 
 std::vector<std::string> SimcoreBenchNames() {
-  return {"simcore.events",      "simcore.storm",
-          "simcore.launches",    "simcore.acceptance",
-          "overload.goodput",    "fleet.goodput",
-          "simcore.parallel.t1", "simcore.parallel.t2",
-          "simcore.parallel.t4"};
+  return {
+      "simcore.events",
+      "simcore.storm",
+      "simcore.launches",
+      "simcore.acceptance",
+      "overload.goodput",
+      "fleet.goodput",
+  };
 }
 
 BenchResult RunSimcoreBench(const std::string& name,
@@ -426,16 +361,6 @@ BenchResult RunSimcoreBench(const std::string& name,
     const double duration = options.smoke ? 40.0 : 90.0;
     return Measure(name, options,
                    [duration] { return DriveFleetGoodput(duration); });
-  }
-  if (name == "simcore.parallel.t1" || name == "simcore.parallel.t2" ||
-      name == "simcore.parallel.t4") {
-    // One workload, three thread counts: t1 is the inline reference
-    // interleaving, t2/t4 must reproduce its digest bit-for-bit while
-    // (on a multi-core host) raising events_per_sec.
-    const int threads = name.back() - '0';
-    const std::size_t rounds = options.smoke ? 30'000 : 300'000;
-    return Measure(name, options,
-                   [threads, rounds] { return DriveParallel(threads, rounds); });
   }
   BenchResult unknown;
   unknown.name = name;

@@ -52,13 +52,6 @@ struct SimcoreOptions {
  *                       1/2/4 replicas, with and without a mid-run
  *                       replica crash; digests fold attained goodput
  *                       and the re-home/shed counters
- *   simcore.parallel.tN the sharded parallel kernel: one fixed 8-shard
- *                       ring workload with cross-shard channel traffic
- *                       run at N = 1/2/4 worker threads. The three rows
- *                       must agree on event count and merged digest
- *                       (thread-count determinism, gated by benchdiff);
- *                       their events_per_sec ratio is the kernel's
- *                       measured speedup
  */
 std::vector<std::string> SimcoreBenchNames();
 

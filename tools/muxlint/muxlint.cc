@@ -329,16 +329,9 @@ bool LooksLikeMutableGlobal(const std::string& code) {
 // cross-instance interaction riding sim::Channel. The pass tracks
 // every function region in src/core and src/baselines, collects the
 // distinct instance expressions it touches — `instance(<arg>)` keyed
-// by the normalised argument, one synthetic key per `AddInstance(...)`
-// call, plus `shard(<arg>)` keys for code that grabs shard-local
-// simulator handles — and flags regions reaching two or more keys
+// by the normalised argument, plus one synthetic key per
+// `AddInstance(...)` call — and flags regions reaching two or more keys
 // without a MUX_CHANNEL_ENTRY annotation.
-//
-// The parallel kernel itself (src/sim) is held to the same contract in
-// its own vocabulary: there the keys are `shards_[<expr>]` subscripts,
-// so any kernel function that reaches into several shards' event
-// queues must be one of the blessed crossing points (mailbox drain,
-// the merge, Step's global-minimum pick) and carry the annotation.
 
 struct FunctionRegion {
   int start_line = 0;            // 1-based line of the opening brace.
@@ -349,38 +342,16 @@ struct FunctionRegion {
   int synthetic = 0;             // AddInstance() counter.
 };
 
-void CollectInstanceKeys(const std::string& code, bool kernel_scope,
-                         FunctionRegion& region) {
-  const auto normalise = [](std::string key) {
-    key.erase(std::remove_if(key.begin(), key.end(),
-                             [](char c) { return c == ' ' || c == '\t'; }),
-              key.end());
-    return key;
-  };
-  if (kernel_scope) {
-    // Kernel vocabulary: a shard is touched by subscripting the
-    // per-shard simulator table.
-    static const std::regex* kShards =
-        new std::regex(R"(\bshards_\s*\[\s*([^\[\]]*?)\s*\])");
-    auto begin = std::sregex_iterator(code.begin(), code.end(), *kShards);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      region.instance_keys.insert("shards#" + normalise((*it)[1].str()));
-    }
-    return;
-  }
+void CollectInstanceKeys(const std::string& code, FunctionRegion& region) {
   static const std::regex* kInstance =
       new std::regex(R"(\binstance\s*\(\s*([^()]*?)\s*\))");
   auto begin = std::sregex_iterator(code.begin(), code.end(), *kInstance);
   for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    region.instance_keys.insert(normalise((*it)[1].str()));
-  }
-  // Engine code that grabs shard-local simulator handles couples shards
-  // exactly like touching the instances themselves.
-  static const std::regex* kShardHandle =
-      new std::regex(R"(\bshard\s*\(\s*([^()]*?)\s*\))");
-  auto hbegin = std::sregex_iterator(code.begin(), code.end(), *kShardHandle);
-  for (auto it = hbegin; it != std::sregex_iterator(); ++it) {
-    region.instance_keys.insert("shard#" + normalise((*it)[1].str()));
+    std::string key = (*it)[1].str();
+    key.erase(std::remove_if(key.begin(), key.end(),
+                             [](char c) { return c == ' ' || c == '\t'; }),
+              key.end());
+    region.instance_keys.insert(key);
   }
   static const std::regex* kAdd = new std::regex(R"(\bAddInstance\s*\()");
   auto abegin = std::sregex_iterator(code.begin(), code.end(), *kAdd);
@@ -462,16 +433,15 @@ std::vector<RuleInfo> Rules() {
       "project"});
   rules.push_back(RuleInfo{
       "mutable-global",
-      "mutable namespace-scope state is shared across (future) event-"
-      "loop shards and breaks run isolation; scope it to an object or "
-      "make it constexpr",
+      "mutable namespace-scope state is shared across runs in one "
+      "process and breaks run isolation; scope it to an object or make "
+      "it constexpr",
       "project"});
   rules.push_back(RuleInfo{
       "shard-safety",
-      "a function touching multiple distinct GPU instances — or, in "
-      "the parallel kernel, multiple event-loop shards — outside a "
-      "MUX_CHANNEL_ENTRY point couples shards directly; route the "
-      "interaction through sim::Channel or a ShardChannel",
+      "a function touching multiple distinct GPU instances outside a "
+      "MUX_CHANNEL_ENTRY point couples instances directly; route the "
+      "interaction through sim::Channel",
       "project"});
   return rules;
 }
@@ -580,9 +550,7 @@ void LintContent(const std::string& path, const std::string& content,
   // they never open scopes here and #if arms would unbalance the
   // count.
   const bool check_globals = file_band >= 0;
-  const bool kernel_scope = InAnyScope(path, {"src/sim"});
-  const bool check_shards =
-      kernel_scope || InAnyScope(path, {"src/core", "src/baselines"});
+  const bool check_shards = InAnyScope(path, {"src/core", "src/baselines"});
   if (check_globals || check_shards) {
     static const std::regex kNamespace(R"(\bnamespace\b)");
     static const std::regex kClassLike(R"(\b(class|struct|union|enum)\b)");
@@ -612,13 +580,13 @@ void LintContent(const std::string& path, const std::string& content,
           Trim(pending).empty() && LooksLikeMutableGlobal(code)) {
         emit(i, "mutable-global",
              "mutable namespace-scope state in module '" + module +
-                 "': shared across event-loop shards and across runs; "
-                 "scope it to an owning object or make it constexpr",
+                 "': shared across runs; scope it to an owning object "
+                 "or make it constexpr",
              Trim(raw_lines[i]));
       }
 
       if (check_shards && !regions.empty()) {
-        CollectInstanceKeys(code, kernel_scope, regions.back());
+        CollectInstanceKeys(code, regions.back());
       }
 
       for (char c : code) {
@@ -650,21 +618,19 @@ void LintContent(const std::string& path, const std::string& content,
             const std::size_t keys = region.instance_keys.size();
             const std::size_t line_idx =
                 static_cast<std::size_t>(region.start_line) - 1;
-            const std::string what = kernel_scope
-                                         ? "event-loop shards"
-                                         : "distinct GPU instances";
             if (region.shard_local && keys > 1) {
               emit(line_idx, "shard-safety",
                    "function declared MUX_SHARD_LOCAL touches " +
-                       std::to_string(keys) + " " + what +
-                       "; a shard-local function must stay on one",
+                       std::to_string(keys) +
+                       " distinct GPU instances; a shard-local function "
+                       "must stay on one",
                    Trim(raw_lines[line_idx]));
             } else if (!region.channel_entry && !region.shard_local &&
                        keys > 1) {
               emit(line_idx, "shard-safety",
-                   "function touches " + std::to_string(keys) + " " + what +
-                       " without MUX_CHANNEL_ENTRY; cross-shard "
-                       "interaction must ride a channel "
+                   "function touches " + std::to_string(keys) +
+                       " distinct GPU instances without MUX_CHANNEL_ENTRY; "
+                       "cross-instance interaction must ride a channel "
                        "(or annotate the blessed entry point)",
                    Trim(raw_lines[line_idx]));
             }

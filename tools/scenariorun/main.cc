@@ -3,9 +3,8 @@
 //
 //   scenariorun scenarios/foo.json             one run, print the report
 //   scenariorun --matrix scenarios/*.json      determinism matrix: every
-//                                              scenario twice at threads=1
-//                                              and once at threads=4; all
-//                                              three digests must agree
+//                                              scenario runs twice and
+//                                              both digests must agree
 //   scenariorun --rss-ceiling-mb=N ...         gate peak RSS
 //   scenariorun --rss-baseline=out.json --rss-growth-max=R
 //                                              gate peak RSS against a
@@ -47,7 +46,6 @@ namespace {
 
 struct Options {
   bool matrix = false;
-  int override_threads = 0;  // 0 = scenario's own setting.
   double rss_ceiling_mb = 0.0;
   std::string rss_baseline_path;
   double rss_growth_max = 0.0;
@@ -108,8 +106,6 @@ bool ParseArgs(int argc, char** argv, Options& options) {
     };
     if (arg == "--matrix") {
       options.matrix = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.override_threads = std::atoi(value_of("--threads=").c_str());
     } else if (arg.rfind("--rss-ceiling-mb=", 0) == 0) {
       options.rss_ceiling_mb =
           std::atof(value_of("--rss-ceiling-mb=").c_str());
@@ -167,16 +163,10 @@ double BaselinePeakRssMb(const std::string& path, std::string& error) {
 void RunTraceScenario(const harness::ScenarioSpec& spec, const Options& options,
                       ScenarioReport& report) {
   if (options.matrix) {
-    // Two sequential runs pin bit-reproducibility; the threads=4 run
-    // pins thread-count invariance of the same event stream (and of
-    // the sketch states folded into the outcome digest).
-    harness::ScenarioSpec seq = spec;
-    seq.config.threads = 1;
-    harness::ScenarioSpec par = spec;
-    par.config.threads = 4;
-    const harness::RunOutcome first = harness::RunScenario(seq);
-    const harness::RunOutcome second = harness::RunScenario(seq);
-    const harness::RunOutcome threaded = harness::RunScenario(par);
+    // Two back-to-back runs pin bit-reproducibility of the event stream
+    // and of the sketch states folded into the outcome digest.
+    const harness::RunOutcome first = harness::RunScenario(spec);
+    const harness::RunOutcome second = harness::RunScenario(spec);
     report.stable = first.stable;
     report.completed = first.completed;
     report.total = first.total;
@@ -189,23 +179,13 @@ void RunTraceScenario(const harness::ScenarioSpec& spec, const Options& options,
                                 Hex(report.outcome_digest) + " vs " +
                                 Hex(harness::OutcomeDigest(second)));
     }
-    if (threaded.event_digest != first.event_digest ||
-        harness::OutcomeDigest(threaded) != report.outcome_digest) {
-      report.failures.push_back("threads=4 run diverged: " +
-                                Hex(report.outcome_digest) + " vs " +
-                                Hex(harness::OutcomeDigest(threaded)));
-    }
-    if (threaded.metrics_state_digest != first.metrics_state_digest) {
-      report.failures.push_back("sketch state diverged across thread counts");
+    if (second.metrics_state_digest != first.metrics_state_digest) {
+      report.failures.push_back("sketch state diverged across runs");
     }
     return;
   }
 
-  harness::ScenarioSpec run = spec;
-  if (options.override_threads > 0) {
-    run.config.threads = options.override_threads;
-  }
-  const harness::RunOutcome outcome = harness::RunScenario(run);
+  const harness::RunOutcome outcome = harness::RunScenario(spec);
   report.stable = outcome.stable;
   report.completed = outcome.completed;
   report.total = outcome.total;
