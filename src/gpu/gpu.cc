@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace muxwise::gpu {
@@ -12,16 +13,6 @@ namespace {
 
 /** Minimum modeled kernel duration (tail/wave quantization). */
 constexpr sim::Duration kMinKernelTime = sim::Microseconds(2);
-
-/** Mixes a 64-bit value (splitmix64 finalizer). */
-std::uint64_t Mix(std::uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
 
 /** Coarse log2 bucket of a positive quantity (0 for <= 0). */
 int Log2Bucket(double x) {
@@ -290,10 +281,10 @@ double Gpu::InterferenceFactor() {
         static_cast<std::uint64_t>(Log2Bucket(run.kernel.bytes));
     p = p * 1315423911ULL +
         static_cast<std::uint64_t>(Log2Bucket(run.kernel.flops));
-    parts.push_back(Mix(p));
+    parts.push_back(sim::SplitMix64Finalize(p));
   }
   std::sort(parts.begin(), parts.end());  // Order-independent.
-  for (std::uint64_t p : parts) h = Mix(h ^ p);
+  for (std::uint64_t p : parts) h = sim::SplitMix64Finalize(h ^ p);
   const double u =
       static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
   return spec_.max_interference * 0.7 * u;

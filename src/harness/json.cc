@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace muxwise::harness::json {
 
@@ -301,6 +302,49 @@ std::string Dump(const Value& v, int indent) {
   std::string out;
   DumpTo(v, indent, 0, out);
   return out;
+}
+
+Value Num(double v) {
+  Value out;
+  out.type = Value::Type::kNumber;
+  out.number = v;
+  return out;
+}
+
+Value Str(const std::string& s) {
+  Value out;
+  out.type = Value::Type::kString;
+  out.string = s;
+  return out;
+}
+
+Value Bool(bool b) {
+  Value out;
+  out.type = Value::Type::kBool;
+  out.boolean = b;
+  return out;
+}
+
+Value Obj() {
+  Value out;
+  out.type = Value::Type::kObject;
+  return out;
+}
+
+Value Arr() {
+  Value out;
+  out.type = Value::Type::kArray;
+  return out;
+}
+
+void SetKey(Value& object, const std::string& key, Value value) {
+  for (auto& [k, v] : object.object) {
+    if (k == key) {
+      v = std::move(value);
+      return;
+    }
+  }
+  object.object.emplace_back(key, std::move(value));
 }
 
 double GetNumber(const Value* v, double fallback) {

@@ -48,6 +48,17 @@ std::string Escape(const std::string& s);
  */
 std::string Dump(const Value& v, int indent = 2);
 
+// Builders for documents written by this repository's tools.
+Value Num(double v);
+Value Str(const std::string& s);
+Value Bool(bool b);
+Value Obj();
+Value Arr();
+
+/** Sets `key` on an object, replacing an existing member in place (so
+ * its position is kept) or appending a new one. */
+void SetKey(Value& object, const std::string& key, Value value);
+
 // Tolerant typed accessors: `v` may be nullptr or of another type, in
 // which case the fallback is returned — absent optional fields read as
 // their defaults without per-site null checks.

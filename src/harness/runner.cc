@@ -11,6 +11,7 @@
 #include "baselines/static_disagg.h"
 #include "fault/injector.h"
 #include "serve/frontend.h"
+#include "sim/hash.h"
 #include "sim/logging.h"
 #include "sim/simulator.h"
 #include "workload/datasets.h"
@@ -36,9 +37,7 @@ double UtilPercent(const gpu::Gpu& device, sim::Time end) {
   return 100.0 * device.SmUtilizationIntegral() / static_cast<double>(end);
 }
 
-std::uint64_t MixDigest(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
+using sim::MixDigest;
 
 std::uint64_t MixDigest(std::uint64_t h, double v) {
   return MixDigest(h, std::bit_cast<std::uint64_t>(v));
@@ -78,6 +77,11 @@ DriveResult DriveScenario(sim::Simulator& simulator,
                           const workload::Trace& trace,
                           const RunConfig& config) {
   DriveResult result;
+  auto finish = [&result, &frontend] {
+    result.terminal = frontend.completed();
+    result.last_completion = frontend.last_completion();
+    return result;
+  };
   const double last_arrival =
       trace.requests.empty() ? 0.0
                              : trace.requests.back().arrival_seconds;
@@ -95,19 +99,15 @@ DriveResult DriveScenario(sim::Simulator& simulator,
         std::to_string(simulator.PendingEvents()) +
         " events still pending before the drain horizon; livelocked "
         "scheduler?";
-    return result;
+    return finish();
   }
   result.stable = frontend.AllCompleted();
-  if (result.stable) return result;
+  if (result.stable) return finish();
 
   // Drain overran the timeout: let the backlog finish for partial
   // statistics (the run is already unstable), but keep the event budget
   // as the livelock guard for this phase too.
-  std::size_t backlog_events = 0;
-  while (!simulator.Empty() && backlog_events < config.event_budget) {
-    simulator.Step();
-    ++backlog_events;
-  }
+  simulator.Run(config.event_budget);
   if (!frontend.AllCompleted()) {
     const std::size_t total = trace.requests.size();
     const std::size_t stuck = total - frontend.completed();
@@ -120,7 +120,7 @@ DriveResult DriveScenario(sim::Simulator& simulator,
         std::to_string(static_cast<long long>(drain)) +
         " s past the last arrival)";
   }
-  return result;
+  return finish();
 }
 
 const char* EngineKindName(EngineKind kind) {
@@ -206,17 +206,16 @@ EngineInstance MakeEngine(EngineKind kind, sim::Simulator* simulator,
   return instance;
 }
 
-RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
-                       const workload::Trace& trace,
+RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
                        const core::ContentionEstimator* shared_estimator,
-                       const RunConfig& config) {
+                       const RunConfig& config, std::size_t total,
+                       const std::function<DriveResult(RunContext&)>& drive) {
   MUX_CHECK(config.threads == 1);
   sim::Simulator simulator;
   RunOutcome outcome;
   outcome.engine = EngineKindName(kind);
-  outcome.total = trace.requests.size();
+  outcome.total = total;
 
-  const fault::RecoveryPolicy policy = EffectiveRecovery(config);
   EngineInstance instance =
       MakeEngine(kind, &simulator, deployment, shared_estimator, config);
   serve::Engine* const engine = instance.engine.get();
@@ -231,20 +230,19 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
 
   std::optional<fault::FaultInjector> injector;
   if (config.fault_plan.has_value()) {
-    injector.emplace(&simulator, *config.fault_plan, policy);
+    injector.emplace(&simulator, *config.fault_plan,
+                     EffectiveRecovery(config));
     if (tracer.enabled()) injector->SetTracer(tracer);
     injector->Arm(*engine);
   }
 
   serve::MetricsCollector metrics(deployment.slo);
-  serve::Frontend frontend(&simulator, engine, &trace, &metrics);
-  frontend.Start();
+  RunContext context{simulator, instance, metrics, outcome};
+  const DriveResult result = drive(context);
+  outcome.stable = result.stable;
+  outcome.diagnostic = result.diagnostic;
+  outcome.completed = result.terminal;
 
-  const DriveResult drive = DriveScenario(simulator, frontend, trace, config);
-  outcome.stable = drive.stable;
-  outcome.diagnostic = drive.diagnostic;
-
-  outcome.completed = frontend.completed();
   outcome.split = metrics.Split();
   for (int rank = 0; rank < workload::kNumSloClasses; ++rank) {
     outcome.per_class[rank] =
@@ -257,6 +255,7 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
   outcome.e2e = metrics.E2e();
   outcome.ttft_per_token = metrics.TtftPerToken();
   outcome.ttft_per_token_sketch = metrics.ttft_per_token_sketch();
+  outcome.ttft_sketch = metrics.ttft_sketch();
   outcome.tbt_attainment = metrics.TbtAttainment(deployment.slo.tbt);
 
   // Canonical sketch-state witness over every population the collector
@@ -265,10 +264,11 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
   {
     std::uint64_t sketch_digest = 0x243f6a8885a308d3ULL;
     bool overflowed = false;
-    auto fold = [&sketch_digest, &overflowed](
-                    const serve::QuantileSketch& sketch) {
+    std::size_t bytes = 0;
+    auto fold = [&](const serve::QuantileSketch& sketch) {
       sketch_digest = MixDigest(sketch_digest, sketch.StateDigest());
       overflowed = overflowed || sketch.overflowed();
+      bytes += sketch.MemoryBytes();
     };
     fold(metrics.ttft_sketch());
     fold(metrics.ttft_per_token_sketch());
@@ -283,10 +283,11 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
     }
     outcome.metrics_state_digest = sketch_digest;
     outcome.metrics_overflowed = overflowed;
+    outcome.metric_bytes = bytes;
   }
   outcome.meets_slo = outcome.stable && metrics.MeetsSlo(deployment.slo);
 
-  const sim::Time end = std::max<sim::Time>(frontend.last_completion(), 1);
+  const sim::Time end = std::max<sim::Time>(result.last_completion, 1);
   outcome.token_throughput = metrics.TokenThroughput(0, end);
   outcome.request_throughput = metrics.RequestThroughput(0, end);
 
@@ -339,6 +340,20 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
                       injector ? &*injector : nullptr);
   }
   return outcome;
+}
+
+RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
+                       const workload::Trace& trace,
+                       const core::ContentionEstimator* shared_estimator,
+                       const RunConfig& config) {
+  return RunArrivals(
+      kind, deployment, shared_estimator, config, trace.requests.size(),
+      [&](RunContext& run) {
+        serve::Frontend frontend(&run.simulator, run.instance.engine.get(),
+                                 &trace, &run.metrics);
+        frontend.Start();
+        return DriveScenario(run.simulator, frontend, trace, config);
+      });
 }
 
 std::uint64_t OutcomeDigest(const RunOutcome& outcome) {
@@ -434,18 +449,33 @@ DeterminismReport VerifyDeterminism(
       RunWorkload(kind, deployment, trace, shared_estimator, config);
   const RunOutcome second =
       RunWorkload(kind, deployment, trace, shared_estimator, config);
+  return CompareRuns(first, second);
+}
 
+DeterminismReport CompareRuns(const RunOutcome& first,
+                              const RunOutcome& second) {
   DeterminismReport report;
   report.first_digest = OutcomeDigest(first);
   report.second_digest = OutcomeDigest(second);
   report.first_events = first.executed_events;
   report.second_events = second.executed_events;
+  auto versus = [](std::uint64_t a, std::uint64_t b) {
+    return " (" + sim::HexDigest(a) + " vs " + sim::HexDigest(b) + ")";
+  };
   if (first.event_digest != second.event_digest) {
-    report.mismatch = "event-stream digests diverged";
+    report.mismatch = "event-stream digests diverged" +
+                      versus(first.event_digest, second.event_digest);
   } else if (first.executed_events != second.executed_events) {
-    report.mismatch = "executed-event counts diverged";
+    report.mismatch = "executed-event counts diverged (" +
+                      std::to_string(first.executed_events) + " vs " +
+                      std::to_string(second.executed_events) + ")";
   } else if (report.first_digest != report.second_digest) {
-    report.mismatch = "event streams agree but reported outcomes diverged";
+    report.mismatch = "event streams agree but reported outcomes diverged" +
+                      versus(report.first_digest, report.second_digest);
+  } else if (first.metrics_state_digest != second.metrics_state_digest) {
+    report.mismatch =
+        "metric sketch states diverged" +
+        versus(first.metrics_state_digest, second.metrics_state_digest);
   }
   report.deterministic = report.mismatch.empty();
   return report;

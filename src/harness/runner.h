@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,8 +116,8 @@ struct RunConfig {
 
   /**
    * Event-loop threads. The simulator is single-threaded, so 1 is the
-   * only accepted value; RunWorkload and RunStreamingWorkload reject
-   * any other.
+   * only accepted value; every run rejects any other. Kept only until
+   * the benchmark driver stops assigning it.
    */
   int threads = 1;
 };
@@ -138,22 +139,24 @@ struct EngineInstance {
 };
 
 /**
- * Builds the engine RunWorkload would run `kind` on, wired to
- * `simulator`: recovery policy resolved (a fault plan implies it),
- * overload policy and fleet routing applied per `config`. Shared with
- * the streaming driver, which feeds an engine directly instead of
- * replaying a materialized trace through a Frontend.
+ * Builds the engine a run of `kind` drives, wired to `simulator`:
+ * recovery policy resolved (a fault plan implies it), overload policy
+ * and fleet routing applied per `config`.
  */
 EngineInstance MakeEngine(EngineKind kind, sim::Simulator* simulator,
                           const serve::Deployment& deployment,
                           const core::ContentionEstimator* shared_estimator,
                           const RunConfig& config);
 
-/** Everything the paper's tables/figures report about one run. */
+/**
+ * Everything the paper's tables/figures report about one run, whatever
+ * its arrival source: a replayed trace (RunWorkload) or a lazy stream
+ * (RunStreamingWorkload).
+ */
 struct RunOutcome {
   std::string engine;
   bool stable = true;           // All requests completed in time.
-  std::size_t completed = 0;
+  std::size_t completed = 0;    // Requests that reached a terminal state.
   std::size_t total = 0;
 
   serve::LatencySummary ttft;
@@ -165,6 +168,24 @@ struct RunOutcome {
   /** Per-token TTFT population (ms) for CDF plots — a bounded sketch
    * instead of raw samples, exact below its exact-tier capacity. */
   serve::QuantileSketch ttft_per_token_sketch;
+
+  /** Full-population TTFT sketch (the subject of the accuracy gate). */
+  serve::QuantileSketch ttft_sketch;
+
+  /**
+   * Exact TTFT samples (ms) of a deterministic 1-in-K request subsample,
+   * in completion order — the oracle the sketch is checked against.
+   * Empty unless the arrival source keeps one (streams do).
+   */
+  std::vector<double> ttft_subsample_ms;
+
+  /** High-water mark of simultaneously in-flight request specs (streams
+   * only; a replayed trace holds every spec for the whole run). */
+  std::size_t peak_in_flight = 0;
+
+  /** Bytes held by every metric sketch at end of run — the O(1)
+   * metric-memory witness the nightly smoke asserts on. */
+  std::size_t metric_bytes = 0;
 
   /**
    * Order-invariant digest over every metric sketch's state, and
@@ -252,13 +273,19 @@ struct RunOutcome {
  */
 std::uint64_t OutcomeDigest(const RunOutcome& outcome);
 
-/** What DriveScenario observed while running a scenario to its end. */
+/** What an arrival source observed while running a scenario to its end. */
 struct DriveResult {
   /** All requests reached a terminal state within the drain horizon. */
   bool stable = false;
 
   /** Empty on termination; else why the run was cut off (see RunOutcome). */
   std::string diagnostic;
+
+  /** Requests that reached a terminal state (RunOutcome::completed). */
+  std::size_t terminal = 0;
+
+  /** Time the last request reached a terminal state (0 if none did). */
+  sim::Time last_completion = 0;
 };
 
 /**
@@ -275,10 +302,34 @@ DriveResult DriveScenario(sim::Simulator& simulator,
                           const workload::Trace& trace,
                           const RunConfig& config = RunConfig());
 
+/** The pieces of a run an arrival source feeds (see RunArrivals). */
+struct RunContext {
+  sim::Simulator& simulator;
+  EngineInstance& instance;
+  serve::MetricsCollector& metrics;
+  RunOutcome& outcome;
+};
+
 /**
- * Replays `trace` through the chosen engine on a fresh simulator.
- * `shared_estimator` (required for MuxWise-family engines) is the
- * deployment's offline-profiled estimator; the engine copies it.
+ * The run path every arrival source shares. On a fresh simulator it
+ * builds the engine (MakeEngine), attaches `config.trace`, arms
+ * `config.fault_plan` — all before any arrival — and hands the run to
+ * `drive`, which starts its arrivals and runs the event loop to the
+ * end. It then collects the outcome (goodput split, latency summaries,
+ * sketch-state witness, throughput, per-engine stats, event digest) and
+ * runs the end-of-run invariant audits unless the drive was cut off.
+ * `total` is the number of requests the source will send.
+ */
+RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
+                       const core::ContentionEstimator* shared_estimator,
+                       const RunConfig& config, std::size_t total,
+                       const std::function<DriveResult(RunContext&)>& drive);
+
+/**
+ * Replays `trace` through the chosen engine via a serve::Frontend and
+ * DriveScenario. `shared_estimator` (required for MuxWise-family
+ * engines) is the deployment's offline-profiled estimator; the engine
+ * copies it.
  */
 RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
                        const workload::Trace& trace,
@@ -310,7 +361,7 @@ GoodputResult SweepGoodput(EngineKind kind,
                            const RunConfig& config = RunConfig(),
                            std::uint64_t arrival_seed = 2024);
 
-/** Result of replaying one scenario twice (see VerifyDeterminism). */
+/** Result of running one scenario twice (see CompareRuns). */
 struct DeterminismReport {
   bool deterministic = false;
   std::uint64_t first_digest = 0;   // OutcomeDigest of run 1.
@@ -321,11 +372,17 @@ struct DeterminismReport {
 };
 
 /**
- * Runs the scenario back-to-back on two fresh simulators and compares
- * the event-stream digests, executed-event counts, and outcome digests.
+ * The double-run check: compares two runs of one scenario on their
+ * event-stream digests, executed-event counts, outcome digests and
+ * metric sketch states, in that order, naming the first that differs.
  * Bit-reproducibility is the property that lets scheduler conclusions
  * transfer from this simulator to real hardware; this is its enforcer.
  */
+DeterminismReport CompareRuns(const RunOutcome& first,
+                              const RunOutcome& second);
+
+/** Runs the trace back-to-back on two fresh simulators and compares the
+ * runs (CompareRuns). */
 DeterminismReport VerifyDeterminism(
     EngineKind kind, const serve::Deployment& deployment,
     const workload::Trace& trace,

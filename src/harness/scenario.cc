@@ -909,18 +909,14 @@ workload::Trace BuildScenarioTrace(const ScenarioSpec& spec) {
 }
 
 RunOutcome RunScenario(const ScenarioSpec& spec) {
-  MUX_CHECK(!spec.IsStreaming());
   const serve::Deployment deployment = MakeDeployment(spec);
+  if (spec.IsStreaming()) {
+    return RunStreamingWorkload(spec.engine, deployment, *spec.streaming,
+                                &CachedEstimator(spec), spec.config);
+  }
   const workload::Trace trace = BuildScenarioTrace(spec);
   return RunWorkload(spec.engine, deployment, trace, &CachedEstimator(spec),
                      spec.config);
-}
-
-StreamingOutcome RunStreamingScenario(const ScenarioSpec& spec) {
-  MUX_CHECK(spec.IsStreaming());
-  const serve::Deployment deployment = MakeDeployment(spec);
-  return RunStreamingWorkload(spec.engine, deployment, *spec.streaming,
-                              &CachedEstimator(spec), spec.config);
 }
 
 }  // namespace muxwise::harness

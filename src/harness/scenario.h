@@ -142,16 +142,15 @@ ScenarioParseResult LoadScenarioFile(const std::string& path);
 workload::Trace BuildScenarioTrace(const ScenarioSpec& spec);
 
 /**
- * Builds the deployment (ByName lookups + SLO overrides) and replays
- * the scenario through RunWorkload. Contention estimators are profiled
- * once per (model, gpu, num_gpus) and cached for the process lifetime,
- * so matrix runs re-use them across repeats. The cache is guarded, so
- * concurrent runs may share it. Fatal on a streaming spec.
+ * Builds the deployment (ByName lookups + SLO overrides) and runs the
+ * scenario, whatever its trace shape: mix and MMPP traces replay
+ * through RunWorkload, streams through RunStreamingWorkload.
+ * Contention estimators are profiled once per (model, gpu, num_gpus)
+ * and cached for the process lifetime, so matrix runs re-use them
+ * across repeats. The cache is guarded, so concurrent runs may share
+ * it.
  */
 RunOutcome RunScenario(const ScenarioSpec& spec);
-
-/** Drives a streaming scenario (fatal on a non-streaming spec). */
-StreamingOutcome RunStreamingScenario(const ScenarioSpec& spec);
 
 }  // namespace muxwise::harness
 

@@ -1,7 +1,6 @@
 #include "harness/streaming.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -11,10 +10,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "check/invariant_registry.h"
 #include "kv/token_seq.h"
 #include "serve/engine.h"
 #include "serve/request.h"
+#include "sim/hash.h"
 #include "sim/logging.h"
 #include "sim/simulator.h"
 #include "workload/request_spec.h"
@@ -23,21 +22,11 @@ namespace muxwise::harness {
 
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t MixDigest(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
 /** Uniform in (0, 1]: counter-based, so request i's draws never depend
  * on how many draws earlier requests made. */
 double U01(std::uint64_t seed, std::uint64_t tag, std::uint64_t index) {
-  const std::uint64_t bits = SplitMix64(SplitMix64(seed ^ tag) ^ index);
+  const std::uint64_t bits =
+      sim::SplitMix64(sim::SplitMix64(seed ^ tag) ^ index);
   return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
 }
 
@@ -67,7 +56,7 @@ class StreamingDriver {
  public:
   StreamingDriver(sim::Simulator* simulator, serve::Engine* engine,
                   serve::MetricsCollector* metrics, const StreamingSpec& spec,
-                  StreamingOutcome* outcome)
+                  RunOutcome* outcome)
       : sim_(simulator),
         engine_(engine),
         metrics_(metrics),
@@ -85,7 +74,7 @@ class StreamingDriver {
   }
 
   std::uint64_t terminal() const { return terminal_; }
-  std::size_t in_flight() const { return in_flight_.size(); }
+  sim::Time last_completion() const { return last_completion_; }
 
  private:
   void AdvanceArrival() {
@@ -136,6 +125,7 @@ class StreamingDriver {
   void OnComplete(std::unique_ptr<serve::Request> request) {
     const std::int64_t id = request->spec->id;
     ++terminal_;
+    last_completion_ = sim_->Now();
     ReportProgress();
     metrics_->OnRequestComplete(*request);
     if (spec_.exact_subsample_period > 0 && request->first_token >= 0 &&
@@ -179,121 +169,69 @@ class StreamingDriver {
   serve::Engine* engine_;
   serve::MetricsCollector* metrics_;
   const StreamingSpec spec_;
-  StreamingOutcome* outcome_;
+  RunOutcome* outcome_;
 
   std::chrono::steady_clock::time_point last_progress_{};  // muxlint: allow(wall-clock)
   std::uint64_t next_index_ = 0;
   double next_arrival_seconds_ = 0.0;
   std::uint64_t terminal_ = 0;
+  sim::Time last_completion_ = 0;
   std::unordered_map<std::int64_t, std::unique_ptr<workload::RequestSpec>>
       in_flight_;
 };
 
 }  // namespace
 
-StreamingOutcome RunStreamingWorkload(
+RunOutcome RunStreamingWorkload(
     EngineKind kind, const serve::Deployment& deployment,
     const StreamingSpec& spec,
     const core::ContentionEstimator* shared_estimator,
     const RunConfig& config) {
-  MUX_CHECK(config.threads == 1);
   MUX_CHECK(spec.rate_per_second > 0.0);
+  return RunArrivals(
+      kind, deployment, shared_estimator, config,
+      static_cast<std::size_t>(spec.total_requests), [&](RunContext& run) {
+        if (spec.exact_subsample_period > 0) {
+          run.outcome.ttft_subsample_ms.reserve(
+              static_cast<std::size_t>(spec.total_requests /
+                                       spec.exact_subsample_period) +
+              1);
+        }
+        if (run.instance.muxwise != nullptr) {
+          // One PartitionSample lands per scheduling decision; at
+          // streaming scale that is an unbounded vector, so keep only an
+          // illustrative prefix.
+          run.instance.muxwise->set_partition_trace_capacity(4096);
+        }
+        StreamingDriver driver(&run.simulator, run.instance.engine.get(),
+                               &run.metrics, spec, &run.outcome);
+        driver.Start();
 
-  sim::Simulator simulator;
-  StreamingOutcome outcome;
-  outcome.engine = EngineKindName(kind);
-  outcome.total = spec.total_requests;
-  if (spec.exact_subsample_period > 0) {
-    outcome.ttft_subsample_ms.reserve(
-        static_cast<std::size_t>(spec.total_requests /
-                                 spec.exact_subsample_period) +
-        1);
-  }
-
-  EngineInstance instance =
-      MakeEngine(kind, &simulator, deployment, shared_estimator, config);
-  if (instance.muxwise != nullptr) {
-    // One PartitionSample lands per scheduling decision; at streaming
-    // scale that is an unbounded vector, so keep only an illustrative
-    // prefix (the driver never reads the trace anyway).
-    instance.muxwise->set_partition_trace_capacity(4096);
-  }
-  serve::MetricsCollector metrics(deployment.slo);
-  StreamingDriver driver(&simulator, instance.engine.get(), &metrics, spec,
-                         &outcome);
-  driver.Start();
-
-  // Arrivals self-schedule, so "drained" really is "done": the queue
-  // only empties once the last request reached a terminal state (or the
-  // engine stalled, which leaves the queue empty too — the completion
-  // count below distinguishes the two).
-  std::size_t executed = 0;
-  while (!simulator.Empty() && executed < config.event_budget) {
-    simulator.Step();
-    ++executed;
-  }
-  if (!simulator.Empty()) {
-    outcome.diagnostic =
-        "event budget of " + std::to_string(config.event_budget) +
-        " exhausted at " + sim::FormatDuration(simulator.Now()) + " with " +
-        std::to_string(simulator.PendingEvents()) +
-        " events still pending; livelocked scheduler?";
-  } else if (driver.terminal() != spec.total_requests) {
-    outcome.diagnostic =
-        "stream stalled: " +
-        std::to_string(spec.total_requests - driver.terminal()) + " of " +
-        std::to_string(spec.total_requests) +
-        " requests never reached a terminal state";
-  }
-  outcome.stable = outcome.diagnostic.empty();
-  outcome.completed = metrics.Split().attained;
-
-  outcome.ttft = metrics.Ttft();
-  outcome.tbt = metrics.Tbt();
-  outcome.e2e = metrics.E2e();
-  outcome.ttft_sketch = metrics.ttft_sketch();
-
-  // Same canonical sketch-state fold as RunWorkload (order-invariant).
-  {
-    std::uint64_t digest = 0x243f6a8885a308d3ULL;
-    bool overflowed = false;
-    std::size_t bytes = 0;
-    auto fold = [&](const serve::QuantileSketch& sketch) {
-      digest = MixDigest(digest, sketch.StateDigest());
-      overflowed = overflowed || sketch.overflowed();
-      bytes += sketch.MemoryBytes();
-    };
-    fold(metrics.ttft_sketch());
-    fold(metrics.ttft_per_token_sketch());
-    fold(metrics.tbt_sketch());
-    fold(metrics.tpot_sketch());
-    fold(metrics.e2e_sketch());
-    for (int rank = 0; rank < workload::kNumSloClasses; ++rank) {
-      const serve::ClassMetrics& slice =
-          metrics.ClassSlice(static_cast<workload::SloClass>(rank));
-      fold(slice.queue_delay);
-      fold(slice.ttft);
-    }
-    outcome.metrics_state_digest = digest;
-    outcome.metrics_overflowed = overflowed;
-    outcome.metric_bytes = bytes;
-  }
-
-  outcome.event_digest = simulator.EventDigest();
-  outcome.executed_events = simulator.ExecutedEvents();
-
-  if (outcome.stable) {
-    check::InvariantRegistry registry;
-    simulator.RegisterAudits(registry);
-    instance.engine->RegisterAudits(registry);
-    metrics.RegisterAudits(registry);
-    const std::vector<check::Violation> violations = registry.RunAll();
-    if (!violations.empty()) {
-      sim::Panic("invariant audit failed at stream end:\n" +
-                 check::FormatViolations(violations));
-    }
-  }
-  return outcome;
+        // Arrivals self-schedule, so "drained" really is "done": the
+        // queue only empties once the last request reached a terminal
+        // state (or the engine stalled, which leaves the queue empty
+        // too — the terminal count below distinguishes the two).
+        sim::Simulator& simulator = run.simulator;
+        simulator.Run(config.event_budget);
+        DriveResult result;
+        if (!simulator.Empty()) {
+          result.diagnostic =
+              "event budget of " + std::to_string(config.event_budget) +
+              " exhausted at " + sim::FormatDuration(simulator.Now()) +
+              " with " + std::to_string(simulator.PendingEvents()) +
+              " events still pending; livelocked scheduler?";
+        } else if (driver.terminal() != spec.total_requests) {
+          result.diagnostic =
+              "stream stalled: " +
+              std::to_string(spec.total_requests - driver.terminal()) +
+              " of " + std::to_string(spec.total_requests) +
+              " requests never reached a terminal state";
+        }
+        result.stable = result.diagnostic.empty();
+        result.terminal = static_cast<std::size_t>(driver.terminal());
+        result.last_completion = driver.last_completion();
+        return result;
+      });
 }
 
 }  // namespace muxwise::harness

@@ -2,12 +2,8 @@
 #define MUXWISE_HARNESS_STREAMING_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "harness/runner.h"
-#include "serve/metrics.h"
-#include "serve/quantile_sketch.h"
 
 namespace muxwise::harness {
 
@@ -41,48 +37,20 @@ struct StreamingSpec {
   std::uint64_t exact_subsample_period = 100;
 };
 
-/** What the streaming driver reports; the nightly smoke gates on it. */
-struct StreamingOutcome {
-  std::string engine;
-  std::uint64_t total = 0;
-  std::uint64_t completed = 0;
-  bool stable = true;
-  std::string diagnostic;
-
-  serve::LatencySummary ttft;
-  serve::LatencySummary tbt;
-  serve::LatencySummary e2e;
-
-  /** Full-population TTFT sketch (the accuracy gate's subject). */
-  serve::QuantileSketch ttft_sketch;
-
-  /** Exact 1-in-K TTFT samples (ms), in completion order. */
-  std::vector<double> ttft_subsample_ms;
-
-  /** Canonical sketch-state witness (see RunOutcome). */
-  std::uint64_t metrics_state_digest = 0;
-  bool metrics_overflowed = false;
-
-  std::uint64_t event_digest = 0;
-  std::size_t executed_events = 0;
-
-  /** High-water mark of simultaneously in-flight request specs. */
-  std::size_t peak_in_flight = 0;
-
-  /** Bytes held by every metric sketch at end of run — the O(1)
-   * metric-memory witness the nightly smoke asserts on. */
-  std::size_t metric_bytes = 0;
-};
+/** The old name of the streaming result, kept only for the benchmark
+ * driver; every run reports a RunOutcome. */
+using StreamingOutcome = RunOutcome;
 
 /**
- * Drives `spec.total_requests` synthetic requests through an engine
- * built by MakeEngine, feeding completions straight into a sketch-backed
- * MetricsCollector. Arrivals self-schedule (each injects the next), so
- * the simulator queue and driver state stay O(in-flight) at any scale.
- * Sequential event loop only (config.threads must be 1); respects
- * config.event_budget as the livelock guard.
+ * Drives `spec.total_requests` synthetic requests through the shared
+ * run path (RunArrivals), feeding completions straight into a
+ * sketch-backed MetricsCollector. Arrivals self-schedule (each injects
+ * the next), so the simulator queue and driver state stay O(in-flight)
+ * at any scale. The outcome carries the exact 1-in-K TTFT subsample and
+ * the in-flight high-water mark; config.event_budget is the livelock
+ * guard.
  */
-StreamingOutcome RunStreamingWorkload(
+RunOutcome RunStreamingWorkload(
     EngineKind kind, const serve::Deployment& deployment,
     const StreamingSpec& spec,
     const core::ContentionEstimator* shared_estimator,

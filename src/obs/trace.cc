@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/hash.h"
+
 namespace muxwise::obs {
 
 namespace {
@@ -16,13 +18,6 @@ std::uint32_t Intern(std::string_view s, std::vector<std::string>& table,
   return idx;
 }
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 bool IsSpanKind(EventKind kind) {
   return kind == EventKind::kSpanBegin || kind == EventKind::kSpanEnd ||
          kind == EventKind::kComplete;
@@ -31,9 +26,9 @@ bool IsSpanKind(EventKind kind) {
 /** Deterministic 1-in-N keep decision over the span's identity only —
  * never its timestamps — so both ends of a span agree. */
 bool KeepSpan(const TraceEvent& event, std::uint64_t period) {
-  std::uint64_t key = SplitMix64(static_cast<std::uint64_t>(event.track));
-  key = SplitMix64(key ^ static_cast<std::uint64_t>(event.name));
-  key = SplitMix64(key ^ static_cast<std::uint64_t>(event.id));
+  std::uint64_t key = sim::SplitMix64(static_cast<std::uint64_t>(event.track));
+  key = sim::SplitMix64(key ^ static_cast<std::uint64_t>(event.name));
+  key = sim::SplitMix64(key ^ static_cast<std::uint64_t>(event.id));
   return key % period == 0;
 }
 

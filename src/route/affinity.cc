@@ -1,18 +1,8 @@
 #include "route/affinity.h"
 
+#include "sim/hash.h"
+
 namespace muxwise::route {
-
-namespace {
-
-/** splitmix64 finalizer: cheap, well-mixed, and stable across runs. */
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t PrefixAffinityKey(const kv::TokenSeq& prompt,
                                 std::int64_t prefix_tokens) {
@@ -21,9 +11,9 @@ std::uint64_t PrefixAffinityKey(const kv::TokenSeq& prompt,
       SeqPrefix(prompt, prefix_tokens < len ? prefix_tokens : len);
   std::uint64_t key = 0x517cc1b727220a95ull;
   for (const kv::TokenSpan& span : prefix) {
-    key = Mix(key ^ static_cast<std::uint64_t>(span.stream));
-    key = Mix(key ^ static_cast<std::uint64_t>(span.begin));
-    key = Mix(key ^ static_cast<std::uint64_t>(span.end));
+    key = sim::SplitMix64(key ^ static_cast<std::uint64_t>(span.stream));
+    key = sim::SplitMix64(key ^ static_cast<std::uint64_t>(span.begin));
+    key = sim::SplitMix64(key ^ static_cast<std::uint64_t>(span.end));
   }
   return key;
 }

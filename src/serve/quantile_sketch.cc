@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace muxwise::serve {
@@ -41,10 +42,6 @@ double BucketLowerEdge(std::size_t idx) {
   const std::uint64_t biased = kMinBiasedExp + linear / kSub;
   const std::uint64_t sub = linear % kSub;
   return std::bit_cast<double>((biased << 52) | (sub << (52 - kSubBits)));
-}
-
-std::uint64_t MixState(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
 }  // namespace
@@ -209,23 +206,25 @@ LatencySummary QuantileSketch::Summarize() const {
 
 std::uint64_t QuantileSketch::StateDigest() const {
   std::uint64_t h = 0x51ce7c45a1ca1e5bULL;  // Fixed sketch-state seed.
-  h = MixState(h, static_cast<std::uint64_t>(count_));
-  h = MixState(h, overflowed_ ? 1 : 0);
+  h = sim::MixDigest(h, static_cast<std::uint64_t>(count_));
+  h = sim::MixDigest(h, overflowed_ ? 1 : 0);
   if (count_ == 0) return h;
   // The running sum is excluded on purpose: FP addition is not
   // associative, so it is the one field whose bits can depend on merge
   // order. Everything hashed here is a pure function of the multiset.
-  h = MixState(h, std::bit_cast<std::uint64_t>(min_));
-  h = MixState(h, std::bit_cast<std::uint64_t>(max_));
+  h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(min_));
+  h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(max_));
   if (!overflowed_) {
     EnsureSorted();
-    for (double v : exact_) h = MixState(h, std::bit_cast<std::uint64_t>(v));
+    for (double v : exact_) {
+      h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(v));
+    }
     return h;
   }
   for (std::size_t b = 0; b < kNumBuckets; ++b) {
     if (buckets_[b] == 0) continue;
-    h = MixState(h, static_cast<std::uint64_t>(b));
-    h = MixState(h, buckets_[b]);
+    h = sim::MixDigest(h, static_cast<std::uint64_t>(b));
+    h = sim::MixDigest(h, buckets_[b]);
   }
   return h;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace muxwise::sim {
@@ -17,13 +18,8 @@ std::uint64_t HashLabel(std::uint64_t seed, const std::string& label) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     h *= 1099511628211ULL;
   }
-  // Avalanche (splitmix64 finalizer) so nearby labels diverge fully.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  // Avalanche so nearby labels diverge fully.
+  return SplitMix64Finalize(h);
 }
 
 }  // namespace

@@ -3,23 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace muxwise::sim {
-
-namespace {
-
-/** Mixes a 64-bit key (splitmix64 finalizer) for the id index. */
-std::uint64_t HashId(std::uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
 
 // --- IdIndex ---------------------------------------------------------------
 
@@ -30,7 +17,7 @@ void Simulator::IdIndex::Grow() {
   const std::size_t mask = capacity - 1;
   for (const Cell& cell : old) {
     if (cell.id == kInvalidEventId) continue;
-    std::size_t i = HashId(cell.id) & mask;
+    std::size_t i = SplitMix64Finalize(cell.id) & mask;
     while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
     cells_[i] = cell;
   }
@@ -40,7 +27,7 @@ void Simulator::IdIndex::Insert(EventId id, std::uint32_t slot) {
   // Keep the load factor under 3/4 so probe chains stay short.
   if (cells_.empty() || (size_ + 1) * 4 >= cells_.size() * 3) Grow();
   const std::size_t mask = cells_.size() - 1;
-  std::size_t i = HashId(id) & mask;
+  std::size_t i = SplitMix64Finalize(id) & mask;
   while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
   cells_[i].id = id;
   cells_[i].slot = slot;
@@ -50,7 +37,7 @@ void Simulator::IdIndex::Insert(EventId id, std::uint32_t slot) {
 bool Simulator::IdIndex::Erase(EventId id, std::uint32_t* slot) {
   if (size_ == 0) return false;
   const std::size_t mask = cells_.size() - 1;
-  std::size_t i = HashId(id) & mask;
+  std::size_t i = SplitMix64Finalize(id) & mask;
   while (cells_[i].id != id) {
     if (cells_[i].id == kInvalidEventId) return false;
     i = (i + 1) & mask;
@@ -63,7 +50,7 @@ bool Simulator::IdIndex::Erase(EventId id, std::uint32_t* slot) {
   while (true) {
     probe = (probe + 1) & mask;
     if (cells_[probe].id == kInvalidEventId) break;
-    const std::size_t home = HashId(cells_[probe].id) & mask;
+    const std::size_t home = SplitMix64Finalize(cells_[probe].id) & mask;
     // `probe`'s entry may fill the hole iff its home position does not
     // lie in the (cyclic) open interval (hole, probe].
     const bool movable = hole <= probe ? (home <= hole || home > probe)
@@ -173,12 +160,8 @@ bool Simulator::Cancel(EventId id) {
 }
 
 void Simulator::FoldDigest(Time when, EventId id) {
-  // Boost-style hash fold over (when, id); order-sensitive by design.
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-  };
-  digest_ = mix(digest_, static_cast<std::uint64_t>(when));
-  digest_ = mix(digest_, id);
+  digest_ = MixDigest(digest_, static_cast<std::uint64_t>(when));
+  digest_ = MixDigest(digest_, id);
 }
 
 void Simulator::ExecuteTop() {
@@ -207,9 +190,9 @@ bool Simulator::Step() {
   return true;
 }
 
-std::size_t Simulator::Run() {
+std::size_t Simulator::Run(std::size_t max_events) {
   std::size_t n = 0;
-  while (Step()) ++n;
+  while (n < max_events && Step()) ++n;
   return n;
 }
 

@@ -68,8 +68,12 @@ class Simulator {
    */
   bool Cancel(EventId id);
 
-  /** Runs until the event queue drains. Returns events executed. */
-  std::size_t Run();
+  /**
+   * Runs until the event queue drains or `max_events` events have run
+   * (the livelock guard of drivers with no time horizon). Returns
+   * events executed.
+   */
+  std::size_t Run(std::size_t max_events = SIZE_MAX);
 
   /**
    * Runs all events with timestamp <= `until`, then sets Now() to `until`

@@ -182,9 +182,9 @@ TEST(MedianTest, HandlesOddEvenAndEmpty) {
 }
 
 TEST(SimcoreBenchTest, SmokeRepetitionsAreEventIdenticalAndDigestStable) {
-  // The bench_simcore self-check: repetitions of the storm bench redo
-  // identical simulated work, so event counts and digests must agree
-  // rep to rep (RunSimcoreBench flags any drift via ok/note).
+  // benchrun's repetition self-check: repetitions of the storm bench
+  // redo identical simulated work, so event counts and digests must
+  // agree rep to rep (RunSimcoreBench flags any drift via ok/note).
   SimcoreOptions options;
   options.smoke = true;
   options.repeat = 2;

@@ -8,15 +8,12 @@
 #include <numeric>
 #include <vector>
 
+#include "sim/hash.h"
+
 namespace muxwise::serve {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::SplitMix64;
 
 double Uniform01(std::uint64_t seed, std::uint64_t index) {
   const std::uint64_t bits = SplitMix64(SplitMix64(seed) ^ index);

@@ -8,7 +8,6 @@
 
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
-#include "harness/streaming.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
 #include "workload/datasets.h"
@@ -100,7 +99,7 @@ TEST(ScenarioDslTest, StreamingSmokeIsDeterministicAndAccurate) {
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   ASSERT_TRUE(parsed.spec->IsStreaming());
 
-  const StreamingOutcome first = RunStreamingScenario(*parsed.spec);
+  const RunOutcome first = RunScenario(*parsed.spec);
   EXPECT_TRUE(first.stable) << first.diagnostic;
   EXPECT_EQ(first.completed, 5000u);
   EXPECT_FALSE(first.ttft_subsample_ms.empty());
@@ -113,9 +112,35 @@ TEST(ScenarioDslTest, StreamingSmokeIsDeterministicAndAccurate) {
   const double sketch_p50 = first.ttft_sketch.Quantile(0.5);
   EXPECT_NEAR(sketch_p50, exact_p50, exact_p50 * 0.10);
 
-  const StreamingOutcome second = RunStreamingScenario(*parsed.spec);
-  EXPECT_EQ(first.event_digest, second.event_digest);
-  EXPECT_EQ(first.metrics_state_digest, second.metrics_state_digest);
+  const RunOutcome second = RunScenario(*parsed.spec);
+  const DeterminismReport report = CompareRuns(first, second);
+  EXPECT_TRUE(report.deterministic) << report.mismatch;
+}
+
+/** A 3000-request stream (~30 s of arrivals) with `extra` appended to
+ * the scenario root. */
+RunOutcome RunSmallStream(const std::string& extra) {
+  const std::string text = R"json({
+    "name": "stream-faults",
+    "trace": {"streaming": {"requests": 3000, "rate_per_second": 100.0,
+                            "seed": 1}},
+  )json" + extra + "}";
+  ScenarioParseResult parsed = ParseScenarioJson(text, "inline");
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  return parsed.ok() ? RunScenario(*parsed.spec) : RunOutcome();
+}
+
+TEST(ScenarioDslTest, StreamingScenarioHonoursItsFaultPlan) {
+  // A fault plan turns recovery on, so the fair fault-free twin is the
+  // same stream with recovery enabled explicitly: the crash window alone
+  // must then move the event stream.
+  const RunOutcome plain = RunSmallStream(R"("recovery": {"enabled": true})");
+  const RunOutcome crashed = RunSmallStream(R"("faults": {"crashes": [
+      {"instance": 0, "at_seconds": 10, "recover_at_seconds": 20}]})");
+  ASSERT_TRUE(crashed.diagnostic.empty()) << crashed.diagnostic;
+  EXPECT_NE(crashed.event_digest, plain.event_digest);
+  EXPECT_EQ(crashed.split.total(), crashed.total);
+  EXPECT_EQ(crashed.completed, crashed.total);
 }
 
 TEST(ScenarioDslTest, RejectsUnknownKeysWithQualifiedPath) {

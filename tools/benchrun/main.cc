@@ -97,7 +97,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  benchrun [--smoke|--full] [--repeat=N] [--filter=substr]\n"
-      "           [--bench-dir=DIR] [--out=FILE] [--list]\n"
+      "           [--bench-dir=DIR] [--scenarios=DIR] [--out=FILE] [--list]\n"
       "  benchrun --diff BASE.json CANDIDATE.json [--threshold=0.10]\n"
       "           [--no-wall] [--allow-missing]\n");
   return 2;
@@ -168,6 +168,7 @@ int main(int argc, char** argv) {
   std::string bench_dir;
   std::string scenarios_dir;
   std::string out_path;
+  int repeat = 0;  // An explicit --repeat wins over the suite default.
   bool list_only = false;
 
   for (const std::string& arg : args) {
@@ -182,8 +183,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--list") {
       list_only = true;
     } else if (HasPrefixArg(arg, "--repeat=", &value)) {
-      options.repeat = std::atoi(value.c_str());
-      if (options.repeat < 1) return Usage();
+      repeat = std::atoi(value.c_str());
+      if (repeat < 1) return Usage();
     } else if (HasPrefixArg(arg, "--filter=", &value)) {
       filter = value;
     } else if (HasPrefixArg(arg, "--bench-dir=", &value)) {
@@ -196,6 +197,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
+  if (repeat > 0) options.repeat = repeat;
 
   std::vector<std::string> names = muxwise::benchrun::SimcoreBenchNames();
   const std::vector<std::string>& external =

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "harness/json.h"
+#include "sim/hash.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -29,12 +30,7 @@ using harness::json::GetNumber;
 using harness::json::GetString;
 const auto& JsonEscape = harness::json::Escape;
 
-std::string HexDigest(std::uint64_t digest) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return buf;
-}
+using sim::HexDigest;
 
 std::string FormatDouble(double v) {
   char buf[40];

@@ -1,26 +1,12 @@
 #include "benchrun/scenarios.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 
 #include "harness/runner.h"
 #include "harness/scenario.h"
-#include "harness/streaming.h"
 
 namespace muxwise::benchrun {
-
-namespace {
-
-// Wall time is the measured quantity here.
-namespace chr = std::chrono;  // muxlint: allow(wall-clock)
-
-double NowMs() {
-  const auto t = chr::steady_clock::now().time_since_epoch();
-  return chr::duration<double, std::milli>(t).count();
-}
-
-}  // namespace
 
 std::vector<BenchResult> RunScenarioBenches(const std::string& dir,
                                             const SimcoreOptions& options) {
@@ -44,10 +30,10 @@ std::vector<BenchResult> RunScenarioBenches(const std::string& dir,
   }
 
   for (const std::string& path : paths) {
-    BenchResult result;
     const harness::ScenarioParseResult parsed =
         harness::LoadScenarioFile(path);
     if (!parsed.ok()) {
+      BenchResult result;
       result.name = "scenario." + path;
       result.ok = false;
       result.note = parsed.error;
@@ -55,46 +41,12 @@ std::vector<BenchResult> RunScenarioBenches(const std::string& dir,
       continue;
     }
     const harness::ScenarioSpec& spec = *parsed.spec;
-    result.name = "scenario." + spec.name;
-    for (int rep = 0; rep < options.repeat; ++rep) {
-      const double start = NowMs();
-      std::uint64_t digest = 0;
-      std::uint64_t events = 0;
-      bool stable = false;
-      std::string diagnostic;
-      if (spec.IsStreaming()) {
-        const harness::StreamingOutcome outcome =
-            harness::RunStreamingScenario(spec);
-        digest = outcome.event_digest;
-        events = outcome.executed_events;
-        stable = outcome.stable;
-        diagnostic = outcome.diagnostic;
-      } else {
-        const harness::RunOutcome outcome = harness::RunScenario(spec);
-        digest = harness::OutcomeDigest(outcome);
-        events = outcome.executed_events;
-        stable = outcome.stable;
-        diagnostic = outcome.diagnostic;
-      }
-      result.wall_ms.push_back(NowMs() - start);
-      if (!stable) {
-        result.ok = false;
-        result.note = "unstable: " + diagnostic;
-      }
-      if (rep == 0) {
-        result.digest = digest;
-        result.sim_events = events;
-      } else if (digest != result.digest || events != result.sim_events) {
-        result.ok = false;
-        result.note = "nondeterministic across repetitions";
-      }
-    }
-    result.wall_ms_median = Median(result.wall_ms);
-    if (result.wall_ms_median > 0.0) {
-      result.events_per_sec = static_cast<double>(result.sim_events) /
-                              (result.wall_ms_median / 1000.0);
-    }
-    results.push_back(std::move(result));
+    results.push_back(Measure("scenario." + spec.name, options, [&spec] {
+      const harness::RunOutcome outcome = harness::RunScenario(spec);
+      OneRun run{outcome.executed_events, harness::OutcomeDigest(outcome), {}};
+      if (!outcome.stable) run.failure = "unstable: " + outcome.diagnostic;
+      return run;
+    }));
   }
   return results;
 }

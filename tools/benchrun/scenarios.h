@@ -11,11 +11,11 @@ namespace muxwise::benchrun {
 /**
  * Runs every scenario DSL file (`*.json`) directly under `dir` as a
  * benchmark: `repeat` timed repetitions each, named
- * "scenario.<scenario-name>", with the run's OutcomeDigest (streaming:
- * event digest) and executed-event count as the deterministic
- * witnesses. Routed through the same benchdiff gate as the simcore
- * rows, this pins every checked-in scenario's digest — including the
- * chaos ones — against the frozen baseline on each push. Files are
+ * "scenario.<scenario-name>", with the run's OutcomeDigest and
+ * executed-event count as the deterministic witnesses. Routed through
+ * the same benchdiff gate as the simcore rows, this pins every
+ * checked-in scenario's digest — including the chaos ones — against
+ * the frozen baseline on each push. Files are
  * visited in sorted order so reports are stable; a scenario that fails
  * to parse or run yields ok = false with the reason in `note`.
  */

@@ -15,6 +15,7 @@
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/hash.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
@@ -23,10 +24,7 @@ namespace muxwise::benchrun {
 
 namespace {
 
-/** Mixes one value into a running order-sensitive digest. */
-std::uint64_t MixDigest(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
+using sim::MixDigest;
 
 // Wall time is the measured quantity in a benchmark driver.
 namespace chr = std::chrono;  // muxlint: allow(wall-clock)
@@ -35,11 +33,6 @@ double NowMs() {
   const auto t = chr::steady_clock::now().time_since_epoch();
   return chr::duration<double, std::milli>(t).count();
 }
-
-struct OneRun {
-  std::uint64_t sim_events = 0;
-  std::uint64_t digest = 0;
-};
 
 /**
  * Raw event-queue throughput: `actors` self-rescheduling callbacks with
@@ -73,7 +66,7 @@ OneRun DriveEvents(std::size_t target_events, int actors) {
                             bodies[static_cast<std::size_t>(a)]);
   }
   simulator.Run();
-  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest()};
+  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest(), {}};
 }
 
 /**
@@ -96,7 +89,7 @@ OneRun DriveStorm(std::size_t rounds, std::size_t width) {
   };
   start_round();
   simulator.Run();
-  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest()};
+  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest(), {}};
 }
 
 /**
@@ -137,7 +130,7 @@ OneRun DriveLaunches(std::size_t target_launches) {
   };
   for (int lane = 0; lane < 4; ++lane) chain(lane);
   simulator.Run();
-  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest()};
+  return OneRun{simulator.ExecutedEvents(), simulator.EventDigest(), {}};
 }
 
 /**
@@ -284,6 +277,8 @@ OneRun DriveFleetGoodput(double duration_seconds) {
   return run;
 }
 
+}  // namespace
+
 BenchResult Measure(const std::string& name, const SimcoreOptions& options,
                     const std::function<OneRun()>& body) {
   BenchResult result;
@@ -293,6 +288,10 @@ BenchResult Measure(const std::string& name, const SimcoreOptions& options,
     const double start = NowMs();
     const OneRun run = body();
     result.wall_ms.push_back(NowMs() - start);
+    if (!run.failure.empty()) {
+      result.ok = false;
+      result.note = run.failure;
+    }
     if (rep == 0) {
       result.sim_events = run.sim_events;
       result.digest = run.digest;
@@ -310,8 +309,6 @@ BenchResult Measure(const std::string& name, const SimcoreOptions& options,
   }
   return result;
 }
-
-}  // namespace
 
 double Median(std::vector<double> samples) {
   if (samples.empty()) return 0.0;

@@ -2,6 +2,7 @@
 #define MUXWISE_TOOLS_BENCHRUN_SIMCORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,22 @@ std::vector<std::string> SimcoreBenchNames();
  */
 BenchResult RunSimcoreBench(const std::string& name,
                             const SimcoreOptions& options);
+
+/** The deterministic witnesses of one repetition, and why it failed
+ * (empty when it did not). */
+struct OneRun {
+  std::uint64_t sim_events = 0;
+  std::uint64_t digest = 0;
+  std::string failure;
+};
+
+/**
+ * Times `body` options.repeat times (at least once). The result fails
+ * when a repetition reports a failure or its witnesses differ from the
+ * first repetition's.
+ */
+BenchResult Measure(const std::string& name, const SimcoreOptions& options,
+                    const std::function<OneRun()>& body);
 
 /** Median of `samples` (by copy; 0.0 for empty input). */
 double Median(std::vector<double> samples);

@@ -20,6 +20,12 @@
 namespace muxwise::chaosfuzz {
 
 namespace json = harness::json;
+using json::Arr;
+using json::Bool;
+using json::Num;
+using json::Obj;
+using json::SetKey;
+using json::Str;
 
 namespace {
 
@@ -120,53 +126,6 @@ void AddRandomFault(fault::FaultPlan& plan, sim::Rng& rng,
       break;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// JSON helpers over the insertion-ordered object representation.
-// ---------------------------------------------------------------------------
-
-json::Value Num(double v) {
-  json::Value out;
-  out.type = json::Value::Type::kNumber;
-  out.number = v;
-  return out;
-}
-
-json::Value Str(const std::string& s) {
-  json::Value out;
-  out.type = json::Value::Type::kString;
-  out.string = s;
-  return out;
-}
-
-json::Value Bool(bool b) {
-  json::Value out;
-  out.type = json::Value::Type::kBool;
-  out.boolean = b;
-  return out;
-}
-
-json::Value Obj() {
-  json::Value out;
-  out.type = json::Value::Type::kObject;
-  return out;
-}
-
-json::Value Arr() {
-  json::Value out;
-  out.type = json::Value::Type::kArray;
-  return out;
-}
-
-void SetKey(json::Value& object, const std::string& key, json::Value value) {
-  for (auto& [k, v] : object.object) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
-  }
-  object.object.emplace_back(key, std::move(value));
 }
 
 double Secs(sim::Time t) { return Round3(sim::ToSeconds(t)); }
@@ -309,13 +268,6 @@ std::string MakeReproText(const json::Value& base_doc,
 
 namespace {
 
-std::string Hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 Verdict CheckScenarioInProcess(const harness::ScenarioSpec& spec) {
   Verdict v;
   const harness::RunOutcome first = harness::RunScenario(spec);
@@ -334,18 +286,11 @@ Verdict CheckScenarioInProcess(const harness::ScenarioSpec& spec) {
                std::to_string(first.total);
     return v;
   }
-  const harness::RunOutcome second = harness::RunScenario(spec);
-  if (second.event_digest != first.event_digest ||
-      second.executed_events != first.executed_events ||
-      harness::OutcomeDigest(second) != harness::OutcomeDigest(first)) {
+  const harness::DeterminismReport report =
+      harness::CompareRuns(first, harness::RunScenario(spec));
+  if (!report.deterministic) {
     v.result = Verdict::Result::kViolation;
-    v.detail = "double run diverged: events " + Hex16(first.event_digest) +
-               "/" + std::to_string(first.executed_events) + " vs " +
-               Hex16(second.event_digest) + "/" +
-               std::to_string(second.executed_events) + ", outcome " +
-               Hex16(harness::OutcomeDigest(first)) + " vs " +
-               Hex16(harness::OutcomeDigest(second));
-    return v;
+    v.detail = "double run diverged: " + report.mismatch;
   }
   return v;
 }
@@ -668,11 +613,6 @@ CampaignResult RunCampaign(const std::string& scenario_path,
     result.error = parsed.error;
     return result;
   }
-  if (parsed.spec->IsStreaming()) {
-    result.error = scenario_path + ": streaming scenarios are not fuzzable";
-    return result;
-  }
-
   // Warm the per-process estimator cache so every forked child
   // inherits the offline profile instead of re-profiling it.
   (void)harness::RunScenario(*parsed.spec);
@@ -720,16 +660,9 @@ CampaignResult RunCampaign(const std::string& scenario_path,
 }
 
 Verdict ReplayFile(const std::string& path) {
-  std::string text;
-  Verdict v;
-  if (!ReadFile(path, text)) {
-    v.result = Verdict::Result::kInvalid;
-    v.detail = "cannot read " + path;
-    return v;
-  }
-  const harness::ScenarioParseResult parsed =
-      harness::ParseScenarioJson(text, path);
+  const harness::ScenarioParseResult parsed = harness::LoadScenarioFile(path);
   if (!parsed.ok()) {
+    Verdict v;
     v.result = Verdict::Result::kInvalid;
     v.detail = parsed.error;
     return v;

@@ -4,7 +4,8 @@
 //   scenariorun scenarios/foo.json             one run, print the report
 //   scenariorun --matrix scenarios/*.json      determinism matrix: every
 //                                              scenario runs twice and
-//                                              both digests must agree
+//                                              the runs must agree
+//                                              (harness::CompareRuns)
 //   scenariorun --rss-ceiling-mb=N ...         gate peak RSS
 //   scenariorun --rss-baseline=out.json --rss-growth-max=R
 //                                              gate peak RSS against a
@@ -13,22 +14,23 @@
 //                                              scale-comparison gate)
 //   scenariorun --out=FILE ...                 write the outcome artifact
 //
-// Streaming scenarios additionally run the sketch-vs-exact accuracy
-// gate: the full-population sketch's p50/p99 must sit within a relative
-// tolerance of the exact quantiles of the deterministic 1-in-K
-// subsample (--p50-tolerance / --p99-tolerance, defaults 5% / 10%).
+// Every scenario must be stable. A run whose outcome carries an exact
+// 1-in-K TTFT subsample (streams keep one) also runs the sketch-vs-exact
+// accuracy gate: the full-population sketch's p50/p99 must sit within a
+// relative tolerance of the subsample's exact quantiles
+// (--p50-tolerance / --p99-tolerance, defaults 5% / 10%).
 //
 // Exit status: 0 when every scenario ran and every requested gate held.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -38,8 +40,8 @@
 #include "harness/json.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
-#include "harness/streaming.h"
 #include "serve/quantile_sketch.h"
+#include "sim/hash.h"
 
 namespace muxwise {
 namespace {
@@ -58,20 +60,11 @@ struct Options {
 struct ScenarioReport {
   std::string name;
   std::string path;
-  std::string kind;  // "trace" or "streaming"
-  std::string engine;
+  std::string kind;  // "trace", "streaming" or "invalid"
   bool ok = true;
   std::vector<std::string> failures;
 
-  bool stable = false;
-  std::uint64_t completed = 0;
-  std::uint64_t total = 0;
-  std::uint64_t event_digest = 0;
-  std::uint64_t outcome_digest = 0;
-  std::uint64_t metrics_state_digest = 0;
-  std::size_t metric_bytes = 0;
-  double ttft_p50_sketch = 0.0;
-  double ttft_p99_sketch = 0.0;
+  harness::RunOutcome outcome;  // Of the first run.
   double ttft_p50_exact = 0.0;
   double ttft_p99_exact = 0.0;
   double peak_rss_mb = 0.0;
@@ -89,13 +82,6 @@ double PeakRssMb() {
   }
 #endif
   return 0.0;
-}
-
-std::string Hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 bool ParseArgs(int argc, char** argv, Options& options) {
@@ -160,71 +146,26 @@ double BaselinePeakRssMb(const std::string& path, std::string& error) {
   return peak;
 }
 
-void RunTraceScenario(const harness::ScenarioSpec& spec, const Options& options,
-                      ScenarioReport& report) {
-  if (options.matrix) {
-    // Two back-to-back runs pin bit-reproducibility of the event stream
-    // and of the sketch states folded into the outcome digest.
-    const harness::RunOutcome first = harness::RunScenario(spec);
-    const harness::RunOutcome second = harness::RunScenario(spec);
-    report.stable = first.stable;
-    report.completed = first.completed;
-    report.total = first.total;
-    report.event_digest = first.event_digest;
-    report.outcome_digest = harness::OutcomeDigest(first);
-    report.metrics_state_digest = first.metrics_state_digest;
-    if (second.event_digest != first.event_digest ||
-        harness::OutcomeDigest(second) != report.outcome_digest) {
-      report.failures.push_back("double run diverged: " +
-                                Hex(report.outcome_digest) + " vs " +
-                                Hex(harness::OutcomeDigest(second)));
-    }
-    if (second.metrics_state_digest != first.metrics_state_digest) {
-      report.failures.push_back("sketch state diverged across runs");
-    }
-    return;
-  }
-
-  const harness::RunOutcome outcome = harness::RunScenario(spec);
-  report.stable = outcome.stable;
-  report.completed = outcome.completed;
-  report.total = outcome.total;
-  report.event_digest = outcome.event_digest;
-  report.outcome_digest = harness::OutcomeDigest(outcome);
-  report.metrics_state_digest = outcome.metrics_state_digest;
-  report.ttft_p50_sketch = outcome.ttft.p50_ms;
-  report.ttft_p99_sketch = outcome.ttft.p99_ms;
+void RunScenarioReport(const harness::ScenarioSpec& spec,
+                       const Options& options, ScenarioReport& report) {
+  report.outcome = harness::RunScenario(spec);
+  const harness::RunOutcome& outcome = report.outcome;
   if (!outcome.stable) {
-    report.failures.push_back("unstable: " + outcome.diagnostic);
-  }
-}
-
-void RunStreamingScenarioReport(const harness::ScenarioSpec& spec,
-                                const Options& options,
-                                ScenarioReport& report) {
-  auto run_once = [&spec] { return harness::RunStreamingScenario(spec); };
-
-  const harness::StreamingOutcome outcome = run_once();
-  report.stable = outcome.stable;
-  report.completed = outcome.completed;
-  report.total = outcome.total;
-  report.event_digest = outcome.event_digest;
-  report.outcome_digest = outcome.event_digest;
-  report.metrics_state_digest = outcome.metrics_state_digest;
-  report.metric_bytes = outcome.metric_bytes;
-  report.ttft_p50_sketch = outcome.ttft_sketch.Quantile(0.5);
-  report.ttft_p99_sketch = outcome.ttft_sketch.Quantile(0.99);
-  if (!outcome.stable) {
-    report.failures.push_back("unstable: " + outcome.diagnostic);
+    report.failures.push_back(
+        "unstable: " + (outcome.diagnostic.empty()
+                            ? std::string("drained only after the drain "
+                                          "horizon")
+                            : outcome.diagnostic));
   }
 
   if (options.matrix) {
-    const harness::StreamingOutcome second = run_once();
-    if (second.event_digest != outcome.event_digest ||
-        second.metrics_state_digest != outcome.metrics_state_digest) {
-      report.failures.push_back("double run diverged");
+    // A second run pins bit-reproducibility of the event stream and of
+    // the sketch states folded into the outcome digest.
+    const harness::DeterminismReport check =
+        harness::CompareRuns(outcome, harness::RunScenario(spec));
+    if (!check.deterministic) {
+      report.failures.push_back("double run diverged: " + check.mismatch);
     }
-    return;
   }
 
   // Sketch-vs-exact accuracy gate on the deterministic 1-in-K
@@ -249,55 +190,54 @@ void RunStreamingScenarioReport(const harness::ScenarioSpec& spec,
         report.failures.push_back(buf);
       }
     };
-    check("p50", report.ttft_p50_sketch, report.ttft_p50_exact,
+    check("p50", outcome.ttft.p50_ms, report.ttft_p50_exact,
           options.p50_tolerance);
-    check("p99", report.ttft_p99_sketch, report.ttft_p99_exact,
+    check("p99", outcome.ttft.p99_ms, report.ttft_p99_exact,
           options.p99_tolerance);
   }
 }
 
 bool WriteArtifact(const std::string& path,
                    const std::vector<ScenarioReport>& reports) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << "{\n  \"schema_version\": 1,\n  \"scenarios\": [";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const ScenarioReport& r = reports[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\n";
-    out << "      \"name\": \"" << harness::json::Escape(r.name) << "\",\n";
-    out << "      \"path\": \"" << harness::json::Escape(r.path) << "\",\n";
-    out << "      \"kind\": \"" << r.kind << "\",\n";
-    out << "      \"engine\": \"" << harness::json::Escape(r.engine)
-        << "\",\n";
-    out << "      \"ok\": " << (r.ok ? "true" : "false") << ",\n";
-    out << "      \"stable\": " << (r.stable ? "true" : "false") << ",\n";
-    out << "      \"completed\": " << r.completed << ",\n";
-    out << "      \"total\": " << r.total << ",\n";
-    out << "      \"event_digest\": \"" << Hex(r.event_digest) << "\",\n";
-    out << "      \"outcome_digest\": \"" << Hex(r.outcome_digest) << "\",\n";
-    out << "      \"metrics_state_digest\": \"" << Hex(r.metrics_state_digest)
-        << "\",\n";
-    out << "      \"metric_bytes\": " << r.metric_bytes << ",\n";
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "      \"ttft_p50_sketch_ms\": %.6g,\n"
-                  "      \"ttft_p99_sketch_ms\": %.6g,\n"
-                  "      \"ttft_p50_exact_ms\": %.6g,\n"
-                  "      \"ttft_p99_exact_ms\": %.6g,\n"
-                  "      \"peak_rss_mb\": %.2f,\n",
-                  r.ttft_p50_sketch, r.ttft_p99_sketch, r.ttft_p50_exact,
-                  r.ttft_p99_exact, r.peak_rss_mb);
-    out << buf;
-    out << "      \"failures\": [";
-    for (std::size_t j = 0; j < r.failures.size(); ++j) {
-      out << (j == 0 ? "" : ", ") << "\""
-          << harness::json::Escape(r.failures[j]) << "\"";
+  using harness::json::Num;
+  using harness::json::SetKey;
+  using harness::json::Str;
+  harness::json::Value scenarios = harness::json::Arr();
+  for (const ScenarioReport& r : reports) {
+    harness::json::Value failures = harness::json::Arr();
+    for (const std::string& failure : r.failures) {
+      failures.array.push_back(Str(failure));
     }
-    out << "]\n    }";
+    const harness::RunOutcome& o = r.outcome;
+    harness::json::Value entry = harness::json::Obj();
+    SetKey(entry, "name", Str(r.name));
+    SetKey(entry, "path", Str(r.path));
+    SetKey(entry, "kind", Str(r.kind));
+    SetKey(entry, "engine", Str(o.engine));
+    SetKey(entry, "ok", harness::json::Bool(r.ok));
+    SetKey(entry, "stable", harness::json::Bool(o.stable));
+    SetKey(entry, "completed", Num(static_cast<double>(o.completed)));
+    SetKey(entry, "total", Num(static_cast<double>(o.total)));
+    SetKey(entry, "event_digest", Str(sim::HexDigest(o.event_digest)));
+    SetKey(entry, "outcome_digest",
+           Str(sim::HexDigest(harness::OutcomeDigest(o))));
+    SetKey(entry, "metrics_state_digest",
+           Str(sim::HexDigest(o.metrics_state_digest)));
+    SetKey(entry, "metric_bytes", Num(static_cast<double>(o.metric_bytes)));
+    SetKey(entry, "ttft_p50_sketch_ms", Num(o.ttft.p50_ms));
+    SetKey(entry, "ttft_p99_sketch_ms", Num(o.ttft.p99_ms));
+    SetKey(entry, "ttft_p50_exact_ms", Num(r.ttft_p50_exact));
+    SetKey(entry, "ttft_p99_exact_ms", Num(r.ttft_p99_exact));
+    SetKey(entry, "peak_rss_mb", Num(r.peak_rss_mb));
+    SetKey(entry, "failures", std::move(failures));
+    scenarios.array.push_back(std::move(entry));
   }
-  if (!reports.empty()) out << "\n  ";
-  out << "]\n}\n";
+  harness::json::Value root = harness::json::Obj();
+  SetKey(root, "schema_version", Num(1));
+  SetKey(root, "scenarios", std::move(scenarios));
+
+  std::ofstream out(path, std::ios::binary);
+  out << harness::json::Dump(root) << "\n";
   return static_cast<bool>(out);
 }
 
@@ -315,6 +255,7 @@ int Main(int argc, char** argv) {
     if (!parsed.ok()) {
       report.name = path;
       report.kind = "invalid";
+      report.outcome.stable = false;
       report.failures.push_back("parse: " + parsed.error);
       report.ok = false;
       all_ok = false;
@@ -325,14 +266,9 @@ int Main(int argc, char** argv) {
     }
     const harness::ScenarioSpec& spec = *parsed.spec;
     report.name = spec.name;
-    report.engine = harness::EngineKindName(spec.engine);
     report.kind = spec.IsStreaming() ? "streaming" : "trace";
 
-    if (spec.IsStreaming()) {
-      RunStreamingScenarioReport(spec, options, report);
-    } else {
-      RunTraceScenario(spec, options, report);
-    }
+    RunScenarioReport(spec, options, report);
     report.peak_rss_mb = PeakRssMb();
 
     if (options.rss_ceiling_mb > 0.0 &&
@@ -363,15 +299,15 @@ int Main(int argc, char** argv) {
     all_ok = all_ok && report.ok;
     std::printf("%s %s [%s/%s] digest %s  %llu/%llu completed  rss %.1f MiB\n",
                 report.ok ? "ok  " : "FAIL", report.name.c_str(),
-                report.kind.c_str(), report.engine.c_str(),
-                Hex(report.outcome_digest).c_str(),
-                static_cast<unsigned long long>(report.completed),
-                static_cast<unsigned long long>(report.total),
+                report.kind.c_str(), report.outcome.engine.c_str(),
+                sim::HexDigest(harness::OutcomeDigest(report.outcome)).c_str(),
+                static_cast<unsigned long long>(report.outcome.completed),
+                static_cast<unsigned long long>(report.outcome.total),
                 report.peak_rss_mb);
     for (const std::string& failure : report.failures) {
       std::printf("     - %s\n", failure.c_str());
     }
-    reports.push_back(report);
+    reports.push_back(std::move(report));
   }
 
   if (!options.out_path.empty() &&
