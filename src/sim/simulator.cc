@@ -8,62 +8,6 @@
 
 namespace muxwise::sim {
 
-// --- IdIndex ---------------------------------------------------------------
-
-void Simulator::IdIndex::Grow() {
-  const std::size_t capacity = cells_.empty() ? 64 : cells_.size() * 2;
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(capacity, Cell{});
-  const std::size_t mask = capacity - 1;
-  for (const Cell& cell : old) {
-    if (cell.id == kInvalidEventId) continue;
-    std::size_t i = SplitMix64Finalize(cell.id) & mask;
-    while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
-    cells_[i] = cell;
-  }
-}
-
-void Simulator::IdIndex::Insert(EventId id, std::uint32_t slot) {
-  // Keep the load factor under 3/4 so probe chains stay short.
-  if (cells_.empty() || (size_ + 1) * 4 >= cells_.size() * 3) Grow();
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t i = SplitMix64Finalize(id) & mask;
-  while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
-  cells_[i].id = id;
-  cells_[i].slot = slot;
-  ++size_;
-}
-
-bool Simulator::IdIndex::Erase(EventId id, std::uint32_t* slot) {
-  if (size_ == 0) return false;
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t i = SplitMix64Finalize(id) & mask;
-  while (cells_[i].id != id) {
-    if (cells_[i].id == kInvalidEventId) return false;
-    i = (i + 1) & mask;
-  }
-  *slot = cells_[i].slot;
-  --size_;
-  // Backward-shift deletion: close the probe chain without tombstones.
-  std::size_t hole = i;
-  std::size_t probe = i;
-  while (true) {
-    probe = (probe + 1) & mask;
-    if (cells_[probe].id == kInvalidEventId) break;
-    const std::size_t home = SplitMix64Finalize(cells_[probe].id) & mask;
-    // `probe`'s entry may fill the hole iff its home position does not
-    // lie in the (cyclic) open interval (hole, probe].
-    const bool movable = hole <= probe ? (home <= hole || home > probe)
-                                       : (home <= hole && home > probe);
-    if (movable) {
-      cells_[hole] = cells_[probe];
-      hole = probe;
-    }
-  }
-  cells_[hole] = Cell{};
-  return true;
-}
-
 // --- Event arena -----------------------------------------------------------
 
 std::uint32_t Simulator::AllocSlot() {
@@ -86,7 +30,7 @@ void Simulator::FreeSlot(std::uint32_t slot) {
 
 // --- Binary heap -----------------------------------------------------------
 
-void Simulator::HeapPush(const HeapEntry& entry) {
+void Simulator::HeapPush(const QueueEntry& entry) {
   heap_.push_back(entry);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -114,16 +58,32 @@ void Simulator::HeapPopTop() {
   }
 }
 
-const Simulator::HeapEntry* Simulator::PeekLive() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    // A cancelled event freed its slot; the slot's id no longer matches
-    // (freed, or already recycled by a newer event), marking the entry
-    // as a tombstone.
-    if (pool_[top.slot].id == top.id) return &top;
-    HeapPopTop();
+// --- Sorted lane -----------------------------------------------------------
+
+void Simulator::LanePopFront() {
+  ++lane_head_;
+  // Each compaction moves no more entries than were popped since the
+  // last one, so popping stays amortised O(1); an emptied lane resets.
+  if (2 * lane_head_ >= lane_.size()) {
+    lane_.erase(lane_.begin(),
+                lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
   }
-  return nullptr;
+}
+
+const Simulator::QueueEntry* Simulator::PeekLive() {
+  // A cancelled event freed its slot; the slot's id no longer matches
+  // (freed, or already recycled by a newer event), marking the entry as
+  // a tombstone.
+  while (!heap_.empty() && !IsLive(heap_[0])) HeapPopTop();
+  while (lane_head_ < lane_.size() && !IsLive(lane_[lane_head_])) {
+    LanePopFront();
+  }
+  const QueueEntry* heap_top = heap_.empty() ? nullptr : &heap_[0];
+  if (lane_head_ == lane_.size()) return heap_top;
+  const QueueEntry* lane_top = &lane_[lane_head_];
+  if (heap_top == nullptr || Before(*lane_top, *heap_top)) return lane_top;
+  return heap_top;
 }
 
 // --- Scheduling API --------------------------------------------------------
@@ -131,15 +91,25 @@ const Simulator::HeapEntry* Simulator::PeekLive() {
 EventId Simulator::ScheduleAt(Time when, Callback cb) {
   MUX_CHECK(when >= now_);
   MUX_CHECK(cb != nullptr);
+  // The handle packs the slot above the serial: 2^40 events per
+  // simulator and 2^24 simultaneously pending ones.
+  MUX_CHECK(next_id_ <= kSerialMask);
   const std::uint32_t slot = AllocSlot();
+  MUX_CHECK(slot < (std::uint32_t{1} << (64 - kSerialBits)));
   Event& event = pool_[slot];
   event.when = when;
   event.id = next_id_++;
   event.callback = std::move(cb);
-  index_.Insert(event.id, slot);
-  HeapPush(HeapEntry{when, event.id, slot});
+  const QueueEntry entry{when, event.id, slot};
+  // Ids grow monotonically, so an entry not earlier than the lane's tail
+  // keeps the lane sorted by (when, id).
+  if (lane_.empty() || when >= lane_.back().when) {
+    lane_.push_back(entry);
+  } else {
+    HeapPush(entry);
+  }
   ++live_events_;
-  return event.id;
+  return (static_cast<EventId>(slot) << kSerialBits) | event.id;
 }
 
 EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
@@ -148,12 +118,16 @@ EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
 }
 
 bool Simulator::Cancel(EventId id) {
-  std::uint32_t slot = 0;
-  if (!index_.Erase(id, &slot)) return false;
-  MUX_CHECK(pool_[slot].id == id);
+  const EventId serial = id & kSerialMask;
+  const EventId slot = id >> kSerialBits;
+  // A free slot's id is kInvalidEventId, so serial 0 must never match.
+  if (serial == kInvalidEventId || slot >= pool_.size() ||
+      pool_[slot].id != serial) {
+    return false;
+  }
   // Freeing the slot releases the callback now and implicitly turns the
-  // heap entry into a tombstone discarded on its way to the top.
-  FreeSlot(slot);
+  // queue entry into a tombstone discarded on its way to the front.
+  FreeSlot(static_cast<std::uint32_t>(slot));
   MUX_CHECK(live_events_ > 0);
   --live_events_;
   return true;
@@ -164,18 +138,19 @@ void Simulator::FoldDigest(Time when, EventId id) {
   digest_ = MixDigest(digest_, id);
 }
 
-void Simulator::ExecuteTop() {
-  const HeapEntry entry = heap_[0];
-  HeapPopTop();
+void Simulator::ExecuteTop(const QueueEntry* top) {
+  const QueueEntry entry = *top;
+  if (top == heap_.data()) {
+    HeapPopTop();
+  } else {
+    LanePopFront();
+  }
   Event& event = pool_[entry.slot];
   MUX_CHECK(event.when >= now_);
   now_ = event.when;
   // Detach the callback and release the slot *before* invoking, so the
   // callback can schedule (possibly reusing this slot) or cancel freely.
   Callback callback = std::move(event.callback);
-  std::uint32_t indexed_slot = 0;
-  const bool indexed = index_.Erase(entry.id, &indexed_slot);
-  MUX_CHECK(indexed);
   FreeSlot(entry.slot);
   MUX_CHECK(live_events_ > 0);
   --live_events_;
@@ -185,8 +160,9 @@ void Simulator::ExecuteTop() {
 }
 
 bool Simulator::Step() {
-  if (PeekLive() == nullptr) return false;
-  ExecuteTop();
+  const QueueEntry* top = PeekLive();
+  if (top == nullptr) return false;
+  ExecuteTop(top);
   return true;
 }
 
@@ -200,9 +176,9 @@ std::size_t Simulator::RunUntil(Time until) {
   MUX_CHECK(until >= now_);
   std::size_t n = 0;
   while (true) {
-    const HeapEntry* top = PeekLive();
+    const QueueEntry* top = PeekLive();
     if (top == nullptr || top->when > until) break;
-    ExecuteTop();
+    ExecuteTop(top);
     ++n;
   }
   now_ = until;
@@ -213,12 +189,12 @@ std::size_t Simulator::RunUntil(Time until, std::size_t max_events) {
   MUX_CHECK(until >= now_);
   std::size_t n = 0;
   while (n < max_events) {
-    const HeapEntry* top = PeekLive();
+    const QueueEntry* top = PeekLive();
     if (top == nullptr || top->when > until) {
       now_ = until;
       return n;
     }
-    ExecuteTop();
+    ExecuteTop(top);
     ++n;
   }
   // Budget exhausted mid-stream: Now() stays at the last event's time so
@@ -227,7 +203,7 @@ std::size_t Simulator::RunUntil(Time until, std::size_t max_events) {
 }
 
 Time Simulator::NextEventTime() {
-  const HeapEntry* top = PeekLive();
+  const QueueEntry* top = PeekLive();
   return top == nullptr ? kTimeNever : top->when;
 }
 
@@ -236,25 +212,41 @@ void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
       "Simulator", "event-queue-consistency",
       [this](check::AuditContext& ctx) {
         // Every live event owns exactly one arena slot (cancelled events
-        // free their slot immediately), and the cancellation index holds
-        // exactly the live ids.
+        // free their slot immediately) and exactly one heap or lane entry
+        // carrying its (when, id). Entries whose id no longer matches
+        // their slot are tombstones and count for nothing.
+        std::vector<std::uint32_t> entries(pool_.size(), 0);
+        auto count = [&](const QueueEntry& entry) {
+          if (IsLive(entry) && pool_[entry.slot].when == entry.when) {
+            ++entries[entry.slot];
+          }
+        };
+        for (const QueueEntry& entry : heap_) count(entry);
+        for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+          count(lane_[i]);
+          if (i > lane_head_ && !Before(lane_[i - 1], lane_[i])) {
+            ctx.Violate("lane entry " + std::to_string(lane_[i].id) +
+                        " does not follow " + std::to_string(lane_[i - 1].id));
+          }
+        }
         std::size_t live = 0;
         Time min_when = kTimeNever;
-        for (const Event& event : pool_) {
+        for (std::size_t slot = 0; slot < pool_.size(); ++slot) {
+          const Event& event = pool_[slot];
           if (event.id == kInvalidEventId) continue;
           ++live;
           min_when = std::min(min_when, event.when);
           ctx.Check(event.callback != nullptr,
                     "live event " + std::to_string(event.id) +
                         " lost its callback");
+          if (entries[slot] != 1) {
+            ctx.Violate("live event " + std::to_string(event.id) + " has " +
+                        std::to_string(entries[slot]) + " queue entries");
+          }
         }
         ctx.Check(live == live_events_,
                   "live-event count " + std::to_string(live_events_) +
                       " disagrees with arena scan " + std::to_string(live));
-        ctx.Check(index_.size() == live_events_,
-                  "cancellation index holds " + std::to_string(index_.size()) +
-                      " ids for " + std::to_string(live_events_) +
-                      " live events");
         if (live > 0) {
           ctx.Check(min_when >= now_,
                     "pending event at t=" + std::to_string(min_when) +

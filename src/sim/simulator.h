@@ -11,7 +11,10 @@
 
 namespace muxwise::sim {
 
-/** Opaque handle used to cancel a scheduled event. */
+/**
+ * Opaque handle used to cancel a scheduled event: the event's arena slot
+ * in the top 24 bits above its 40-bit serial. Never kInvalidEventId.
+ */
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -27,15 +30,17 @@ inline constexpr EventId kInvalidEventId = 0;
  *
  *  - Event records live in a pooled arena (`pool_`) recycled through a
  *    free list, so steady-state scheduling allocates nothing.
- *  - The ready queue is a hand-rolled binary min-heap of POD entries
- *    (when, id, slot). Comparisons read only the entry — no pointer
- *    chasing, no reference counting — and the monotonic id doubles as
- *    the FIFO tie-break serial for same-timestamp events *and* as the
- *    staleness witness for cancelled entries (a heap entry whose id no
- *    longer matches its pool slot is a tombstone, skipped on pop).
- *  - Cancellation looks the id up in a flat open-addressing table
- *    (linear probing, backward-shift deletion) instead of a node-based
- *    std::unordered_map.
+ *  - The ready queue is two structures of POD entries (when, id, slot),
+ *    merged at pop time by the strict (when, id) order: an append-only
+ *    sorted lane taking every entry that does not precede its tail
+ *    (pre-scheduled, time-sorted arrivals), and a hand-rolled binary
+ *    min-heap taking the rest (near-future completions), which therefore
+ *    stays shallow. The monotonic id doubles as the FIFO tie-break serial
+ *    for same-timestamp events *and* as the staleness witness for
+ *    cancelled entries (an entry whose id no longer matches its pool
+ *    slot is a tombstone, skipped on pop).
+ *  - An EventId handle carries its arena slot beside the serial, so
+ *    Cancel() finds the event without any id -> slot map.
  *
  * None of this changes observable ordering: events still execute in
  * exactly (when, id) order, so event-stream digests are bit-identical
@@ -63,8 +68,9 @@ class Simulator {
   EventId ScheduleAfter(Duration delay, Callback cb);
 
   /**
-   * Cancels a pending event. Safe to call with an id that already fired
-   * or was already cancelled (both are no-ops returning false).
+   * Cancels a pending event. Safe to call with a handle whose event
+   * already fired or was already cancelled, even once its slot holds a
+   * newer event, and with kInvalidEventId (all no-ops returning false).
    */
   bool Cancel(EventId id);
 
@@ -120,8 +126,8 @@ class Simulator {
 
   /**
    * Registers event-queue consistency audits: the live-event count
-   * matches the arena scan, no pending event precedes Now(), and the
-   * cancellation index agrees with the arena.
+   * matches the arena scan, no pending event precedes Now(), the lane is
+   * sorted from its head, and every live slot is queued exactly once.
    */
   void RegisterAudits(check::InvariantRegistry& registry) const;
 
@@ -129,75 +135,59 @@ class Simulator {
   /**
    * Pooled event record. A slot whose `id` is kInvalidEventId is free
    * (linked through `next_free`); Cancel() frees the slot immediately,
-   * which implicitly tombstones the heap entry still pointing at it.
+   * which implicitly tombstones the queue entry still pointing at it.
    */
   struct Event {
     Time when = 0;
-    EventId id = kInvalidEventId;
+    EventId id = kInvalidEventId;  // The serial, without the slot bits.
     Callback callback;
     std::uint32_t next_free = kNoFreeSlot;
   };
 
-  /** Heap entry: everything a comparison or a staleness check needs. */
-  struct HeapEntry {
+  /** Queue entry: everything a comparison or a staleness check needs. */
+  struct QueueEntry {
     Time when = 0;
     EventId id = kInvalidEventId;  // Monotonic FIFO tie-break serial.
     std::uint32_t slot = 0;
   };
 
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
+  static constexpr int kSerialBits = 40;
+  static constexpr EventId kSerialMask = (EventId{1} << kSerialBits) - 1;
 
   /** Strict (when, id) ordering — same-time events run in schedule order. */
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+  static bool Before(const QueueEntry& a, const QueueEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.id < b.id;
   }
 
-  /**
-   * Flat open-addressing id -> slot map (linear probing, backward-shift
-   * deletion). Allocation-free at steady state; kInvalidEventId marks an
-   * empty cell.
-   */
-  class IdIndex {
-   public:
-    void Insert(EventId id, std::uint32_t slot);
-
-    /** Removes `id`, storing its slot. False when absent. */
-    bool Erase(EventId id, std::uint32_t* slot);
-
-    std::size_t size() const { return size_; }
-
-   private:
-    struct Cell {
-      EventId id = kInvalidEventId;
-      std::uint32_t slot = 0;
-    };
-
-    void Grow();
-
-    std::vector<Cell> cells_;
-    std::size_t size_ = 0;
-  };
+  bool IsLive(const QueueEntry& entry) const {
+    return pool_[entry.slot].id == entry.id;
+  }
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
 
-  void HeapPush(const HeapEntry& entry);
+  void HeapPush(const QueueEntry& entry);
   void HeapPopTop();
 
-  /**
-   * Discards stale heap tombstones, returning the live minimum entry
-   * (nullptr when drained). The returned pointer is invalidated by any
-   * schedule/pop.
-   */
-  const HeapEntry* PeekLive();
+  /** Advances the lane head, compacting once it passes half the lane. */
+  void LanePopFront();
 
   /**
-   * Pops the heap minimum (which must be live) and executes it:
-   * advances Now(), folds the digest, releases the slot, and invokes
-   * the callback (the callback may freely schedule or cancel).
+   * Discards tombstones at the heap top and the lane head, returning the
+   * live minimum of the two (nullptr when drained). The returned pointer
+   * is invalidated by any schedule/pop.
    */
-  void ExecuteTop();
+  const QueueEntry* PeekLive();
+
+  /**
+   * Pops `top` (PeekLive()'s answer) from the heap or the lane and
+   * executes it: advances Now(), folds the digest, releases the slot,
+   * and invokes the callback (the callback may freely schedule or
+   * cancel).
+   */
+  void ExecuteTop(const QueueEntry* top);
 
   /** Folds one executed event into the stream digest. */
   void FoldDigest(Time when, EventId id);
@@ -210,8 +200,10 @@ class Simulator {
 
   std::vector<Event> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;
-  std::vector<HeapEntry> heap_;
-  IdIndex index_;
+  std::vector<QueueEntry> heap_;
+  // Sorted by (when, id) from lane_head_; entries before it are popped.
+  std::vector<QueueEntry> lane_;
+  std::size_t lane_head_ = 0;
 };
 
 }  // namespace muxwise::sim

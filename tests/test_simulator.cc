@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "check/invariant_registry.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -148,6 +150,41 @@ TEST(SimulatorTest, CancelUnknownIdReturnsFalse) {
   EXPECT_FALSE(simulator.Cancel(12345));
 }
 
+TEST(SimulatorTest, StaleHandleOfRecycledSlotDoesNotCancelNewOccupant) {
+  Simulator simulator;
+  const EventId stale = simulator.ScheduleAt(Milliseconds(1), [] {});
+  ASSERT_TRUE(simulator.Cancel(stale));
+  bool fired = false;
+  const EventId occupant =
+      simulator.ScheduleAt(Milliseconds(1), [&] { fired = true; });
+  // The occupant reuses the freed arena slot (the handle's top 24 bits).
+  ASSERT_EQ(stale >> 40, occupant >> 40);
+  ASSERT_NE(stale, occupant);
+  EXPECT_FALSE(simulator.Cancel(stale));
+  EXPECT_FALSE(simulator.Cancel(kInvalidEventId));
+  EXPECT_FALSE(simulator.Cancel(~EventId{0}));  // Slot out of range.
+  EXPECT_EQ(simulator.PendingEvents(), 1u);
+  simulator.Run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(SimulatorTest, LaneRestartedBelowPendingHeapEntriesKeepsFifo) {
+  // The one way a heap entry can tie a later lane entry on time: the
+  // lane's tail is cancelled, everything above the heap entries drains,
+  // and the emptied lane restarts at their timestamp.
+  Simulator simulator;
+  std::vector<int> order;
+  simulator.ScheduleAt(Milliseconds(1), [&] { order.push_back(0); });
+  const EventId tail = simulator.ScheduleAt(Milliseconds(3), [] {});
+  simulator.ScheduleAt(Milliseconds(2), [&] { order.push_back(1); });
+  simulator.ScheduleAt(Milliseconds(2), [&] { order.push_back(2); });
+  ASSERT_TRUE(simulator.Cancel(tail));
+  simulator.RunUntil(Milliseconds(1));
+  simulator.ScheduleAt(Milliseconds(2), [&] { order.push_back(3); });
+  simulator.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(SimulatorTest, PendingEventsExcludesCancelled) {
   Simulator simulator;
   simulator.ScheduleAt(Milliseconds(1), [] {});
@@ -253,6 +290,90 @@ TEST(SimulatorPropertyTest, MatchesReferenceModelUnderRandomWorkload) {
                      [](const Ref& a, const Ref& b) { return a.when < b.when; });
     for (const Ref& r : live) expected.push_back(r.tag);
     EXPECT_EQ(executed, expected) << "seed " << seed;
+  }
+}
+
+/**
+ * Property test for the two ready-queue structures: a time-sorted
+ * pre-scheduled batch (with equal-time runs) fills the sorted lane while
+ * callbacks schedule near-future events that tie with it on time, cancel
+ * ~25% of all handles ever returned (fired, cancelled and pending
+ * alike), and the outer loop mixes Step, RunUntil and Run. Execution
+ * order must be the stable sort by time of everything scheduled and not
+ * cancelled, and the queue audits must hold at every pause.
+ */
+TEST(SimulatorPropertyTest, LaneAndHeapMergeMatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    Simulator simulator;
+    check::InvariantRegistry registry;
+    simulator.RegisterAudits(registry);
+    struct Ref {
+      Time when;
+      bool cancelled = false;
+      bool fired = false;
+    };
+    std::vector<Ref> reference;  // Indexed by tag, in schedule order.
+    std::vector<EventId> ids;
+    std::vector<int> executed;
+    std::function<void(Time)> schedule = [&](Time when) {
+      const int tag = static_cast<int>(reference.size());
+      reference.push_back(Ref{when});
+      ids.push_back(simulator.ScheduleAt(when, [&, tag] {
+        executed.push_back(tag);
+        reference[static_cast<std::size_t>(tag)].fired = true;
+        const std::int64_t children = tag < 1500 ? rng.UniformInt(0, 2) : 0;
+        for (std::int64_t c = 0; c < children; ++c) {
+          schedule(simulator.Now() + Milliseconds(rng.UniformInt(0, 5)));
+        }
+        if (rng.Bernoulli(0.25)) {
+          const auto victim = static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(ids.size()) - 1));
+          Ref& ref = reference[victim];
+          const bool pending = !ref.fired && !ref.cancelled;
+          EXPECT_EQ(simulator.Cancel(ids[victim]), pending)
+              << "seed " << seed << " victim " << victim;
+          ref.cancelled = ref.cancelled || pending;
+        }
+      }));
+    };
+
+    Time when = 0;
+    for (int i = 0; i < 300; ++i) {
+      when += Milliseconds(rng.UniformInt(0, 3));  // 0 extends a run.
+      schedule(when);
+    }
+    while (!simulator.Empty()) {
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          simulator.Step();
+          break;
+        case 1:
+          simulator.RunUntil(simulator.Now() +
+                             Milliseconds(rng.UniformInt(0, 4)));
+          break;
+        case 2:
+          simulator.RunUntil(
+              simulator.Now() + Milliseconds(rng.UniformInt(0, 8)),
+              static_cast<std::size_t>(rng.UniformInt(1, 6)));
+          break;
+        default:
+          simulator.Run(static_cast<std::size_t>(rng.UniformInt(1, 20)));
+          break;
+      }
+      EXPECT_TRUE(registry.RunAll().empty()) << "seed " << seed;
+    }
+
+    std::vector<int> expected;
+    for (std::size_t tag = 0; tag < reference.size(); ++tag) {
+      if (!reference[tag].cancelled) expected.push_back(static_cast<int>(tag));
+    }
+    std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
+      return reference[static_cast<std::size_t>(a)].when <
+             reference[static_cast<std::size_t>(b)].when;
+    });
+    EXPECT_EQ(executed, expected) << "seed " << seed;
+    EXPECT_GT(reference.size(), 600u) << "seed " << seed;
   }
 }
 

@@ -37,10 +37,18 @@ double NowMs() {
 /**
  * Raw event-queue throughput: `actors` self-rescheduling callbacks with
  * deterministic, distinct delays, plus schedule-then-cancel churn on
- * every 8th firing so the cancellation path stays on the profile.
+ * every 8th firing so the cancellation path stays on the profile. With
+ * `preloaded` > 0 the actors churn under that many time-sorted no-op
+ * arrivals scheduled up front, 500 ns apart — the queue shape of a
+ * replayed trace, whose frontend pre-schedules every arrival.
  */
-OneRun DriveEvents(std::size_t target_events, int actors) {
+OneRun DriveEvents(std::size_t target_events, int actors,
+                   std::size_t preloaded) {
   sim::Simulator simulator;
+  for (std::size_t i = 0; i < preloaded; ++i) {
+    simulator.ScheduleAt(
+        sim::Nanoseconds(1000 + 500 * static_cast<std::int64_t>(i)), [] {});
+  }
   std::size_t fired = 0;
   std::vector<std::function<void()>> bodies(
       static_cast<std::size_t>(actors));
@@ -326,6 +334,7 @@ std::vector<std::string> SimcoreBenchNames() {
       "simcore.acceptance",
       "overload.goodput",
       "fleet.goodput",
+      "simcore.preloaded",
   };
 }
 
@@ -333,7 +342,13 @@ BenchResult RunSimcoreBench(const std::string& name,
                             const SimcoreOptions& options) {
   if (name == "simcore.events") {
     const std::size_t target = options.smoke ? 200'000 : 2'000'000;
-    return Measure(name, options, [target] { return DriveEvents(target, 64); });
+    return Measure(name, options,
+                   [target] { return DriveEvents(target, 64, 0); });
+  }
+  if (name == "simcore.preloaded") {
+    const std::size_t target = options.smoke ? 200'000 : 2'000'000;
+    return Measure(name, options,
+                   [target] { return DriveEvents(target, 64, 20'000); });
   }
   if (name == "simcore.storm") {
     const std::size_t rounds = options.smoke ? 400 : 4'000;

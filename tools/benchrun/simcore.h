@@ -53,6 +53,9 @@ struct SimcoreOptions {
  *                       1/2/4 replicas, with and without a mid-run
  *                       replica crash; digests fold attained goodput
  *                       and the re-home/shed counters
+ *   simcore.preloaded   simcore.events' actors churning under 20k
+ *                       time-sorted arrivals scheduled up front (a
+ *                       replayed trace's queue shape)
  */
 std::vector<std::string> SimcoreBenchNames();
 

@@ -77,15 +77,15 @@ const std::vector<LineRule>& LineRules() {
            R"(\b(system_clock|steady_clock|high_resolution_clock|file_clock|utc_clock)\b|\b(strftime|mktime|timegm|clock)\s*\(|\bstruct\s+(timespec|timeval)\b|\bCLOCK_[A-Z_]+\b|__rdtsc)"),
        "",
        {"src/obs", "tools/trace2json", "tools/tracecap"}},
-      // The event queue is an index-stable binary heap over a pooled
-      // arena with monotonic tie-break ids (FIFO within a tick). A
-      // std::priority_queue — almost always instantiated with a lambda
-      // comparator — reintroduces the comparator-call-heavy slow path
-      // and loses the documented same-tick ordering contract.
+      // The event queue is a sorted lane beside a binary heap, both
+      // over a pooled arena with monotonic tie-break ids (FIFO within a
+      // tick). A std::priority_queue — almost always instantiated with a
+      // lambda comparator — reintroduces the comparator-call-heavy slow
+      // path and loses the documented same-tick ordering contract.
       {"priority-queue",
        "std::priority_queue (lambda-comparator event queues) is banned "
        "in the simulation substrate; schedule through sim::Simulator's "
-       "pooled binary heap, which guarantees FIFO same-tick ordering",
+       "pooled event queue, which guarantees FIFO same-tick ordering",
        std::regex(R"(std::priority_queue\b)"),
        "",
        {"src/sim", "src/gpu"}},
