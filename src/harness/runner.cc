@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -479,6 +481,57 @@ DeterminismReport CompareRuns(const RunOutcome& first,
   }
   report.deterministic = report.mismatch.empty();
   return report;
+}
+
+RunCheck CheckRun(const RunOutcome& outcome,
+                  const std::function<RunOutcome()>& rerun) {
+  RunCheck check;
+  if (!outcome.stable) {
+    check.failures.push_back(
+        "unstable: " + (outcome.diagnostic.empty()
+                            ? std::string("drained only after the drain "
+                                          "horizon")
+                            : outcome.diagnostic));
+  }
+  if (outcome.split.total() != outcome.total) {
+    check.failures.push_back(
+        "terminal ledger unbalanced: attained " +
+        std::to_string(outcome.split.attained) + " + timed_out " +
+        std::to_string(outcome.split.timed_out) + " + shed " +
+        std::to_string(outcome.split.shed) + " + failed " +
+        std::to_string(outcome.split.failed) + " != total " +
+        std::to_string(outcome.total));
+  }
+  if (!outcome.ttft_subsample_ms.empty()) {
+    check.ttft_p50_exact_ms =
+        serve::Percentile(outcome.ttft_subsample_ms, 0.5);
+    check.ttft_p99_exact_ms =
+        serve::Percentile(outcome.ttft_subsample_ms, 0.99);
+    const auto accuracy = [&check](const char* label, double sketch,
+                                   double exact_ms, double tolerance) {
+      const double relative =
+          std::abs(sketch - exact_ms) / std::max(std::abs(exact_ms), 1e-9);
+      if (relative <= tolerance) return;
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "%s accuracy: sketch %.3f ms vs exact %.3f ms "
+                    "(%.2f%% > %.2f%% tolerance)",
+                    label, sketch, exact_ms, relative * 100.0,
+                    tolerance * 100.0);
+      check.failures.push_back(buf);
+    };
+    accuracy("p50", outcome.ttft.p50_ms, check.ttft_p50_exact_ms,
+             kSketchP50Tolerance);
+    accuracy("p99", outcome.ttft.p99_ms, check.ttft_p99_exact_ms,
+             kSketchP99Tolerance);
+  }
+  if (rerun && check.ok()) {
+    const DeterminismReport report = CompareRuns(outcome, rerun());
+    if (!report.deterministic) {
+      check.failures.push_back("double run diverged: " + report.mismatch);
+    }
+  }
+  return check;
 }
 
 GoodputResult SweepGoodput(EngineKind kind,

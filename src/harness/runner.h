@@ -381,6 +381,42 @@ struct DeterminismReport {
 DeterminismReport CompareRuns(const RunOutcome& first,
                               const RunOutcome& second);
 
+/**
+ * Tolerances of CheckRun's sketch-accuracy property: the largest
+ * relative error of the full-population TTFT sketch's p50 / p99
+ * against the exact quantiles of the run's 1-in-K subsample. The
+ * subsample is itself a random draw from the same population, so they
+ * bound sketch quantization and sampling noise together.
+ */
+inline constexpr double kSketchP50Tolerance = 0.05;
+inline constexpr double kSketchP99Tolerance = 0.10;
+
+/** Verdict of CheckRun. */
+struct RunCheck {
+  /** One line per failed property, in check order; empty on a pass. */
+  std::vector<std::string> failures;
+
+  /** Exact p50 / p99 (ms) of the run's TTFT subsample; 0 without one. */
+  double ttft_p50_exact_ms = 0.0;
+  double ttft_p99_exact_ms = 0.0;
+
+  bool ok() const { return failures.empty(); }
+};
+
+/**
+ * The one property checker for scenario runs. A run passes when
+ *   - it is stable (an unstable run names its reason);
+ *   - its terminal ledger balances: split.total() == total;
+ *   - when it carries an exact 1-in-K TTFT subsample, the sketch's
+ *     p50 / p99 agree with the subsample's within kSketchP50Tolerance /
+ *     kSketchP99Tolerance;
+ *   - when `rerun` is given, a second run of the same scenario matches
+ *     it under CompareRuns. The rerun is skipped once a property above
+ *     has already failed.
+ */
+RunCheck CheckRun(const RunOutcome& outcome,
+                  const std::function<RunOutcome()>& rerun = nullptr);
+
 /** Runs the trace back-to-back on two fresh simulators and compares the
  * runs (CompareRuns). */
 DeterminismReport VerifyDeterminism(

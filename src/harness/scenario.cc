@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "gpu/gpu_spec.h"
-#include "harness/json.h"
 #include "llm/model_config.h"
+#include "sim/json.h"
 #include "sim/logging.h"
 
 namespace muxwise::harness {
@@ -908,15 +908,16 @@ workload::Trace BuildScenarioTrace(const ScenarioSpec& spec) {
   return workload::MergeTraces(spec.name, std::move(parts));
 }
 
-RunOutcome RunScenario(const ScenarioSpec& spec) {
+RunOutcome RunScenario(const ScenarioSpec& spec, obs::TraceRecorder* trace) {
   const serve::Deployment deployment = MakeDeployment(spec);
+  RunConfig config = spec.config;
+  if (trace != nullptr) config.trace = trace;
   if (spec.IsStreaming()) {
     return RunStreamingWorkload(spec.engine, deployment, *spec.streaming,
-                                &CachedEstimator(spec), spec.config);
+                                &CachedEstimator(spec), config);
   }
-  const workload::Trace trace = BuildScenarioTrace(spec);
-  return RunWorkload(spec.engine, deployment, trace, &CachedEstimator(spec),
-                     spec.config);
+  return RunWorkload(spec.engine, deployment, BuildScenarioTrace(spec),
+                     &CachedEstimator(spec), config);
 }
 
 }  // namespace muxwise::harness

@@ -148,9 +148,12 @@ workload::Trace BuildScenarioTrace(const ScenarioSpec& spec);
  * Contention estimators are profiled once per (model, gpu, num_gpus)
  * and cached for the process lifetime, so matrix runs re-use them
  * across repeats. The cache is guarded, so concurrent runs may share
- * it.
+ * it. A non-null `trace` recorder is attached as RunConfig::trace;
+ * tracing never changes the event stream, so the outcome is the same
+ * with or without one.
  */
-RunOutcome RunScenario(const ScenarioSpec& spec);
+RunOutcome RunScenario(const ScenarioSpec& spec,
+                       obs::TraceRecorder* trace = nullptr);
 
 }  // namespace muxwise::harness
 

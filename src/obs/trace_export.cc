@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/json.h"
+
 namespace muxwise::obs {
 
 namespace {
@@ -98,36 +100,6 @@ std::string ValueString(double v) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderChromeJson(const std::vector<std::string>& tracks,
                              const std::vector<std::string>& names,
                              const std::vector<TraceEvent>& events) {
@@ -143,7 +115,7 @@ std::string RenderChromeJson(const std::vector<std::string>& tracks,
     sep();
     out << R"({"ph":"M","pid":0,"tid":)" << t
         << R"(,"name":"thread_name","args":{"name":")"
-        << JsonEscape(tracks[t]) << "\"}}";
+        << json::Escape(tracks[t]) << "\"}}";
   }
   for (const TraceEvent& e : events) {
     const std::string& name =
@@ -154,26 +126,26 @@ std::string RenderChromeJson(const std::vector<std::string>& tracks,
       case EventKind::kSpanEnd:
         out << R"({"ph":")" << (e.kind == EventKind::kSpanBegin ? 'B' : 'E')
             << R"(","pid":0,"tid":)" << e.track << R"(,"ts":)"
-            << MicrosString(e.time) << R"(,"name":")" << JsonEscape(name)
+            << MicrosString(e.time) << R"(,"name":")" << json::Escape(name)
             << R"(","args":{"id":)" << e.id << R"(,"value":)"
             << ValueString(e.value) << "}}";
         break;
       case EventKind::kInstant:
         out << R"({"ph":"i","s":"t","pid":0,"tid":)" << e.track
             << R"(,"ts":)" << MicrosString(e.time) << R"(,"name":")"
-            << JsonEscape(name) << R"(","args":{"id":)" << e.id
+            << json::Escape(name) << R"(","args":{"id":)" << e.id
             << R"(,"value":)" << ValueString(e.value) << "}}";
         break;
       case EventKind::kCounter:
         out << R"({"ph":"C","pid":0,"tid":)" << e.track << R"(,"ts":)"
-            << MicrosString(e.time) << R"(,"name":")" << JsonEscape(name)
+            << MicrosString(e.time) << R"(,"name":")" << json::Escape(name)
             << R"(","args":{"value":)" << ValueString(e.value) << "}}";
         break;
       case EventKind::kComplete:
         out << R"({"ph":"X","pid":0,"tid":)" << e.track << R"(,"ts":)"
             << MicrosString(e.time) << R"(,"dur":)"
             << MicrosString(static_cast<sim::Time>(e.value))
-            << R"(,"name":")" << JsonEscape(name) << R"(","args":{"id":)"
+            << R"(,"name":")" << json::Escape(name) << R"(","args":{"id":)"
             << e.id << "}}";
         break;
     }

@@ -1,11 +1,11 @@
-#include "harness/json.h"
+#include "sim/json.h"
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
-namespace muxwise::harness::json {
+namespace muxwise::json {
 
 namespace {
 
@@ -331,9 +331,10 @@ Value Obj() {
   return out;
 }
 
-Value Arr() {
+Value Arr(std::vector<Value> items) {
   Value out;
   out.type = Value::Type::kArray;
+  out.array = std::move(items);
   return out;
 }
 
@@ -362,4 +363,4 @@ bool GetBool(const Value* v, bool fallback) {
                                                        : fallback;
 }
 
-}  // namespace muxwise::harness::json
+}  // namespace muxwise::json

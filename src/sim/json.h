@@ -1,18 +1,20 @@
-#ifndef MUXWISE_HARNESS_JSON_H_
-#define MUXWISE_HARNESS_JSON_H_
+#ifndef MUXWISE_SIM_JSON_H_
+#define MUXWISE_SIM_JSON_H_
 
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace muxwise::harness::json {
+namespace muxwise::json {
 
 /**
- * Minimal JSON value model + recursive-descent parser, shared by every
- * consumer of the repo's JSON artifacts (benchrun reports, scenario
- * files, smoke-gate outcomes). Scoped to what those documents contain —
- * objects, arrays, strings, doubles, bools, null — deliberately not a
- * general-purpose library.
+ * Minimal JSON value model, recursive-descent parser and writer, shared
+ * by every reader and writer of the repo's JSON documents (scenario
+ * files, bench reports, run artifacts, chaos repros, lint reports,
+ * Chrome trace export). It sits in the lowest band and depends on
+ * nothing, so any layer or tool may link it. Scoped to what those
+ * documents contain — objects, arrays, strings, doubles, bools, null —
+ * deliberately not a general-purpose library.
  */
 struct Value {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -53,7 +55,7 @@ Value Num(double v);
 Value Str(const std::string& s);
 Value Bool(bool b);
 Value Obj();
-Value Arr();
+Value Arr(std::vector<Value> items = {});
 
 /** Sets `key` on an object, replacing an existing member in place (so
  * its position is kept) or appending a new one. */
@@ -66,6 +68,6 @@ double GetNumber(const Value* v, double fallback = 0.0);
 std::string GetString(const Value* v, const std::string& fallback = "");
 bool GetBool(const Value* v, bool fallback = false);
 
-}  // namespace muxwise::harness::json
+}  // namespace muxwise::json
 
-#endif  // MUXWISE_HARNESS_JSON_H_
+#endif  // MUXWISE_SIM_JSON_H_

@@ -1,12 +1,12 @@
-#include "benchrun/report.h"
+#include "muxwise/report.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "benchrun/simcore.h"
+#include "muxwise/simcore.h"
 
-namespace muxwise::benchrun {
+namespace muxwise::cli {
 namespace {
 
 BenchResult MakeBench(const std::string& name, double wall_ms,
@@ -182,8 +182,8 @@ TEST(MedianTest, HandlesOddEvenAndEmpty) {
 }
 
 TEST(SimcoreBenchTest, SmokeRepetitionsAreEventIdenticalAndDigestStable) {
-  // benchrun's repetition self-check: repetitions of the storm bench
-  // redo identical simulated work, so event counts and digests must
+  // The bench driver's repetition self-check: repetitions of the storm
+  // bench redo identical simulated work, so event counts and digests must
   // agree rep to rep (RunSimcoreBench flags any drift via ok/note).
   SimcoreOptions options;
   options.smoke = true;
@@ -207,4 +207,4 @@ TEST(SimcoreBenchTest, UnknownBenchNameReportsFailure) {
 }
 
 }  // namespace
-}  // namespace muxwise::benchrun
+}  // namespace muxwise::cli

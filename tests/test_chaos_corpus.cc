@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "chaosfuzz/fuzz.h"
+#include "muxwise/check.h"
 
-namespace muxwise::chaosfuzz {
+namespace muxwise::cli {
 namespace {
 
 namespace fs = std::filesystem;
@@ -18,8 +18,8 @@ namespace fs = std::filesystem;
  * plus per-kind grey-failure coverage, so each one must pass all chaos
  * properties (stable drain, ledger balance, double-run bit-identity,
  * clean audits) — any violation or crash here is a regression. CI also
- * replays the corpus via `chaosfuzz --replay`; this test keeps the
- * gate in plain `ctest` runs too.
+ * replays the corpus via `muxwise check`; this test keeps the gate in
+ * plain `ctest` runs too.
  */
 
 std::vector<fs::path> CorpusFiles() {
@@ -52,10 +52,10 @@ TEST(ChaosCorpusTest, CorpusIsPresentAndCoversEveryGreyKind) {
 TEST(ChaosCorpusTest, EveryEntryReplaysClean) {
   for (const fs::path& file : CorpusFiles()) {
     SCOPED_TRACE(file.filename().string());
-    const Verdict verdict = ReplayFile(file.string());
+    const Verdict verdict = CheckFile(file.string());
     EXPECT_EQ(verdict.result, Verdict::Result::kPass) << verdict.detail;
   }
 }
 
 }  // namespace
-}  // namespace muxwise::chaosfuzz
+}  // namespace muxwise::cli

@@ -1,4 +1,4 @@
-#include "chaosfuzz/fuzz.h"
+#include "muxwise/fuzz.h"
 
 #include <gtest/gtest.h>
 
@@ -6,15 +6,15 @@
 #include <string>
 
 #include "fault/fault_plan.h"
-#include "harness/json.h"
 #include "harness/scenario.h"
+#include "sim/json.h"
 #include "sim/time.h"
 
-namespace muxwise::chaosfuzz {
+namespace muxwise::cli {
 namespace {
 
 std::string PlanFingerprint(const fault::FaultPlan& plan) {
-  return harness::json::Dump(PlanToJson(plan));
+  return json::Dump(PlanToJson(plan));
 }
 
 // A compact but complete scenario document the repro tests graft fault
@@ -38,10 +38,10 @@ constexpr char kBaseScenario[] = R"({
   }
 })";
 
-harness::json::Value ParseBaseDoc() {
-  harness::json::Value doc;
+json::Value ParseBaseDoc() {
+  json::Value doc;
   std::string error;
-  EXPECT_TRUE(harness::json::Parse(kBaseScenario, doc, error)) << error;
+  EXPECT_TRUE(json::Parse(kBaseScenario, doc, error)) << error;
   return doc;
 }
 
@@ -131,7 +131,7 @@ fault::FaultPlan AllKindsPlan() {
 }
 
 TEST(ReproTest, MakeReproTextIsByteDeterministic) {
-  const harness::json::Value doc = ParseBaseDoc();
+  const json::Value doc = ParseBaseDoc();
   const fault::FaultPlan plan = AllKindsPlan();
   const std::string a = MakeReproText(doc, plan, "repro-bytes");
   const std::string b = MakeReproText(doc, plan, "repro-bytes");
@@ -139,7 +139,7 @@ TEST(ReproTest, MakeReproTextIsByteDeterministic) {
 }
 
 TEST(ReproTest, AllSevenKindsRoundTripThroughTheScenarioDsl) {
-  const harness::json::Value doc = ParseBaseDoc();
+  const json::Value doc = ParseBaseDoc();
   const fault::FaultPlan plan = AllKindsPlan();
   const std::string text = MakeReproText(doc, plan, "repro-roundtrip");
 
@@ -155,7 +155,7 @@ TEST(ReproTest, AllSevenKindsRoundTripThroughTheScenarioDsl) {
 }
 
 TEST(ReproTest, GeneratedPlansSurviveTheRoundTripExactly) {
-  const harness::json::Value doc = ParseBaseDoc();
+  const json::Value doc = ParseBaseDoc();
   PlanShape shape;
   shape.max_faults = 6;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -272,4 +272,4 @@ TEST(ShrinkTest, KeepsOnlyTheFailingMemberOfAnInteractingPair) {
 }
 
 }  // namespace
-}  // namespace muxwise::chaosfuzz
+}  // namespace muxwise::cli

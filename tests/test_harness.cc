@@ -135,5 +135,79 @@ TEST_F(HarnessTest, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a.tbt.p99_ms, b.tbt.p99_ms);
 }
 
+/** A synthetic outcome that passes every CheckRun property. */
+RunOutcome BalancedOutcome() {
+  RunOutcome o;
+  o.total = 10;
+  o.completed = 10;
+  o.split.attained = 8;
+  o.split.shed = 2;
+  o.event_digest = 0x1234;
+  o.executed_events = 99;
+  return o;
+}
+
+TEST(CheckRunTest, BalancedStableRunPassesAndMatchingRerunPasses) {
+  const RunOutcome o = BalancedOutcome();
+  EXPECT_TRUE(CheckRun(o).ok());
+  EXPECT_TRUE(CheckRun(o, [&o] { return o; }).ok());
+}
+
+TEST(CheckRunTest, UnstableRunNamesItsReasonAndSkipsTheRerun) {
+  RunOutcome o = BalancedOutcome();
+  o.stable = false;
+  bool reran = false;
+  RunCheck check = CheckRun(o, [&] {
+    reran = true;
+    return o;
+  });
+  ASSERT_EQ(check.failures.size(), 1u);
+  EXPECT_EQ(check.failures[0],
+            "unstable: drained only after the drain horizon");
+  EXPECT_FALSE(reran);
+
+  o.diagnostic = "event budget exhausted";
+  check = CheckRun(o);
+  ASSERT_EQ(check.failures.size(), 1u);
+  EXPECT_EQ(check.failures[0], "unstable: event budget exhausted");
+}
+
+TEST(CheckRunTest, UnbalancedLedgerFails) {
+  RunOutcome o = BalancedOutcome();
+  o.split.failed = 1;  // 11 terminal states for 10 requests.
+  const RunCheck check = CheckRun(o);
+  ASSERT_EQ(check.failures.size(), 1u);
+  EXPECT_NE(check.failures[0].find("terminal ledger unbalanced"),
+            std::string::npos)
+      << check.failures[0];
+}
+
+TEST(CheckRunTest, DivergentRerunFails) {
+  const RunOutcome o = BalancedOutcome();
+  RunOutcome other = o;
+  other.executed_events = 100;
+  const RunCheck check = CheckRun(o, [&other] { return other; });
+  ASSERT_EQ(check.failures.size(), 1u);
+  EXPECT_NE(check.failures[0].find("double run diverged"), std::string::npos)
+      << check.failures[0];
+}
+
+TEST(CheckRunTest, SketchMustAgreeWithTheExactSubsample) {
+  RunOutcome o = BalancedOutcome();
+  for (int i = 1; i <= 100; ++i) o.ttft_subsample_ms.push_back(i);
+  o.ttft.p50_ms = 50.5 * 1.04;  // Within the 5% p50 tolerance.
+  o.ttft.p99_ms = 99.01;
+  RunCheck check = CheckRun(o);
+  EXPECT_TRUE(check.ok());
+  EXPECT_DOUBLE_EQ(check.ttft_p50_exact_ms, 50.5);
+  EXPECT_DOUBLE_EQ(check.ttft_p99_exact_ms, 99.01);
+
+  o.ttft.p99_ms = 99.01 * 1.11;  // Past the 10% p99 tolerance.
+  check = CheckRun(o);
+  ASSERT_EQ(check.failures.size(), 1u);
+  EXPECT_EQ(check.failures[0].rfind("p99 accuracy", 0), 0u)
+      << check.failures[0];
+}
+
 }  // namespace
 }  // namespace muxwise::harness

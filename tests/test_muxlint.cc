@@ -226,10 +226,10 @@ TEST(MuxlintTest, FlagsWallClockNamesInTraceLayer) {
       Lint("src/obs/trace.cc", "using clock_t2 = std::chrono::system_clock;\n"),
       "trace-wall-clock"));
   EXPECT_TRUE(HasRule(
-      Lint("tools/trace2json/main.cc", "std::int64_t t = clock();\n"),
+      Lint("tools/muxwise/trace.cc", "std::int64_t t = clock();\n"),
       "trace-wall-clock"));
   EXPECT_TRUE(HasRule(
-      Lint("tools/tracecap/main.cc",
+      Lint("tools/muxwise/trace.cc",
            "clock_gettime(CLOCK_MONOTONIC, &ts);\n"),
       "trace-wall-clock"));
 }
@@ -241,6 +241,12 @@ TEST(MuxlintTest, TraceWallClockScopedToTraceCode) {
       Lint("src/serve/foo.cc", "// mentions steady_clock by name\n"
                                "int steady_clock_like = 0;\n");
   EXPECT_FALSE(HasRule(r, "trace-wall-clock"));
+  // The CLI's bench subcommand times wall clock on purpose; only the
+  // trace subcommand's source is in scope.
+  EXPECT_FALSE(HasRule(
+      Lint("tools/muxwise/simcore.cc",
+           "const auto t = chr::steady_clock::now();\n"),
+      "trace-wall-clock"));
 }
 
 TEST(MuxlintTest, FlagsPriorityQueueInSimulationSubstrate) {
@@ -565,7 +571,7 @@ TEST(MuxlintTest, LayeringFlagsObsIncludingServe) {
 TEST(MuxlintTest, LayeringOnlyAppliesToSrcModules) {
   // Tools and tests may include anything.
   EXPECT_FALSE(HasRule(
-      Lint("tools/benchrun/main.cc", "#include \"harness/runner.h\"\n"),
+      Lint("tools/muxwise/bench.cc", "#include \"harness/runner.h\"\n"),
       "layering"));
   EXPECT_FALSE(HasRule(
       Lint("tests/test_foo.cc", "#include \"core/muxwise_engine.h\"\n"),

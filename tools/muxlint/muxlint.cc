@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 
+#include "sim/json.h"
+
 namespace muxwise::muxlint {
 
 namespace {
@@ -76,7 +78,7 @@ const std::vector<LineRule>& LineRules() {
        std::regex(
            R"(\b(system_clock|steady_clock|high_resolution_clock|file_clock|utc_clock)\b|\b(strftime|mktime|timegm|clock)\s*\(|\bstruct\s+(timespec|timeval)\b|\bCLOCK_[A-Z_]+\b|__rdtsc)"),
        "",
-       {"src/obs", "tools/trace2json", "tools/tracecap"}},
+       {"src/obs", "tools/muxwise/trace.cc"}},
       // The event queue is a sorted lane beside a binary heap, both
       // over a pooled arena with monotonic tie-break ids (FIFO within a
       // tick). A std::priority_queue — almost always instantiated with a
@@ -358,36 +360,6 @@ void CollectInstanceKeys(const std::string& code, FunctionRegion& region) {
   for (auto it = abegin; it != std::sregex_iterator(); ++it) {
     region.instance_keys.insert("added#" + std::to_string(region.synthetic++));
   }
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 bool InAnyScope(const std::string& path,
@@ -836,95 +808,99 @@ std::string FormatText(const LintReport& report) {
 }
 
 std::string FormatJson(const LintReport& report) {
-  std::ostringstream out;
-  out << "{\n  \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& f = report.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"file\": \"" << JsonEscape(f.file) << "\", \"line\": "
-        << f.line << ", \"rule\": \"" << JsonEscape(f.rule)
-        << "\", \"message\": \"" << JsonEscape(f.message)
-        << "\", \"excerpt\": \"" << JsonEscape(f.excerpt) << "\"}";
+  json::Value findings = json::Arr();
+  for (const Finding& f : report.findings) {
+    json::Value entry = json::Obj();
+    json::SetKey(entry, "file", json::Str(f.file));
+    json::SetKey(entry, "line", json::Num(f.line));
+    json::SetKey(entry, "rule", json::Str(f.rule));
+    json::SetKey(entry, "message", json::Str(f.message));
+    json::SetKey(entry, "excerpt", json::Str(f.excerpt));
+    findings.array.push_back(std::move(entry));
   }
-  if (!report.findings.empty()) out << "\n  ";
-  out << "],\n";
-  out << "  \"suppressed\": " << report.suppressed << ",\n";
-  out << "  \"suppressed_by_rule\": {";
-  {
-    bool first = true;
-    for (const auto& [rule, count] : report.suppressed_by_rule) {
-      out << (first ? "" : ", ") << "\"" << JsonEscape(rule)
-          << "\": " << count;
-      first = false;
-    }
+  json::Value by_rule = json::Obj();
+  for (const auto& [rule, count] : report.suppressed_by_rule) {
+    json::SetKey(by_rule, rule, json::Num(static_cast<double>(count)));
   }
-  out << "},\n";
-  out << "  \"baselined\": " << report.baselined << ",\n";
-  out << "  \"errors\": [";
-  for (std::size_t i = 0; i < report.errors.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << JsonEscape(report.errors[i])
-        << "\"";
+  json::Value errors = json::Arr();
+  for (const std::string& error : report.errors) {
+    errors.array.push_back(json::Str(error));
   }
-  out << "],\n";
-  out << "  \"files_scanned\": " << report.files_scanned << "\n}\n";
-  return out.str();
+  json::Value root = json::Obj();
+  json::SetKey(root, "findings", std::move(findings));
+  json::SetKey(root, "suppressed",
+               json::Num(static_cast<double>(report.suppressed)));
+  json::SetKey(root, "suppressed_by_rule", std::move(by_rule));
+  json::SetKey(root, "baselined",
+               json::Num(static_cast<double>(report.baselined)));
+  json::SetKey(root, "errors", std::move(errors));
+  json::SetKey(root, "files_scanned",
+               json::Num(static_cast<double>(report.files_scanned)));
+  return json::Dump(root) + "\n";
 }
 
 std::string FormatSarif(const LintReport& report) {
-  std::ostringstream out;
-  out << "{\n"
-         "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-         "  \"version\": \"2.1.0\",\n"
-         "  \"runs\": [\n"
-         "    {\n"
-         "      \"tool\": {\n"
-         "        \"driver\": {\n"
-         "          \"name\": \"muxlint\",\n"
-         "          \"informationUri\": "
-         "\"https://example.invalid/muxwise/tools/muxlint\",\n"
-         "          \"rules\": [";
-  const std::vector<RuleInfo> rules = Rules();
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    out << "            {\"id\": \"" << JsonEscape(rules[i].name)
-        << "\", \"shortDescription\": {\"text\": \""
-        << JsonEscape(rules[i].summary) << "\"}}";
+  const auto text = [](const std::string& message) {
+    json::Value v = json::Obj();
+    json::SetKey(v, "text", json::Str(message));
+    return v;
+  };
+  json::Value rules = json::Arr();
+  for (const RuleInfo& rule : Rules()) {
+    json::Value entry = json::Obj();
+    json::SetKey(entry, "id", json::Str(rule.name));
+    json::SetKey(entry, "shortDescription", text(rule.summary));
+    rules.array.push_back(std::move(entry));
   }
-  out << "\n          ]\n"
-         "        }\n"
-         "      },\n"
-         "      \"results\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& f = report.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "        {\"ruleId\": \"" << JsonEscape(f.rule)
-        << "\", \"level\": \"error\", \"message\": {\"text\": \""
-        << JsonEscape(f.message) << "\"}, \"locations\": [{"
-        << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-        << JsonEscape(RepoRelative(f.file)) << "\"}, \"region\": {"
-        << "\"startLine\": " << f.line << "}}}]}";
+  json::Value results = json::Arr();
+  for (const Finding& f : report.findings) {
+    json::Value artifact = json::Obj();
+    json::SetKey(artifact, "uri", json::Str(RepoRelative(f.file)));
+    json::Value region = json::Obj();
+    json::SetKey(region, "startLine", json::Num(f.line));
+    json::Value physical = json::Obj();
+    json::SetKey(physical, "artifactLocation", std::move(artifact));
+    json::SetKey(physical, "region", std::move(region));
+    json::Value location = json::Obj();
+    json::SetKey(location, "physicalLocation", std::move(physical));
+    json::Value entry = json::Obj();
+    json::SetKey(entry, "ruleId", json::Str(f.rule));
+    json::SetKey(entry, "level", json::Str("error"));
+    json::SetKey(entry, "message", text(f.message));
+    json::SetKey(entry, "locations", json::Arr({std::move(location)}));
+    results.array.push_back(std::move(entry));
   }
-  if (!report.findings.empty()) out << "\n      ";
-  out << "],\n"
-         "      \"invocations\": [\n"
-         "        {\n"
-         "          \"executionSuccessful\": "
-      << (report.errors.empty() ? "true" : "false")
-      << ",\n          \"toolExecutionNotifications\": [";
-  for (std::size_t i = 0; i < report.errors.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    out << "            {\"level\": \"error\", \"message\": {\"text\": \""
-        << JsonEscape(report.errors[i]) << "\"}}";
+  json::Value notifications = json::Arr();
+  for (const std::string& error : report.errors) {
+    json::Value entry = json::Obj();
+    json::SetKey(entry, "level", json::Str("error"));
+    json::SetKey(entry, "message", text(error));
+    notifications.array.push_back(std::move(entry));
   }
-  if (!report.errors.empty()) out << "\n          ";
-  out << "]\n"
-         "        }\n"
-         "      ]\n"
-         "    }\n"
-         "  ]\n"
-         "}\n";
-  return out.str();
+  json::Value invocation = json::Obj();
+  json::SetKey(invocation, "executionSuccessful",
+               json::Bool(report.errors.empty()));
+  json::SetKey(invocation, "toolExecutionNotifications",
+               std::move(notifications));
+
+  json::Value driver = json::Obj();
+  json::SetKey(driver, "name", json::Str("muxlint"));
+  json::SetKey(driver, "informationUri",
+               json::Str("https://example.invalid/muxwise/tools/muxlint"));
+  json::SetKey(driver, "rules", std::move(rules));
+  json::Value tool = json::Obj();
+  json::SetKey(tool, "driver", std::move(driver));
+  json::Value run = json::Obj();
+  json::SetKey(run, "tool", std::move(tool));
+  json::SetKey(run, "results", std::move(results));
+  json::SetKey(run, "invocations", json::Arr({std::move(invocation)}));
+
+  json::Value root = json::Obj();
+  json::SetKey(root, "$schema",
+               json::Str("https://json.schemastore.org/sarif-2.1.0.json"));
+  json::SetKey(root, "version", json::Str("2.1.0"));
+  json::SetKey(root, "runs", json::Arr({std::move(run)}));
+  return json::Dump(root) + "\n";
 }
 
 }  // namespace muxwise::muxlint

@@ -1,25 +1,18 @@
-#include "chaosfuzz/fuzz.h"
+#include "muxwise/fuzz.h"
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 #include "harness/runner.h"
+#include "muxwise/cli.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
-namespace muxwise::chaosfuzz {
+namespace muxwise::cli {
 
-namespace json = harness::json;
 using json::Arr;
 using json::Bool;
 using json::Num;
@@ -262,96 +255,6 @@ std::string MakeReproText(const json::Value& base_doc,
   return json::Dump(doc) + "\n";
 }
 
-// ---------------------------------------------------------------------------
-// Property checking, fork-isolated.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-Verdict CheckScenarioInProcess(const harness::ScenarioSpec& spec) {
-  Verdict v;
-  const harness::RunOutcome first = harness::RunScenario(spec);
-  if (!first.stable) {
-    v.result = Verdict::Result::kViolation;
-    v.detail = "unstable: " + first.diagnostic;
-    return v;
-  }
-  if (first.split.total() != first.total) {
-    v.result = Verdict::Result::kViolation;
-    v.detail = "terminal ledger unbalanced: attained " +
-               std::to_string(first.split.attained) + " + timed_out " +
-               std::to_string(first.split.timed_out) + " + shed " +
-               std::to_string(first.split.shed) + " + failed " +
-               std::to_string(first.split.failed) + " != total " +
-               std::to_string(first.total);
-    return v;
-  }
-  const harness::DeterminismReport report =
-      harness::CompareRuns(first, harness::RunScenario(spec));
-  if (!report.deterministic) {
-    v.result = Verdict::Result::kViolation;
-    v.detail = "double run diverged: " + report.mismatch;
-  }
-  return v;
-}
-
-}  // namespace
-
-Verdict CheckScenario(const harness::ScenarioSpec& spec) {
-#if defined(__unix__) || defined(__APPLE__)
-  int fds[2];
-  if (pipe(fds) != 0) return CheckScenarioInProcess(spec);
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return CheckScenarioInProcess(spec);
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    // Silence the child: a violated invariant audit panics loudly
-    // before aborting, and a campaign runs hundreds of children.
-    const int devnull = open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      dup2(devnull, 1);
-      dup2(devnull, 2);
-    }
-    const Verdict v = CheckScenarioInProcess(spec);
-    if (!v.detail.empty()) {
-      ssize_t ignored =
-          write(fds[1], v.detail.data(), v.detail.size());
-      (void)ignored;
-    }
-    close(fds[1]);
-    _exit(v.result == Verdict::Result::kPass ? 0 : 1);
-  }
-  close(fds[1]);
-  std::string detail;
-  char buf[512];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
-    detail.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  Verdict v;
-  if (WIFEXITED(status)) {
-    if (WEXITSTATUS(status) == 0) return v;
-    v.result = Verdict::Result::kViolation;
-    v.detail = detail.empty() ? "property violation" : detail;
-    return v;
-  }
-  v.result = Verdict::Result::kCrash;
-  v.detail = "child terminated by signal " +
-             std::to_string(WIFSIGNALED(status) ? WTERMSIG(status) : -1) +
-             " (invariant panic or crash; replay the repro for details)";
-  return v;
-#else
-  return CheckScenarioInProcess(spec);
-#endif
-}
-
 Verdict CheckPlan(const json::Value& base_doc, const fault::FaultPlan& plan) {
   const std::string text = MakeReproText(base_doc, plan, "chaosfuzz-candidate");
   const harness::ScenarioParseResult parsed =
@@ -362,7 +265,7 @@ Verdict CheckPlan(const json::Value& base_doc, const fault::FaultPlan& plan) {
     v.detail = parsed.error;
     return v;
   }
-  return CheckScenario(*parsed.spec);
+  return CheckScenario(*parsed.spec, "chaosfuzz-candidate");
 }
 
 // ---------------------------------------------------------------------------
@@ -424,6 +327,20 @@ void ShrinkWindow(fault::FaultPlan& best, sim::Time from, sim::Time to,
   }
 }
 
+/** ShrinkWindow on every entry of one window kind, in order. */
+template <typename T>
+void NarrowPass(std::vector<T> fault::FaultPlan::* member,
+                fault::FaultPlan& best, const auto& fails) {
+  for (std::size_t i = 0; i < (best.*member).size(); ++i) {
+    ShrinkWindow(best, (best.*member)[i].from, (best.*member)[i].to,
+                 [member, i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
+                   (p.*member)[i].from = f;
+                   (p.*member)[i].to = t;
+                 },
+                 fails);
+  }
+}
+
 /** Moves one magnitude toward its identity while the failure holds. */
 template <typename Get, typename Set>
 void SoftenMagnitude(fault::FaultPlan& best, double identity, const Get& get,
@@ -465,55 +382,12 @@ ShrinkResult ShrinkWith(const fault::FaultPlan& plan,
   }
 
   // Pass 2: narrow the surviving windows.
-  for (std::size_t i = 0; i < best.stragglers.size(); ++i) {
-    ShrinkWindow(best, best.stragglers[i].from, best.stragglers[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.stragglers[i].from = f;
-                   p.stragglers[i].to = t;
-                 },
-                 fails);
-  }
-  for (std::size_t i = 0; i < best.transfer_faults.size(); ++i) {
-    ShrinkWindow(best, best.transfer_faults[i].from,
-                 best.transfer_faults[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.transfer_faults[i].from = f;
-                   p.transfer_faults[i].to = t;
-                 },
-                 fails);
-  }
-  for (std::size_t i = 0; i < best.zombies.size(); ++i) {
-    ShrinkWindow(best, best.zombies[i].from, best.zombies[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.zombies[i].from = f;
-                   p.zombies[i].to = t;
-                 },
-                 fails);
-  }
-  for (std::size_t i = 0; i < best.flaps.size(); ++i) {
-    ShrinkWindow(best, best.flaps[i].from, best.flaps[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.flaps[i].from = f;
-                   p.flaps[i].to = t;
-                 },
-                 fails);
-  }
-  for (std::size_t i = 0; i < best.degrades.size(); ++i) {
-    ShrinkWindow(best, best.degrades[i].from, best.degrades[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.degrades[i].from = f;
-                   p.degrades[i].to = t;
-                 },
-                 fails);
-  }
-  for (std::size_t i = 0; i < best.partitions.size(); ++i) {
-    ShrinkWindow(best, best.partitions[i].from, best.partitions[i].to,
-                 [i](fault::FaultPlan& p, sim::Time f, sim::Time t) {
-                   p.partitions[i].from = f;
-                   p.partitions[i].to = t;
-                 },
-                 fails);
-  }
+  NarrowPass(&fault::FaultPlan::stragglers, best, fails);
+  NarrowPass(&fault::FaultPlan::transfer_faults, best, fails);
+  NarrowPass(&fault::FaultPlan::zombies, best, fails);
+  NarrowPass(&fault::FaultPlan::flaps, best, fails);
+  NarrowPass(&fault::FaultPlan::degrades, best, fails);
+  NarrowPass(&fault::FaultPlan::partitions, best, fails);
 
   // Pass 3: soften magnitudes toward their identity.
   for (std::size_t i = 0; i < best.stragglers.size(); ++i) {
@@ -578,20 +452,8 @@ ShrinkResult Shrink(const json::Value& base_doc,
 }
 
 // ---------------------------------------------------------------------------
-// Campaign and replay drivers.
+// Campaign driver and the `fuzz` subcommand.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return true;
-}
-
-}  // namespace
 
 CampaignResult RunCampaign(const std::string& scenario_path,
                            const CampaignOptions& options, std::FILE* log) {
@@ -634,13 +496,11 @@ CampaignResult RunCampaign(const std::string& scenario_path,
     failure.seed = seed;
     failure.verdict = verdict;
     fault::FaultPlan minimized = plan;
-    if (options.shrink) {
-      ShrinkResult shrunk = Shrink(doc, plan);
-      failure.shrink_attempts = shrunk.attempts;
-      if (shrunk.verdict.Failed()) {
-        minimized = std::move(shrunk.plan);
-        failure.verdict = shrunk.verdict;
-      }
+    ShrinkResult shrunk = Shrink(doc, plan);
+    failure.shrink_attempts = shrunk.attempts;
+    if (shrunk.verdict.Failed()) {
+      minimized = std::move(shrunk.plan);
+      failure.verdict = shrunk.verdict;
     }
     const std::string repro_name =
         parsed.spec->name + "-chaos-seed" + std::to_string(seed);
@@ -659,15 +519,28 @@ CampaignResult RunCampaign(const std::string& scenario_path,
   return result;
 }
 
-Verdict ReplayFile(const std::string& path) {
-  const harness::ScenarioParseResult parsed = harness::LoadScenarioFile(path);
-  if (!parsed.ok()) {
-    Verdict v;
-    v.result = Verdict::Result::kInvalid;
-    v.detail = parsed.error;
-    return v;
+int FuzzCommand(const std::vector<std::string>& args) {
+  FlagSet flags("fuzz", args);
+  CampaignOptions options;
+  options.runs = flags.Count("runs", options.runs, 1);
+  options.seed = flags.Count("seed", options.seed);
+  options.shape.max_faults =
+      flags.Count("max-faults", options.shape.max_faults, 1);
+  options.out_dir = flags.String("out-dir", options.out_dir);
+  if (!flags.Done(1, 1,
+                  "muxwise fuzz SCENARIO [--runs=N] [--seed=S] "
+                  "[--max-faults=K] [--out-dir=D]")) {
+    return 2;
   }
-  return CheckScenario(*parsed.spec);
+  const CampaignResult result =
+      RunCampaign(flags.positional()[0], options, stdout);
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "muxwise fuzz: %s\n", result.error.c_str());
+    return 2;
+  }
+  std::printf("%zu/%zu runs passed\n", result.runs - result.failures.size(),
+              result.runs);
+  return result.failures.empty() ? 0 : 1;
 }
 
-}  // namespace muxwise::chaosfuzz
+}  // namespace muxwise::cli

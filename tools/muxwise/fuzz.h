@@ -1,5 +1,5 @@
-#ifndef MUXWISE_TOOLS_CHAOSFUZZ_FUZZ_H_
-#define MUXWISE_TOOLS_CHAOSFUZZ_FUZZ_H_
+#ifndef MUXWISE_TOOLS_MUXWISE_FUZZ_H_
+#define MUXWISE_TOOLS_MUXWISE_FUZZ_H_
 
 #include <cstdint>
 #include <cstdio>
@@ -8,24 +8,24 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "harness/json.h"
-#include "harness/scenario.h"
+#include "muxwise/check.h"
+#include "sim/json.h"
 
-namespace muxwise::chaosfuzz {
+namespace muxwise::cli {
 
 /**
  * Deterministic property-based chaos campaign over the scenario DSL.
  *
  * A campaign crosses seeded random FaultPlans (all seven fault kinds)
  * with a base scenario file and checks every run against the repo's
- * robustness properties: the run drains, every request reaches exactly
- * one terminal state (ledger balance), a double run is bit-identical,
- * and the end-of-run invariant audits hold (a violated audit panics,
- * which the fork-isolated checker reports as a crash). A failing plan
- * is shrunk — drop faults, narrow windows, soften magnitudes, binary-
+ * robustness properties through CheckScenario: harness::CheckRun's
+ * property set (stable drain, ledger balance, double-run identity),
+ * plus the end-of-run invariant audits (a violated audit panics, which
+ * the fork-isolated checker reports as a crash). A failing plan is
+ * shrunk — drop faults, narrow windows, soften magnitudes, binary-
  * search onsets — to a minimal still-failing plan, and emitted as a
- * self-contained scenario JSON repro that `chaosfuzz --replay` (and
- * the checked-in tests/chaos_corpus/ regression suite) re-runs.
+ * self-contained scenario JSON repro that `muxwise check` (and the
+ * checked-in tests/chaos_corpus/ regression suite) re-runs.
  *
  * Everything is seed-determined: the same seed yields the same plans,
  * the same verdicts, and a byte-identical minimized repro.
@@ -53,40 +53,16 @@ struct PlanShape {
 fault::FaultPlan GeneratePlan(std::uint64_t seed, const PlanShape& shape);
 
 /** The plan as a scenario-DSL "faults" object (empty arrays omitted). */
-harness::json::Value PlanToJson(const fault::FaultPlan& plan);
+json::Value PlanToJson(const fault::FaultPlan& plan);
 
 /**
  * Self-contained repro: `base_doc` (a parsed scenario object) with its
  * "name" and "faults" members replaced. Deterministic serialization —
  * the byte-identity the regression corpus relies on.
  */
-std::string MakeReproText(const harness::json::Value& base_doc,
+std::string MakeReproText(const json::Value& base_doc,
                           const fault::FaultPlan& plan,
                           const std::string& name);
-
-struct Verdict {
-  enum class Result {
-    kPass = 0,
-    kViolation = 1,  // A property failed; `detail` says which.
-    kCrash = 2,      // Invariant panic / signal in the child.
-    kInvalid = 3,    // Plan did not survive the DSL round-trip.
-  };
-  Result result = Result::kPass;
-  std::string detail;
-
-  bool Failed() const {
-    return result == Result::kViolation || result == Result::kCrash;
-  }
-};
-
-/**
- * Runs `spec` in a forked child (POSIX; in-process elsewhere) and
- * checks the chaos properties: stable drain, ledger balance
- * (split.total() == total), and double-run digest equality. Audit
- * panics abort the child and come back as kCrash. The child's stdio is
- * silenced; replay a repro to see the underlying diagnostics.
- */
-Verdict CheckScenario(const harness::ScenarioSpec& spec);
 
 /**
  * Round-trips `plan` through the scenario DSL against `base_doc`
@@ -94,7 +70,7 @@ Verdict CheckScenario(const harness::ScenarioSpec& spec);
  * point: a verdict earned here is a verdict the emitted repro file
  * reproduces byte-for-byte.
  */
-Verdict CheckPlan(const harness::json::Value& base_doc,
+Verdict CheckPlan(const json::Value& base_doc,
                   const fault::FaultPlan& plan);
 
 struct ShrinkResult {
@@ -125,7 +101,7 @@ ShrinkResult ShrinkWith(const fault::FaultPlan& plan,
  * is reproducible from its emitted JSON. `verdict` carries the
  * minimized plan's (still-failing) verdict.
  */
-ShrinkResult Shrink(const harness::json::Value& base_doc,
+ShrinkResult Shrink(const json::Value& base_doc,
                     const fault::FaultPlan& plan);
 
 struct CampaignOptions {
@@ -133,7 +109,6 @@ struct CampaignOptions {
   std::size_t runs = 50;
   PlanShape shape;
   std::string out_dir = ".";  // Where minimized repros are written.
-  bool shrink = true;
 };
 
 struct CampaignFailure {
@@ -161,13 +136,6 @@ struct CampaignResult {
 CampaignResult RunCampaign(const std::string& scenario_path,
                            const CampaignOptions& options, std::FILE* log);
 
-/**
- * Replays one repro/corpus scenario file: parse and CheckScenario.
- * Corpus entries are minimized repros of *fixed* bugs, so replay must
- * pass — a failure here is a regression.
- */
-Verdict ReplayFile(const std::string& path);
+}  // namespace muxwise::cli
 
-}  // namespace muxwise::chaosfuzz
-
-#endif  // MUXWISE_TOOLS_CHAOSFUZZ_FUZZ_H_
+#endif  // MUXWISE_TOOLS_MUXWISE_FUZZ_H_

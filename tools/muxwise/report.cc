@@ -1,16 +1,16 @@
-#include "benchrun/report.h"
+#include "muxwise/report.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <thread>
+#include <utility>
 
-#include "harness/json.h"
+#include "muxwise/cli.h"
 #include "sim/hash.h"
+#include "sim/json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -19,26 +19,11 @@
 #include <sched.h>
 #endif
 
-namespace muxwise::benchrun {
+namespace muxwise::cli {
 
-namespace {
-
-// JSON parsing/escaping comes from the shared harness::json library;
-// the aliases keep this file's call sites unchanged.
-using JsonValue = harness::json::Value;
-using harness::json::GetNumber;
-using harness::json::GetString;
-const auto& JsonEscape = harness::json::Escape;
-
+using json::GetNumber;
+using json::GetString;
 using sim::HexDigest;
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 MachineInfo MachineInfo::Detect() {
   MachineInfo info;
@@ -77,51 +62,44 @@ MachineInfo MachineInfo::Detect() {
 }
 
 std::string ToJson(const BenchReport& report) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema_version\": " << report.schema_version << ",\n";
-  out << "  \"suite\": \"" << JsonEscape(report.suite) << "\",\n";
-  out << "  \"repeat\": " << report.repeat << ",\n";
-  out << "  \"machine\": {\n";
-  out << "    \"host\": \"" << JsonEscape(report.machine.host) << "\",\n";
-  out << "    \"compiler\": \"" << JsonEscape(report.machine.compiler)
-      << "\",\n";
-  out << "    \"build_type\": \"" << JsonEscape(report.machine.build_type)
-      << "\",\n";
-  out << "    \"cpus\": " << report.machine.cpus << ",\n";
-  out << "    \"hw_threads\": " << report.machine.hw_threads << "\n";
-  out << "  },\n";
-  out << "  \"benches\": [";
-  for (std::size_t i = 0; i < report.benches.size(); ++i) {
-    const BenchResult& b = report.benches[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\n";
-    out << "      \"name\": \"" << JsonEscape(b.name) << "\",\n";
-    out << "      \"ok\": " << (b.ok ? "true" : "false") << ",\n";
-    out << "      \"wall_ms\": [";
-    for (std::size_t j = 0; j < b.wall_ms.size(); ++j) {
-      out << (j == 0 ? "" : ", ") << FormatDouble(b.wall_ms[j]);
-    }
-    out << "],\n";
-    out << "      \"wall_ms_median\": " << FormatDouble(b.wall_ms_median)
-        << ",\n";
-    out << "      \"sim_events\": " << b.sim_events << ",\n";
-    out << "      \"events_per_sec\": " << FormatDouble(b.events_per_sec)
-        << ",\n";
-    out << "      \"digest\": \"" << HexDigest(b.digest) << "\",\n";
-    out << "      \"note\": \"" << JsonEscape(b.note) << "\"\n";
-    out << "    }";
+  using json::Num;
+  using json::SetKey;
+  using json::Str;
+  json::Value machine = json::Obj();
+  SetKey(machine, "host", Str(report.machine.host));
+  SetKey(machine, "compiler", Str(report.machine.compiler));
+  SetKey(machine, "build_type", Str(report.machine.build_type));
+  SetKey(machine, "cpus", Num(report.machine.cpus));
+  SetKey(machine, "hw_threads", Num(report.machine.hw_threads));
+  json::Value benches = json::Arr();
+  for (const BenchResult& b : report.benches) {
+    json::Value wall = json::Arr();
+    for (const double ms : b.wall_ms) wall.array.push_back(Num(ms));
+    json::Value entry = json::Obj();
+    SetKey(entry, "name", Str(b.name));
+    SetKey(entry, "ok", json::Bool(b.ok));
+    SetKey(entry, "wall_ms", std::move(wall));
+    SetKey(entry, "wall_ms_median", Num(b.wall_ms_median));
+    SetKey(entry, "sim_events", Num(static_cast<double>(b.sim_events)));
+    SetKey(entry, "events_per_sec", Num(b.events_per_sec));
+    SetKey(entry, "digest", Str(HexDigest(b.digest)));
+    SetKey(entry, "note", Str(b.note));
+    benches.array.push_back(std::move(entry));
   }
-  if (!report.benches.empty()) out << "\n  ";
-  out << "]\n}\n";
-  return out.str();
+  json::Value root = json::Obj();
+  SetKey(root, "schema_version", Num(report.schema_version));
+  SetKey(root, "suite", Str(report.suite));
+  SetKey(root, "repeat", Num(report.repeat));
+  SetKey(root, "machine", std::move(machine));
+  SetKey(root, "benches", std::move(benches));
+  return json::Dump(root) + "\n";
 }
 
-bool FromJson(const std::string& json, BenchReport& report,
+bool FromJson(const std::string& text, BenchReport& report,
               std::string& error) {
-  JsonValue root;
-  if (!harness::json::Parse(json, root, error)) return false;
-  if (root.type != JsonValue::Type::kObject) {
+  json::Value root;
+  if (!json::Parse(text, root, error)) return false;
+  if (root.type != json::Value::Type::kObject) {
     error = "report root is not an object";
     return false;
   }
@@ -135,8 +113,8 @@ bool FromJson(const std::string& json, BenchReport& report,
   report.schema_version = version;
   report.suite = GetString(root.Find("suite"));
   report.repeat = static_cast<int>(GetNumber(root.Find("repeat")));
-  if (const JsonValue* machine = root.Find("machine");
-      machine != nullptr && machine->type == JsonValue::Type::kObject) {
+  if (const json::Value* machine = root.Find("machine");
+      machine != nullptr && machine->type == json::Value::Type::kObject) {
     report.machine.host = GetString(machine->Find("host"));
     report.machine.compiler = GetString(machine->Find("compiler"));
     report.machine.build_type = GetString(machine->Find("build_type"));
@@ -147,13 +125,13 @@ bool FromJson(const std::string& json, BenchReport& report,
         static_cast<int>(GetNumber(machine->Find("hw_threads")));
   }
   report.benches.clear();
-  const JsonValue* benches = root.Find("benches");
-  if (benches == nullptr || benches->type != JsonValue::Type::kArray) {
+  const json::Value* benches = root.Find("benches");
+  if (benches == nullptr || benches->type != json::Value::Type::kArray) {
     error = "report has no benches array";
     return false;
   }
-  for (const JsonValue& entry : benches->array) {
-    if (entry.type != JsonValue::Type::kObject) {
+  for (const json::Value& entry : benches->array) {
+    if (entry.type != json::Value::Type::kObject) {
       error = "bench entry is not an object";
       return false;
     }
@@ -163,11 +141,11 @@ bool FromJson(const std::string& json, BenchReport& report,
       error = "bench entry without a name";
       return false;
     }
-    const JsonValue* ok = entry.Find("ok");
-    b.ok = ok == nullptr || ok->type != JsonValue::Type::kBool || ok->boolean;
-    if (const JsonValue* wall = entry.Find("wall_ms");
-        wall != nullptr && wall->type == JsonValue::Type::kArray) {
-      for (const JsonValue& v : wall->array) b.wall_ms.push_back(v.number);
+    const json::Value* ok = entry.Find("ok");
+    b.ok = ok == nullptr || ok->type != json::Value::Type::kBool || ok->boolean;
+    if (const json::Value* wall = entry.Find("wall_ms");
+        wall != nullptr && wall->type == json::Value::Type::kArray) {
+      for (const json::Value& v : wall->array) b.wall_ms.push_back(v.number);
     }
     b.wall_ms_median = GetNumber(entry.Find("wall_ms_median"));
     b.sim_events =
@@ -186,14 +164,12 @@ bool FromJson(const std::string& json, BenchReport& report,
 
 bool LoadReport(const std::string& path, BenchReport& report,
                 std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, text)) {
     error = "cannot open " + path;
     return false;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return FromJson(buffer.str(), report, error);
+  return FromJson(text, report, error);
 }
 
 bool SaveReport(const std::string& path, const BenchReport& report) {
@@ -267,4 +243,4 @@ DiffResult DiffReports(const BenchReport& base, const BenchReport& candidate,
   return result;
 }
 
-}  // namespace muxwise::benchrun
+}  // namespace muxwise::cli

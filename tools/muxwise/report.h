@@ -1,12 +1,12 @@
-#ifndef MUXWISE_TOOLS_BENCHRUN_REPORT_H_
-#define MUXWISE_TOOLS_BENCHRUN_REPORT_H_
+#ifndef MUXWISE_TOOLS_MUXWISE_REPORT_H_
+#define MUXWISE_TOOLS_MUXWISE_REPORT_H_
 
 #include <string>
 #include <vector>
 
-#include "benchrun/simcore.h"
+#include "muxwise/simcore.h"
 
-namespace muxwise::benchrun {
+namespace muxwise::cli {
 
 /** Host/toolchain metadata stamped into every report. */
 struct MachineInfo {
@@ -34,7 +34,7 @@ struct MachineInfo {
 };
 
 /**
- * A full benchrun report: schema-versioned so `benchdiff` can refuse
+ * A full bench report: schema-versioned so `muxwise bench --diff` can refuse
  * files it does not understand instead of mis-diffing them.
  */
 struct BenchReport {
@@ -54,7 +54,7 @@ std::string ToJson(const BenchReport& report);
  * Parses a report previously produced by ToJson. Returns false (with
  * `error` set) on malformed input or a schema-version mismatch.
  */
-bool FromJson(const std::string& json, BenchReport& report,
+bool FromJson(const std::string& text, BenchReport& report,
               std::string& error);
 
 /** Reads and parses a report file. */
@@ -64,7 +64,7 @@ bool LoadReport(const std::string& path, BenchReport& report,
 /** Writes a report file. Returns false on I/O failure. */
 bool SaveReport(const std::string& path, const BenchReport& report);
 
-/** Knobs for DiffReports (the `benchdiff` gate). */
+/** Knobs for DiffReports (the `muxwise bench --diff` gate). */
 struct DiffOptions {
   /** Fail when candidate median wall time exceeds base by this factor. */
   double wall_regression_threshold = 0.10;
@@ -94,6 +94,6 @@ struct DiffResult {
 DiffResult DiffReports(const BenchReport& base, const BenchReport& candidate,
                        const DiffOptions& options = DiffOptions());
 
-}  // namespace muxwise::benchrun
+}  // namespace muxwise::cli
 
-#endif  // MUXWISE_TOOLS_BENCHRUN_REPORT_H_
+#endif  // MUXWISE_TOOLS_MUXWISE_REPORT_H_

@@ -1,4 +1,4 @@
-#include "benchrun/simcore.h"
+#include "muxwise/simcore.h"
 
 #include <algorithm>
 #include <chrono>
@@ -20,7 +20,7 @@
 #include "sim/time.h"
 #include "workload/datasets.h"
 
-namespace muxwise::benchrun {
+namespace muxwise::cli {
 
 namespace {
 
@@ -143,8 +143,9 @@ OneRun DriveLaunches(std::size_t target_launches) {
 
 /**
  * End-to-end acceptance scenario: every serving engine replays the
- * standard ShareGPT trace (the tracecap scenario, scaled). Digest folds
- * each engine's event-stream digest and event count in a fixed order.
+ * standard ShareGPT trace (scenarios/acceptance_sharegpt.json,
+ * scaled). Digest folds each engine's event-stream digest and event
+ * count in a fixed order.
  */
 OneRun DriveAcceptance(int num_requests) {
   static const serve::Deployment deployment = serve::Deployment::Make(
@@ -381,4 +382,4 @@ BenchResult RunSimcoreBench(const std::string& name,
   return unknown;
 }
 
-}  // namespace muxwise::benchrun
+}  // namespace muxwise::cli

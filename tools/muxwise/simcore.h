@@ -1,12 +1,12 @@
-#ifndef MUXWISE_TOOLS_BENCHRUN_SIMCORE_H_
-#define MUXWISE_TOOLS_BENCHRUN_SIMCORE_H_
+#ifndef MUXWISE_TOOLS_MUXWISE_SIMCORE_H_
+#define MUXWISE_TOOLS_MUXWISE_SIMCORE_H_
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-namespace muxwise::benchrun {
+namespace muxwise::cli {
 
 /**
  * One measured benchmark: per-repetition wall times plus the
@@ -86,6 +86,6 @@ BenchResult Measure(const std::string& name, const SimcoreOptions& options,
 /** Median of `samples` (by copy; 0.0 for empty input). */
 double Median(std::vector<double> samples);
 
-}  // namespace muxwise::benchrun
+}  // namespace muxwise::cli
 
-#endif  // MUXWISE_TOOLS_BENCHRUN_SIMCORE_H_
+#endif  // MUXWISE_TOOLS_MUXWISE_SIMCORE_H_
