@@ -63,6 +63,35 @@ void BM_RadixTreeEviction(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixTreeEviction)->Arg(1024);
 
+// The shape of a stream of short single-turn requests with no prefix
+// reuse: tens of thousands of single-span leaves under the root, and per
+// request a lookup miss, an insert, an unpin and one LRU eviction.
+void BM_RadixTreeStreamChurn(benchmark::State& state) {
+  sim::Rng rng(1);
+  kv::RadixTree tree;
+  kv::TokenSeq prompt(1);
+  std::int64_t stream = 0;
+  sim::Time now = 0;
+  const auto next_prompt = [&] {
+    prompt[0] = {++stream, 0, rng.UniformInt(8, 128)};
+    ++now;
+  };
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    next_prompt();
+    auto [added, lock] = tree.InsertAndLock(prompt, now);
+    tree.Unlock(lock);
+  }
+  for (auto _ : state) {
+    next_prompt();
+    benchmark::DoNotOptimize(tree.MatchAndLock(prompt, now).matched_tokens);
+    auto [added, lock] = tree.InsertAndLock(prompt, now);
+    tree.Unlock(lock);
+    benchmark::DoNotOptimize(tree.EvictLru(1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RadixTreeStreamChurn)->Arg(34000);
+
 void BM_GpuConcurrentKernels(benchmark::State& state) {
   const gpu::GpuSpec spec = gpu::GpuSpec::A100();
   for (auto _ : state) {

@@ -92,6 +92,30 @@ TEST(MuxlintTest, AllowsValueOrIdKeyedUnorderedContainers) {
   EXPECT_FALSE(HasRule(r, "ptr-key-container"));
 }
 
+TEST(MuxlintTest, FlagsPointerKeyedOrderedContainers) {
+  // An ordered container keyed by pointer is in address order too.
+  for (const char* line :
+       {"std::set<std::pair<sim::Time, Node*>> evictable_;\n",
+        "std::map<const Node*, int> depth_;\n",
+        "std::multiset<Request*> queue_;\n",
+        "std::multimap<std::pair<int, Node*>, int, Cmp> order_;\n",
+        "std::unordered_map<std::pair<int, Node*>, int, H> index_;\n"}) {
+    EXPECT_TRUE(HasRule(Lint("src/foo.h", line), "ptr-key-container"))
+        << line;
+  }
+}
+
+TEST(MuxlintTest, AllowsOrderedContainersWithPointersOnlyInTheValue) {
+  const LintReport r = Lint(
+      "src/foo.cc",
+      "std::map<std::size_t, std::vector<const CrashEvent*>> by_step;\n"
+      "std::map<std::string, const BenchResult*> by_name;\n"
+      "std::set<std::pair<sim::Time, std::uint64_t>> order_;\n"
+      "std::map<std::pair<int, int>, std::unique_ptr<Node>> children;\n"
+      "std::set<int> ids; Node* first = nullptr;\n");
+  EXPECT_FALSE(HasRule(r, "ptr-key-container"));
+}
+
 TEST(MuxlintTest, FlagsFloatingPointSimTime) {
   EXPECT_TRUE(HasRule(
       Lint("src/foo.cc", "double completion_time = 0.0;\n"),

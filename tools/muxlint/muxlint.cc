@@ -38,11 +38,15 @@ const std::vector<LineRule>& LineRules() {
        "from a named sim::Rng stream",
        std::regex(R"(\b(rand|srand|rand_r|drand48)\s*\(|std::random_device|std::mt19937|std::minstd_rand|std::default_random_engine)"),
        "sim/rng"},
+      // The key is the first template argument: a run of top-level
+      // characters other than `,` and brackets, or of one-level nested
+      // template arguments (so `std::pair<sim::Time, Node*>` counts as
+      // one key). A `*` anywhere in it flags the container; a pointer in
+      // the mapped value does not.
       {"ptr-key-container",
-       "pointer-keyed unordered container iterates in address order, "
-       "which differs across runs; key by a stable id or use an ordered "
-       "container",
-       std::regex(R"(unordered_map\s*<\s*[^,<>]*\*[^,<>]*,|unordered_set\s*<\s*[^<>]*\*[^<>]*>)"),
+       "pointer-keyed container orders or hashes by address, which "
+       "differs across runs; key by a stable id or serial",
+       std::regex(R"(\b(std::)?(unordered_)?(multi)?(set|map)\s*<(?:[^<>,*]|<[^<>*]*>)*(\*|<[^<>]*\*))"),
        ""},
       {"float-sim-time",
        "simulated time must use sim::Time / sim::Duration (integer "
