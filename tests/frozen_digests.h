@@ -3,10 +3,12 @@
 
 #include <cstdint>
 
+#include "fault/fault_plan.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/time.h"
 #include "workload/datasets.h"
 
 namespace muxwise::tests {
@@ -49,6 +51,72 @@ inline serve::Deployment FrozenDeployment() {
 /** The trace the frozen digests were recorded against. */
 inline workload::Trace FrozenTrace() {
   return workload::GenerateTrace(workload::Dataset::kShareGpt, 30, 2.0, 901);
+}
+
+/**
+ * The fault-path table: every engine's shed, deadline-reap and
+ * crash-retry paths, recorded before the request ledger moved into
+ * fault::FaultAwareEngine and enforced by test_chaos.cc. The frozen
+ * table above is fault-free, so without this one no digest covers a
+ * baseline's recovery triage. `overload` rows run MuxWise-family
+ * engines under overload control, where admission comes from the
+ * class controller and gated requests are reaped too.
+ */
+struct FaultPathDigest {
+  harness::EngineKind kind;
+  bool overload;
+  std::uint64_t event_digest;
+  std::size_t executed_events;
+  std::uint64_t outcome_digest;
+};
+
+inline constexpr FaultPathDigest kFaultPathDigests[] = {
+    {harness::EngineKind::kMuxWise, false, 0xefa8918660b699a5ull, 27353,
+     0x90fda8c4fab690b2ull},
+    {harness::EngineKind::kChunked, false, 0x3ea4aa555a54dc0full, 24741,
+     0x112ac5357c44f8f9ull},
+    {harness::EngineKind::kNanoFlow, false, 0xf0a5172faa5969c7ull, 49166,
+     0xe8240b24e1f0d3ffull},
+    {harness::EngineKind::kSglangPd, false, 0xb1c97140455d1d94ull, 25525,
+     0x1ae7b4280f80122bull},
+    {harness::EngineKind::kLoongServe, false, 0xed4911bb0b0d243dull, 15641,
+     0x4f49bdf93672ca51ull},
+    {harness::EngineKind::kWindServe, false, 0x923dd5adffa69ae6ull, 43121,
+     0x1895be9357643e63ull},
+    {harness::EngineKind::kTemporal, false, 0xc37ab92f1a252867ull, 33414,
+     0xb89161f468221edfull},
+    {harness::EngineKind::kMuxWise, true, 0xd096a21c688647caull, 26456,
+     0x1969e1f0f00129beull},
+    {harness::EngineKind::kWindServe, true, 0x0f8cc4dc3a50f6bdull, 45212,
+     0xddd886483e6716bfull},
+    {harness::EngineKind::kTemporal, true, 0x57d719be2975452dull, 36555,
+     0x3f9ec1bfde6d20c4ull},
+};
+
+/** The multi-turn trace the fault-path digests were recorded against. */
+inline workload::Trace FaultPathTrace() {
+  return workload::GenerateTrace(workload::Dataset::kConversation, 400, 4.0,
+                                 780);
+}
+
+/**
+ * The fault-path run: two crashes of domain 0 and one of domain 1, a
+ * retry budget of one, deadlines at twice the SLO and a shed threshold
+ * low enough that every engine sheds, reaps, retries and fails work.
+ */
+inline harness::RunConfig FaultPathConfig(bool overload) {
+  harness::RunConfig config;
+  fault::FaultPlan plan;
+  plan.Crash(0, sim::Seconds(20), sim::Seconds(22))
+      .Crash(0, sim::Seconds(40), sim::Seconds(42))
+      .Crash(1, sim::Seconds(60), sim::Seconds(62));
+  config.fault_plan = plan;
+  config.recovery.max_crash_retries = 1;
+  config.recovery.ttft_deadline_factor = 2.0;
+  config.recovery.tpot_deadline_factor = 2.0;
+  config.recovery.shed_demand_factor = 0.05;
+  config.overload.enabled = overload;
+  return config;
 }
 
 }  // namespace muxwise::tests

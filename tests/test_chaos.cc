@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/fault_plan.h"
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
@@ -115,6 +118,40 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// --- Fault-path digests, pinned before the ledger refactor. ---
+//
+// Shedding, deadline reaping and crash retry are one triage for every
+// engine; this table pins each engine's outcome on a shape that walks
+// all of them, so moving the triage between layers cannot move a
+// single event. The split counts are asserted too, so the shape cannot
+// silently stop covering a path.
+TEST(ChaosFaultPathTest, EveryEngineFaultPathMatchesPinnedDigests) {
+  const serve::Deployment deployment = tests::FrozenDeployment();
+  const core::ContentionEstimator estimator =
+      core::ContentionEstimator::BuildOffline(deployment);
+  const workload::Trace trace = tests::FaultPathTrace();
+  for (const tests::FaultPathDigest& expect : tests::kFaultPathDigests) {
+    const RunOutcome o =
+        RunWorkload(expect.kind, deployment, trace, &estimator,
+                    tests::FaultPathConfig(expect.overload));
+    const std::string label = std::string(EngineKindName(expect.kind)) +
+                              (expect.overload ? " +overload" : "");
+    EXPECT_TRUE(o.stable) << label;
+    EXPECT_TRUE(o.diagnostic.empty()) << label << ": " << o.diagnostic;
+    EXPECT_EQ(o.split.total(), o.total) << label;
+    EXPECT_GT(o.split.attained, 0u) << label;
+    EXPECT_GT(o.split.timed_out, 0u) << label;
+    EXPECT_GT(o.split.shed, 0u) << label;
+    EXPECT_GT(o.split.failed, 0u) << label;
+    if (expect.overload) {
+      EXPECT_GT(o.overload_mode_transitions, 0u) << label;
+    }
+    EXPECT_EQ(o.event_digest, expect.event_digest) << label;
+    EXPECT_EQ(o.executed_events, expect.executed_events) << label;
+    EXPECT_EQ(OutcomeDigest(o), expect.outcome_digest) << label;
+  }
+}
 
 }  // namespace
 }  // namespace muxwise::harness
