@@ -46,35 +46,15 @@ gpu::Kernel LoongServeEngine::GroupKernel(const gpu::Kernel& per_gpu,
 }
 
 void LoongServeEngine::Enqueue(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) {
-    if (ShedNow(waiting_demand_ + DemandTokens(*request), pool_capacity_)) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
-  }
-  ++in_flight_;
+  if (!Admit(request, ShedNow(*request, pool_capacity_))) return;
   waiting_.push_back(std::move(request));
   PumpPrefill();
 }
 
-void LoongServeEngine::OnDeadline(std::int64_t id) {
-  // Only waiting requests are reaped; admitted work runs to completion.
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*request);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
+std::unique_ptr<serve::Request> LoongServeEngine::TakeUnstarted(
+    std::int64_t id, bool& queued) {
+  queued = true;
+  return TakeById(waiting_, id);
 }
 
 void LoongServeEngine::PumpPrefill() {
@@ -100,7 +80,7 @@ void LoongServeEngine::PumpPrefill() {
     req.reserved_tokens = need;
     req.phase = serve::Phase::kPrefill;
     req.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(req);
+    DequeueDemand(req);
     work.push_back(llm::SeqWork{req.spec->input_tokens, 0});
     batch_tokens += req.spec->input_tokens;
     prefill_batch_.push_back(std::move(waiting_.front()));
@@ -146,13 +126,9 @@ void LoongServeEngine::OnPrefillBatchDone() {
   for (auto& req : batch) {
     req->EmitToken(now);
     if (req->DecodeFinished()) {
-      req->phase = serve::Phase::kDone;
-      req->completion = now;
-      req->outcome = serve::Outcome::kCompleted;
+      Retire(*req, serve::Outcome::kCompleted);
       pool_used_ -= req->reserved_tokens;
       req->reserved_tokens = 0;
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
       completed.push_back(std::move(req));
     } else {
       req->phase = serve::Phase::kDecode;
@@ -251,14 +227,10 @@ void LoongServeEngine::OnDecodeIterationDone() {
   for (auto& req : decoding_) {
     req->EmitToken(now);
     if (req->DecodeFinished()) {
-      req->phase = serve::Phase::kDone;
-      req->completion = now;
-      req->outcome = serve::Outcome::kCompleted;
+      Retire(*req, serve::Outcome::kCompleted);
       // KV released immediately — the adaptivity/reuse trade-off.
       pool_used_ -= req->reserved_tokens;
       req->reserved_tokens = 0;
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
       completed.push_back(std::move(req));
     } else {
       still.push_back(std::move(req));
@@ -291,30 +263,13 @@ void LoongServeEngine::InjectCrash(std::size_t domain) {
   for (auto& req : decoding_) lost.push_back(std::move(req));
   decoding_.clear();
 
-  std::vector<std::unique_ptr<serve::Request>> dead;
-  std::vector<std::unique_ptr<serve::Request>> requeue;
   for (auto& req : lost) {
     pool_used_ -= req->reserved_tokens;
     req->reserved_tokens = 0;
-    if (!PrepareRetry(*req)) {
-      MarkTerminal(*req, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(req));
-    } else if (DeadlinePassed(*req)) {
-      MarkTerminal(*req, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(req));
-    } else {
-      waiting_demand_ += DemandTokens(*req);
-      requeue.push_back(std::move(req));
-    }
   }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(std::move(*it));
+  for (auto& req : Recycle(std::move(lost), waiting_)) {
+    NotifyComplete(std::move(req));
   }
-  for (auto& req : dead) NotifyComplete(std::move(req));
 }
 
 void LoongServeEngine::InjectRecovery(std::size_t domain) {
@@ -336,19 +291,15 @@ void LoongServeEngine::AttachTracer(obs::Tracer tracer) {
 
 void LoongServeEngine::RegisterAudits(
     check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "LoongServeEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(prefill_batch_.empty(), "prefill batch not drained");
         ctx.Check(decoding_.empty(), "decode batch not drained");
         ctx.Check(!prefill_in_flight_ && !decode_in_flight_,
                   "phase iteration still outstanding");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
       });
   registry.Register(
       "LoongServeEngine", "token-pool", [this](check::AuditContext& ctx) {

@@ -48,50 +48,24 @@ StaticDisaggEngine::StaticDisaggEngine(sim::Simulator* simulator,
 StaticDisaggEngine::~StaticDisaggEngine() = default;
 
 void StaticDisaggEngine::Enqueue(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) {
-    if (ShedNow(waiting_demand_ + DemandTokens(*request),
-                prefill_pool_->capacity_tokens())) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
+  if (!Admit(request, ShedNow(*request, prefill_pool_->capacity_tokens()))) {
+    return;
   }
-  ++in_flight_;
   auto job = std::make_unique<Job>();
   job->request = std::move(request);
   waiting_.push_back(std::move(job));
   PumpPrefill();
 }
 
-void StaticDisaggEngine::OnDeadline(std::int64_t id) {
-  // Reap from the queues that hold no instance state: waiting_ (never
-  // admitted) and migrating_ (prefill accounting already released,
-  // decode not yet acquired). Work holding KV runs to completion.
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->request->spec->id != id) continue;
-    auto job = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*job->request);
-    MarkTerminal(*job->request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(job->request));
-    return;
-  }
-  for (auto it = migrating_.begin(); it != migrating_.end(); ++it) {
-    if ((*it)->request->spec->id != id) continue;
-    auto job = std::move(*it);
-    migrating_.erase(it);
-    MarkTerminal(*job->request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(job->request));
-    return;
-  }
+std::unique_ptr<serve::Request> StaticDisaggEngine::TakeUnstarted(
+    std::int64_t id, bool& queued) {
+  // The queues that hold no instance state: waiting_ (never admitted)
+  // and migrating_ (prefill accounting already released, decode not yet
+  // acquired). Work holding KV runs to completion.
+  queued = true;
+  if (auto request = TakeById(waiting_, id)) return request;
+  queued = false;
+  return TakeById(migrating_, id);
 }
 
 MUX_SHARD_LOCAL void StaticDisaggEngine::PumpPrefill() {
@@ -126,7 +100,7 @@ MUX_SHARD_LOCAL void StaticDisaggEngine::PumpPrefill() {
     req.prefill_tokens = need;
     req.phase = serve::Phase::kPrefill;
     req.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(req);
+    DequeueDemand(req);
     work.push_back(llm::SeqWork{need, cached});
     batch_tokens += need;
     prefill_batch_.push_back(std::move(waiting_.front()));
@@ -178,11 +152,7 @@ void StaticDisaggEngine::OnPrefillBatchDone() {
 
     if (req.DecodeFinished()) {
       // Single-token output: completes without touching the decode side.
-      req.phase = serve::Phase::kDone;
-      req.completion = now;
-      req.outcome = serve::Outcome::kCompleted;
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
+      Retire(req, serve::Outcome::kCompleted);
       completed.push_back(std::move(job->request));
       continue;
     }
@@ -332,9 +302,7 @@ void StaticDisaggEngine::OnDecodeIterationDone() {
 void StaticDisaggEngine::Finish(Job* job) {
   const sim::Time now = sim_->Now();
   serve::Request& req = *job->request;
-  req.phase = serve::Phase::kDone;
-  req.completion = now;
-  req.outcome = serve::Outcome::kCompleted;
+  Retire(req, serve::Outcome::kCompleted);
   decode_pool_->ReleaseReserved(job->d_reserved);
   job->d_reserved = 0;
   decode_pool_->CommitSequence(req.spec->full_seq, now);
@@ -352,39 +320,14 @@ void StaticDisaggEngine::Finish(Job* job) {
         if (pe != p_epoch_) return;
         prefill_pool_->CommitSequence(full, sim_->Now());
       });
-
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
 }
 
 void StaticDisaggEngine::RecycleLost(
     std::vector<std::unique_ptr<Job>> lost) {
-  // Jobs arrive with their pool accounting already released; decide
-  // retry vs. terminal, push retries back in age order, then notify.
-  std::vector<std::unique_ptr<serve::Request>> dead;
-  std::vector<std::unique_ptr<Job>> requeue;
-  for (auto& job : lost) {
-    serve::Request& req = *job->request;
-    if (!PrepareRetry(req)) {
-      MarkTerminal(req, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(job->request));
-    } else if (DeadlinePassed(req)) {
-      // Its deadline event fired while it was admitted; reap it now.
-      MarkTerminal(req, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(job->request));
-    } else {
-      waiting_demand_ += DemandTokens(req);
-      requeue.push_back(std::move(job));
-    }
+  // Jobs arrive with their pool accounting already released.
+  for (auto& req : Recycle(std::move(lost), waiting_)) {
+    NotifyComplete(std::move(req));
   }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(std::move(*it));
-  }
-  for (auto& req : dead) NotifyComplete(std::move(req));
   PumpPrefill();
 }
 
@@ -481,20 +424,16 @@ MUX_CHANNEL_ENTRY void StaticDisaggEngine::AttachTracer(obs::Tracer tracer) {
 
 void StaticDisaggEngine::RegisterAudits(
     check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "StaticDisaggEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(migrating_.empty(), "jobs stuck migrating P -> D");
         ctx.Check(decoding_.empty(), "decode batch not drained");
         ctx.Check(prefill_batch_.empty(), "prefill batch not drained");
         ctx.Check(!prefill_in_flight_ && !decode_in_flight_,
                   "phase iteration still outstanding");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
       });
   prefill_pool_->RegisterAudits(registry);
   decode_pool_->RegisterAudits(registry);

@@ -63,7 +63,6 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
 
   const char* name() const override { return "SGLang-PD"; }
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   std::size_t NumFaultDomains() const override { return 2; }
@@ -94,13 +93,14 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
   void OnDecodeIterationDone();
   void Finish(Job* job);
 
-  /** Deadline event: reaps `id` from waiting_ or migrating_. */
-  void OnDeadline(std::int64_t id);
+  std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id,
+                                                bool& queued) override;
 
   /** The link gave up on `id`'s P->D migration; requeue or fail it. */
   void OnMigrationFailed(std::int64_t id);
 
-  /** Releases a crash-lost job's accounting and requeues or kills it. */
+  /** Requeues or retires crash-lost jobs (accounting already released),
+   * hands the dead back and pumps. */
   void RecycleLost(std::vector<std::unique_ptr<Job>> lost);
 
   sim::Simulator* sim_;
@@ -123,12 +123,8 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
 
   bool prefill_in_flight_ = false;
   bool decode_in_flight_ = false;
-  std::size_t in_flight_ = 0;
   std::uint64_t prefill_batch_serial_ = 0;
   std::uint64_t decode_step_serial_ = 0;
-
-  /** KV demand (input + output tokens) of everything in waiting_. */
-  std::int64_t waiting_demand_ = 0;
 
   // Per-instance crash epochs (see FaultAwareEngine's epoch pattern;
   // two instances fail independently, so one shared epoch would let a

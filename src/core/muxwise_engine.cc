@@ -49,53 +49,25 @@ const char* MuxWiseEngine::name() const {
 }
 
 void MuxWiseEngine::Enqueue(std::unique_ptr<serve::Request> request) {
-  if (OverloadOn()) {
-    EnqueueOverload(std::move(request));
-    return;
-  }
-  if (FaultsEnabled()) {
-    if (ShedNow(waiting_demand_ + DemandTokens(*request),
-                pool_->capacity_tokens())) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
-  }
-  ++in_flight_;
-  request->phase = serve::Phase::kQueued;
-  const serve::Request& incoming = *request;
-  waiting_.push_back(  // muxlint: allow(unbounded-queue) — legacy path;
-                       // the overload controller bounds EnqueueOverload.
-      std::move(request));
-  MaybePreemptFor(incoming);
-  PumpScheduler();
-}
-
-void MuxWiseEngine::EnqueueOverload(std::unique_ptr<serve::Request> request) {
-  ObserveOverload();
+  using Action = overload::AdmissionDecision::Action;
   const workload::SloClass slo_class = request->spec->slo_class;
-  const overload::AdmissionDecision decision =
-      ctl_->Admit(slo_class, DemandTokens(*request), sim_->Now(),
-                  QueuedInClass(slo_class));
-  if (decision.action == overload::AdmissionDecision::Action::kShed) {
-    MarkTerminal(*request, serve::Outcome::kShed);
-    NotifyComplete(std::move(request));
+  // The class controller replaces the ledger's blunt demand cutoff when
+  // overload control is on; the SLO-derived deadline reaps either way.
+  overload::AdmissionDecision decision;
+  if (OverloadOn()) {
+    ObserveOverload();
+    decision = ctl_->Admit(slo_class, DemandTokens(*request), sim_->Now(),
+                           QueuedInClass(slo_class));
+  } else if (ShedNow(*request, pool_->capacity_tokens())) {
+    decision.action = Action::kShed;
+  }
+  const bool delayed = decision.action == Action::kDelay;
+  if (!Admit(request, decision.action == Action::kShed,
+             delayed ? Admission::kGated : Admission::kQueued)) {
     return;
   }
-  ++in_flight_;
   request->phase = serve::Phase::kQueued;
-  if (FaultsEnabled()) {
-    // The class controller replaces the blunt demand cutoff, but the
-    // SLO-derived deadline still reaps stale queued work.
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-  }
-  if (decision.action == overload::AdmissionDecision::Action::kDelay) {
+  if (delayed) {
     tracer_.Instant("engine/overload", "admission-delayed",
                     request->spec->id,
                     static_cast<double>(workload::SloClassRank(slo_class)));
@@ -113,11 +85,11 @@ void MuxWiseEngine::EnqueueOverload(std::unique_ptr<serve::Request> request) {
 }
 
 void MuxWiseEngine::AdmitToWaiting(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) waiting_demand_ += DemandTokens(*request);
   const serve::Request& incoming = *request;
-  waiting_.push_back(  // muxlint: allow(unbounded-queue) — bounded by the
-                       // controller's per-class hard cap (bounded-queues
-                       // audit).
+  waiting_.push_back(  // muxlint: allow(unbounded-queue) — under overload
+                       // control, bounded by the controller's per-class
+                       // hard cap (bounded-queues audit); otherwise by
+                       // the ledger's shed check.
       std::move(request));
   queued_hwm_ = std::max(queued_hwm_, waiting_.size() + gated_.size());
   MaybePreemptFor(incoming);
@@ -142,10 +114,7 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
   if (decision.action == overload::AdmissionDecision::Action::kShed ||
       (decision.action == overload::AdmissionDecision::Action::kDelay &&
        overdue)) {
-    MarkTerminal(*request, serve::Outcome::kShed);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
+    Terminal(std::move(request), serve::Outcome::kShed);
     return;
   }
   if (decision.action == overload::AdmissionDecision::Action::kDelay) {
@@ -157,6 +126,7 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
         std::move(request));
     return;
   }
+  QueueDemand(*request);
   AdmitToWaiting(std::move(request));
 }
 
@@ -192,30 +162,14 @@ std::size_t MuxWiseEngine::QueuedInClass(
   return count;
 }
 
-void MuxWiseEngine::OnDeadline(std::int64_t id) {
-  // Only waiting requests are reaped; admitted work runs to completion.
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*request);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
-  // Admission-gated requests (overload control) are equally unstarted.
-  for (auto it = gated_.begin(); it != gated_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    gated_.erase(it);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
+std::unique_ptr<serve::Request> MuxWiseEngine::TakeUnstarted(
+    std::int64_t id, bool& queued) {
+  queued = true;
+  if (auto request = TakeById(waiting_, id)) return request;
+  // Admission-gated requests (overload control) are equally unstarted,
+  // but the class controller bounds them instead of the demand count.
+  queued = false;
+  return TakeById(gated_, id);
 }
 
 void MuxWiseEngine::PumpScheduler() {
@@ -349,7 +303,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
     }
     head.phase = serve::Phase::kPrefill;
     head.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(head);
+    DequeueDemand(head);
     job->work.push_back(
         llm::SeqWork{head.prefill_tokens, head.cached_tokens});
     job->new_tokens += head.prefill_tokens;
@@ -618,16 +572,12 @@ void MuxWiseEngine::OnDecodeIterationDone(sim::Time launch_time,
 }
 
 void MuxWiseEngine::FinishRequest(std::unique_ptr<serve::Request> request) {
-  request->phase = serve::Phase::kDone;
-  request->completion = sim_->Now();
-  request->outcome = serve::Outcome::kCompleted;
+  Retire(*request, serve::Outcome::kCompleted);
   serve::FinishInPool(*pool_, *request, sim_->Now());
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
   pending_completions_.push_back(  // muxlint: allow(unbounded-queue) —
                                    // drained by FlushCompletions before
                                    // the event returns (bounded by
-                                   // in_flight_).
+                                   // the in-flight count).
       std::move(request));
 }
 
@@ -680,35 +630,14 @@ void MuxWiseEngine::InjectCrash(std::size_t domain) {
   for (auto& request : lost) serve::AbandonInPool(*pool_, *request);
   pool_->Clear();
 
-  std::vector<std::unique_ptr<serve::Request>> requeue;
-  for (auto& request : lost) {
-    if (!PrepareRetry(*request)) {
-      MarkTerminal(*request, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
-                                       // — drained by FlushCompletions
-                                       // below (bounded by in_flight_).
-          std::move(request));
-    } else if (DeadlinePassed(*request)) {
-      // Its deadline event fired while it was admitted; reap it now.
-      MarkTerminal(*request, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
-                                       // — drained by FlushCompletions
-                                       // below (bounded by in_flight_).
-          std::move(request));
-    } else {
-      waiting_demand_ += DemandTokens(*request);
-      requeue.push_back(std::move(request));
-    }
-  }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(  // muxlint: allow(unbounded-queue) — crash
-                          // recovery re-queues already-admitted work
-                          // (net queue growth is zero).
-        std::move(*it));
+  // The dead go back LIFO through pending_completions_, like every
+  // completion of this engine.
+  for (auto& request : Recycle(std::move(lost), waiting_)) {
+    pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
+                                     // — drained by FlushCompletions
+                                     // below (bounded by the in-flight
+                                     // count).
+        std::move(request));
   }
   FlushCompletions();
 }
@@ -718,18 +647,15 @@ MuxWiseEngine::ExtractForRehoming() {
   std::vector<std::unique_ptr<serve::Request>> extracted;
   extracted.reserve(waiting_.size() + gated_.size());
   for (auto& request : waiting_) {
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(*request);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
+    Release(*request, /*queued=*/true);
     request->phase = serve::Phase::kQueued;
     extracted.push_back(std::move(request));
   }
   waiting_.clear();
-  // Gated arrivals never entered waiting_demand_ (the class controller
-  // bounds them instead), so only the in-flight count is returned.
+  // Gated arrivals never counted toward queued demand (the class
+  // controller bounds them instead).
   for (auto& request : gated_) {
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
+    Release(*request, /*queued=*/false);
     request->phase = serve::Phase::kQueued;
     extracted.push_back(std::move(request));
   }
@@ -914,7 +840,7 @@ bool MuxWiseEngine::TryPreemptForKv(const serve::Request& head) {
     victim->progress = 0;
     ++kv_recomputes_;
     tracer_.Instant("engine/overload", "kv-recompute", id, fraction);
-    if (FaultsEnabled()) waiting_demand_ += DemandTokens(*victim);
+    QueueDemand(*victim);
     waiting_.push_back(  // muxlint: allow(unbounded-queue) — re-queues
                          // an already-admitted request (net queue
                          // growth is zero).
@@ -1022,11 +948,10 @@ void MuxWiseEngine::MaybePreemptFor(const serve::Request& incoming) {
 }
 
 void MuxWiseEngine::RegisterAudits(check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "MuxWiseEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(active_ == nullptr, "prefill batch still active");
         ctx.Check(preempted_ == nullptr, "preempted batch never resumed");
@@ -1035,9 +960,6 @@ void MuxWiseEngine::RegisterAudits(check::InvariantRegistry& registry) const {
         ctx.Check(pending_completions_.empty(),
                   "completions never handed back");
         ctx.Check(!decode_in_flight_, "decode iteration still outstanding");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
         ctx.Check(gated_.empty(), "admission-gated requests leaked");
         ctx.Check(spilled_.empty(), "spilled requests never restored");
         ctx.Check(restored_.empty(), "restored jobs never resumed");

@@ -86,7 +86,6 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
 
   const char* name() const override;
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   void InjectCrash(std::size_t domain) override;
@@ -201,18 +200,14 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
                              bool had_cotenant);
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);
-
-  /** Deadline event: reaps request `id` if it is still waiting. */
-  void OnDeadline(std::int64_t id);
+  std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id,
+                                                bool& queued) override;
 
   // --- Overload control (all paths gated on options_.overload.enabled,
   // so disabled runs execute the exact legacy instruction stream) -----
   bool OverloadOn() const { return options_.overload.enabled; }
 
-  /** Overload-aware admission front half of Enqueue. */
-  void EnqueueOverload(std::unique_ptr<serve::Request> request);
-
-  /** Tail shared by both admission paths: queue + pump. */
+  /** Queues an admitted request and pumps (Enqueue, gate release). */
   void AdmitToWaiting(std::unique_ptr<serve::Request> request);
 
   /** Re-offers a bucket-delayed request to the controller. */
@@ -313,10 +308,6 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   // resumed immediately.
   bool kv_preempt_pending_ = false;
   sim::Duration last_decode_estimate_ = 0;
-  std::size_t in_flight_ = 0;
-
-  /** KV demand (input + output tokens) of everything in waiting_. */
-  std::int64_t waiting_demand_ = 0;
   std::size_t decode_iterations_ = 0;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;

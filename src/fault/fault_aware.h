@@ -2,6 +2,10 @@
 #define MUXWISE_FAULT_FAULT_AWARE_H_
 
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fault/recovery.h"
@@ -14,14 +18,17 @@
 namespace muxwise::fault {
 
 /**
- * Mixin base for engines that survive injected faults. It centralises
- * the bookkeeping every recovering engine needs — which domains are
- * down, the crash epoch that invalidates in-flight callbacks, degraded
- * outcome counters, deadline/shed/retry policy decisions — while
- * leaving the actual work reconstruction (what KV was lost, what to
- * re-enqueue where) to the engine, which is the only layer that knows.
+ * Mixin base for engines that survive injected faults. It owns the
+ * request ledger every engine keeps the same way — the in-flight count,
+ * the queued KV demand, admission with its shed check, deadline
+ * stamping and reaping, crash-retry triage and terminal stamping —
+ * plus the fault bookkeeping (which domains are down, the crash epoch
+ * that invalidates in-flight callbacks). Each engine keeps only what
+ * differs: its queues (TakeUnstarted), its pool arithmetic, and when to
+ * pump. The work reconstruction after a crash (what KV was lost) stays
+ * with the engine too, which is the only layer that knows.
  *
- * The epoch pattern: HostThread submissions and Interconnect transfers
+ * The epoch pattern: HostThread submissions and Channel transfers
  * cannot be cancelled, so a crash cannot revoke callbacks already in
  * flight. Instead every engine-layer callback captures `epoch()` at
  * submission and no-ops when the engine's epoch has moved on — the
@@ -31,16 +38,24 @@ namespace muxwise::fault {
  */
 class FaultAwareEngine : public serve::Engine {
  public:
-  const RecoveryPolicy& recovery() const { return recovery_; }
+  std::size_t InFlight() const final { return in_flight_; }
+
+  /** Registers the ledger-balanced-at-quiescence audit. */
+  void RegisterAudits(check::InvariantRegistry& registry) const override {
+    registry.Register(name(), "ledger", [this](check::AuditContext& ctx) {
+      ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
+                                     " requests still in flight");
+      ctx.Check(queued_demand_ == 0,
+                "queued-demand accounting leaked " +
+                    std::to_string(queued_demand_) + " tokens");
+    });
+  }
 
   /** Requests rejected at admission under overload/outage. */
   std::size_t shed_requests() const { return shed_requests_; }
 
   /** Requests abandoned past their SLO-derived deadline. */
   std::size_t timed_out_requests() const { return timed_out_requests_; }
-
-  /** Requests that exhausted their crash-retry budget. */
-  std::size_t failed_requests() const { return failed_requests_; }
 
   /** Crash-lost requests successfully re-enqueued. */
   std::size_t crash_requeues() const { return crash_requeues_; }
@@ -58,13 +73,6 @@ class FaultAwareEngine : public serve::Engine {
     return domain < down_.size() && down_[domain];
   }
 
-  bool AnyDomainDown() const {
-    for (bool down : down_) {
-      if (down) return true;
-    }
-    return false;
-  }
-
   void MarkDown(std::size_t domain, bool down) {
     if (domain >= down_.size()) down_.resize(domain + 1, false);
     down_[domain] = down;
@@ -77,37 +85,8 @@ class FaultAwareEngine : public serve::Engine {
   std::uint64_t epoch() const { return epoch_; }
   void BumpEpoch() { ++epoch_; }
 
-  /** Absolute give-up time for `request` under this engine's policy. */
-  sim::Time DeadlineFor(const serve::Request& request) const {
-    return RequestDeadline(request.arrival, *request.spec, slo_, recovery_);
-  }
-
   bool DeadlinePassed(const serve::Request& request) const {
     return recovery_.enabled && fault_sim_->Now() >= request.deadline;
-  }
-
-  /**
-   * Stamps a degraded terminal outcome (kShed/kTimedOut/kFailed) and
-   * bumps the matching counter. The caller still owns notification and
-   * in-flight accounting.
-   */
-  void MarkTerminal(serve::Request& request, serve::Outcome outcome) {
-    MUX_CHECK(serve::IsTerminalOutcome(outcome) &&
-              outcome != serve::Outcome::kCompleted);
-    request.outcome = outcome;
-    request.phase = serve::Phase::kDone;
-    request.completion = fault_sim_->Now();
-    switch (outcome) {
-      case serve::Outcome::kShed:
-        ++shed_requests_;
-        break;
-      case serve::Outcome::kTimedOut:
-        ++timed_out_requests_;
-        break;
-      default:
-        ++failed_requests_;
-        break;
-    }
   }
 
   /** KV working-set tokens a request will eventually need (shed proxy). */
@@ -116,13 +95,149 @@ class FaultAwareEngine : public serve::Engine {
   }
 
   /**
-   * Admission-control decision: shed when the queued KV demand
-   * (including the candidate) exceeds the policy factor of capacity.
+   * The ledger's shed check: under recovery, shed `request` when the
+   * queued KV demand including it exceeds the policy factor of the
+   * engine's `capacity`.
    */
-  bool ShedNow(std::int64_t queued_demand, std::int64_t capacity) const {
+  bool ShedNow(const serve::Request& request, std::int64_t capacity) const {
     return recovery_.enabled &&
-           static_cast<double>(queued_demand) >
+           static_cast<double>(queued_demand_ + DemandTokens(request)) >
                recovery_.shed_demand_factor * static_cast<double>(capacity);
+  }
+
+  /** Where an admitted request waits, as far as the ledger cares. */
+  enum class Admission {
+    kQueued,     // A demand-counted queue; reaped at its deadline.
+    kGated,      // An admission gate outside the demand count; reaped.
+    kForwarded,  // Handed on to an engine that keeps its own ledger.
+  };
+
+  /**
+   * Admission. A `shed` request is stamped kShed and handed straight
+   * back — it never counts in flight or touches a queue, so the
+   * (possibly reentrant) notification sees consistent state — and the
+   * call returns false. Otherwise the request counts in flight and,
+   * under recovery and unless forwarded, gets its SLO-derived deadline
+   * and a reap event (TakeUnstarted); kQueued also counts its demand.
+   */
+  bool Admit(std::unique_ptr<serve::Request>& request, bool shed,
+             Admission admission = Admission::kQueued) {
+    if (shed) {
+      Stamp(*request, serve::Outcome::kShed);
+      NotifyComplete(std::move(request));
+      return false;
+    }
+    if (recovery_.enabled && admission != Admission::kForwarded) {
+      request->deadline =
+          RequestDeadline(request->arrival, *request->spec, slo_, recovery_);
+      fault_sim_->ScheduleAt(request->deadline,
+                             [this, id = request->spec->id] { Reap(id); });
+      if (admission == Admission::kQueued) QueueDemand(*request);
+    }
+    ++in_flight_;
+    return true;
+  }
+
+  /** `request` enters a demand-counted queue (a gate or preemption
+   * hands it back to one). */
+  void QueueDemand(const serve::Request& request) {
+    if (recovery_.enabled) queued_demand_ += DemandTokens(request);
+  }
+
+  /** `request` leaves a demand-counted queue: it starts running. */
+  void DequeueDemand(const serve::Request& request) {
+    if (recovery_.enabled) queued_demand_ -= DemandTokens(request);
+  }
+
+  /**
+   * Takes `request` out of the ledger with its terminal `outcome`
+   * (kCompleted or a degraded one): stamps it and drops it from the
+   * in-flight count. The caller hands it back.
+   */
+  void Retire(serve::Request& request, serve::Outcome outcome) {
+    Stamp(request, outcome);
+    Release(request, /*queued=*/false);
+  }
+
+  /** Retire, then hand the request back at once. */
+  void Terminal(std::unique_ptr<serve::Request> request,
+                serve::Outcome outcome) {
+    Retire(*request, outcome);
+    NotifyComplete(std::move(request));
+  }
+
+  /**
+   * Drops `request` from the ledger unstamped: it finished in, or
+   * leaves for, an engine that keeps its own ledger. `queued` says it
+   * sat in a demand-counted queue.
+   */
+  void Release(const serve::Request& request, bool queued) {
+    if (queued) DequeueDemand(request);
+    MUX_CHECK(in_flight_ > 0);
+    --in_flight_;
+  }
+
+  /**
+   * Deadline-reaping hook: removes request `id` from the engine's
+   * unstarted queues and returns it, setting `queued` when it sat in a
+   * demand-counted queue; null once it has started, because work that
+   * won admission runs to completion (abandoning half-computed KV helps
+   * nobody). Engines that forward every request keep the default.
+   */
+  virtual std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id,
+                                                        bool& queued) {
+    (void)id;
+    (void)queued;
+    return nullptr;
+  }
+
+  /** Removes request `id` from `queue`; null when it is not there. */
+  template <typename Queue>
+  static std::unique_ptr<serve::Request> TakeById(Queue& queue,
+                                                  std::int64_t id) {
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+      if (RequestOf(*it)->spec->id != id) continue;
+      std::unique_ptr<serve::Request> request = std::move(RequestOf(*it));
+      queue.erase(it);
+      return request;
+    }
+    return nullptr;
+  }
+
+  /**
+   * Crash triage for `lost`, oldest first, whose KV and pool accounting
+   * are already gone. A request with retry budget left and its deadline
+   * still ahead is reset for recomputation (PrepareRetry), counts
+   * toward queued demand again and goes back to the front of `queue`,
+   * ahead of fresh arrivals and in age order. Any other is retired as
+   * kFailed, or kTimedOut when its deadline event fired while it was
+   * admitted. Returns the retired requests oldest first; the caller
+   * hands them back in its own order, which decides when next turns of
+   * their sessions arrive.
+   */
+  template <typename Item>
+  std::vector<std::unique_ptr<serve::Request>> Recycle(
+      std::vector<std::unique_ptr<Item>> lost,
+      std::deque<std::unique_ptr<Item>>& queue) {
+    std::vector<std::unique_ptr<serve::Request>> dead;
+    std::vector<std::unique_ptr<Item>> requeue;
+    for (auto& item : lost) {
+      serve::Request& request = *RequestOf(item);
+      if (!PrepareRetry(request)) {
+        Retire(request, serve::Outcome::kFailed);
+      } else if (DeadlinePassed(request)) {
+        Retire(request, serve::Outcome::kTimedOut);
+      } else {
+        QueueDemand(request);
+        requeue.push_back(std::move(item));
+        continue;
+      }
+      dead.push_back(std::move(RequestOf(item)));
+    }
+    for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
+      queue.push_front(std::move(*it));
+    }
+    return dead;
   }
 
   /**
@@ -150,13 +265,47 @@ class FaultAwareEngine : public serve::Engine {
   sim::Simulator* fault_sim_;
 
  private:
+  /** The request an item of an engine queue owns: the item itself, or
+   * a job's `request` member. */
+  template <typename Item>
+  static std::unique_ptr<serve::Request>& RequestOf(
+      std::unique_ptr<Item>& item) {
+    if constexpr (std::is_same_v<Item, serve::Request>) {
+      return item;
+    } else {
+      return item->request;
+    }
+  }
+
+  /** Stamps a terminal outcome and counts the degraded ones. */
+  void Stamp(serve::Request& request, serve::Outcome outcome) {
+    MUX_CHECK(serve::IsTerminalOutcome(outcome));
+    request.outcome = outcome;
+    request.phase = serve::Phase::kDone;
+    request.completion = fault_sim_->Now();
+    if (outcome == serve::Outcome::kShed) ++shed_requests_;
+    if (outcome == serve::Outcome::kTimedOut) ++timed_out_requests_;
+  }
+
+  /** Deadline event: reaps request `id` if it has not started. */
+  void Reap(std::int64_t id) {
+    bool queued = false;
+    std::unique_ptr<serve::Request> request = TakeUnstarted(id, queued);
+    if (request == nullptr) return;
+    if (queued) DequeueDemand(*request);
+    Terminal(std::move(request), serve::Outcome::kTimedOut);
+  }
+
   workload::SloTargets slo_;
   RecoveryPolicy recovery_;
   std::vector<bool> down_;
   std::uint64_t epoch_ = 0;
+  std::size_t in_flight_ = 0;
+
+  /** KV demand (input + output tokens) of every demand-counted queue. */
+  std::int64_t queued_demand_ = 0;
   std::size_t shed_requests_ = 0;
   std::size_t timed_out_requests_ = 0;
-  std::size_t failed_requests_ = 0;
   std::size_t crash_requeues_ = 0;
 };
 
