@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/dispatcher.h"
@@ -150,15 +151,86 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
    */
   void WarmCachePrefix(const kv::TokenSeq& prefix);
 
-  /** Samples of (time, decode_sms) at each partition decision (Fig. 18). */
+  /**
+   * One partition decision (Fig. 18): the decode reservation at `time`,
+   * the SMs left to prefill, and whether a prefill batch was active.
+   * The engine stores samples packed in a PartitionLog and hands them
+   * out by value.
+   */
   struct PartitionSample {
     sim::Time time;
     int decode_sms;
     int prefill_sms;
     bool prefill_active;
   };
-  const std::vector<PartitionSample>& partition_trace() const {
-    return partition_trace_;
+
+  /**
+   * Append-only packed log of PartitionSamples, about 5 bytes each: a
+   * LEB128 varint of (time - previous time) << 1 | prefill_active, then
+   * one decode_sms byte. prefill_sms is derived from the device's SM
+   * count on read. Bytes live in deque blocks, so growth never copies.
+   */
+  class PartitionLog {
+   public:
+    class Iterator {
+     public:
+      PartitionSample operator*() const { return sample_; }
+      Iterator& operator++() {
+        pos_ = next_;
+        Decode();
+        return *this;
+      }
+      bool operator==(const Iterator& other) const {
+        return pos_ == other.pos_;
+      }
+
+     private:
+      friend class PartitionLog;
+      using Byte = std::deque<std::uint8_t>::const_iterator;
+      Iterator(Byte pos, Byte end, int sm_count)
+          : pos_(pos), next_(pos), end_(end), sm_count_(sm_count) {
+        Decode();
+      }
+      /** Decodes the record at pos_ into sample_ and points next_ past it. */
+      void Decode();
+
+      Byte pos_;
+      Byte next_;
+      Byte end_;
+      int sm_count_;
+      PartitionSample sample_{0, 0, 0, false};
+    };
+
+    explicit PartitionLog(int sm_count = 0) : sm_count_(sm_count) {}
+
+    /** Records a decision; `time` may not decrease, `decode_sms` < 256. */
+    void Append(sim::Time time, int decode_sms, bool prefill_active);
+
+    Iterator begin() const {
+      return Iterator(bytes_.begin(), bytes_.end(), sm_count_);
+    }
+    Iterator end() const {
+      return Iterator(bytes_.end(), bytes_.end(), sm_count_);
+    }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Encoded bytes held (about 5 per sample). */
+    std::size_t bytes() const { return bytes_.size(); }
+
+   private:
+    std::deque<std::uint8_t> bytes_;
+    std::size_t size_ = 0;
+    sim::Time last_time_ = 0;
+    int sm_count_ = 0;
+  };
+
+  const PartitionLog& partition_trace() const { return partition_trace_; }
+
+  /** Moves the log out, leaving this engine an empty one. */
+  PartitionLog TakePartitionTrace() {
+    return std::exchange(partition_trace_,
+                         PartitionLog(deployment_.gpu.sm_count));
   }
 
   /**
@@ -166,13 +238,10 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
    * it unbounded, the default). Million-request streaming runs record
    * one sample per scheduling decision, so an unbounded trace would
    * grow without limit; the cap keeps the earliest samples (enough for
-   * Fig. 18-style plots) and counts the rest as dropped.
+   * Fig. 18-style plots) and ignores the rest.
    */
   void set_partition_trace_capacity(std::size_t capacity) {
     partition_trace_capacity_ = capacity;
-  }
-  std::size_t partition_samples_dropped() const {
-    return partition_samples_dropped_;
   }
 
  private:
@@ -311,9 +380,8 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::size_t decode_iterations_ = 0;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;
-  std::vector<PartitionSample> partition_trace_;
+  PartitionLog partition_trace_;
   std::size_t partition_trace_capacity_ = 0;  // 0 = unbounded.
-  std::size_t partition_samples_dropped_ = 0;
 };
 
 }  // namespace muxwise::core

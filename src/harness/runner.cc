@@ -316,7 +316,7 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
     outcome.bubble_ratio = muxwise->mux().AverageBubbleRatio();
     outcome.cache_hit_rate = muxwise->pool().HitRate();
     outcome.preemptions = muxwise->preemptions();
-    outcome.partition_trace = muxwise->partition_trace();
+    outcome.partition_trace = muxwise->TakePartitionTrace();
     outcome.overload_active = muxwise->overload_controller().enabled();
     outcome.overload_mode_transitions =
         muxwise->overload_controller().mode_transitions();

@@ -210,7 +210,7 @@ struct RunOutcome {
   double bubble_ratio = 0.0;    // MuxWise / chunked streams (§4.4.2).
   double cache_hit_rate = 0.0;  // Token-weighted, where applicable.
   std::size_t preemptions = 0;
-  std::vector<core::MuxWiseEngine::PartitionSample> partition_trace;
+  core::MuxWiseEngine::PartitionLog partition_trace;
 
   /**
    * Terminal disposition of every request: attained goodput plus the

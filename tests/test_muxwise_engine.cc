@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "engine_test_util.h"
 #include "gpu/gpu_spec.h"
@@ -221,6 +222,75 @@ TEST_F(MuxWiseEngineTest, BubbleRatioStaysModest) {
   // moderate load the prefill stream idles between batches, so allow a
   // generous envelope (the Fig. 19 bench measures the loaded case).
   EXPECT_LT(engine->mux().AverageBubbleRatio(), 0.55);
+}
+
+TEST(PartitionLogTest, RoundTripsEverySample) {
+  const int sm_count = Llama70bA100().gpu.sm_count;
+  const sim::Time gap = sim::Time{1} << 32;  // An idle gap over 4.3 s.
+  const std::vector<MuxWiseEngine::PartitionSample> want = {
+      {0, 54, sm_count - 54, false},
+      {0, 1, sm_count - 1, true},  // Zero time delta.
+      {125, sm_count, 0, true},    // Decode holds every SM.
+      {125 + gap, 60, sm_count - 60, false},
+      {125 + gap + 1, 255, 0, true},
+  };
+  MuxWiseEngine::PartitionLog log(sm_count);
+  EXPECT_TRUE(log.empty());
+  for (const auto& s : want) {
+    log.Append(s.time, s.decode_sms, s.prefill_active);
+  }
+  ASSERT_EQ(log.size(), want.size());
+  EXPECT_FALSE(log.empty());
+  // Varint bytes per sample (1, 1, 2, 5, 1) plus one decode_sms byte each.
+  EXPECT_EQ(log.bytes(), 15u);
+  std::size_t i = 0;
+  for (const MuxWiseEngine::PartitionSample s : log) {
+    ASSERT_LT(i, want.size());
+    EXPECT_EQ(s.time, want[i].time) << i;
+    EXPECT_EQ(s.decode_sms, want[i].decode_sms) << i;
+    EXPECT_EQ(s.prefill_sms, want[i].prefill_sms) << i;
+    EXPECT_EQ(s.prefill_active, want[i].prefill_active) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+TEST(PartitionLogDeathTest, RejectsDecreasingTimeAndWideDecodeSms) {
+  EXPECT_DEATH(
+      {
+        MuxWiseEngine::PartitionLog log(108);
+        log.Append(10, 54, false);
+        log.Append(9, 54, false);
+      },
+      "time >= last_time_");
+  EXPECT_DEATH(
+      {
+        MuxWiseEngine::PartitionLog log(108);
+        log.Append(10, 256, false);
+      },
+      "decode_sms <= 0xff");
+}
+
+TEST_F(MuxWiseEngineTest, PartitionLogPacksEveryDecision) {
+  const workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 1200, 4.0, 1802);
+  MuxWiseEngine* engine = nullptr;
+  const auto result = Run(trace, MuxWiseEngine::Options(), &engine);
+  ASSERT_TRUE(result.all_completed);
+  const MuxWiseEngine::PartitionLog& log = engine->partition_trace();
+  ASSERT_GE(log.size(), 10000u);
+  EXPECT_EQ(log.size(), engine->decode_iterations());
+  sim::Time previous = 0;
+  std::size_t read = 0;
+  for (const auto& s : log) {
+    EXPECT_GE(s.time, previous);
+    previous = s.time;
+    ++read;
+  }
+  EXPECT_EQ(read, log.size());
+  // Every sample stays stored (OutcomeDigest folds them all), so the
+  // packing is the memory bound: at most 6 bytes per decision.
+  EXPECT_LE(log.bytes(), 6 * log.size());
 }
 
 }  // namespace
