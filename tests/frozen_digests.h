@@ -119,6 +119,23 @@ inline harness::RunConfig FaultPathConfig(bool overload) {
   return config;
 }
 
+/**
+ * The KV-pressure preemption run of test_overload_scenario.cc
+ * (KvPressurePreemptionSpillsAndRestores): the only tier-1 run whose
+ * victims leave a paused prefill batch, so the only one that prices a
+ * batch after its work list shrank. Recorded before prefill pricing was
+ * memoized per job; a memo that misses that invalidation moves all
+ * three values.
+ */
+struct PinnedRun {
+  std::uint64_t event_digest;
+  std::size_t executed_events;
+  std::uint64_t outcome_digest;
+};
+
+inline constexpr PinnedRun kKvPressurePreemptionDigest = {
+    0xa247033a724e66e4ull, 16895, 0xfae5d9068d5fed6cull};
+
 }  // namespace muxwise::tests
 
 #endif  // MUXWISE_TESTS_FROZEN_DIGESTS_H_

@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "fault/fault_plan.h"
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
@@ -157,6 +158,10 @@ TEST_F(OverloadScenarioTest, KvPressurePreemptionSpillsAndRestores) {
   EXPECT_GT(outcome.kv_spills, 0u);
   EXPECT_EQ(outcome.kv_restores, outcome.kv_spills);
   EXPECT_EQ(outcome.split.total(), outcome.total);
+  const tests::PinnedRun& pinned = tests::kKvPressurePreemptionDigest;
+  EXPECT_EQ(outcome.event_digest, pinned.event_digest);
+  EXPECT_EQ(outcome.executed_events, pinned.executed_events);
+  EXPECT_EQ(OutcomeDigest(outcome), pinned.outcome_digest);
 }
 
 TEST_F(OverloadScenarioTest, BurstComposesWithGpuCrash) {
