@@ -15,12 +15,12 @@ SloAwareDispatcher::SloAwareDispatcher(const serve::Deployment& deployment,
   partition_options_ = deployment_.SmPartitionOptions();
 }
 
-int SloAwareDispatcher::ChooseDecodeSms(
-    const std::vector<std::int64_t>& decode_ctx, bool prefill_pending,
-    const PrefillDesc& prefill) const {
+int SloAwareDispatcher::ChooseDecodeSms(const llm::DecodeBatch& decode,
+                                        bool prefill_pending,
+                                        const PrefillDesc& prefill) const {
   const int full = deployment_.gpu.sm_count;
   if (!prefill_pending) return full;
-  if (decode_ctx.empty()) {
+  if (decode.size == 0) {
     // Nothing decoding: keep the minimum partition warm so a merge can
     // start immediately; prefill gets nearly everything.
     return partition_options_.front();
@@ -29,7 +29,7 @@ int SloAwareDispatcher::ChooseDecodeSms(
   for (int sms : partition_options_) {
     if (sms >= full) break;  // Multiplexed configs only.
     const sim::Duration worst =
-        estimator_->WorstCaseDecode(decode_ctx, sms, prefill);
+        estimator_->WorstCaseDecode(decode, sms, prefill);
     if (worst <= budget) return sms;
   }
   // No multiplexed partition fits: take the largest sub-device option;
@@ -39,21 +39,17 @@ int SloAwareDispatcher::ChooseDecodeSms(
              : partition_options_.back();
 }
 
-int SloAwareDispatcher::PrefillLayersToLaunch(
-    sim::Duration decode_estimate,
-    const std::vector<llm::SeqWork>& prefill_batch, int prefill_sms,
-    int layers_remaining) const {
+int SloAwareDispatcher::PrefillLayersToLaunch(sim::Duration decode_estimate,
+                                              sim::Duration prefill_phase,
+                                              int layers_remaining) const {
   MUX_CHECK(layers_remaining >= 1);
-  if (decode_estimate <= 0) {
+  if (decode_estimate <= 0 || prefill_phase <= 0) {
     return std::min(layers_remaining, options_.idle_layer_group);
   }
-  const sim::Duration phase =
-      estimator_->PredictPrefill(prefill_batch, prefill_sms);
   const int total_layers = deployment_.model.num_layers;
-  if (phase <= 0) return std::min(layers_remaining, options_.idle_layer_group);
   const double n_pl = std::ceil(static_cast<double>(decode_estimate) *
                                 static_cast<double>(total_layers) /
-                                static_cast<double>(phase));
+                                static_cast<double>(prefill_phase));
   return std::clamp(static_cast<int>(n_pl), 1, layers_remaining);
 }
 

@@ -46,17 +46,30 @@ class SloAwareDispatcher {
    * pending, and the largest option (accepting risk, which online
    * refinement will observe) when none fits.
    */
+  int ChooseDecodeSms(const llm::DecodeBatch& decode, bool prefill_pending,
+                      const PrefillDesc& prefill) const;
   int ChooseDecodeSms(const std::vector<std::int64_t>& decode_ctx,
-                      bool prefill_pending, const PrefillDesc& prefill) const;
+                      bool prefill_pending, const PrefillDesc& prefill) const {
+    return ChooseDecodeSms(llm::DecodeBatch::Of(decode_ctx), prefill_pending,
+                           prefill);
+  }
 
   /**
    * N_PL = ceil(T_d * N_T / T_P): the number of prefill layers to
    * launch so their execution covers one decode iteration (paper
-   * §3.4.2). Clamped to [1, layers_remaining].
+   * §3.4.2), where `prefill_phase` is T_P, the batch's solo phase time
+   * on its SMs. Clamped to [1, layers_remaining].
    */
   int PrefillLayersToLaunch(sim::Duration decode_estimate,
+                            sim::Duration prefill_phase,
+                            int layers_remaining) const;
+  int PrefillLayersToLaunch(sim::Duration decode_estimate,
                             const std::vector<llm::SeqWork>& prefill_batch,
-                            int prefill_sms, int layers_remaining) const;
+                            int prefill_sms, int layers_remaining) const {
+    return PrefillLayersToLaunch(
+        decode_estimate, estimator_->PredictPrefill(prefill_batch, prefill_sms),
+        layers_remaining);
+  }
 
   /**
    * Preemption test (paper §3.4.2): the incoming batch may preempt the

@@ -44,30 +44,26 @@ ContentionEstimator::CellKey ContentionEstimator::CellFor(
   return cell;
 }
 
-sim::Duration ContentionEstimator::PredictDecodeSolo(
-    const std::vector<std::int64_t>& ctx, int sms) const {
-  return predictor_.PredictDecode(ctx, sms);
-}
-
-sim::Duration ContentionEstimator::PredictPrefill(
-    const std::vector<llm::SeqWork>& batch, int sms) const {
-  return predictor_.PredictPrefill(batch, sms);
+ContentionEstimator::CellKey ContentionEstimator::CellFor(
+    const PrefillDesc& prefill, const llm::DecodeBatch& batch,
+    int decode_sms) const {
+  const std::int64_t mean_ctx =
+      batch.size == 0
+          ? 0
+          : batch.total_context / static_cast<std::int64_t>(batch.size);
+  return CellFor(prefill, batch.size, mean_ctx, decode_sms);
 }
 
 sim::Duration ContentionEstimator::WorstCaseDecode(
-    const std::vector<std::int64_t>& ctx, int decode_sms,
+    const llm::DecodeBatch& batch, int decode_sms,
     const PrefillDesc& prefill) const {
-  const sim::Duration solo = predictor_.PredictDecode(ctx, decode_sms);
+  const sim::Duration solo = predictor_.PredictDecode(batch, decode_sms);
   double factor = 1.0;
   if (options_.inflate_by_fit_error) {
     factor += predictor_.DecodeMaxError(decode_sms);
   }
   if (prefill.new_tokens > 0 || prefill.reused_tokens > 0) {
-    std::int64_t total_ctx = 0;
-    for (std::int64_t c : ctx) total_ctx += c;
-    const std::int64_t mean_ctx =
-        ctx.empty() ? 0 : total_ctx / static_cast<std::int64_t>(ctx.size());
-    factor *= GuardFor(CellFor(prefill, ctx.size(), mean_ctx, decode_sms));
+    factor *= GuardFor(CellFor(prefill, batch, decode_sms));
   }
   return static_cast<sim::Duration>(static_cast<double>(solo) * factor);
 }

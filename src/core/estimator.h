@@ -73,21 +73,41 @@ class ContentionEstimator {
                   std::int64_t decode_mean_ctx, int decode_sms) const;
 
   /** Solo-run decode-iteration estimate (Eq. 2). */
+  sim::Duration PredictDecodeSolo(const llm::DecodeBatch& batch,
+                                  int sms) const {
+    return predictor_.PredictDecode(batch, sms);
+  }
   sim::Duration PredictDecodeSolo(const std::vector<std::int64_t>& ctx,
-                                  int sms) const;
+                                  int sms) const {
+    return PredictDecodeSolo(llm::DecodeBatch::Of(ctx), sms);
+  }
 
   /** Solo-run prefill-phase estimate (Eq. 1). */
+  sim::Duration PredictPrefill(const llm::PrefillBatch& batch,
+                               int sms) const {
+    return predictor_.PredictPrefill(batch, sms);
+  }
   sim::Duration PredictPrefill(const std::vector<llm::SeqWork>& batch,
-                               int sms) const;
+                               int sms) const {
+    return PredictPrefill(llm::PrefillBatch::Of(batch), sms);
+  }
 
   /**
    * Worst-case decode-iteration latency on `decode_sms` SMs while the
    * described prefill occupies the rest: solo prediction inflated by
    * the fit-error margin and the guard factor of the grid cell.
    */
+  sim::Duration WorstCaseDecode(const llm::DecodeBatch& batch, int decode_sms,
+                                const PrefillDesc& prefill) const;
   sim::Duration WorstCaseDecode(const std::vector<std::int64_t>& ctx,
                                 int decode_sms,
-                                const PrefillDesc& prefill) const;
+                                const PrefillDesc& prefill) const {
+    return WorstCaseDecode(llm::DecodeBatch::Of(ctx), decode_sms, prefill);
+  }
+
+  /** Cell of a decode batch: its mean context (0 when empty) buckets. */
+  CellKey CellFor(const PrefillDesc& prefill, const llm::DecodeBatch& batch,
+                  int decode_sms) const;
 
   /** Guard factor for a cell (default when never observed). */
   double GuardFor(const CellKey& cell) const;

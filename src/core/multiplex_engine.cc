@@ -62,11 +62,7 @@ void MultiplexEngine::TracePartition() const {
 void MultiplexEngine::LaunchDecode(const gpu::Kernel& kernel,
                                    sim::Duration launch_cost,
                                    std::function<void()> done) {
-  host_->Submit(launch_cost,
-                [this, kernel, done = std::move(done), e = epoch_] {
-                  if (e != epoch_) return;
-                  device_->Launch(decode_stream_, kernel, std::move(done));
-                });
+  SubmitLaunch(decode_stream_, kernel, launch_cost, std::move(done));
 }
 
 void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,
@@ -75,15 +71,35 @@ void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,
   const gpu::StreamId stream = options_.mode == Mode::kTemporal
                                    ? decode_stream_
                                    : prefill_stream_;
-  host_->Submit(launch_cost,
-                [this, stream, kernel, done = std::move(done), e = epoch_] {
-                  if (e != epoch_) return;
-                  device_->Launch(stream, kernel, std::move(done));
-                });
+  SubmitLaunch(stream, kernel, launch_cost, std::move(done));
+}
+
+void MultiplexEngine::SubmitLaunch(gpu::StreamId stream,
+                                   const gpu::Kernel& kernel,
+                                   sim::Duration launch_cost,
+                                   std::function<void()> done) {
+  launches_.push_back(PendingLaunch{stream, kernel, std::move(done)});
+  host_->Submit(launch_cost, [this, e = epoch_] {
+    if (e != epoch_) return;  // Abort() already dropped the launch.
+    PendingLaunch next = std::move(launches_[launch_head_++]);
+    if (launch_head_ == launches_.size()) {
+      launches_.clear();
+      launch_head_ = 0;
+    } else if (launch_head_ * 2 >= launches_.size()) {
+      // Never drained: drop the consumed prefix so the FIFO stays small.
+      launches_.erase(launches_.begin(),
+                      launches_.begin() +
+                          static_cast<std::ptrdiff_t>(launch_head_));
+      launch_head_ = 0;
+    }
+    device_->Launch(next.stream, next.kernel, std::move(next.done));
+  });
 }
 
 void MultiplexEngine::Abort() {
   ++epoch_;
+  launches_.clear();
+  launch_head_ = 0;
   device_->AbortAll();
 }
 

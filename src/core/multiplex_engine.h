@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "gpu/gpu.h"
 #include "gpu/host.h"
@@ -102,6 +103,23 @@ class MultiplexEngine {
   void AttachTracer(obs::Tracer tracer);
 
  private:
+  /** A kernel launch waiting for the host thread. */
+  struct PendingLaunch {
+    gpu::StreamId stream;
+    gpu::Kernel kernel;
+    std::function<void()> done;
+  };
+
+  /**
+   * Occupies the host for `launch_cost`, then launches `kernel` on
+   * `stream`. The host completes submissions in order, so each host
+   * callback starts the oldest pending launch. The callback carries only
+   * the engine and the crash epoch, which std::function stores without
+   * a heap allocation.
+   */
+  void SubmitLaunch(gpu::StreamId stream, const gpu::Kernel& kernel,
+                    sim::Duration launch_cost, std::function<void()> done);
+
   /** Publishes the current partition counters (no-op when untraced). */
   void TracePartition() const;
 
@@ -118,6 +136,12 @@ class MultiplexEngine {
   int prefill_sms_ = 0;
   std::size_t reconfigurations_ = 0;
   std::uint64_t epoch_ = 0;
+
+  // Launches submitted to the host and not yet started, oldest at
+  // launch_head_. Emptied whenever the host catches up, so steady-state
+  // launches reuse its capacity.
+  std::vector<PendingLaunch> launches_;
+  std::size_t launch_head_ = 0;
 
   obs::Tracer tracer_;
 };

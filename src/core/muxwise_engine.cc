@@ -279,6 +279,11 @@ void MuxWiseEngine::TryStartPrefillBatch() {
   }
 
   auto job = std::make_unique<PrefillJob>();
+  const std::size_t batch_cap = std::min<std::size_t>(
+      static_cast<std::size_t>(options_.prefill_batch_requests),
+      waiting_.size());
+  job->requests.reserve(batch_cap);
+  job->work.reserve(batch_cap);
   const bool building_preemptor = preemptor_pending_;
   if (building_preemptor) {
     // Short requests preempt long ones (§3.4.2): pull the smallest
@@ -341,6 +346,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
     DequeueDemand(head);
     job->work.push_back(
         llm::SeqWork{head.prefill_tokens, head.cached_tokens});
+    job->WorkChanged();
     job->new_tokens += head.prefill_tokens;
     job->reused_tokens += head.cached_tokens;
     batch_tokens += head.prefill_tokens;
@@ -373,10 +379,17 @@ sim::Duration MuxWiseEngine::ActivePrefillRemaining() const {
   if (active_ == nullptr) return 0;
   const int total_layers = deployment_.model.num_layers;
   const int remaining = total_layers - active_->layers_done;
-  const sim::Duration phase =
-      estimator_.PredictPrefill(active_->work, mux_->prefill_sms());
+  const sim::Duration phase = PhaseTime(*active_, mux_->prefill_sms());
   return static_cast<sim::Duration>(
       static_cast<double>(phase) * remaining / total_layers);
+}
+
+sim::Duration MuxWiseEngine::PhaseTime(PrefillJob& job, int sms) const {
+  if (job.phase_sms != sms) {
+    job.phase = estimator_.PredictPrefill(job.Features(), sms);
+    job.phase_sms = sms;
+  }
+  return job.phase;
 }
 
 void MuxWiseEngine::ContinuePrefill() {
@@ -406,8 +419,7 @@ void MuxWiseEngine::ContinuePrefill() {
       const sim::Duration slack =
           deployment_.slo.tbt - last_decode_estimate_ -
           dispatcher_->options().tbt_margin;
-      const sim::Duration phase =
-          estimator_.PredictPrefill(active_->work, prefill_sms);
+      const sim::Duration phase = PhaseTime(*active_, prefill_sms);
       if (decode_live && phase > 0) {
         const double fit = static_cast<double>(std::max<sim::Duration>(
                                0, slack)) *
@@ -419,8 +431,8 @@ void MuxWiseEngine::ContinuePrefill() {
     } else {
       layers = decode_live
                    ? dispatcher_->PrefillLayersToLaunch(
-                         last_decode_estimate_, active_->work, prefill_sms,
-                         remaining)
+                         last_decode_estimate_,
+                         PhaseTime(*active_, prefill_sms), remaining)
                    : std::min(remaining,
                               dispatcher_->options().idle_layer_group);
     }
@@ -510,11 +522,11 @@ void MuxWiseEngine::MaybeLaunchDecode() {
     return;
   }
 
-  std::vector<std::int64_t> ctx;
-  ctx.reserve(decoding_.size());
+  std::int64_t total_ctx = 0;
   for (const auto& request : decoding_) {
-    ctx.push_back(request->spec->input_tokens + request->generated);
+    total_ctx += request->spec->input_tokens + request->generated;
   }
+  const llm::DecodeBatch batch(decoding_.size(), total_ctx);
 
   const bool prefill_pending = active_ != nullptr ||
                                preempted_ != nullptr || !waiting_.empty() ||
@@ -526,7 +538,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
   }
 
   const int total = deployment_.gpu.sm_count;
-  int decode_sms = dispatcher_->ChooseDecodeSms(ctx, prefill_pending, desc);
+  int decode_sms = dispatcher_->ChooseDecodeSms(batch, prefill_pending, desc);
   if (options_.mux.mode == MultiplexEngine::Mode::kSpatial) {
     if (decode_sms >= total) {
       mux_->SetPartition(total, deployment_.gpu.partition_granularity);
@@ -541,61 +553,55 @@ void MuxWiseEngine::MaybeLaunchDecode() {
     partition_trace_.Append(sim_->Now(), decode_sms, active_ != nullptr);
   }
 
-  const gpu::Kernel kernel = cost_->DecodeIteration(ctx);
-  const sim::Duration solo = estimator_.PredictDecodeSolo(ctx, decode_sms);
+  const gpu::Kernel kernel = cost_->DecodeIteration(batch);
+  const sim::Duration solo = estimator_.PredictDecodeSolo(batch, decode_sms);
   last_decode_estimate_ =
-      prefill_pending ? estimator_.WorstCaseDecode(ctx, decode_sms, desc)
+      prefill_pending ? estimator_.WorstCaseDecode(batch, decode_sms, desc)
                       : solo;
-  std::int64_t total_ctx = 0;
-  for (std::int64_t c : ctx) total_ctx += c;
-  const ContentionEstimator::CellKey cell = estimator_.CellFor(
-      desc, ctx.size(), total_ctx / static_cast<std::int64_t>(ctx.size()),
-      decode_sms);
-  const bool had_cotenant =
+  inflight_decode_.launch_time = sim_->Now();
+  inflight_decode_.solo = solo;
+  inflight_decode_.cell = estimator_.CellFor(desc, batch, decode_sms);
+  inflight_decode_.had_cotenant =
       active_ != nullptr && active_->layers_inflight > 0;
 
   decode_in_flight_ = true;
   ++decode_iterations_;
   tracer_.SpanBegin("engine/decode", "decode-step",
                     static_cast<std::int64_t>(decode_iterations_),
-                    static_cast<double>(ctx.size()));
-  const sim::Time launch_time = sim_->Now();
+                    static_cast<double>(batch.size));
   mux_->LaunchDecode(kernel, cost_->DecodeGraphLaunch(),
-                     [this, launch_time, solo, cell, had_cotenant] {
-                       OnDecodeIterationDone(launch_time, solo, cell,
-                                             had_cotenant);
-                     });
+                     [this] { OnDecodeIterationDone(); });
 }
 
-void MuxWiseEngine::OnDecodeIterationDone(sim::Time launch_time,
-                                          sim::Duration solo,
-                                          ContentionEstimator::CellKey cell,
-                                          bool had_cotenant) {
+void MuxWiseEngine::OnDecodeIterationDone() {
   decode_in_flight_ = false;
+  const InflightDecode& done = inflight_decode_;
   // Single decode iteration in flight: the live serial is the last one.
   tracer_.SpanEnd("engine/decode", "decode-step",
                   static_cast<std::int64_t>(decode_iterations_));
   const sim::Time now = sim_->Now();
 
-  if (options_.online_refinement && had_cotenant && solo > 0) {
+  if (options_.online_refinement && done.had_cotenant && done.solo > 0) {
     const sim::Duration measured =
-        now - launch_time - cost_->DecodeGraphLaunch();
+        now - done.launch_time - cost_->DecodeGraphLaunch();
     const double slowdown =
-        static_cast<double>(measured) / static_cast<double>(solo);
-    if (slowdown > 1.0) estimator_.ObserveDecode(cell, slowdown);
+        static_cast<double>(measured) / static_cast<double>(done.solo);
+    if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
   }
 
-  std::vector<std::unique_ptr<serve::Request>> still;
-  still.reserve(decoding_.size());
-  for (auto& request : decoding_) {
-    request->EmitToken(now);
-    if (request->DecodeFinished()) {
-      FinishRequest(std::move(request));
+  // Compact in place: survivors keep their order, and finished requests
+  // reach FinishRequest in batch order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < decoding_.size(); ++i) {
+    decoding_[i]->EmitToken(now);
+    if (decoding_[i]->DecodeFinished()) {
+      FinishRequest(std::move(decoding_[i]));
     } else {
-      still.push_back(std::move(request));
+      if (kept != i) decoding_[kept] = std::move(decoding_[i]);
+      ++kept;
     }
   }
-  decoding_ = std::move(still);
+  decoding_.resize(kept);
   tracer_.Counter("engine/decode", "decode-pending",
                   static_cast<double>(decoding_.size()));
   FlushCompletions();
@@ -806,8 +812,8 @@ bool MuxWiseEngine::TryPreemptForKv(const serve::Request& head) {
     key.slo_class = candidate.spec->slo_class;
     key.progress_layers = job->layers_done;
     key.recompute_seconds =
-        sim::ToSeconds(estimator_.PredictPrefill({job->work[i]},
-                                                 prefill_sms)) *
+        sim::ToSeconds(estimator_.PredictPrefill(
+            llm::PrefillBatch::Of(job->work[i]), prefill_sms)) *
         fraction;
     key.request_id = candidate.spec->id;
     if (best < 0 || overload::PreemptBefore(key, best_key)) {
@@ -820,6 +826,7 @@ bool MuxWiseEngine::TryPreemptForKv(const serve::Request& head) {
   auto victim = std::move(job->requests[best]);
   job->requests.erase(job->requests.begin() + best);
   job->work.erase(job->work.begin() + best);
+  job->WorkChanged();
   job->new_tokens -= victim->prefill_tokens;
   job->reused_tokens -= victim->cached_tokens;
   job->earliest_deadline = sim::kTimeNever;
@@ -944,6 +951,7 @@ void MuxWiseEngine::OnRestoreDone(std::int64_t id) {
     auto job = std::make_unique<PrefillJob>();
     job->work.push_back(
         llm::SeqWork{victim->prefill_tokens, victim->cached_tokens});
+    job->WorkChanged();
     job->new_tokens = victim->prefill_tokens;
     job->reused_tokens = victim->cached_tokens;
     job->layers_done = entry.layers_done;
@@ -964,9 +972,17 @@ void MuxWiseEngine::MaybePreemptFor(const serve::Request& incoming) {
     return;
   }
   const int prefill_sms = mux_->prefill_sms();
-  const sim::Duration incoming_duration = estimator_.PredictPrefill(
-      {llm::SeqWork{incoming.spec->input_tokens, incoming.spec->reused_tokens}},
-      prefill_sms);
+  const llm::SeqWork seq{incoming.spec->input_tokens,
+                         incoming.spec->reused_tokens};
+  SeqPrice& price = incoming_price_;
+  if (price.sms != prefill_sms || price.seq.new_tokens != seq.new_tokens ||
+      price.seq.reused_tokens != seq.reused_tokens) {
+    price.seq = seq;
+    price.sms = prefill_sms;
+    price.duration =
+        estimator_.PredictPrefill(llm::PrefillBatch::Of(seq), prefill_sms);
+  }
+  const sim::Duration incoming_duration = price.duration;
   const sim::Time incoming_deadline =
       incoming.arrival +
       deployment_.slo.TtftTargetFor(incoming.spec->input_tokens);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "sim/channel.h"
 #include "kv/kv_pool.h"
 #include "llm/cost_model.h"
+#include "llm/predictor.h"
 #include "overload/controller.h"
 #include "serve/deployment.h"
 #include "serve/engine.h"
@@ -248,6 +250,11 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   struct PrefillJob {
     std::vector<std::unique_ptr<serve::Request>> requests;
     std::vector<llm::SeqWork> work;
+    // Eq. 1 inputs of `work`, and its phase time on `phase_sms` SMs,
+    // computed on first use. Every change to `work` calls WorkChanged().
+    std::optional<llm::PrefillBatch> features;
+    int phase_sms = 0;  // 0: no phase time memoized.
+    sim::Duration phase = 0;
     std::int64_t new_tokens = 0;
     std::int64_t reused_tokens = 0;
     int layers_done = 0;
@@ -255,6 +262,31 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     bool is_preemptor = false;
     bool pause_requested = false;
     sim::Time earliest_deadline = sim::kTimeNever;
+
+    const llm::PrefillBatch& Features() {
+      if (!features) features = llm::PrefillBatch::Of(work);
+      return *features;
+    }
+
+    void WorkChanged() {
+      features.reset();
+      phase_sms = 0;
+    }
+  };
+
+  /** One sequence's Eq. 1 price on `sms` SMs (0: none yet). */
+  struct SeqPrice {
+    llm::SeqWork seq;
+    int sms = 0;
+    sim::Duration duration = 0;
+  };
+
+  /** The decode iteration in flight, kept for online refinement. */
+  struct InflightDecode {
+    sim::Time launch_time = 0;
+    sim::Duration solo = 0;
+    ContentionEstimator::CellKey cell;
+    bool had_cotenant = false;
   };
 
   void PumpScheduler();
@@ -264,9 +296,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   void OnPrefillGroupDone(int layers);
   void CompleteActivePrefill();
   void MaybeLaunchDecode();
-  void OnDecodeIterationDone(sim::Time launch_time, sim::Duration solo,
-                             ContentionEstimator::CellKey cell,
-                             bool had_cotenant);
+  void OnDecodeIterationDone();
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);
   std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id,
@@ -318,6 +348,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   PrefillDesc ActivePrefillDesc() const;
   sim::Duration ActivePrefillRemaining() const;
 
+  /** Eq. 1 phase time of `job` on `sms` SMs, memoized in the job. */
+  sim::Duration PhaseTime(PrefillJob& job, int sms) const;
+
   sim::Simulator* sim_;
   serve::Deployment deployment_;
   Options options_;
@@ -368,6 +401,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::vector<std::unique_ptr<serve::Request>> pending_completions_;
 
   bool decode_in_flight_ = false;
+  InflightDecode inflight_decode_;  // Valid while decode_in_flight_.
   bool decode_blocked_on_merge_ = false;
   // Set when an approved preemption awaits its preemptor batch; the
   // paused batch resumes only after that batch (and only it) runs.
@@ -377,6 +411,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   // resumed immediately.
   bool kv_preempt_pending_ = false;
   sim::Duration last_decode_estimate_ = 0;
+  // MaybePreemptFor prices the same waiting head at pump after pump;
+  // its last price, keyed by all of its inputs.
+  SeqPrice incoming_price_;
   std::size_t decode_iterations_ = 0;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;

@@ -62,10 +62,14 @@ int Gpu::StreamSms(StreamId stream) const { return GetStream(stream).sms; }
 
 void Gpu::Launch(StreamId stream, Kernel kernel, Callback on_complete) {
   Stream& s = GetStream(stream);
-  QueuedKernel q;
-  q.kernel = std::move(kernel);
-  if (on_complete) q.on_complete.Add(std::move(on_complete));
-  s.queue.push_back(std::move(q));
+  CallbackChain chain;
+  if (on_complete) chain.Add(std::move(on_complete));
+  if (!s.running.has_value() && s.queue.empty()) {
+    // An idle stream starts the kernel at once; only a busy one queues.
+    Start(stream, std::move(kernel), std::move(chain));
+    return;
+  }
+  s.queue.push_back(QueuedKernel{std::move(kernel), std::move(chain)});
   TryStart(stream);
 }
 
@@ -210,12 +214,18 @@ void Gpu::AdvanceIntegrals() {
 void Gpu::TryStart(StreamId id) {
   Stream& s = GetStream(id);
   if (s.running.has_value() || s.queue.empty()) return;
+  QueuedKernel next = std::move(s.queue.front());
+  s.queue.pop_front();
+  Start(id, std::move(next.kernel), std::move(next.on_complete));
+}
+
+void Gpu::Start(StreamId id, Kernel kernel, CallbackChain on_complete) {
+  Stream& s = GetStream(id);
   AdvanceIntegrals();
 
   RunningKernel run;
-  run.kernel = std::move(s.queue.front().kernel);
-  run.on_complete = std::move(s.queue.front().on_complete);
-  s.queue.pop_front();
+  run.kernel = std::move(kernel);
+  run.on_complete = std::move(on_complete);
   run.serial = next_kernel_serial_++;
   run.granted_sms = s.sms;
   run.fraction_done = 0.0;

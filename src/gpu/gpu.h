@@ -254,6 +254,9 @@ class Gpu {
   /** Starts the next queued kernel on `id` if the stream is free. */
   void TryStart(StreamId id);
 
+  /** Starts `kernel` on the idle stream `id`. */
+  void Start(StreamId id, Kernel kernel, CallbackChain on_complete);
+
   /** Handles completion of the running kernel on `id`. */
   void Complete(StreamId id);
 

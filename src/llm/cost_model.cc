@@ -120,23 +120,25 @@ gpu::Kernel CostModel::PrefillPhase(const std::vector<SeqWork>& batch) const {
   return PrefillLayers(batch, model_.num_layers);
 }
 
+DecodeBatch DecodeBatch::Of(const std::vector<std::int64_t>& context_lens) {
+  return DecodeBatch(context_lens.size(),
+                     std::accumulate(context_lens.begin(), context_lens.end(),
+                                     std::int64_t{0}));
+}
+
 double CostModel::DecodeFlopsTotal(
     const std::vector<std::int64_t>& context_lens) const {
-  const double bs = static_cast<double>(context_lens.size());
-  const double total_context = static_cast<double>(
-      std::accumulate(context_lens.begin(), context_lens.end(),
-                      std::int64_t{0}));
+  const DecodeBatch batch = DecodeBatch::Of(context_lens);
+  const double bs = static_cast<double>(batch.size);
+  const double total_context = static_cast<double>(batch.total_context);
   return 2.0 * model_.active_params * bs +
          4.0 * model_.num_layers * model_.hidden_dim * total_context;
 }
 
-gpu::Kernel CostModel::DecodeIteration(
-    const std::vector<std::int64_t>& context_lens) const {
-  MUX_CHECK(!context_lens.empty());
-  const double bs = static_cast<double>(context_lens.size());
-  const double total_context = static_cast<double>(
-      std::accumulate(context_lens.begin(), context_lens.end(),
-                      std::int64_t{0}));
+gpu::Kernel CostModel::DecodeIteration(const DecodeBatch& batch) const {
+  MUX_CHECK(batch.size > 0);
+  const double bs = static_cast<double>(batch.size);
+  const double total_context = static_cast<double>(batch.total_context);
 
   const double gemm_flops = 2.0 * model_.active_params * bs / tp_;
   const double attn_flops =

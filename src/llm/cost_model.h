@@ -1,6 +1,7 @@
 #ifndef MUXWISE_LLM_COST_MODEL_H_
 #define MUXWISE_LLM_COST_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,6 +21,29 @@ namespace muxwise::llm {
 struct SeqWork {
   std::int64_t new_tokens = 0;
   std::int64_t reused_tokens = 0;
+};
+
+/**
+ * Fixed-size summary of a decode batch: the number of running sequences
+ * and the sum of their current context lengths. A decode iteration's
+ * kernel and its Eq. 2 price depend on nothing else, so every decode
+ * price is taken from this summary; the vector signatures are adaptors
+ * onto it. Integer sums below 2^53 convert to double exactly, so
+ * summary and per-sequence pricing agree bit for bit.
+ *
+ * There is no default constructor and no one-argument constructor, so a
+ * braced context list such as `{}` or `{1024}` still selects the vector
+ * adaptors.
+ */
+struct DecodeBatch {
+  explicit DecodeBatch(std::size_t size, std::int64_t total_context)
+      : size(size), total_context(total_context) {}
+
+  /** Summary of one context length per running sequence. */
+  static DecodeBatch Of(const std::vector<std::int64_t>& context_lens);
+
+  std::size_t size;
+  std::int64_t total_context;
 };
 
 /**
@@ -53,11 +77,16 @@ class CostModel {
   gpu::Kernel PrefillPhase(const std::vector<SeqWork>& batch) const;
 
   /**
-   * Kernel for one decode iteration over `context_lens` (current context
-   * length per running sequence; one new token each).
+   * Kernel for one decode iteration over `batch` (one new token per
+   * running sequence).
    */
+  gpu::Kernel DecodeIteration(const DecodeBatch& batch) const;
+
+  /** DecodeIteration over one current context length per sequence. */
   gpu::Kernel DecodeIteration(const std::vector<std::int64_t>& context_lens)
-      const;
+      const {
+    return DecodeIteration(DecodeBatch::Of(context_lens));
+  }
 
   /**
    * Chunked-prefill fused iteration: one or more prefill chunks (each a

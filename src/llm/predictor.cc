@@ -1,6 +1,7 @@
 #include "llm/predictor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "llm/least_squares.h"
@@ -10,7 +11,25 @@ namespace muxwise::llm {
 
 namespace {
 
-std::vector<double> PrefillFeatures(const std::vector<SeqWork>& batch) {
+std::array<double, 4> PrefillFeatures(const PrefillBatch& batch) {
+  return {batch.sum_n2, batch.sum_nr, batch.sum_n, 1.0};
+}
+
+std::array<double, 3> DecodeFeatures(const DecodeBatch& batch) {
+  return {static_cast<double>(batch.total_context),
+          static_cast<double>(batch.size), 1.0};
+}
+
+template <typename Features>
+double Dot(const std::vector<double>& theta, const Features& x) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) s += theta[i] * x[i];
+  return s;
+}
+
+}  // namespace
+
+PrefillBatch PrefillBatch::Of(const std::vector<SeqWork>& batch) {
   double sum_n2 = 0.0, sum_nr = 0.0, sum_n = 0.0;
   for (const SeqWork& seq : batch) {
     const double n = static_cast<double>(seq.new_tokens);
@@ -19,23 +38,15 @@ std::vector<double> PrefillFeatures(const std::vector<SeqWork>& batch) {
     sum_nr += n * r;
     sum_n += n;
   }
-  return {sum_n2, sum_nr, sum_n, 1.0};
+  return PrefillBatch(sum_n2, sum_nr, sum_n);
 }
 
-std::vector<double> DecodeFeatures(
-    const std::vector<std::int64_t>& context_lens) {
-  double sum_r = 0.0;
-  for (std::int64_t r : context_lens) sum_r += static_cast<double>(r);
-  return {sum_r, static_cast<double>(context_lens.size()), 1.0};
+PrefillBatch PrefillBatch::Of(const SeqWork& seq) {
+  const double n = static_cast<double>(seq.new_tokens);
+  const double r = static_cast<double>(seq.reused_tokens);
+  // 0.0 + x == x for every finite x, so this is Of({seq}) exactly.
+  return PrefillBatch(n * n, n * r, n);
 }
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-}  // namespace
 
 SoloRunPredictor SoloRunPredictor::Train(const gpu::Gpu& device,
                                          const CostModel& cost_model,
@@ -65,7 +76,8 @@ SoloRunPredictor SoloRunPredictor::Train(const gpu::Gpu& device,
         const std::vector<SeqWork> batch = {SeqWork{n, r}};
         const gpu::Kernel kernel = cost_model.PrefillPhase(batch);
         const double y = device.SoloDurationSeconds(kernel, sms);
-        px.push_back(PrefillFeatures(batch));
+        const auto x = PrefillFeatures(PrefillBatch::Of(batch));
+        px.emplace_back(x.begin(), x.end());
         py.push_back(y);
         pw.push_back(1.0 / y);  // Minimize relative error.
       }
@@ -88,7 +100,8 @@ SoloRunPredictor SoloRunPredictor::Train(const gpu::Gpu& device,
                                              ctx);
         const gpu::Kernel kernel = cost_model.DecodeIteration(lens);
         const double y = device.SoloDurationSeconds(kernel, sms);
-        dx.push_back(DecodeFeatures(lens));
+        const auto x = DecodeFeatures(DecodeBatch::Of(lens));
+        dx.emplace_back(x.begin(), x.end());
         dy.push_back(y);
         dw.push_back(1.0 / y);
       }
@@ -119,18 +132,17 @@ const SoloRunPredictor::Fit& SoloRunPredictor::DecodeFit(int sms) const {
   return std::prev(it)->second;
 }
 
-sim::Duration SoloRunPredictor::PredictPrefill(
-    const std::vector<SeqWork>& batch, int sms) const {
+sim::Duration SoloRunPredictor::PredictPrefill(const PrefillBatch& batch,
+                                               int sms) const {
   const Fit& fit = PrefillFit(sms);
   const double seconds = std::max(0.0, Dot(fit.theta, PrefillFeatures(batch)));
   return static_cast<sim::Duration>(seconds * 1e9);
 }
 
-sim::Duration SoloRunPredictor::PredictDecode(
-    const std::vector<std::int64_t>& context_lens, int sms) const {
+sim::Duration SoloRunPredictor::PredictDecode(const DecodeBatch& batch,
+                                              int sms) const {
   const Fit& fit = DecodeFit(sms);
-  const double seconds =
-      std::max(0.0, Dot(fit.theta, DecodeFeatures(context_lens)));
+  const double seconds = std::max(0.0, Dot(fit.theta, DecodeFeatures(batch)));
   return static_cast<sim::Duration>(seconds * 1e9);
 }
 

@@ -13,6 +13,27 @@
 namespace muxwise::llm {
 
 /**
+ * Fixed-size summary of a prefill batch: Eq. 1's feature sums
+ * (sum n_i^2, sum n_i r_i, sum n_i), accumulated in batch order. A
+ * caller that prices the same batch repeatedly computes it once and
+ * keeps it until the batch changes. Built only through Of(), so a
+ * braced batch such as `{SeqWork{n, r}}` still selects the vector
+ * adaptors.
+ */
+struct PrefillBatch {
+  static PrefillBatch Of(const std::vector<SeqWork>& batch);
+  static PrefillBatch Of(const SeqWork& seq);
+
+  double sum_n2;
+  double sum_nr;
+  double sum_n;
+
+ private:
+  PrefillBatch(double n2, double nr, double n)
+      : sum_n2(n2), sum_nr(nr), sum_n(n) {}
+};
+
+/**
  * The paper's solo-run latency predictor (§3.3.2, Eq. 1 and Eq. 2).
  *
  * Per SM-allocation option it fits, against offline profiling of the
@@ -44,13 +65,19 @@ class SoloRunPredictor {
                                 const CostModel& cost_model,
                                 const std::vector<int>& sm_options);
 
-  /** Predicted solo-run prefill-phase duration on `sms` SMs. */
+  /** Predicted solo-run prefill-phase duration on `sms` SMs (Eq. 1). */
+  sim::Duration PredictPrefill(const PrefillBatch& batch, int sms) const;
   sim::Duration PredictPrefill(const std::vector<SeqWork>& batch,
-                               int sms) const;
+                               int sms) const {
+    return PredictPrefill(PrefillBatch::Of(batch), sms);
+  }
 
-  /** Predicted solo-run decode-iteration duration on `sms` SMs. */
+  /** Predicted solo-run decode-iteration duration on `sms` SMs (Eq. 2). */
+  sim::Duration PredictDecode(const DecodeBatch& batch, int sms) const;
   sim::Duration PredictDecode(const std::vector<std::int64_t>& context_lens,
-                              int sms) const;
+                              int sms) const {
+    return PredictDecode(DecodeBatch::Of(context_lens), sms);
+  }
 
   /** Worst observed relative training error for prefill at `sms`. */
   double PrefillMaxError(int sms) const;

@@ -298,7 +298,8 @@ void FleetRouter::Rehome(std::unique_ptr<serve::Request> request) {
   if (options_.migration && durable > 0) {
     bytes = kv_bytes_per_token_ * static_cast<double>(durable);
     const double recompute_seconds = sim::ToSeconds(estimator_.PredictPrefill(
-        {llm::SeqWork{durable, 0}}, deployment_.gpu.sm_count));
+        llm::PrefillBatch::Of(llm::SeqWork{durable, 0}),
+        deployment_.gpu.sm_count));
     // A silently degraded link stretches the effective wire time; feed
     // the costing the equivalent byte count so migration loses exactly
     // when the degraded wire is slower than recomputing (scale 1.0 is

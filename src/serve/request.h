@@ -107,9 +107,15 @@ struct Request {
 
   std::int64_t output_target() const { return spec->output_tokens; }
 
-  /** Records a token emission at `now`. */
+  /**
+   * Records a token emission at `now`. The first token reserves room
+   * for the whole output at once, so decode never regrows the vector.
+   */
   void EmitToken(sim::Time now) {
     if (first_token < 0) first_token = now;
+    if (token_times.empty()) {
+      token_times.reserve(static_cast<std::size_t>(output_target()));
+    }
     token_times.push_back(now);
     ++generated;
   }
