@@ -1,0 +1,109 @@
+// Heap-allocation budget of the MuxWise serving loop. This binary
+// replaces the global operator new with a counting one, runs whole
+// traces through testutil::RunTrace and bounds the allocations per
+// decode iteration: a steady-state iteration (price the batch, launch,
+// complete, emit tokens) must not touch the heap, so what remains is
+// per-request and per-batch setup spread over many iterations.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "core/estimator.h"
+#include "core/muxwise_engine.h"
+#include "engine_test_util.h"
+#include "gpu/gpu_spec.h"
+#include "llm/model_config.h"
+#include "serve/deployment.h"
+#include "sim/simulator.h"
+#include "workload/datasets.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace muxwise::core {
+namespace {
+
+/** Allocations per decode iteration may not exceed this. */
+constexpr double kMaxAllocationsPerIteration = 1.5;
+
+class AllocBudgetTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    estimator_ = new ContentionEstimator(
+        ContentionEstimator::BuildOffline(Deployment()));
+  }
+  static void TearDownTestSuite() {
+    delete estimator_;
+    estimator_ = nullptr;
+  }
+
+  static serve::Deployment Deployment() {
+    return serve::Deployment::Make(llm::ModelConfig::Llama70B(),
+                                   gpu::GpuSpec::A100());
+  }
+
+  /**
+   * Runs `trace` on a fresh MuxWise engine and returns the heap
+   * allocations made during the run (engine construction excluded)
+   * per completed decode iteration.
+   */
+  static double AllocationsPerDecodeIteration(const workload::Trace& trace) {
+    sim::Simulator simulator;
+    MuxWiseEngine engine(&simulator, Deployment(), *estimator_,
+                         MuxWiseEngine::Options());
+    const std::uint64_t before = g_allocations.load();
+    const testutil::RunResult result =
+        testutil::RunTrace(simulator, engine, trace);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_TRUE(result.all_completed);
+    EXPECT_GT(engine.decode_iterations(), 0u);
+    return static_cast<double>(allocations) /
+           static_cast<double>(engine.decode_iterations());
+  }
+
+  static ContentionEstimator* estimator_;
+};
+
+ContentionEstimator* AllocBudgetTest::estimator_ = nullptr;
+
+TEST_F(AllocBudgetTest, ShareGptDecodeIterationsStayOffTheHeap) {
+  const workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 1200, 4.0, 1802);
+  const double per_iteration = AllocationsPerDecodeIteration(trace);
+  RecordProperty("allocations_per_decode_iteration",
+                 std::to_string(per_iteration));
+  EXPECT_LE(per_iteration, kMaxAllocationsPerIteration);
+}
+
+TEST_F(AllocBudgetTest, ConversationDecodeIterationsStayOffTheHeap) {
+  const workload::Trace trace = workload::GenerateTrace(
+      workload::Dataset::kConversation, 400, 2.0, 7);
+  const double per_iteration = AllocationsPerDecodeIteration(trace);
+  RecordProperty("allocations_per_decode_iteration",
+                 std::to_string(per_iteration));
+  EXPECT_LE(per_iteration, kMaxAllocationsPerIteration);
+}
+
+}  // namespace
+}  // namespace muxwise::core

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
+#include "sim/rng.h"
 
 namespace muxwise::llm {
 namespace {
@@ -134,6 +136,46 @@ TEST_F(CostModelTest, LaunchModelMatchesPaperScales) {
   EXPECT_EQ(cm_.PrefillLayerLaunch() * 80, sim::Milliseconds(10));
   // Launching the whole phase raw: tens of milliseconds.
   EXPECT_GE(cm_.PrefillFullLaunch(), sim::Milliseconds(15));
+}
+
+/**
+ * A decode kernel is priced from its batch summary. For seeded random
+ * batches (1-256 sequences, contexts up to max_context), the summary
+ * built the way MuxWiseEngine builds it and the per-sequence vector
+ * must yield the same kernel in every field, and the summary's integer
+ * total must equal the per-sequence double sum it replaced.
+ */
+TEST_F(CostModelTest, DecodeSummaryMatchesContextVectorExactly) {
+  sim::Rng rng(2111);
+  const std::int64_t max_context = cm_.model().max_context;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::int64_t> ctx(
+        static_cast<std::size_t>(rng.UniformInt(1, 256)));
+    std::int64_t total = 0;
+    double per_seq_sum = 0.0;
+    for (std::int64_t& c : ctx) {
+      c = rng.UniformInt(1, max_context);
+      total += c;
+      per_seq_sum += static_cast<double>(c);
+    }
+    const DecodeBatch batch(ctx.size(), total);
+    EXPECT_EQ(static_cast<double>(batch.total_context), per_seq_sum);
+
+    const gpu::Kernel a = cm_.DecodeIteration(batch);
+    const gpu::Kernel b = cm_.DecodeIteration(ctx);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.fixed_time, b.fixed_time);
+    EXPECT_EQ(a.saturation_half_flops_per_sm, b.saturation_half_flops_per_sm);
+    EXPECT_EQ(a.work_items, b.work_items);
+    EXPECT_EQ(a.saturation_half_items, b.saturation_half_items);
+    EXPECT_EQ(a.stream_flops, b.stream_flops);
+    EXPECT_EQ(a.stream_efficiency, b.stream_efficiency);
+    EXPECT_EQ(a.peak_efficiency, b.peak_efficiency);
+    EXPECT_EQ(a.overlap_alpha, b.overlap_alpha);
+    EXPECT_EQ(a.tag, b.tag);
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/estimator.h"
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/rng.h"
 
 namespace muxwise::core {
 namespace {
@@ -164,6 +167,73 @@ TEST_F(DispatcherTest, PreemptionDisabledByOption) {
   EXPECT_FALSE(dispatcher.ShouldPreempt(
       now, sim::Seconds(2), false, now + sim::Seconds(10),
       sim::Milliseconds(100), now + sim::Milliseconds(500)));
+}
+
+/**
+ * A seeded random decode batch (1-256 sequences, contexts up to the
+ * model's max_context) and its summary, built the way MuxWiseEngine
+ * builds it.
+ */
+struct RandomDecode {
+  std::vector<std::int64_t> ctx;
+  llm::DecodeBatch batch{0, 0};
+};
+
+RandomDecode MakeRandomDecode(sim::Rng& rng, std::int64_t max_context) {
+  RandomDecode d;
+  d.ctx.resize(static_cast<std::size_t>(rng.UniformInt(1, 256)));
+  std::int64_t total = 0;
+  for (std::int64_t& c : d.ctx) {
+    c = rng.UniformInt(1, max_context);
+    total += c;
+  }
+  d.batch = llm::DecodeBatch(d.ctx.size(), total);
+  return d;
+}
+
+/** No prefill half the time, else a random co-running prefill. */
+PrefillDesc MakeRandomPrefill(sim::Rng& rng) {
+  if (rng.Bernoulli(0.5)) return PrefillDesc{};
+  return PrefillDesc{rng.UniformInt(1, 65536), rng.UniformInt(0, 65536)};
+}
+
+/**
+ * The dispatcher decides from the batch summary: on seeded random
+ * batches, with and without pending or co-running prefill, the SM
+ * choice and the layer-group size match the vector adaptors exactly.
+ */
+TEST_F(DispatcherTest, DecodeSummaryMatchesContextVectorExactly) {
+  SloAwareDispatcher dispatcher = MakeDispatcher();
+  const serve::Deployment deployment = Llama70bA100();
+  sim::Rng rng(2115);
+  EXPECT_EQ(dispatcher.ChooseDecodeSms(llm::DecodeBatch(0, 0), true,
+                                       PrefillDesc{4096, 0}),
+            dispatcher.ChooseDecodeSms({}, true, PrefillDesc{4096, 0}));
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomDecode d =
+        MakeRandomDecode(rng, deployment.model.max_context);
+    const PrefillDesc prefill = MakeRandomPrefill(rng);
+    for (bool pending : {false, true}) {
+      EXPECT_EQ(dispatcher.ChooseDecodeSms(d.batch, pending, prefill),
+                dispatcher.ChooseDecodeSms(d.ctx, pending, prefill))
+          << "trial=" << trial << " pending=" << pending;
+    }
+    const std::vector<llm::SeqWork> work = {
+        llm::SeqWork{rng.UniformInt(1, 65536), rng.UniformInt(0, 65536)}};
+    const sim::Duration decode_estimate =
+        rng.Bernoulli(0.2) ? 0 : estimator_->PredictDecodeSolo(d.batch, 48);
+    const int remaining = static_cast<int>(rng.UniformInt(1, 80));
+    for (int sms : deployment.SmPartitionOptions()) {
+      EXPECT_EQ(dispatcher.PrefillLayersToLaunch(
+                    decode_estimate,
+                    estimator_->PredictPrefill(llm::PrefillBatch::Of(work),
+                                               sms),
+                    remaining),
+                dispatcher.PrefillLayersToLaunch(decode_estimate, work, sms,
+                                                 remaining))
+          << "trial=" << trial << " sms=" << sms;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/rng.h"
 
 namespace muxwise::core {
 namespace {
@@ -109,6 +113,62 @@ TEST(EstimatorOnlineTest, PrefillPredictionUsable) {
   const sim::Duration t92 = estimator.PredictPrefill(batch, 92);
   EXPECT_GT(t16, t92);
   EXPECT_GT(t92, 0);
+}
+
+/**
+ * A seeded random decode batch (1-256 sequences, contexts up to the
+ * model's max_context) and its summary, built the way MuxWiseEngine
+ * builds it.
+ */
+struct RandomDecode {
+  std::vector<std::int64_t> ctx;
+  llm::DecodeBatch batch{0, 0};
+};
+
+RandomDecode MakeRandomDecode(sim::Rng& rng, std::int64_t max_context) {
+  RandomDecode d;
+  d.ctx.resize(static_cast<std::size_t>(rng.UniformInt(1, 256)));
+  std::int64_t total = 0;
+  for (std::int64_t& c : d.ctx) {
+    c = rng.UniformInt(1, max_context);
+    total += c;
+  }
+  d.batch = llm::DecodeBatch(d.ctx.size(), total);
+  return d;
+}
+
+/** No prefill half the time, else a random co-running prefill. */
+PrefillDesc MakeRandomPrefill(sim::Rng& rng) {
+  if (rng.Bernoulli(0.5)) return PrefillDesc{};
+  return PrefillDesc{rng.UniformInt(1, 65536), rng.UniformInt(0, 65536)};
+}
+
+/**
+ * Eq. 2 and the guarded worst case are priced from the batch summary;
+ * on seeded random batches, every SM option and with or without a
+ * co-running prefill they match the vector adaptors exactly, and the
+ * summary lands in the cell the per-sequence mean selects.
+ */
+TEST_F(EstimatorTest, DecodeSummaryMatchesContextVectorExactly) {
+  sim::Rng rng(2114);
+  const serve::Deployment deployment = Llama70bA100();
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomDecode d =
+        MakeRandomDecode(rng, deployment.model.max_context);
+    const PrefillDesc prefill = MakeRandomPrefill(rng);
+    std::int64_t total = 0;
+    for (std::int64_t c : d.ctx) total += c;
+    const std::int64_t mean = total / static_cast<std::int64_t>(d.ctx.size());
+    for (int sms : deployment.SmPartitionOptions()) {
+      EXPECT_EQ(estimator_->PredictDecodeSolo(d.batch, sms),
+                estimator_->PredictDecodeSolo(d.ctx, sms));
+      EXPECT_EQ(estimator_->WorstCaseDecode(d.batch, sms, prefill),
+                estimator_->WorstCaseDecode(d.ctx, sms, prefill))
+          << "trial=" << trial << " sms=" << sms;
+      EXPECT_EQ(estimator_->CellFor(prefill, d.batch, sms),
+                estimator_->CellFor(prefill, d.ctx.size(), mean, sms));
+    }
+  }
 }
 
 }  // namespace

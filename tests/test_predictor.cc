@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "gpu/gpu_spec.h"
 #include "llm/cost_model.h"
 #include "llm/model_config.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace muxwise::llm {
@@ -159,6 +161,67 @@ INSTANTIATE_TEST_SUITE_P(AllModels, PredictorMonotoneTest,
                            }
                            return name;
                          });
+
+/**
+ * Eq. 2 is priced from the batch summary. For seeded random batches
+ * (1-256 sequences, contexts up to max_context) the summary built the
+ * way MuxWiseEngine builds it and the vector adaptor agree exactly on
+ * every SM count, trained or not.
+ */
+TEST_F(PredictorTest, DecodeSummaryMatchesContextVectorExactly) {
+  sim::Rng rng(2112);
+  const std::int64_t max_context = cost_.model().max_context;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::int64_t> ctx(
+        static_cast<std::size_t>(rng.UniformInt(1, 256)));
+    std::int64_t total = 0;
+    for (std::int64_t& c : ctx) {
+      c = rng.UniformInt(1, max_context);
+      total += c;
+    }
+    const DecodeBatch batch(ctx.size(), total);
+    for (int sms = 1; sms <= 108; ++sms) {
+      EXPECT_EQ(predictor_.PredictDecode(batch, sms),
+                predictor_.PredictDecode(ctx, sms))
+          << "trial=" << trial << " sms=" << sms;
+    }
+  }
+}
+
+/**
+ * Eq. 1 from features cached across a prefill job's life: after every
+ * change to the job's work list (a sequence joins, a victim leaves)
+ * the refreshed features price exactly like a fresh work vector, while
+ * the stale ones no longer describe the batch. A single sequence
+ * priced without a vector matches the one-element batch.
+ */
+TEST_F(PredictorTest, CachedPrefillFeaturesMatchFreshWorkVector) {
+  sim::Rng rng(2113);
+  const std::int64_t max_context = cost_.model().max_context;
+  const auto random_seq = [&rng, max_context] {
+    const std::int64_t n = rng.UniformInt(1, max_context / 2);
+    return SeqWork{n, rng.UniformInt(0, max_context - n)};
+  };
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<SeqWork> work(static_cast<std::size_t>(rng.UniformInt(2, 8)));
+    for (SeqWork& seq : work) seq = random_seq();
+    const PrefillBatch joined = PrefillBatch::Of(work);
+    const std::size_t victim = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(work.size()) - 1));
+    work.erase(work.begin() + static_cast<std::ptrdiff_t>(victim));
+    const PrefillBatch left = PrefillBatch::Of(work);
+    EXPECT_NE(joined.sum_n, left.sum_n);
+    const SeqWork single = random_seq();
+    for (int sms = 1; sms <= 108; ++sms) {
+      EXPECT_EQ(predictor_.PredictPrefill(left, sms),
+                predictor_.PredictPrefill(work, sms))
+          << "trial=" << trial << " sms=" << sms;
+      EXPECT_EQ(predictor_.PredictPrefill(PrefillBatch::Of(single), sms),
+                predictor_.PredictPrefill({single}, sms))
+          << "trial=" << trial << " sms=" << sms;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace muxwise::llm
