@@ -66,9 +66,9 @@ class SloAwareDispatcher {
   int PrefillLayersToLaunch(sim::Duration decode_estimate,
                             const std::vector<llm::SeqWork>& prefill_batch,
                             int prefill_sms, int layers_remaining) const {
-    return PrefillLayersToLaunch(
-        decode_estimate, estimator_->PredictPrefill(prefill_batch, prefill_sms),
-        layers_remaining);
+    const sim::Duration phase =
+        estimator_->PredictPrefill(prefill_batch, prefill_sms);
+    return PrefillLayersToLaunch(decode_estimate, phase, layers_remaining);
   }
 
   /**

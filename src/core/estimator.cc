@@ -47,10 +47,10 @@ ContentionEstimator::CellKey ContentionEstimator::CellFor(
 ContentionEstimator::CellKey ContentionEstimator::CellFor(
     const PrefillDesc& prefill, const llm::DecodeBatch& batch,
     int decode_sms) const {
-  const std::int64_t mean_ctx =
-      batch.size == 0
-          ? 0
-          : batch.total_context / static_cast<std::int64_t>(batch.size);
+  std::int64_t mean_ctx = 0;
+  if (batch.size > 0) {
+    mean_ctx = batch.total_context / static_cast<std::int64_t>(batch.size);
+  }
   return CellFor(prefill, batch.size, mean_ctx, decode_sms);
 }
 

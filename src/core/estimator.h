@@ -83,8 +83,7 @@ class ContentionEstimator {
   }
 
   /** Solo-run prefill-phase estimate (Eq. 1). */
-  sim::Duration PredictPrefill(const llm::PrefillBatch& batch,
-                               int sms) const {
+  sim::Duration PredictPrefill(const llm::PrefillBatch& batch, int sms) const {
     return predictor_.PredictPrefill(batch, sms);
   }
   sim::Duration PredictPrefill(const std::vector<llm::SeqWork>& batch,

@@ -81,17 +81,8 @@ void MultiplexEngine::SubmitLaunch(gpu::StreamId stream,
   launches_.push_back(PendingLaunch{stream, kernel, std::move(done)});
   host_->Submit(launch_cost, [this, e = epoch_] {
     if (e != epoch_) return;  // Abort() already dropped the launch.
-    PendingLaunch next = std::move(launches_[launch_head_++]);
-    if (launch_head_ == launches_.size()) {
-      launches_.clear();
-      launch_head_ = 0;
-    } else if (launch_head_ * 2 >= launches_.size()) {
-      // Never drained: drop the consumed prefix so the FIFO stays small.
-      launches_.erase(launches_.begin(),
-                      launches_.begin() +
-                          static_cast<std::ptrdiff_t>(launch_head_));
-      launch_head_ = 0;
-    }
+    PendingLaunch next = std::move(launches_.front());
+    launches_.erase(launches_.begin());
     device_->Launch(next.stream, next.kernel, std::move(next.done));
   });
 }
@@ -99,7 +90,6 @@ void MultiplexEngine::SubmitLaunch(gpu::StreamId stream,
 void MultiplexEngine::Abort() {
   ++epoch_;
   launches_.clear();
-  launch_head_ = 0;
   device_->AbortAll();
 }
 

@@ -137,11 +137,11 @@ class MultiplexEngine {
   std::size_t reconfigurations_ = 0;
   std::uint64_t epoch_ = 0;
 
-  // Launches submitted to the host and not yet started, oldest at
-  // launch_head_. Emptied whenever the host catches up, so steady-state
-  // launches reuse its capacity.
+  // Launches submitted to the host and not yet started, oldest first.
+  // MuxWiseEngine has at most one decode and one prefill launch in
+  // flight, so popping the front is cheap and steady-state launches
+  // reuse the capacity.
   std::vector<PendingLaunch> launches_;
-  std::size_t launch_head_ = 0;
 
   obs::Tracer tracer_;
 };

@@ -971,18 +971,9 @@ void MuxWiseEngine::MaybePreemptFor(const serve::Request& incoming) {
       active_->pause_requested) {
     return;
   }
-  const int prefill_sms = mux_->prefill_sms();
-  const llm::SeqWork seq{incoming.spec->input_tokens,
-                         incoming.spec->reused_tokens};
-  SeqPrice& price = incoming_price_;
-  if (price.sms != prefill_sms || price.seq.new_tokens != seq.new_tokens ||
-      price.seq.reused_tokens != seq.reused_tokens) {
-    price.seq = seq;
-    price.sms = prefill_sms;
-    price.duration =
-        estimator_.PredictPrefill(llm::PrefillBatch::Of(seq), prefill_sms);
-  }
-  const sim::Duration incoming_duration = price.duration;
+  const sim::Duration incoming_duration = IncomingPhaseTime(
+      llm::SeqWork{incoming.spec->input_tokens, incoming.spec->reused_tokens},
+      mux_->prefill_sms());
   const sim::Time incoming_deadline =
       incoming.arrival +
       deployment_.slo.TtftTargetFor(incoming.spec->input_tokens);
@@ -992,6 +983,21 @@ void MuxWiseEngine::MaybePreemptFor(const serve::Request& incoming) {
     active_->pause_requested = true;
     preemptor_pending_ = true;
   }
+}
+
+sim::Duration MuxWiseEngine::IncomingPhaseTime(const llm::SeqWork& seq,
+                                               int sms) {
+  for (const SeqPrice& price : incoming_prices_) {
+    if (price.sms == sms && price.seq.new_tokens == seq.new_tokens &&
+        price.seq.reused_tokens == seq.reused_tokens) {
+      return price.duration;
+    }
+  }
+  SeqPrice& slot = incoming_prices_[next_incoming_price_];
+  next_incoming_price_ = (next_incoming_price_ + 1) % incoming_prices_.size();
+  slot = SeqPrice{seq, sms,
+                  estimator_.PredictPrefill(llm::PrefillBatch::Of(seq), sms)};
+  return slot.duration;
 }
 
 void MuxWiseEngine::RegisterAudits(check::InvariantRegistry& registry) const {

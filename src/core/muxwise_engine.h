@@ -1,6 +1,7 @@
 #ifndef MUXWISE_CORE_MUXWISE_ENGINE_H_
 #define MUXWISE_CORE_MUXWISE_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -351,6 +352,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   /** Eq. 1 phase time of `job` on `sms` SMs, memoized in the job. */
   sim::Duration PhaseTime(PrefillJob& job, int sms) const;
 
+  /** Eq. 1 phase time of a single waiting sequence (memoized). */
+  sim::Duration IncomingPhaseTime(const llm::SeqWork& seq, int sms);
+
   sim::Simulator* sim_;
   serve::Deployment deployment_;
   Options options_;
@@ -411,9 +415,10 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   // resumed immediately.
   bool kv_preempt_pending_ = false;
   sim::Duration last_decode_estimate_ = 0;
-  // MaybePreemptFor prices the same waiting head at pump after pump;
-  // its last price, keyed by all of its inputs.
-  SeqPrice incoming_price_;
+  // MaybePreemptFor prices each arrival, then the shortest waiter at
+  // pump after pump: the last two prices, keyed by all of their inputs.
+  std::array<SeqPrice, 2> incoming_prices_;
+  std::size_t next_incoming_price_ = 0;
   std::size_t decode_iterations_ = 0;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;

@@ -113,7 +113,7 @@ struct Request {
    */
   void EmitToken(sim::Time now) {
     if (first_token < 0) first_token = now;
-    if (token_times.empty()) {
+    if (token_times.empty() && output_target() > 0) {
       token_times.reserve(static_cast<std::size_t>(output_target()));
     }
     token_times.push_back(now);
