@@ -136,6 +136,50 @@ struct PinnedRun {
 inline constexpr PinnedRun kKvPressurePreemptionDigest = {
     0xa247033a724e66e4ull, 16895, 0xfae5d9068d5fed6cull};
 
+/**
+ * Every checked-in scenario file, run once through
+ * harness::RunScenario: the matrix under scenarios/, the nightly
+ * 10^6-request stream and the chaos corpus. `path` is relative to the
+ * repository root. test_scenario_dsl.cc globs those directories and
+ * fails on a file without a row or a row without a file, so a new
+ * scenario must be pinned here before it lands.
+ */
+struct ScenarioFileDigest {
+  const char* path;
+  std::uint64_t event_digest;
+  std::size_t executed_events;
+  std::uint64_t outcome_digest;
+};
+
+inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
+    {"scenarios/acceptance_sharegpt.json", 0xb8dab88ef03c0e36ull, 5768,
+     0x64057339ff7e20ffull},
+    {"scenarios/chaos_grey_failover.json", 0xa5ff4edf4ffae157ull, 20729,
+     0x2d26023eca289b60ull},
+    {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
+     0xa79db285eba1ac92ull},
+    {"scenarios/fleet_failover.json", 0x09414ef7aa04d269ull, 10697,
+     0x5e1537682e017f25ull},
+    {"scenarios/loogle_longcontext.json", 0xf5bad742ade44eefull, 598,
+     0x8fd2a14ec38c8e22ull},
+    {"scenarios/mixed_sharegpt_loogle.json", 0xb989ba72b5e2fccfull, 3074,
+     0x0a3c13d0312ffbdeull},
+    {"scenarios/overload_mmpp_burst.json", 0x849b71bf79c77335ull, 7703,
+     0x343181fe007810f7ull},
+    {"scenarios/nightly/streaming_1e6.json", 0x4648550652293312ull, 2824832,
+     0xfc14886205373448ull},
+    {"tests/chaos_corpus/asym_partition.json", 0x8f19bbb91ca8b890ull, 8459,
+     0xda190420c3c5149bull},
+    {"tests/chaos_corpus/degrade_spill.json", 0x60d71e75d00fcf8eull, 9083,
+     0x7fc9f43ab773d739ull},
+    {"tests/chaos_corpus/flap_hysteresis.json", 0x07f8001793ea3faeull, 5921,
+     0x4094e58dd0e3551dull},
+    {"tests/chaos_corpus/mixed_grey_storm.json", 0xa987b0ef510d47b6ull, 7755,
+     0x7d6e4e1b5c6a1fb7ull},
+    {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
+     0x19e0254de1ad1666ull},
+};
+
 }  // namespace muxwise::tests
 
 #endif  // MUXWISE_TESTS_FROZEN_DIGESTS_H_

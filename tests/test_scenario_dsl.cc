@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/hash.h"
 #include "workload/datasets.h"
 
 namespace muxwise::harness {
@@ -79,6 +82,41 @@ TEST(ScenarioDslTest, EveryCheckedInScenarioParses) {
     }
   }
   EXPECT_GE(seen, 8u);  // 6 matrix scenarios + 2 nightly streaming ones.
+}
+
+TEST(ScenarioDslTest, EveryScenarioFileMatchesItsPinnedDigests) {
+  std::set<std::string> files;
+  for (const std::string dir :
+       {"scenarios", "scenarios/nightly", "tests/chaos_corpus"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(RepoPath(dir))) {
+      if (entry.path().extension() != ".json") continue;
+      // 10^7 requests: too long for tier-1, so it runs nightly only.
+      if (entry.path().filename() == "streaming_1e7.json") continue;
+      files.insert(dir + "/" + entry.path().filename().string());
+    }
+  }
+  std::set<std::string> pinned;
+  for (const tests::ScenarioFileDigest& row : tests::kScenarioFileDigests) {
+    pinned.insert(row.path);
+    EXPECT_TRUE(files.count(row.path)) << row.path << ": row without a file";
+  }
+  for (const std::string& file : files) {
+    EXPECT_TRUE(pinned.count(file)) << file << ": file without a row";
+  }
+
+  for (const tests::ScenarioFileDigest& row : tests::kScenarioFileDigests) {
+    if (!files.count(row.path)) continue;
+    SCOPED_TRACE(row.path);
+    const ScenarioParseResult parsed = LoadScenarioFile(RepoPath(row.path));
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const RunOutcome outcome = RunScenario(*parsed.spec);
+    EXPECT_EQ(sim::HexDigest(outcome.event_digest),
+              sim::HexDigest(row.event_digest));
+    EXPECT_EQ(outcome.executed_events, row.executed_events);
+    EXPECT_EQ(sim::HexDigest(OutcomeDigest(outcome)),
+              sim::HexDigest(row.outcome_digest));
+  }
 }
 
 TEST(ScenarioDslTest, StreamingSmokeIsDeterministicAndAccurate) {
