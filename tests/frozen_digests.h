@@ -2,12 +2,14 @@
 #define MUXWISE_TESTS_FROZEN_DIGESTS_H_
 
 #include <cstdint>
+#include <ostream>
 
 #include "fault/fault_plan.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
+#include "sim/hash.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
 
@@ -179,6 +181,48 @@ inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
     {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
      0x19e0254de1ad1666ull},
 };
+
+/**
+ * The synthetic drivers' witnesses: the executed-event count and the
+ * event digest (for the goodput sweeps, a fold of every run's event
+ * digest with its SLO-attained goodput). Each driver lives in the test
+ * of the layer it loads, which runs it twice and asserts both runs.
+ */
+struct DriverDigest {
+  std::size_t events;
+  std::uint64_t digest;
+
+  bool operator==(const DriverDigest&) const = default;
+};
+
+inline void PrintTo(const DriverDigest& d, std::ostream* os) {
+  *os << "{events " << d.events << ", digest " << sim::HexDigest(d.digest)
+      << "}";
+}
+
+/** test_simulator.cc: self-rescheduling actors with schedule/cancel
+ * churn, the same churn under 20k pre-scheduled arrivals, and
+ * same-tick storms. */
+inline constexpr DriverDigest kEventChurnDigest = {200063,
+                                                   0x684f4e7c0c05b620ull};
+inline constexpr DriverDigest kPreloadedChurnDigest = {220063,
+                                                       0x8d5c0e5253b7d031ull};
+inline constexpr DriverDigest kSameTickStormDigest = {102400,
+                                                      0xfd46ff45e2234d8dull};
+
+/** test_gpu.cc: kernel launch/complete/re-rate churn on four streams. */
+inline constexpr DriverDigest kLaunchChurnDigest = {20000,
+                                                    0xd4871fa18a6f1d82ull};
+
+/** test_overload_scenario.cc: 1x/2x/4x MMPP bursts, 30 s each, on
+ * MuxWise with control on and off, chunked prefill and SGLang-PD. */
+inline constexpr DriverDigest kOverloadGoodputDigest = {
+    132404, 0x7009c57e3475c645ull};
+
+/** test_route.cc: a 40 s MMPP burst through 1/2/4-replica fleets, each
+ * with and without a replica crash at t=30 s. */
+inline constexpr DriverDigest kFleetGoodputDigest = {97228,
+                                                     0xa6156382347a6417ull};
 
 }  // namespace muxwise::tests
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "gpu/host.h"
 #include "gpu/kernel.h"
@@ -333,6 +337,57 @@ TEST(HostThreadTest, IdleAfterWorkDrains) {
   EXPECT_FALSE(host.Idle());
   simulator.RunUntil(Milliseconds(2));
   EXPECT_TRUE(host.Idle());
+}
+
+
+// ------------------------------------------------- pinned driver digest
+
+/**
+ * Kernel launch/complete churn: four streams with distinct SM grants
+ * chain mixed prefill/decode/fused kernels, forcing an HBM
+ * re-arbitration of every co-running kernel on each boundary.
+ */
+tests::DriverDigest DriveLaunches(std::size_t target_launches) {
+  sim::Simulator simulator;
+  Gpu device(&simulator, GpuSpec::A100());
+  const int total_sms = device.spec().sm_count;
+  const StreamId s0 = device.CreateStream(total_sms / 2);
+  const StreamId s1 = device.CreateStream(total_sms / 4);
+  const StreamId s2 = device.CreateStream(total_sms / 8);
+  const StreamId s3 = device.CreateStream(total_sms / 8);
+  const StreamId streams[] = {s0, s1, s2, s3};
+
+  std::size_t launched = 0;
+  std::function<void(int)> chain = [&](int lane) {
+    if (launched >= target_launches) return;
+    ++launched;
+    const std::size_t n = launched;
+    Kernel kernel;
+    switch (n % 3) {
+      case 0:
+        kernel = Kernel::Prefill(2e12 + 1e9 * static_cast<double>(n % 7), 1e9);
+        break;
+      case 1:
+        kernel = Kernel::Decode(5e10, 4e9 + 1e6 * static_cast<double>(n % 13));
+        break;
+      default:
+        kernel = Kernel::Fused(8e11, 2e9);
+        break;
+    }
+    device.Launch(streams[lane % 4], std::move(kernel),
+                  [&chain, lane] { chain(lane); });
+  };
+  for (int lane = 0; lane < 4; ++lane) chain(lane);
+  simulator.Run();
+  return {simulator.ExecutedEvents(), simulator.EventDigest()};
+}
+
+TEST(GpuDriverTest, LaunchChurnMatchesItsPinnedDigest) {
+  // Run twice: both runs must reproduce the pinned witnesses.
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveLaunches(20'000), tests::kLaunchChurnDigest)
+        << "run " << run;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "fault/fault_plan.h"
 #include "frozen_digests.h"
@@ -9,6 +10,7 @@
 #include "llm/model_config.h"
 #include "overload/controller.h"
 #include "serve/deployment.h"
+#include "sim/hash.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
 #include "workload/slo.h"
@@ -240,6 +242,70 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+
+/**
+ * Overload goodput sweep: a Markov-modulated ShareGPT burst at
+ * 1x/2x/4x the calm arrival rate, replayed on MuxWise with overload
+ * control on and off, on chunked-prefill, and on static disaggregation.
+ * The digest folds each run's event digest and its SLO-attained
+ * goodput, so a control regression (fewer TTFT-attained completions)
+ * shows up as a digest change even when raw event counts hold steady.
+ */
+tests::DriverDigest DriveOverloadGoodput(double duration_seconds) {
+  static const serve::Deployment deployment = serve::Deployment::Make(
+      llm::ModelConfig::Llama70B(), gpu::GpuSpec::A100());
+  static const core::ContentionEstimator estimator =
+      core::ContentionEstimator::BuildOffline(deployment);
+
+  tests::DriverDigest run{0, 0x452821e638d01377ULL};
+  for (const double multiplier : {1.0, 2.0, 4.0}) {
+    workload::MmppOptions options;
+    options.dataset = workload::Dataset::kShareGpt;
+    options.calm_rate_per_second = 10.0;
+    options.burst_multiplier = multiplier;
+    options.mean_calm_seconds = 15.0;
+    options.mean_burst_seconds = 10.0;
+    options.duration_seconds = duration_seconds;
+    options.class_mix = {0.2, 0.5, 0.3};
+    const workload::Trace trace = GenerateMmppTrace(options, 20250);
+
+    struct Arm {
+      EngineKind kind;
+      bool control;
+    };
+    constexpr Arm kArms[] = {
+        {EngineKind::kMuxWise, true},
+        {EngineKind::kMuxWise, false},
+        {EngineKind::kChunked, false},
+        {EngineKind::kSglangPd, false},
+    };
+    for (const Arm& arm : kArms) {
+      RunConfig config;
+      config.recovery.enabled = true;
+      config.overload.enabled = arm.control;
+      const RunOutcome outcome =
+          RunWorkload(arm.kind, deployment, trace, &estimator, config);
+      std::uint64_t goodput = 0;
+      for (const serve::ClassMetrics& slice : outcome.per_class) {
+        goodput += slice.TtftAttained();
+      }
+      if (outcome.per_class.empty()) goodput = outcome.split.attained;
+      run.events += outcome.executed_events;
+      run.digest = sim::MixDigest(run.digest, outcome.event_digest);
+      run.digest = sim::MixDigest(run.digest, goodput);
+    }
+  }
+  return run;
+}
+
+TEST(OverloadGoodputTest, SweepMatchesItsPinnedDigest) {
+  // Run twice: both runs must reproduce the pinned witnesses.
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveOverloadGoodput(30.0), tests::kOverloadGoodputDigest)
+        << "run " << run;
+  }
+}
 
 }  // namespace
 }  // namespace muxwise::harness

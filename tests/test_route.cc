@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "fault/fault_plan.h"
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "route/affinity.h"
 #include "route/health.h"
 #include "serve/deployment.h"
+#include "sim/hash.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
 #include "workload/slo.h"
@@ -325,6 +330,72 @@ TEST_F(FleetRouterTest, RouterAuditsRunAtQuiescence) {
       harness::EngineKind::kMuxWise, Llama70bA100(), *trace_, estimator_,
       config);
   EXPECT_TRUE(outcome.diagnostic.empty()) << outcome.diagnostic;
+}
+
+
+// ------------------------------------------------- pinned driver digest
+
+/**
+ * Fleet goodput scaling: the MMPP burst replayed through the fleet
+ * router at 1/2/4 replicas, each with and without a replica crash at
+ * t=30 s (never recovering). The digest folds every run's event digest,
+ * SLO-attained goodput, and re-home counters, so a routing or failover
+ * regression — fewer attained completions, orphans shed instead of
+ * re-homed — shows up as a digest change.
+ */
+tests::DriverDigest DriveFleetGoodput(double duration_seconds) {
+  static const serve::Deployment deployment = serve::Deployment::Make(
+      llm::ModelConfig::Llama70B(), gpu::GpuSpec::A100());
+  static const core::ContentionEstimator estimator =
+      core::ContentionEstimator::BuildOffline(deployment);
+
+  workload::MmppOptions options;
+  options.dataset = workload::Dataset::kShareGpt;
+  options.calm_rate_per_second = 2.0;
+  options.burst_multiplier = 4.0;
+  options.mean_calm_seconds = 15.0;
+  options.mean_burst_seconds = 10.0;
+  options.duration_seconds = duration_seconds;
+  options.class_mix = {0.3, 0.5, 0.2};
+  const workload::Trace trace = GenerateMmppTrace(options, 20260);
+
+  tests::DriverDigest run{0, 0x13198a2e03707344ULL};
+  for (const std::size_t replicas : {1, 2, 4}) {
+    for (const bool crash : {false, true}) {
+      harness::RunConfig config;
+      config.fleet.enabled = true;
+      config.fleet.replicas = replicas;
+      if (crash) {
+        config.fault_plan = fault::FaultPlan();
+        // A fleet of one has no survivor: the crash arm then measures
+        // the total-outage shed path instead of failover.
+        config.fault_plan->Crash(replicas > 1 ? 1 : 0, sim::Seconds(30));
+      }
+      const harness::RunOutcome outcome =
+          harness::RunWorkload(harness::EngineKind::kMuxWise, deployment,
+                               trace, &estimator, config);
+      std::uint64_t goodput = 0;
+      for (const serve::ClassMetrics& slice : outcome.per_class) {
+        goodput += slice.TtftAttained();
+      }
+      run.events += outcome.executed_events;
+      run.digest = sim::MixDigest(run.digest, outcome.event_digest);
+      run.digest = sim::MixDigest(run.digest, goodput);
+      run.digest = sim::MixDigest(
+          run.digest, static_cast<std::uint64_t>(outcome.fleet.rehomed));
+      run.digest = sim::MixDigest(
+          run.digest, static_cast<std::uint64_t>(outcome.fleet.fleet_shed));
+    }
+  }
+  return run;
+}
+
+TEST(FleetGoodputTest, SweepMatchesItsPinnedDigest) {
+  // Run twice: both runs must reproduce the pinned witnesses.
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveFleetGoodput(40.0), tests::kFleetGoodputDigest)
+        << "run " << run;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "check/invariant_registry.h"
+#include "frozen_digests.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -389,6 +390,97 @@ TEST(TimeTest, FormatDurationPicksUnits) {
   EXPECT_EQ(FormatDuration(Microseconds(12)), "12.000us");
   EXPECT_EQ(FormatDuration(Milliseconds(3.5)), "3.500ms");
   EXPECT_EQ(FormatDuration(Seconds(2)), "2.000s");
+}
+
+
+// ------------------------------------------------- pinned driver digests
+
+/**
+ * Raw event-queue throughput: `actors` self-rescheduling callbacks with
+ * deterministic, distinct delays, plus schedule-then-cancel churn on
+ * every 8th firing so the cancellation path stays on the profile. With
+ * `preloaded` > 0 the actors churn under that many time-sorted no-op
+ * arrivals scheduled up front, 500 ns apart — the queue shape of a
+ * replayed trace, whose frontend pre-schedules every arrival.
+ */
+tests::DriverDigest DriveEvents(std::size_t target_events, int actors,
+                                std::size_t preloaded) {
+  Simulator simulator;
+  for (std::size_t i = 0; i < preloaded; ++i) {
+    simulator.ScheduleAt(
+        Nanoseconds(1000 + 500 * static_cast<std::int64_t>(i)), [] {});
+  }
+  std::size_t fired = 0;
+  std::vector<std::function<void()>> bodies(
+      static_cast<std::size_t>(actors));
+  for (int a = 0; a < actors; ++a) {
+    bodies[static_cast<std::size_t>(a)] = [&, a] {
+      ++fired;
+      if (fired >= target_events) return;
+      if (fired % 8 == 0) {
+        // Schedule-and-cancel: a completion re-rated away, the hottest
+        // cancellation pattern in gpu::Gpu.
+        const EventId doomed =
+            simulator.ScheduleAfter(Microseconds(500), [] {});
+        simulator.Cancel(doomed);
+      }
+      const Duration delay =
+          Nanoseconds(1 + (static_cast<Duration>(fired % 97) * (a + 1)));
+      simulator.ScheduleAfter(delay, bodies[static_cast<std::size_t>(a)]);
+    };
+  }
+  for (int a = 0; a < actors; ++a) {
+    simulator.ScheduleAfter(Nanoseconds(a + 1),
+                            bodies[static_cast<std::size_t>(a)]);
+  }
+  simulator.Run();
+  return {simulator.ExecutedEvents(), simulator.EventDigest()};
+}
+
+/**
+ * Same-tick storms: every round schedules `width` events at one shared
+ * timestamp (insertion order defines execution order), and the last of
+ * them opens the next round — the adversarial case for the heap's
+ * same-timestamp FIFO tie-break.
+ */
+tests::DriverDigest DriveStorm(std::size_t rounds, std::size_t width) {
+  Simulator simulator;
+  std::size_t round = 0;
+  std::function<void()> start_round = [&] {
+    if (round >= rounds) return;
+    ++round;
+    const Time when = simulator.Now() + Microseconds(10);
+    for (std::size_t i = 0; i + 1 < width; ++i) {
+      simulator.ScheduleAt(when, [] {});
+    }
+    simulator.ScheduleAt(when, [&] { start_round(); });
+  };
+  start_round();
+  simulator.Run();
+  return {simulator.ExecutedEvents(), simulator.EventDigest()};
+}
+
+// Each driver runs twice: both runs must reproduce the pinned witnesses.
+
+TEST(SimulatorDriverTest, EventChurnMatchesItsPinnedDigest) {
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveEvents(200'000, 64, 0), tests::kEventChurnDigest)
+        << "run " << run;
+  }
+}
+
+TEST(SimulatorDriverTest, PreloadedChurnMatchesItsPinnedDigest) {
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveEvents(200'000, 64, 20'000), tests::kPreloadedChurnDigest)
+        << "run " << run;
+  }
+}
+
+TEST(SimulatorDriverTest, SameTickStormMatchesItsPinnedDigest) {
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(DriveStorm(400, 256), tests::kSameTickStormDigest)
+        << "run " << run;
+  }
 }
 
 }  // namespace
