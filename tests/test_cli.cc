@@ -35,11 +35,7 @@ TEST(FlagSetTest, CountsRejectSignsJunkOverflowAndValuesBelowMin) {
   EXPECT_TRUE(flags.Done(0, 0, "t"));
 }
 
-TEST(FlagSetTest, SwitchesTakeNoValueAndOptionsNeedOne) {
-  FlagSet with_value("t", {"--no-wall=1"});
-  EXPECT_TRUE(with_value.Switch("no-wall"));
-  EXPECT_FALSE(with_value.Done(0, 0, "t"));
-
+TEST(FlagSetTest, OptionsNeedAValue) {
   FlagSet bare("t", {"--out"});
   EXPECT_EQ(bare.String("out", "x"), "x");
   EXPECT_FALSE(bare.Done(0, 0, "t"));
@@ -52,8 +48,8 @@ TEST(FlagSetTest, UnknownFlagsAndWrongArityAreErrors) {
   FlagSet arity("t", {"a", "b", "c"});
   EXPECT_FALSE(arity.Done(1, 2, "t"));
 
-  FlagSet ok("t", {"a", "--out=f", "b", "--diff"});
-  EXPECT_TRUE(ok.Switch("diff"));
+  FlagSet ok("t", {"a", "--out=f", "b", "--runs=3"});
+  EXPECT_EQ(ok.Count("runs", 5), 3u);
   EXPECT_EQ(ok.String("out"), "f");
   EXPECT_TRUE(ok.Done(2, 2, "t"));
   EXPECT_EQ(ok.positional(), (std::vector<std::string>{"a", "b"}));

@@ -265,10 +265,10 @@ TEST(MuxlintTest, TraceWallClockScopedToTraceCode) {
       Lint("src/serve/foo.cc", "// mentions steady_clock by name\n"
                                "int steady_clock_like = 0;\n");
   EXPECT_FALSE(HasRule(r, "trace-wall-clock"));
-  // The CLI's bench subcommand times wall clock on purpose; only the
-  // trace subcommand's source is in scope.
+  // Only the trace subcommand's source is in scope, not the rest of
+  // the CLI.
   EXPECT_FALSE(HasRule(
-      Lint("tools/muxwise/simcore.cc",
+      Lint("tools/muxwise/fuzz.cc",
            "const auto t = chr::steady_clock::now();\n"),
       "trace-wall-clock"));
 }

@@ -39,14 +39,6 @@ void FlagSet::Fail(const std::string& message) {
   if (error_.empty()) error_ = message;
 }
 
-bool FlagSet::Switch(const std::string& name) {
-  const Flag* flag = Take(name);
-  if (flag != nullptr && flag->value.has_value()) {
-    Fail("--" + name + " takes no value");
-  }
-  return flag != nullptr;
-}
-
 std::string FlagSet::String(const std::string& name,
                             const std::string& fallback) {
   const Flag* flag = Take(name);

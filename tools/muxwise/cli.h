@@ -11,7 +11,7 @@ namespace muxwise::cli {
 
 /**
  * The strict command line of one `muxwise` subcommand: `--name=VALUE`
- * options, bare `--name` switches and positional arguments. Each
+ * options and positional arguments. Each
  * accessor consumes the flag it names; Done() then rejects any flag no
  * accessor asked for. A numeric value must parse whole and be finite —
  * `--rss-ceiling-mb=abc` is an error naming the flag, never a silent 0.
@@ -19,9 +19,6 @@ namespace muxwise::cli {
 class FlagSet {
  public:
   FlagSet(std::string command, const std::vector<std::string>& args);
-
-  /** Whether the switch `--name` was given. */
-  bool Switch(const std::string& name);
 
   /** Value of `--name=VALUE`, or `fallback` when absent. */
   std::string String(const std::string& name, const std::string& fallback = "");
@@ -47,7 +44,7 @@ class FlagSet {
  private:
   struct Flag {
     std::string name;
-    std::optional<std::string> value;  // Empty for the `--name` form.
+    std::optional<std::string> value;  // Empty for a bare `--name`.
     bool consumed = false;
   };
 
@@ -70,7 +67,6 @@ bool ReadFile(const std::string& path, std::string& out);
 int RunCommand(const std::vector<std::string>& args);
 int CheckCommand(const std::vector<std::string>& args);
 int FuzzCommand(const std::vector<std::string>& args);
-int BenchCommand(const std::vector<std::string>& args);
 int TraceCommand(const std::vector<std::string>& args);
 
 }  // namespace muxwise::cli

@@ -14,8 +14,6 @@
 //                [--out-dir=D]
 //       Seeded chaos campaign; failing fault plans are shrunk and
 //       written as repro scenario files (see fuzz.h).
-//   muxwise bench [...] | muxwise bench --diff BASE CAND [...]
-//       Benchmark suite and its digest / wall-time gate (see bench.cc).
 //   muxwise trace SCENARIO OUT.bin [OUT.json]
 //       Traced run written as a MUXT binary, optionally as Chrome JSON.
 //
@@ -189,8 +187,9 @@ int main(int argc, char** argv) {
     int (*run)(const std::vector<std::string>&);
   };
   static constexpr Command kCommands[] = {
-      {"run", RunCommand},     {"check", CheckCommand},
-      {"fuzz", FuzzCommand},   {"bench", BenchCommand},
+      {"run", RunCommand},
+      {"check", CheckCommand},
+      {"fuzz", FuzzCommand},
       {"trace", TraceCommand},
   };
   if (argc >= 2) {
@@ -200,15 +199,12 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(stderr,
-               "usage: muxwise run|check|fuzz|bench|trace ...\n"
+               "usage: muxwise run|check|fuzz|trace ...\n"
                "  run SCENARIO [--out=F] [--rss-ceiling-mb=N] "
                "[--rss-baseline=F --rss-growth-max=R]\n"
                "  check FILE... [--out=F]\n"
                "  fuzz SCENARIO [--runs=N] [--seed=S] [--max-faults=K] "
                "[--out-dir=D]\n"
-               "  bench [--smoke|--full] [--repeat=N] [--filter=S] "
-               "[--bench-dir=D] [--scenarios=D] [--out=F]\n"
-               "  bench --diff BASE CAND [--no-wall] [--allow-missing]\n"
                "  trace SCENARIO OUT.bin [OUT.json]\n");
   return 2;
 }
