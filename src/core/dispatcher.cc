@@ -17,26 +17,38 @@ SloAwareDispatcher::SloAwareDispatcher(const serve::Deployment& deployment,
 
 int SloAwareDispatcher::ChooseDecodeSms(const llm::DecodeBatch& decode,
                                         bool prefill_pending,
-                                        const PrefillDesc& prefill) const {
+                                        const PrefillDesc& prefill,
+                                        sim::Duration* worst_case) const {
   const int full = deployment_.gpu.sm_count;
   if (!prefill_pending) return full;
+  // The partition last priced, and its worst case.
+  int priced_sms = 0;
+  sim::Duration worst = 0;
+  const auto chosen = [&](int sms) {
+    if (worst_case != nullptr) {
+      *worst_case = sms == priced_sms
+                        ? worst
+                        : estimator_->WorstCaseDecode(decode, sms, prefill);
+    }
+    return sms;
+  };
   if (decode.size == 0) {
     // Nothing decoding: keep the minimum partition warm so a merge can
     // start immediately; prefill gets nearly everything.
-    return partition_options_.front();
+    return chosen(partition_options_.front());
   }
   const sim::Duration budget = deployment_.slo.tbt - options_.tbt_margin;
   for (int sms : partition_options_) {
     if (sms >= full) break;  // Multiplexed configs only.
-    const sim::Duration worst =
-        estimator_->WorstCaseDecode(decode, sms, prefill);
-    if (worst <= budget) return sms;
+    priced_sms = sms;
+    worst = estimator_->WorstCaseDecode(decode, sms, prefill);
+    if (worst <= budget) return chosen(sms);
   }
   // No multiplexed partition fits: take the largest sub-device option;
   // online refinement will record what actually happens.
-  return partition_options_.size() >= 2
-             ? partition_options_[partition_options_.size() - 2]
-             : partition_options_.back();
+  return chosen(partition_options_.size() >= 2
+                    ? partition_options_[partition_options_.size() - 2]
+                    : partition_options_.back());
 }
 
 int SloAwareDispatcher::PrefillLayersToLaunch(sim::Duration decode_estimate,

@@ -44,10 +44,14 @@ class SloAwareDispatcher {
    * smallest partition option whose worst-case latency meets the TBT
    * target minus margin. Returns the full device when no prefill is
    * pending, and the largest option (accepting risk, which online
-   * refinement will observe) when none fits.
+   * refinement will observe) when none fits. When prefill is pending
+   * and `worst_case` is non-null, it receives the worst-case decode
+   * latency of the returned partition, so the caller need not price it
+   * again.
    */
   int ChooseDecodeSms(const llm::DecodeBatch& decode, bool prefill_pending,
-                      const PrefillDesc& prefill) const;
+                      const PrefillDesc& prefill,
+                      sim::Duration* worst_case = nullptr) const;
   int ChooseDecodeSms(const std::vector<std::int64_t>& decode_ctx,
                       bool prefill_pending, const PrefillDesc& prefill) const {
     return ChooseDecodeSms(llm::DecodeBatch::Of(decode_ctx), prefill_pending,

@@ -538,7 +538,10 @@ void MuxWiseEngine::MaybeLaunchDecode() {
   }
 
   const int total = deployment_.gpu.sm_count;
-  int decode_sms = dispatcher_->ChooseDecodeSms(batch, prefill_pending, desc);
+  // The dispatcher hands back the worst case it priced for its choice.
+  sim::Duration worst = 0;
+  int decode_sms =
+      dispatcher_->ChooseDecodeSms(batch, prefill_pending, desc, &worst);
   if (options_.mux.mode == MultiplexEngine::Mode::kSpatial) {
     if (decode_sms >= total) {
       mux_->SetPartition(total, deployment_.gpu.partition_granularity);
@@ -547,6 +550,9 @@ void MuxWiseEngine::MaybeLaunchDecode() {
     }
   } else {
     decode_sms = total;
+    if (prefill_pending) {
+      worst = estimator_.WorstCaseDecode(batch, decode_sms, desc);
+    }
   }
   if (partition_trace_capacity_ == 0 ||
       partition_trace_.size() < partition_trace_capacity_) {
@@ -555,9 +561,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
 
   const gpu::Kernel kernel = cost_->DecodeIteration(batch);
   const sim::Duration solo = estimator_.PredictDecodeSolo(batch, decode_sms);
-  last_decode_estimate_ =
-      prefill_pending ? estimator_.WorstCaseDecode(batch, decode_sms, desc)
-                      : solo;
+  last_decode_estimate_ = prefill_pending ? worst : solo;
   inflight_decode_.launch_time = sim_->Now();
   inflight_decode_.solo = solo;
   inflight_decode_.cell = estimator_.CellFor(desc, batch, decode_sms);

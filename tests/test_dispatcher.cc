@@ -90,6 +90,22 @@ TEST_F(DispatcherTest, ImpossibleSloFallsBackToLargestMultiplexedOption) {
   EXPECT_EQ(sms, 96);  // Largest sub-device option on A100.
 }
 
+TEST_F(DispatcherTest, HandsBackTheWorstCaseOfTheChosenPartition) {
+  // Fit, empty decode and no-fit fallback: each hands back exactly what
+  // the estimator prices for the returned partition.
+  SloAwareDispatcher dispatcher = MakeDispatcher();
+  const PrefillDesc prefill{8192, 0};
+  for (const std::vector<std::int64_t>& ctx :
+       {std::vector<std::int64_t>(8, 1024), std::vector<std::int64_t>{},
+        std::vector<std::int64_t>(256, 131072)}) {
+    const llm::DecodeBatch batch = llm::DecodeBatch::Of(ctx);
+    sim::Duration worst = -1;
+    const int sms = dispatcher.ChooseDecodeSms(batch, true, prefill, &worst);
+    EXPECT_EQ(worst, estimator_->WorstCaseDecode(batch, sms, prefill))
+        << ctx.size() << " sequences on " << sms << " SMs";
+  }
+}
+
 TEST_F(DispatcherTest, PrefillLayerCountCoversDecodeIteration) {
   SloAwareDispatcher dispatcher = MakeDispatcher();
   const std::vector<llm::SeqWork> batch = {llm::SeqWork{8192, 0}};
