@@ -538,7 +538,6 @@ void MuxWiseEngine::MaybeLaunchDecode() {
   }
 
   const int total = deployment_.gpu.sm_count;
-  // The dispatcher hands back the worst case it priced for its choice.
   sim::Duration worst = 0;
   int decode_sms =
       dispatcher_->ChooseDecodeSms(batch, prefill_pending, desc, &worst);
