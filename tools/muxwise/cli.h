@@ -11,10 +11,10 @@ namespace muxwise::cli {
 
 /**
  * The strict command line of one `muxwise` subcommand: `--name=VALUE`
- * options and positional arguments. Each
- * accessor consumes the flag it names; Done() then rejects any flag no
- * accessor asked for. A numeric value must parse whole and be finite —
- * `--rss-ceiling-mb=abc` is an error naming the flag, never a silent 0.
+ * options and positional arguments. Each accessor consumes the flag it
+ * names; Done() then rejects any flag no accessor asked for. A numeric
+ * value must parse whole and be finite — `--rss-ceiling-mb=abc` is an
+ * error naming the flag, never a silent 0.
  */
 class FlagSet {
  public:
