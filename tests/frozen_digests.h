@@ -210,6 +210,20 @@ inline constexpr DriverDigest kPreloadedChurnDigest = {220063,
 inline constexpr DriverDigest kSameTickStormDigest = {102400,
                                                       0xfd46ff45e2234d8dull};
 
+/** test_simulator.cc and test_parallel_sim.cc: the event digest of 16
+ * rounds of 36 same-tick events with every fourth cancelled. The
+ * schedule is integer-only, so the digest pins the (when, id)
+ * execution order on every platform. */
+inline constexpr std::uint64_t kSixteenRoundStormDigest =
+    0x3a2d5d1435052199ull;
+
+/** test_trace_determinism.cc: obs::TraceDigest of the MuxWise run of
+ * the acceptance scenario (FrozenTrace), unsampled and at 1-in-4 span
+ * sampling. Either moves when the instrumentation, the binary encoding
+ * or the sampling key changes. */
+inline constexpr std::uint64_t kUnsampledTraceDigest = 0xdc1476e73027d0b1ull;
+inline constexpr std::uint64_t kSampledTraceDigest = 0xe65d9fd07aea6c09ull;
+
 /** test_gpu.cc: kernel launch/complete/re-rate churn on four streams. */
 inline constexpr DriverDigest kLaunchChurnDigest = {20000,
                                                     0xd4871fa18a6f1d82ull};

@@ -130,7 +130,7 @@ TEST(ParallelSimTest, FrozenStormDigestReproducedAtEveryThreadCount) {
     RunJobsOnThreads(threads, storms,
                      [&](int i) { digests[i] = RunFrozenStorm(); });
     for (int i = 0; i < storms; ++i) {
-      EXPECT_EQ(digests[i], 0x3a2d5d1435052199ULL)
+      EXPECT_EQ(digests[i], tests::kSixteenRoundStormDigest)
           << "threads=" << threads << " storm " << i;
     }
   }

@@ -117,7 +117,7 @@ TEST(SimulatorTest, SameTickStormDigestIsFrozen) {
   };
   const std::uint64_t digest = run();
   EXPECT_EQ(digest, run());
-  EXPECT_EQ(digest, 0x3a2d5d1435052199ULL)
+  EXPECT_EQ(digest, tests::kSixteenRoundStormDigest)
       << "digest drifted to " << std::hex << digest;
 }
 

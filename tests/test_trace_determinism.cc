@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
@@ -14,10 +15,6 @@
 
 namespace muxwise::harness {
 namespace {
-
-// See TraceSamplingFrozenDigests below for the pinning contract.
-constexpr std::uint64_t kFrozenUnsampledTraceDigest = 0xdc1476e73027d0b1ULL;
-constexpr std::uint64_t kFrozenSampledTraceDigest = 0xe65d9fd07aea6c09ULL;
 
 serve::Deployment Llama70bA100() {
   return serve::Deployment::Make(llm::ModelConfig::Llama70B(),
@@ -138,8 +135,8 @@ TEST(TraceSamplingFrozenDigests, MuxWiseAcceptanceScenarioPinned) {
     return obs::TraceDigest(recorder);
   };
 
-  EXPECT_EQ(digest(1), kFrozenUnsampledTraceDigest);
-  EXPECT_EQ(digest(4), kFrozenSampledTraceDigest);
+  EXPECT_EQ(digest(1), tests::kUnsampledTraceDigest);
+  EXPECT_EQ(digest(4), tests::kSampledTraceDigest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
