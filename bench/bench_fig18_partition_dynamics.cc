@@ -4,7 +4,6 @@
 // that bursty traces activate every partition configuration quickly.
 
 #include <cstdio>
-#include <map>
 
 #include "bench_util.h"
 #include "gpu/gpu_spec.h"
@@ -18,30 +17,26 @@ using namespace muxwise;
 namespace {
 
 void Analyze(const harness::RunOutcome& outcome, const char* label) {
-  std::map<int, std::size_t> histogram;
-  double prefill_share = 0.0;
-  std::size_t active_samples = 0;
-  for (const auto& sample : outcome.partition_trace) {
-    histogram[sample.decode_sms]++;
-    if (sample.prefill_active && sample.prefill_sms > 0) {
-      prefill_share += static_cast<double>(sample.prefill_sms) /
-                       (sample.prefill_sms + sample.decode_sms);
-      ++active_samples;
-    }
-  }
+  const auto& partition = outcome.partition;
   std::printf("\n%s: %zu partition decisions, %zu while multiplexing\n",
-              label, outcome.partition_trace.size(), active_samples);
-  if (active_samples > 0) {
+              label, partition.decisions, partition.multiplexing);
+  if (partition.multiplexing > 0) {
+    const double sum = partition.prefill_share_sum;
+    const double n = static_cast<double>(partition.multiplexing);
     std::printf("  mean SM share while multiplexing: prefill %.0f%%, "
                 "decode %.0f%%\n",
-                100.0 * prefill_share / active_samples,
-                100.0 * (1.0 - prefill_share / active_samples));
+                100.0 * sum / n, 100.0 * (1.0 - sum / n));
   }
   std::printf("  decode-SM histogram:");
-  for (const auto& [sms, count] : histogram) {
-    std::printf("  %d:%zu", sms, count);
+  std::size_t configurations = 0;
+  for (std::size_t sms = 0; sms < partition.decode_sms_histogram.size();
+       ++sms) {
+    const std::size_t count = partition.decode_sms_histogram[sms];
+    if (count == 0) continue;
+    std::printf("  %zu:%zu", sms, count);
+    ++configurations;
   }
-  std::printf("\n  configurations used: %zu\n", histogram.size());
+  std::printf("\n  configurations used: %zu\n", configurations);
 }
 
 }  // namespace

@@ -15,8 +15,7 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
       sim_(simulator),
       deployment_(deployment),
       options_(options),
-      estimator_(std::move(estimator)),
-      partition_trace_(deployment.gpu.sm_count) {
+      estimator_(std::move(estimator)) {
   mux_ = std::make_unique<MultiplexEngine>(sim_, deployment_, options_.mux);
   pool_ = std::make_unique<kv::KvPool>(deployment_.PoolTokens(
       deployment_.num_gpus,
@@ -37,38 +36,17 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
 
 MuxWiseEngine::~MuxWiseEngine() = default;
 
-void MuxWiseEngine::PartitionLog::Append(sim::Time time, int decode_sms,
-                                         bool prefill_active) {
-  MUX_CHECK(time >= last_time_);
-  MUX_CHECK(decode_sms >= 0 && decode_sms <= 0xff);
-  std::uint64_t v = static_cast<std::uint64_t>(time - last_time_) << 1 |
-                    (prefill_active ? 1u : 0u);
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<std::uint8_t>(v | 0x80));
-    v >>= 7;
+void MuxWiseEngine::PartitionSummary::Add(int decode_sms, int sm_count,
+                                          bool prefill_active) {
+  MUX_CHECK(decode_sms >= 0 && decode_sms < kMaxDecodeSms);
+  ++decisions;
+  ++decode_sms_histogram[static_cast<std::size_t>(decode_sms)];
+  const int prefill_sms = decode_sms >= sm_count ? 0 : sm_count - decode_sms;
+  if (prefill_active && prefill_sms > 0) {
+    prefill_share_sum +=
+        static_cast<double>(prefill_sms) / (prefill_sms + decode_sms);
+    ++multiplexing;
   }
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-  bytes_.push_back(static_cast<std::uint8_t>(decode_sms));
-  last_time_ = time;
-  ++size_;
-}
-
-void MuxWiseEngine::PartitionLog::Iterator::Decode() {
-  if (pos_ == end_) return;
-  std::uint64_t v = 0;
-  int shift = 0;
-  next_ = pos_;
-  std::uint8_t byte;
-  do {
-    byte = *next_++;
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    shift += 7;
-  } while (byte & 0x80);
-  const int decode_sms = *next_++;
-  sample_.time += static_cast<sim::Time>(v >> 1);
-  sample_.decode_sms = decode_sms;
-  sample_.prefill_sms = decode_sms >= sm_count_ ? 0 : sm_count_ - decode_sms;
-  sample_.prefill_active = (v & 1) != 0;
 }
 
 const char* MuxWiseEngine::name() const {
@@ -553,10 +531,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
       worst = estimator_.WorstCaseDecode(batch, decode_sms, desc);
     }
   }
-  if (partition_trace_capacity_ == 0 ||
-      partition_trace_.size() < partition_trace_capacity_) {
-    partition_trace_.Append(sim_->Now(), decode_sms, active_ != nullptr);
-  }
+  partition_.Add(decode_sms, total, active_ != nullptr);
 
   const gpu::Kernel kernel = cost_->DecodeIteration(batch);
   const sim::Duration solo = estimator_.PredictDecodeSolo(batch, decode_sms);

@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/dispatcher.h"
@@ -155,97 +154,30 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   void WarmCachePrefix(const kv::TokenSeq& prefix);
 
   /**
-   * One partition decision (Fig. 18): the decode reservation at `time`,
-   * the SMs left to prefill, and whether a prefill batch was active.
-   * The engine stores samples packed in a PartitionLog and hands them
-   * out by value.
+   * Fixed-size summary of every partition decision (Fig. 18): how many
+   * there were, how often each decode reservation was chosen, and, over
+   * the decisions taken while a prefill batch was active and held SMs
+   * (multiplexing), their count and the sum of prefill's SM share.
    */
-  struct PartitionSample {
-    sim::Time time;
-    int decode_sms;
-    int prefill_sms;
-    bool prefill_active;
+  struct PartitionSummary {
+    static constexpr int kMaxDecodeSms = 256;
+
+    std::size_t decisions = 0;
+    std::array<std::size_t, kMaxDecodeSms> decode_sms_histogram{};
+    std::size_t multiplexing = 0;
+    double prefill_share_sum = 0.0;
+
+    /** Records one decision on a device of `sm_count` SMs. */
+    void Add(int decode_sms, int sm_count, bool prefill_active);
   };
 
-  /**
-   * Append-only packed log of PartitionSamples, about 5 bytes each: a
-   * LEB128 varint of (time - previous time) << 1 | prefill_active, then
-   * one decode_sms byte. prefill_sms is derived from the device's SM
-   * count on read. Bytes live in deque blocks, so growth never copies.
-   */
-  class PartitionLog {
-   public:
-    class Iterator {
-     public:
-      PartitionSample operator*() const { return sample_; }
-      Iterator& operator++() {
-        pos_ = next_;
-        Decode();
-        return *this;
-      }
-      bool operator==(const Iterator& other) const {
-        return pos_ == other.pos_;
-      }
-
-     private:
-      friend class PartitionLog;
-      using Byte = std::deque<std::uint8_t>::const_iterator;
-      Iterator(Byte pos, Byte end, int sm_count)
-          : pos_(pos), next_(pos), end_(end), sm_count_(sm_count) {
-        Decode();
-      }
-      /** Decodes the record at pos_ into sample_ and points next_ past it. */
-      void Decode();
-
-      Byte pos_;
-      Byte next_;
-      Byte end_;
-      int sm_count_;
-      PartitionSample sample_{0, 0, 0, false};
-    };
-
-    explicit PartitionLog(int sm_count = 0) : sm_count_(sm_count) {}
-
-    /** Records a decision; `time` may not decrease, `decode_sms` < 256. */
-    void Append(sim::Time time, int decode_sms, bool prefill_active);
-
-    Iterator begin() const {
-      return Iterator(bytes_.begin(), bytes_.end(), sm_count_);
-    }
-    Iterator end() const {
-      return Iterator(bytes_.end(), bytes_.end(), sm_count_);
-    }
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Encoded bytes held (about 5 per sample). */
-    std::size_t bytes() const { return bytes_.size(); }
-
-   private:
-    std::deque<std::uint8_t> bytes_;
-    std::size_t size_ = 0;
-    sim::Time last_time_ = 0;
-    int sm_count_ = 0;
-  };
-
-  const PartitionLog& partition_trace() const { return partition_trace_; }
-
-  /** Moves the log out, leaving this engine an empty one. */
-  PartitionLog TakePartitionTrace() {
-    return std::exchange(partition_trace_,
-                         PartitionLog(deployment_.gpu.sm_count));
-  }
+  const PartitionSummary& partition_summary() const { return partition_; }
 
   /**
-   * Bounds the partition trace to the first `capacity` samples (0 keeps
-   * it unbounded, the default). Million-request streaming runs record
-   * one sample per scheduling decision, so an unbounded trace would
-   * grow without limit; the cap keeps the earliest samples (enough for
-   * Fig. 18-style plots) and ignores the rest.
+   * Inert: the partition summary has a fixed size however long the run.
+   * Kept only until the benchmark driver stops calling it.
    */
-  void set_partition_trace_capacity(std::size_t capacity) {
-    partition_trace_capacity_ = capacity;
-  }
+  void set_partition_trace_capacity(std::size_t /*capacity*/) {}
 
  private:
   struct PrefillJob {
@@ -422,8 +354,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::size_t decode_iterations_ = 0;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;
-  PartitionLog partition_trace_;
-  std::size_t partition_trace_capacity_ = 0;  // 0 = unbounded.
+  PartitionSummary partition_;
 };
 
 }  // namespace muxwise::core

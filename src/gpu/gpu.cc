@@ -211,12 +211,13 @@ void Gpu::AdvanceIntegrals() {
   integral_updated_at_ = now;
 }
 
-void Gpu::TryStart(StreamId id) {
+bool Gpu::TryStart(StreamId id) {
   Stream& s = GetStream(id);
-  if (s.running.has_value() || s.queue.empty()) return;
+  if (s.running.has_value() || s.queue.empty()) return false;
   QueuedKernel next = std::move(s.queue.front());
   s.queue.pop_front();
   Start(id, std::move(next.kernel), std::move(next.on_complete));
+  return true;
 }
 
 void Gpu::Start(StreamId id, Kernel kernel, CallbackChain on_complete) {
@@ -266,9 +267,9 @@ void Gpu::Complete(StreamId id) {
         static_cast<std::int64_t>(finished.serial));
   }
 
-  // Start the next kernel on this stream (if any), then re-rate everyone.
-  TryStart(id);
-  Rerate();
+  // Start the next kernel on this stream (which re-rates everyone), or
+  // re-rate the streams still running.
+  if (!TryStart(id)) Rerate();
 
   finished.on_complete.Invoke();
 }

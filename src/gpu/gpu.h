@@ -251,8 +251,11 @@ class Gpu {
   Stream& GetStream(StreamId id);
   const Stream& GetStream(StreamId id) const;
 
-  /** Starts the next queued kernel on `id` if the stream is free. */
-  void TryStart(StreamId id);
+  /**
+   * Starts the next queued kernel on `id` if the stream is free; true
+   * when one started (Start re-rates every stream).
+   */
+  bool TryStart(StreamId id);
 
   /** Starts `kernel` on the idle stream `id`. */
   void Start(StreamId id, Kernel kernel, CallbackChain on_complete);

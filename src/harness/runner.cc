@@ -250,7 +250,6 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
     outcome.per_class[rank] =
         metrics.ClassSlice(static_cast<workload::SloClass>(rank));
   }
-  outcome.has_class_mix = metrics.HasClassMix();
   outcome.ttft = metrics.Ttft();
   outcome.tbt = metrics.Tbt();
   outcome.tpot = metrics.Tpot();
@@ -265,11 +264,9 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
   // so it is comparable at any merge order or thread count.
   {
     std::uint64_t sketch_digest = 0x243f6a8885a308d3ULL;
-    bool overflowed = false;
     std::size_t bytes = 0;
     auto fold = [&](const serve::QuantileSketch& sketch) {
       sketch_digest = MixDigest(sketch_digest, sketch.StateDigest());
-      overflowed = overflowed || sketch.overflowed();
       bytes += sketch.MemoryBytes();
     };
     fold(metrics.ttft_sketch());
@@ -284,7 +281,6 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
       fold(slice.ttft);
     }
     outcome.metrics_state_digest = sketch_digest;
-    outcome.metrics_overflowed = overflowed;
     outcome.metric_bytes = bytes;
   }
   outcome.meets_slo = outcome.stable && metrics.MeetsSlo(deployment.slo);
@@ -294,7 +290,6 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
   outcome.request_throughput = metrics.RequestThroughput(0, end);
 
   if (fleet != nullptr) {
-    outcome.fleet_active = true;
     outcome.fleet = fleet->Stats();
     double hit_rate = 0.0;
     for (std::size_t r = 0; r < fleet->num_replicas(); ++r) {
@@ -309,15 +304,12 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
     }
     outcome.cache_hit_rate =
         hit_rate / static_cast<double>(fleet->num_replicas());
-    outcome.overload_active =
-        fleet->replica(0).overload_controller().enabled();
   } else if (muxwise != nullptr) {
     outcome.gpu_utilization = {UtilPercent(muxwise->mux().device(), end)};
     outcome.bubble_ratio = muxwise->mux().AverageBubbleRatio();
     outcome.cache_hit_rate = muxwise->pool().HitRate();
     outcome.preemptions = muxwise->preemptions();
-    outcome.partition_trace = muxwise->TakePartitionTrace();
-    outcome.overload_active = muxwise->overload_controller().enabled();
+    outcome.partition = muxwise->partition_summary();
     outcome.overload_mode_transitions =
         muxwise->overload_controller().mode_transitions();
     outcome.kv_spills = muxwise->kv_spills();
@@ -359,87 +351,81 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
 }
 
 std::uint64_t OutcomeDigest(const RunOutcome& outcome) {
+  const auto count = [](std::size_t n) {
+    return static_cast<std::uint64_t>(n);
+  };
   std::uint64_t h = 0x243f6a8885a308d3ULL;  // pi, for a fixed seed.
-  h = MixDigest(h, outcome.event_digest);
-  h = MixDigest(h, static_cast<std::uint64_t>(outcome.executed_events));
-  h = MixDigest(h, static_cast<std::uint64_t>(outcome.completed));
-  h = MixDigest(h, static_cast<std::uint64_t>(outcome.total));
-  h = MixDigest(h, static_cast<std::uint64_t>(outcome.stable ? 1 : 0));
+  for (unsigned char c : outcome.engine) h = MixDigest(h, count(c));
+  h = MixDigest(h, count(outcome.stable ? 1 : 0));
+  h = MixDigest(h, count(outcome.completed));
+  h = MixDigest(h, count(outcome.total));
   h = MixSummary(h, outcome.ttft);
   h = MixSummary(h, outcome.tbt);
   h = MixSummary(h, outcome.tpot);
   h = MixSummary(h, outcome.e2e);
+  h = MixSummary(h, outcome.ttft_per_token);
+  h = MixDigest(h, outcome.ttft_per_token_sketch.StateDigest());
+  h = MixDigest(h, outcome.ttft_sketch.StateDigest());
+  h = MixDigest(h, count(outcome.ttft_subsample_ms.size()));
+  for (double ms : outcome.ttft_subsample_ms) h = MixDigest(h, ms);
+  h = MixDigest(h, count(outcome.peak_in_flight));
+  h = MixDigest(h, count(outcome.metric_bytes));
+  h = MixDigest(h, outcome.metrics_state_digest);
   h = MixDigest(h, outcome.tbt_attainment);
+  h = MixDigest(h, count(outcome.meets_slo ? 1 : 0));
   h = MixDigest(h, outcome.token_throughput);
   h = MixDigest(h, outcome.request_throughput);
+  h = MixDigest(h, count(outcome.gpu_utilization.size()));
   for (double util : outcome.gpu_utilization) h = MixDigest(h, util);
   h = MixDigest(h, outcome.bubble_ratio);
   h = MixDigest(h, outcome.cache_hit_rate);
-  h = MixDigest(h, static_cast<std::uint64_t>(outcome.preemptions));
-  for (const auto& sample : outcome.partition_trace) {
-    h = MixDigest(h, static_cast<std::uint64_t>(sample.time));
-    h = MixDigest(h, static_cast<std::uint64_t>(sample.decode_sms));
+  h = MixDigest(h, count(outcome.preemptions));
+
+  const core::MuxWiseEngine::PartitionSummary& partition = outcome.partition;
+  h = MixDigest(h, count(partition.decisions));
+  for (std::size_t n : partition.decode_sms_histogram) {
+    h = MixDigest(h, count(n));
   }
-  // Sketch-era field: below the exact-tier capacity the summaries above
-  // already pin every population bit-for-bit, so folding the sketch
-  // state would only perturb historical digests; past the capacity the
-  // summaries quantise and the canonical sketch state is the witness.
-  if (outcome.metrics_overflowed) {
-    h = MixDigest(h, outcome.metrics_state_digest);
+  h = MixDigest(h, count(partition.multiplexing));
+  h = MixDigest(h, partition.prefill_share_sum);
+
+  const auto mix_split = [&](const serve::GoodputSplit& split) {
+    h = MixDigest(h, count(split.attained));
+    h = MixDigest(h, count(split.timed_out));
+    h = MixDigest(h, count(split.shed));
+    h = MixDigest(h, count(split.failed));
+  };
+  mix_split(outcome.split);
+  for (const serve::ClassMetrics& slice : outcome.per_class) {
+    mix_split(slice.split);
+    h = MixDigest(h, slice.queue_delay.StateDigest());
+    h = MixDigest(h, slice.ttft.StateDigest());
+    h = MixDigest(h, count(slice.ttft_attained));
   }
-  // Fault-era fields fold in only when active, so fault-free digests stay
-  // comparable with pre-fault baselines.
-  if (outcome.split.timed_out + outcome.split.shed + outcome.split.failed >
-      0) {
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.split.attained));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.split.timed_out));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.split.shed));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.split.failed));
+  h = MixDigest(h, count(outcome.overload_mode_transitions));
+  h = MixDigest(h, count(outcome.kv_spills));
+  h = MixDigest(h, count(outcome.kv_recomputes));
+  h = MixDigest(h, count(outcome.kv_restores));
+
+  const route::FleetStats& fleet = outcome.fleet;
+  h = MixDigest(h, count(fleet.replicas));
+  h = MixDigest(h, count(fleet.routed_per_replica.size()));
+  for (std::size_t routed : fleet.routed_per_replica) {
+    h = MixDigest(h, count(routed));
   }
-  // Overload-era fields follow the same convention: folded only when
-  // the controller was active or the trace carried a class mix, so
-  // plain runs keep their historical digests.
-  if (outcome.overload_active || outcome.has_class_mix) {
-    for (const serve::ClassMetrics& slice : outcome.per_class) {
-      h = MixDigest(h, static_cast<std::uint64_t>(slice.split.attained));
-      h = MixDigest(h, static_cast<std::uint64_t>(slice.split.timed_out));
-      h = MixDigest(h, static_cast<std::uint64_t>(slice.split.shed));
-      h = MixDigest(h, static_cast<std::uint64_t>(slice.split.failed));
-      h = MixDigest(h, slice.QueueDelayP99());
-    }
-    h = MixDigest(h,
-                  static_cast<std::uint64_t>(outcome.overload_mode_transitions));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.kv_spills));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.kv_recomputes));
-    h = MixDigest(h, static_cast<std::uint64_t>(outcome.kv_restores));
+  for (std::size_t n :
+       {fleet.affinity_hits, fleet.session_hits, fleet.rehomed,
+        fleet.rehome_migrations, fleet.rehome_recomputes, fleet.rehome_shed,
+        fleet.rehome_failed, fleet.fleet_shed, fleet.failovers,
+        fleet.zombie_downs, fleet.health_transitions, fleet.mode_transitions,
+        fleet.scale_ups, fleet.scale_downs}) {
+    h = MixDigest(h, count(n));
   }
-  // Fleet-era fields: folded only when the router was enabled, so every
-  // single-replica run keeps its historical digest bit-for-bit.
-  if (outcome.fleet_active) {
-    const route::FleetStats& fleet = outcome.fleet;
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.replicas));
-    for (std::size_t routed : fleet.routed_per_replica) {
-      h = MixDigest(h, static_cast<std::uint64_t>(routed));
-    }
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.affinity_hits));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.session_hits));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.rehomed));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.rehome_migrations));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.rehome_recomputes));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.rehome_shed));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.rehome_failed));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.fleet_shed));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.failovers));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.health_transitions));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.mode_transitions));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.scale_ups));
-    h = MixDigest(h, static_cast<std::uint64_t>(fleet.scale_downs));
-    h = MixSummary(h, fleet.failover_latency);
-  }
-  for (unsigned char c : outcome.diagnostic) {
-    h = MixDigest(h, static_cast<std::uint64_t>(c));
-  }
-  return h;
+  h = MixSummary(h, fleet.failover_latency);
+
+  for (unsigned char c : outcome.diagnostic) h = MixDigest(h, count(c));
+  h = MixDigest(h, outcome.event_digest);
+  return MixDigest(h, count(outcome.executed_events));
 }
 
 DeterminismReport VerifyDeterminism(

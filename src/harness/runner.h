@@ -187,16 +187,8 @@ struct RunOutcome {
    * metric-memory witness the nightly smoke asserts on. */
   std::size_t metric_bytes = 0;
 
-  /**
-   * Order-invariant digest over every metric sketch's state, and
-   * whether any population spilled past the exact tier. Folded into
-   * OutcomeDigest only when `metrics_overflowed` — below the capacity
-   * the latency summaries already pin the full population bit-for-bit,
-   * so historical digests stay untouched; past it the summaries
-   * quantise and the sketch state itself becomes the witness.
-   */
+  /** Order-invariant digest over every metric sketch's state. */
   std::uint64_t metrics_state_digest = 0;
-  bool metrics_overflowed = false;
 
   double tbt_attainment = 0.0;  // Fraction of gaps within the target.
   bool meets_slo = false;
@@ -210,7 +202,8 @@ struct RunOutcome {
   double bubble_ratio = 0.0;    // MuxWise / chunked streams (§4.4.2).
   double cache_hit_rate = 0.0;  // Token-weighted, where applicable.
   std::size_t preemptions = 0;
-  core::MuxWiseEngine::PartitionLog partition_trace;
+  /** MuxWise partition decisions (single-engine MuxWise runs only). */
+  core::MuxWiseEngine::PartitionSummary partition;
 
   /**
    * Terminal disposition of every request: attained goodput plus the
@@ -223,16 +216,12 @@ struct RunOutcome {
    * Per-SLO-class slices of the split, with queue-delay p99 and TTFT
    * attainment — the overload-control report card (indexed by
    * SloClassRank). All-standard traces leave the interactive and batch
-   * slices empty, and the digest then ignores these fields.
+   * slices empty.
    */
   std::array<serve::ClassMetrics, workload::kNumSloClasses> per_class;
 
-  /** True when any request carried a non-standard SLO class. */
-  bool has_class_mix = false;
-
   // Overload-control activity (MuxWise-family engines; zero elsewhere
-  // and in disabled runs — folded into the digest only when active).
-  bool overload_active = false;
+  // and in disabled runs).
   std::size_t overload_mode_transitions = 0;
   std::size_t kv_spills = 0;
   std::size_t kv_recomputes = 0;
@@ -240,11 +229,9 @@ struct RunOutcome {
 
   /**
    * Fleet-routing activity (RunConfig::fleet.enabled runs only; the
-   * stats stay default elsewhere and are folded into the digest only
-   * when `fleet_active` — per-class goodput, re-home counts, and the
-   * failover-latency summary the fleet report card needs).
+   * stats stay default, with `fleet.replicas == 0`, elsewhere): re-home
+   * counts and the failover-latency summary the fleet report card needs.
    */
-  bool fleet_active = false;
   route::FleetStats fleet;
 
   /**
@@ -267,9 +254,8 @@ struct RunOutcome {
 };
 
 /**
- * Hashes the observable results of a run (completion counts, latency
- * summaries, throughputs, and the event-stream digest) into one value
- * for cheap equality comparison across repeated runs.
+ * Hashes every field of a run's outcome, unconditionally, into one
+ * value for cheap equality comparison across repeated runs.
  */
 std::uint64_t OutcomeDigest(const RunOutcome& outcome);
 

@@ -197,12 +197,6 @@ RunOutcome RunStreamingWorkload(
                                        spec.exact_subsample_period) +
               1);
         }
-        if (run.instance.muxwise != nullptr) {
-          // One PartitionSample lands per scheduling decision; at
-          // streaming scale that is an unbounded vector, so keep only an
-          // illustrative prefix.
-          run.instance.muxwise->set_partition_trace_capacity(4096);
-        }
         StreamingDriver driver(&run.simulator, run.instance.engine.get(),
                                &run.metrics, spec, &run.outcome);
         driver.Start();

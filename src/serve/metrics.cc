@@ -95,12 +95,6 @@ GoodputSplit MetricsCollector::Split() const {
   return split;
 }
 
-bool MetricsCollector::HasClassMix() const {
-  using workload::SloClass;
-  return ClassSlice(SloClass::kInteractive).split.total() > 0 ||
-         ClassSlice(SloClass::kBatch).split.total() > 0;
-}
-
 double MetricsCollector::TbtAttainment(sim::Duration tbt_target) const {
   if (tbt_.empty()) return 1.0;
   const double target_ms = sim::ToMilliseconds(tbt_target);

@@ -115,10 +115,6 @@ class MetricsCollector {
     return per_class_[workload::SloClassRank(slo_class)];
   }
 
-  /** True once any non-standard class has been reported (i.e. the
-   * per-class split says more than the aggregate). */
-  bool HasClassMix() const;
-
   /** Every OnRequestComplete call, over all terminal outcomes. */
   std::size_t notified() const {
     return completed_ + timed_out_ + shed_ + failed_;

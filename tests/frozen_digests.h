@@ -15,6 +15,11 @@
 
 namespace muxwise::tests {
 
+// Every outcome digest below was re-pinned once when OutcomeDigest began
+// folding every RunOutcome field; event digests and executed-event
+// counts kept their older recordings except where DESIGN.md §10
+// ("Pinned digests") names the rows that moved and why.
+
 /**
  * The seven-engine acceptance scenario's frozen digests — recorded from
  * the seed BEFORE the channel refactor and re-enforced by every
@@ -29,19 +34,19 @@ struct FrozenDigest {
 
 inline constexpr FrozenDigest kFrozenEngineDigests[] = {
     {harness::EngineKind::kMuxWise, 0xb8dab88ef03c0e36ull, 5768,
-     0x64057339ff7e20ffull},
+     0xd26e3f5f04565227ull},
     {harness::EngineKind::kChunked, 0x600f439cd0e9b2a9ull, 5166,
-     0xa79db285eba1ac92ull},
+     0x981fc9e9f5ce966eull},
     {harness::EngineKind::kNanoFlow, 0x98d55bf27e747a59ull, 8710,
-     0xc54972f3fb74e7bfull},
+     0xfcf5304e2a12198dull},
     {harness::EngineKind::kSglangPd, 0x7b797a7451b6eb90ull, 5014,
-     0x50f684df4c6170f4ull},
+     0x07fe6833a90abc8aull},
     {harness::EngineKind::kLoongServe, 0x7c3cf241ee03682dull, 3912,
-     0x6288a403b4628e89ull},
+     0xf99ba7fa9202144dull},
     {harness::EngineKind::kWindServe, 0x4af18835f365b17eull, 6196,
-     0xec28858423c39dc5ull},
-    {harness::EngineKind::kTemporal, 0x0cddefd2e724a299ull, 6260,
-     0x7cd1c27674bb5f39ull},
+     0x928dacbf34d5ac66ull},
+    {harness::EngineKind::kTemporal, 0xb8d5d933df7c8ccfull, 6260,
+     0xb8ec8c2393ade388ull},
 };
 
 /** The deployment the frozen digests were recorded against. */
@@ -74,25 +79,25 @@ struct FaultPathDigest {
 
 inline constexpr FaultPathDigest kFaultPathDigests[] = {
     {harness::EngineKind::kMuxWise, false, 0xefa8918660b699a5ull, 27353,
-     0x90fda8c4fab690b2ull},
+     0x20e67b927f5aba66ull},
     {harness::EngineKind::kChunked, false, 0x3ea4aa555a54dc0full, 24741,
-     0x112ac5357c44f8f9ull},
+     0x35c2cf867c67b5b6ull},
     {harness::EngineKind::kNanoFlow, false, 0xf0a5172faa5969c7ull, 49166,
-     0xe8240b24e1f0d3ffull},
+     0x0db68627a4bdf313ull},
     {harness::EngineKind::kSglangPd, false, 0xb1c97140455d1d94ull, 25525,
-     0x1ae7b4280f80122bull},
+     0xda5e49849428391eull},
     {harness::EngineKind::kLoongServe, false, 0xed4911bb0b0d243dull, 15641,
-     0x4f49bdf93672ca51ull},
+     0x25ed334c38a613dbull},
     {harness::EngineKind::kWindServe, false, 0x923dd5adffa69ae6ull, 43121,
-     0x1895be9357643e63ull},
-    {harness::EngineKind::kTemporal, false, 0xc37ab92f1a252867ull, 33414,
-     0xb89161f468221edfull},
+     0x3cd17366462cf7f3ull},
+    {harness::EngineKind::kTemporal, false, 0x20830db1bd6e2499ull, 33414,
+     0xe992bdcd0ce07fd2ull},
     {harness::EngineKind::kMuxWise, true, 0xd096a21c688647caull, 26456,
-     0x1969e1f0f00129beull},
+     0x7360d4e0e217c67dull},
     {harness::EngineKind::kWindServe, true, 0x0f8cc4dc3a50f6bdull, 45212,
-     0xddd886483e6716bfull},
-    {harness::EngineKind::kTemporal, true, 0x57d719be2975452dull, 36555,
-     0x3f9ec1bfde6d20c4ull},
+     0x1f55a864781b2613ull},
+    {harness::EngineKind::kTemporal, true, 0x03e0f27ed2ff1045ull, 36555,
+     0x24addccca054334bull},
 };
 
 /** The multi-turn trace the fault-path digests were recorded against. */
@@ -136,7 +141,7 @@ struct PinnedRun {
 };
 
 inline constexpr PinnedRun kKvPressurePreemptionDigest = {
-    0xa247033a724e66e4ull, 16895, 0xfae5d9068d5fed6cull};
+    0xa247033a724e66e4ull, 16895, 0xa98b6051eda0c258ull};
 
 /**
  * Every checked-in scenario file, run once through
@@ -155,31 +160,31 @@ struct ScenarioFileDigest {
 
 inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
     {"scenarios/acceptance_sharegpt.json", 0xb8dab88ef03c0e36ull, 5768,
-     0x64057339ff7e20ffull},
+     0xd26e3f5f04565227ull},
     {"scenarios/chaos_grey_failover.json", 0xa5ff4edf4ffae157ull, 20729,
-     0x2d26023eca289b60ull},
+     0x45638d5fcab674ddull},
     {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
-     0xa79db285eba1ac92ull},
+     0x981fc9e9f5ce966eull},
     {"scenarios/fleet_failover.json", 0x09414ef7aa04d269ull, 10697,
-     0x5e1537682e017f25ull},
+     0x4b12a49c288a6901ull},
     {"scenarios/loogle_longcontext.json", 0xf5bad742ade44eefull, 598,
-     0x8fd2a14ec38c8e22ull},
+     0x2cbe4f5a8498781aull},
     {"scenarios/mixed_sharegpt_loogle.json", 0xb989ba72b5e2fccfull, 3074,
-     0x0a3c13d0312ffbdeull},
+     0x6fd208ca89845978ull},
     {"scenarios/overload_mmpp_burst.json", 0x849b71bf79c77335ull, 7703,
-     0x343181fe007810f7ull},
+     0x4aff7c8703c8248cull},
     {"scenarios/nightly/streaming_1e6.json", 0x4648550652293312ull, 2824832,
-     0xfc14886205373448ull},
+     0x69f76ee7d24b0c4aull},
     {"tests/chaos_corpus/asym_partition.json", 0x8f19bbb91ca8b890ull, 8459,
-     0xda190420c3c5149bull},
+     0x3db2849a8e9858e6ull},
     {"tests/chaos_corpus/degrade_spill.json", 0x60d71e75d00fcf8eull, 9083,
-     0x7fc9f43ab773d739ull},
+     0xb9c34a4bbe4be18bull},
     {"tests/chaos_corpus/flap_hysteresis.json", 0x07f8001793ea3faeull, 5921,
-     0x4094e58dd0e3551dull},
+     0x525a21a28b73897dull},
     {"tests/chaos_corpus/mixed_grey_storm.json", 0xa987b0ef510d47b6ull, 7755,
-     0x7d6e4e1b5c6a1fb7ull},
+     0xe26bae09ab288f45ull},
     {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
-     0x19e0254de1ad1666ull},
+     0xfcb85893baeae508ull},
 };
 
 /**

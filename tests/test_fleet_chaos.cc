@@ -73,7 +73,7 @@ TEST_F(FleetChaosTest, ReplicaLossUnderBurstKeepsEveryRequestAccounted) {
                                    FleetChaosConfig(/*failover=*/true));
   // RunWorkload already aborted if any invariant audit failed.
   EXPECT_TRUE(o.diagnostic.empty()) << o.diagnostic;
-  ASSERT_TRUE(o.fleet_active);
+  ASSERT_GT(o.fleet.replicas, 0u);
   EXPECT_EQ(o.split.total(), o.total);  // Nothing stranded, ever.
   EXPECT_EQ(o.fleet.failovers, 1u);
   // The dead replica had work in its queues mid-burst; survivors took

@@ -383,7 +383,7 @@ TEST_F(FleetGreyTest, ZombieIsDetectedByWatermarkAndFailedOverOnce) {
       harness::RunWorkload(harness::EngineKind::kMuxWise, Llama70bA100(),
                            *trace_, estimator_, config);
   EXPECT_TRUE(o.diagnostic.empty()) << o.diagnostic;
-  ASSERT_TRUE(o.fleet_active);
+  ASSERT_GT(o.fleet.replicas, 0u);
   EXPECT_EQ(o.split.total(), o.total);
   // The frozen replica answered every heartbeat; only the watermark
   // betrayed it. One Down verdict, via the zombie path.
@@ -441,7 +441,7 @@ TEST_F(FleetGreyTest, FlappingReplicaDwellsInSuspectWithoutFailover) {
       harness::RunWorkload(harness::EngineKind::kMuxWise, Llama70bA100(),
                            *trace_, estimator_, config);
   EXPECT_TRUE(o.diagnostic.empty()) << o.diagnostic;
-  ASSERT_TRUE(o.fleet_active);
+  ASSERT_GT(o.fleet.replicas, 0u);
   EXPECT_EQ(o.split.total(), o.total);
   EXPECT_GT(o.fleet.health_transitions, 0u);  // The FSM saw the flap...
   EXPECT_EQ(o.fleet.failovers, 0u);           // ...and absorbed it.
@@ -475,7 +475,7 @@ TEST_F(FleetGreyTest, AsymmetricSilenceFailsOverExactlyOnce) {
       harness::RunWorkload(harness::EngineKind::kMuxWise, Llama70bA100(),
                            *trace_, estimator_, config);
   EXPECT_TRUE(o.diagnostic.empty()) << o.diagnostic;
-  ASSERT_TRUE(o.fleet_active);
+  ASSERT_GT(o.fleet.replicas, 0u);
   EXPECT_EQ(o.split.total(), o.total);
   EXPECT_EQ(o.fleet.failovers, 1u);
   EXPECT_EQ(o.fleet.zombie_downs, 0u);  // The deadline path, not the lie.

@@ -54,7 +54,7 @@ TEST_F(HarnessTest, RunWorkloadCompletesAndPopulatesOutcome) {
   ASSERT_EQ(o.gpu_utilization.size(), 1u);
   EXPECT_GT(o.gpu_utilization[0], 0.0);
   EXPECT_LE(o.gpu_utilization[0], 100.0);
-  EXPECT_FALSE(o.partition_trace.empty());
+  EXPECT_GT(o.partition.decisions, 0u);
 }
 
 TEST_F(HarnessTest, DisaggregatedEngineReportsTwoUtilizations) {
@@ -133,6 +133,54 @@ TEST_F(HarnessTest, DeterministicAcrossCalls) {
                                    trace, estimator_);
   EXPECT_DOUBLE_EQ(a.ttft.p99_ms, b.ttft.p99_ms);
   EXPECT_DOUBLE_EQ(a.tbt.p99_ms, b.tbt.p99_ms);
+}
+
+TEST(OutcomeDigestTest, EveryFormerlyGatedFieldReachesTheDigest) {
+  // A plain single-replica run: fault-free, all-standard traffic, no
+  // overload control, no fleet, no sketch overflow.
+  RunOutcome plain;
+  plain.engine = "MuxWise";
+  plain.total = 10;
+  plain.completed = 10;
+  plain.split.attained = 10;
+  plain.per_class[workload::SloClassRank(workload::SloClass::kStandard)]
+      .split.attained = 10;
+  plain.partition.decisions = 1;
+  plain.partition.decode_sms_histogram[54] = 1;
+  plain.event_digest = 0x1234;
+  plain.executed_events = 99;
+  const std::uint64_t base = OutcomeDigest(plain);
+
+  struct Edit {
+    const char* field;
+    void (*apply)(RunOutcome&);
+  };
+  const Edit edits[] = {
+      {"split",
+       [](RunOutcome& o) {
+         --o.split.attained;
+         ++o.split.timed_out;
+       }},
+      {"per_class",
+       [](RunOutcome& o) {
+         ++o.per_class[workload::SloClassRank(workload::SloClass::kBatch)]
+               .split.shed;
+       }},
+      {"kv_spills", [](RunOutcome& o) { ++o.kv_spills; }},
+      {"fleet.failovers", [](RunOutcome& o) { ++o.fleet.failovers; }},
+      {"metrics_state_digest",
+       [](RunOutcome& o) { o.metrics_state_digest ^= 1; }},
+      {"partition histogram",
+       [](RunOutcome& o) {
+         --o.partition.decode_sms_histogram[54];
+         ++o.partition.decode_sms_histogram[60];
+       }},
+  };
+  for (const Edit& edit : edits) {
+    RunOutcome changed = plain;
+    edit.apply(changed);
+    EXPECT_NE(OutcomeDigest(changed), base) << edit.field;
+  }
 }
 
 /** A synthetic outcome that passes every CheckRun property. */

@@ -198,13 +198,16 @@ TEST_F(ClassMetricsTest, PerClassSplitPartitionsOutcomes) {
     total += metrics_.ClassSlice(c).split.total();
   }
   EXPECT_EQ(total, metrics_.notified());
-  EXPECT_TRUE(metrics_.HasClassMix());
 }
 
-TEST_F(ClassMetricsTest, HasClassMixIsFalseForAllStandardTraffic) {
+TEST_F(ClassMetricsTest, AllStandardTrafficLeavesOtherSlicesEmpty) {
   metrics_.OnRequestComplete(
       *MakeClassed(1, workload::SloClass::kStandard, Milliseconds(5)));
-  EXPECT_FALSE(metrics_.HasClassMix());
+  EXPECT_EQ(metrics_.ClassSlice(workload::SloClass::kStandard).split.total(),
+            1u);
+  EXPECT_EQ(
+      metrics_.ClassSlice(workload::SloClass::kInteractive).split.total(), 0u);
+  EXPECT_EQ(metrics_.ClassSlice(workload::SloClass::kBatch).split.total(), 0u);
 }
 
 TEST_F(ClassMetricsTest, QueueDelayP99HandComputedFixture) {

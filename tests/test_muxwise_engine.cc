@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
-#include <set>
-#include <vector>
 
 #include "engine_test_util.h"
 #include "gpu/gpu_spec.h"
@@ -88,28 +87,22 @@ TEST_F(MuxWiseEngineTest, PartitionAdaptsToWorkload) {
   MuxWiseEngine* engine = nullptr;
   auto result = Run(loogle, MuxWiseEngine::Options(), &engine);
   ASSERT_TRUE(result.all_completed);
-  double prefill_share_loogle = 0.0;
-  int samples = 0;
-  for (const auto& s : engine->partition_trace()) {
-    if (s.prefill_active) {
-      prefill_share_loogle += static_cast<double>(s.prefill_sms) /
-                              (s.prefill_sms + s.decode_sms);
-      ++samples;
-    }
-  }
-  ASSERT_GT(samples, 0);
-  prefill_share_loogle /= samples;
-  EXPECT_GT(prefill_share_loogle, 0.5);
+  const MuxWiseEngine::PartitionSummary& loogle_partition =
+      engine->partition_summary();
+  ASSERT_GT(loogle_partition.multiplexing, 0u);
+  EXPECT_GT(loogle_partition.prefill_share_sum /
+                static_cast<double>(loogle_partition.multiplexing),
+            0.5);
 
   const workload::Trace thoughts = workload::GenerateTrace(
       workload::Dataset::kOpenThoughts, 40, 1.0, 13);
   result = Run(thoughts, MuxWiseEngine::Options(), &engine);
   ASSERT_TRUE(result.all_completed);
-  std::set<int> decode_sms_seen;
-  for (const auto& s : engine->partition_trace()) {
-    decode_sms_seen.insert(s.decode_sms);
-  }
-  EXPECT_GE(decode_sms_seen.size(), 2u);  // Reconfigures dynamically.
+  const auto& histogram = engine->partition_summary().decode_sms_histogram;
+  const auto configurations =
+      std::count_if(histogram.begin(), histogram.end(),
+                    [](std::size_t n) { return n > 0; });
+  EXPECT_GE(configurations, 2);  // Reconfigures dynamically.
   EXPECT_GT(engine->mux().reconfigurations(), 0u);
 }
 
@@ -224,73 +217,54 @@ TEST_F(MuxWiseEngineTest, BubbleRatioStaysModest) {
   EXPECT_LT(engine->mux().AverageBubbleRatio(), 0.55);
 }
 
-TEST(PartitionLogTest, RoundTripsEverySample) {
+TEST(PartitionSummaryTest, CountsEverySample) {
   const int sm_count = Llama70bA100().gpu.sm_count;
-  const sim::Time gap = sim::Time{1} << 32;  // An idle gap over 4.3 s.
-  const std::vector<MuxWiseEngine::PartitionSample> want = {
-      {0, 54, sm_count - 54, false},
-      {0, 1, sm_count - 1, true},  // Zero time delta.
-      {125, sm_count, 0, true},    // Decode holds every SM.
-      {125 + gap, 60, sm_count - 60, false},
-      {125 + gap + 1, 255, 0, true},
-  };
-  MuxWiseEngine::PartitionLog log(sm_count);
-  EXPECT_TRUE(log.empty());
-  for (const auto& s : want) {
-    log.Append(s.time, s.decode_sms, s.prefill_active);
-  }
-  ASSERT_EQ(log.size(), want.size());
-  EXPECT_FALSE(log.empty());
-  // Varint bytes per sample (1, 1, 2, 5, 1) plus one decode_sms byte each.
-  EXPECT_EQ(log.bytes(), 15u);
-  std::size_t i = 0;
-  for (const MuxWiseEngine::PartitionSample s : log) {
-    ASSERT_LT(i, want.size());
-    EXPECT_EQ(s.time, want[i].time) << i;
-    EXPECT_EQ(s.decode_sms, want[i].decode_sms) << i;
-    EXPECT_EQ(s.prefill_sms, want[i].prefill_sms) << i;
-    EXPECT_EQ(s.prefill_active, want[i].prefill_active) << i;
-    ++i;
-  }
-  EXPECT_EQ(i, want.size());
+  MuxWiseEngine::PartitionSummary summary;
+  summary.Add(54, sm_count, false);
+  summary.Add(1, sm_count, true);
+  summary.Add(sm_count, sm_count, true);  // Decode holds every SM.
+  summary.Add(54, sm_count, true);
+  summary.Add(255, sm_count, true);       // Past the device: no prefill.
+  EXPECT_EQ(summary.decisions, 5u);
+  EXPECT_EQ(summary.decode_sms_histogram[54], 2u);
+  EXPECT_EQ(summary.decode_sms_histogram[1], 1u);
+  EXPECT_EQ(summary.decode_sms_histogram[sm_count], 1u);
+  EXPECT_EQ(summary.decode_sms_histogram[255], 1u);
+  // Only decisions with an active prefill holding SMs are multiplexing.
+  EXPECT_EQ(summary.multiplexing, 2u);
+  const double sms = static_cast<double>(sm_count);
+  EXPECT_DOUBLE_EQ(summary.prefill_share_sum,
+                   (sms - 1) / sms + (sms - 54) / sms);
 }
 
-TEST(PartitionLogDeathTest, RejectsDecreasingTimeAndWideDecodeSms) {
+TEST(PartitionSummaryDeathTest, RejectsOutOfRangeDecodeSms) {
   EXPECT_DEATH(
       {
-        MuxWiseEngine::PartitionLog log(108);
-        log.Append(10, 54, false);
-        log.Append(9, 54, false);
+        MuxWiseEngine::PartitionSummary summary;
+        summary.Add(256, 108, false);
       },
-      "time >= last_time_");
+      "decode_sms < kMaxDecodeSms");
   EXPECT_DEATH(
       {
-        MuxWiseEngine::PartitionLog log(108);
-        log.Append(10, 256, false);
+        MuxWiseEngine::PartitionSummary summary;
+        summary.Add(-1, 108, false);
       },
-      "decode_sms <= 0xff");
+      "decode_sms >= 0");
 }
 
-TEST_F(MuxWiseEngineTest, PartitionLogPacksEveryDecision) {
+TEST_F(MuxWiseEngineTest, PartitionSummaryCountsEveryDecision) {
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 1200, 4.0, 1802);
   MuxWiseEngine* engine = nullptr;
   const auto result = Run(trace, MuxWiseEngine::Options(), &engine);
   ASSERT_TRUE(result.all_completed);
-  const MuxWiseEngine::PartitionLog& log = engine->partition_trace();
-  ASSERT_GE(log.size(), 10000u);
-  EXPECT_EQ(log.size(), engine->decode_iterations());
-  sim::Time previous = 0;
-  std::size_t read = 0;
-  for (const auto& s : log) {
-    EXPECT_GE(s.time, previous);
-    previous = s.time;
-    ++read;
-  }
-  EXPECT_EQ(read, log.size());
-  // Every sample stays stored (OutcomeDigest folds them all), so the
-  // packing is the memory bound: at most 6 bytes per decision.
-  EXPECT_LE(log.bytes(), 6 * log.size());
+  const MuxWiseEngine::PartitionSummary& summary = engine->partition_summary();
+  ASSERT_GE(summary.decisions, 10000u);
+  EXPECT_EQ(summary.decisions, engine->decode_iterations());
+  std::size_t histogram_total = 0;
+  for (std::size_t n : summary.decode_sms_histogram) histogram_total += n;
+  EXPECT_EQ(histogram_total, summary.decisions);
+  EXPECT_LE(summary.multiplexing, summary.decisions);
 }
 
 }  // namespace

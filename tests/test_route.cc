@@ -190,8 +190,8 @@ TEST_F(FleetRouterTest, DisabledFleetKeepsTheBaselineDigest) {
       knobs);
   EXPECT_EQ(harness::OutcomeDigest(a), harness::OutcomeDigest(b));
   EXPECT_EQ(a.event_digest, b.event_digest);
-  EXPECT_FALSE(a.fleet_active);
-  EXPECT_FALSE(b.fleet_active);
+  EXPECT_EQ(a.fleet.replicas, 0u);
+  EXPECT_EQ(b.fleet.replicas, 0u);
 }
 
 TEST_F(FleetRouterTest, SingleReplicaFleetCompletesEveryRequest) {
@@ -202,7 +202,6 @@ TEST_F(FleetRouterTest, SingleReplicaFleetCompletesEveryRequest) {
       harness::EngineKind::kMuxWise, Llama70bA100(), *trace_, estimator_,
       config);
   EXPECT_TRUE(outcome.diagnostic.empty()) << outcome.diagnostic;
-  EXPECT_TRUE(outcome.fleet_active);
   EXPECT_EQ(outcome.fleet.replicas, 1u);
   EXPECT_EQ(outcome.completed, outcome.total);
   ASSERT_EQ(outcome.fleet.routed_per_replica.size(), 1u);
