@@ -81,7 +81,7 @@ TEST(ScenarioDslTest, EveryCheckedInScenarioParses) {
           << entry.path().string() << ": " << parsed.error;
     }
   }
-  EXPECT_GE(seen, 8u);  // 6 matrix scenarios + 2 nightly streaming ones.
+  EXPECT_GE(seen, 9u);  // 7 matrix scenarios + 2 nightly streaming ones.
 }
 
 TEST(ScenarioDslTest, EveryScenarioFileMatchesItsPinnedDigests) {
