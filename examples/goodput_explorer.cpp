@@ -10,9 +10,6 @@
 //     gpu:     A100 | H100 | H200
 //     dataset: sharegpt | loogle | openthoughts | conversation | toolagent
 //     max_rate: top of the sweep in req/s (default 16)
-//
-// Also demonstrates trace recording: the swept base trace is written to
-// goodput_explorer_trace.jsonl so a run can be replayed elsewhere.
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +21,6 @@
 #include "llm/model_config.h"
 #include "serve/deployment.h"
 #include "workload/datasets.h"
-#include "workload/trace_io.h"
 
 using namespace muxwise;
 
@@ -74,10 +70,7 @@ int main(int argc, char** argv) {
       core::ContentionEstimator::BuildOffline(deployment);
   const workload::Trace base = workload::GenerateTrace(
       dataset, /*num_requests=*/2000, /*rate=*/1.0, /*seed=*/99);
-  workload::WriteTraceFile(base, "goodput_explorer_trace.jsonl");
-  std::printf("workload: %s (base trace saved to "
-              "goodput_explorer_trace.jsonl)\n\n",
-              workload::DatasetName(dataset));
+  std::printf("workload: %s\n\n", workload::DatasetName(dataset));
 
   std::vector<double> rates;
   for (double r = max_rate / 16.0; r <= max_rate * 1.0001;

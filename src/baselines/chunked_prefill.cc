@@ -128,8 +128,6 @@ void ChunkedPrefillEngine::MaybeStartIteration() {
     nano.bytes = cost_->WeightBytesPerGpu() + kv_bytes / n;
     nano.fixed_time = fused.fixed_time / n;
     nano.overlap_alpha = 0.05;  // Operator-level overlap, NanoFlow's win.
-    static const gpu::KernelTagId kNanoTag = gpu::InternKernelTag("nano");
-    nano.tag = kNanoTag;
     const gpu::StreamId target = (i % 2 == 0) ? stream_ : nano_stream_;
     host_->Submit(cost_->DecodeGraphLaunch(),
                   [this, target, nano, e = epoch()] {

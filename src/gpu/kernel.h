@@ -1,33 +1,9 @@
 #ifndef MUXWISE_GPU_KERNEL_H_
 #define MUXWISE_GPU_KERNEL_H_
 
-#include <cstdint>
-#include <string_view>
-
 #include "sim/time.h"
 
 namespace muxwise::gpu {
-
-/**
- * Interned kernel-label id. Workload layers (llm::CostModel, the
- * engines) generate millions of kernels per experiment; carrying an
- * interned id instead of a std::string keeps Kernel trivially movable
- * and removes a string copy from every launch. 0 means untagged.
- */
-using KernelTagId = std::uint32_t;
-inline constexpr KernelTagId kUntaggedKernel = 0;
-
-/**
- * Interns `name` into the process-wide kernel-tag table, returning its
- * stable id. Thread-safe. Ids depend only on first-intern order, which
- * a single-threaded process fixes; ids are labels only and never reach
- * the event stream or a digest. Intern once at setup (e.g. in a
- * constructor), not per kernel.
- */
-KernelTagId InternKernelTag(std::string_view name);
-
-/** Name for an interned tag ("" for kUntaggedKernel / unknown ids). */
-std::string_view KernelTagName(KernelTagId id);
 
 /** Broad classification used by the execution and interference models. */
 enum class KernelKind {
@@ -37,8 +13,6 @@ enum class KernelKind {
   kComm,      // Collective / KV migration traffic modeled on-device.
   kOther,
 };
-
-const char* KernelKindName(KernelKind kind);
 
 /**
  * One unit of GPU work, expressed as per-GPU effective resource demands.
@@ -105,9 +79,6 @@ struct Kernel {
    * worse — the gap NanoFlow's nano-batching narrows (paper §4.2.1).
    */
   double overlap_alpha = 0.1;
-
-  /** Interned label for traces and debugging (see InternKernelTag). */
-  KernelTagId tag = kUntaggedKernel;
 
   /** Returns defaults tuned for a prefill / GEMM-bound kernel. */
   static Kernel Prefill(double flops, double bytes);

@@ -260,8 +260,8 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
   outcome.tbt_attainment = metrics.TbtAttainment(deployment.slo.tbt);
 
   // Canonical sketch-state witness over every population the collector
-  // keeps (aggregate and per-class): order-invariant by construction,
-  // so it is comparable at any merge order or thread count.
+  // keeps (aggregate and per-class): a pure function of each sampled
+  // multiset, whatever order the samples arrived in.
   {
     std::uint64_t sketch_digest = 0x243f6a8885a308d3ULL;
     std::size_t bytes = 0;

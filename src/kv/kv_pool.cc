@@ -56,14 +56,11 @@ void KvPool::CommitSequence(const TokenSeq& seq, sim::Time now) {
   auto [added, lock] = tree_.InsertAndLock(seq, now);
   tree_.Unlock(lock);
   (void)added;
+  // Whatever stays above capacity is pinned by in-flight requests;
+  // engines admit within capacity, so that is transient pressure, not
+  // corruption.
   if (used_tokens() > capacity_) {
     tree_.EvictLru(used_tokens() - capacity_);
-  }
-  if (used_tokens() > capacity_) {
-    // Everything is pinned by in-flight requests; engines admit within
-    // capacity so this indicates transient pressure, not corruption.
-    MUX_LOG_DEBUG << "KvPool transiently over capacity: "
-                  << used_tokens() << " > " << capacity_;
   }
   TraceOccupancy();
 }

@@ -28,10 +28,7 @@ constexpr double kAllReduceLatencySeconds = 10e-6;
 CostModel::CostModel(ModelConfig model, int tp_degree, gpu::GpuSpec spec)
     : model_(std::move(model)),
       tp_(tp_degree),
-      spec_(std::move(spec)),
-      prefill_tag_(gpu::InternKernelTag("prefill-layers")),
-      decode_tag_(gpu::InternKernelTag("decode-iter")),
-      fused_tag_(gpu::InternKernelTag("fused-chunk")) {
+      spec_(std::move(spec)) {
   MUX_CHECK(tp_ >= 1);
   MUX_CHECK(model_.num_layers > 0);
 }
@@ -112,7 +109,6 @@ gpu::Kernel CostModel::PrefillLayers(const std::vector<SeqWork>& batch,
   kernel.saturation_half_items = 70.0 * tp_;
   kernel.stream_flops = attn_flops;  // Cache attention, fixed efficiency.
   kernel.fixed_time = AllReduceTime(new_tokens, num_layers);
-  kernel.tag = prefill_tag_;
   return kernel;
 }
 
@@ -150,7 +146,6 @@ gpu::Kernel CostModel::DecodeIteration(const DecodeBatch& batch) const {
   gpu::Kernel kernel = gpu::Kernel::Decode(gemm_flops, bytes);
   kernel.stream_flops = attn_flops;
   kernel.fixed_time = AllReduceTime(bs, model_.num_layers);
-  kernel.tag = decode_tag_;
   return kernel;
 }
 
@@ -177,7 +172,6 @@ gpu::Kernel CostModel::FusedChunk(
   kernel.saturation_half_items = 70.0 * tp_;
   kernel.stream_flops = prefill.stream_flops + decode.stream_flops;
   kernel.fixed_time = std::max(prefill.fixed_time, decode.fixed_time);
-  kernel.tag = fused_tag_;
   return kernel;
 }
 

@@ -130,12 +130,6 @@ class CostModel {
   ModelConfig model_;
   int tp_;
   gpu::GpuSpec spec_;
-
-  // Kernel labels interned once at construction; every generated kernel
-  // carries an id instead of a std::string (hot-path allocation removal).
-  gpu::KernelTagId prefill_tag_;
-  gpu::KernelTagId decode_tag_;
-  gpu::KernelTagId fused_tag_;
 };
 
 }  // namespace muxwise::llm

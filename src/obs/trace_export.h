@@ -10,32 +10,12 @@
 namespace muxwise::obs {
 
 /**
- * Fully decoded binary trace: intern tables plus the event stream.
- * Round-trips losslessly through EncodeBinary/DecodeBinary.
- */
-struct DecodedTrace {
-  std::vector<std::string> tracks;
-  std::vector<std::string> names;
-  std::uint64_t dropped = 0;
-  std::vector<TraceEvent> events;
-
-  friend bool operator==(const DecodedTrace&, const DecodedTrace&) = default;
-};
-
-/**
  * Serializes the recorder to the compact MUXT binary format (explicit
  * little-endian layout, no padding) — the byte stream is identical
  * across platforms for identical traces, so digests of it are the
  * trace-determinism currency.
  */
 std::vector<std::uint8_t> EncodeBinary(const TraceRecorder& recorder);
-
-/**
- * Parses a MUXT byte stream. Returns false on any structural error
- * (bad magic, truncation, unknown kind, out-of-range intern index)
- * leaving `out` unspecified.
- */
-bool DecodeBinary(const std::vector<std::uint8_t>& bytes, DecodedTrace& out);
 
 /** FNV-1a 64-bit digest of EncodeBinary(recorder). */
 std::uint64_t TraceDigest(const TraceRecorder& recorder);
@@ -47,15 +27,6 @@ std::uint64_t TraceDigest(const TraceRecorder& recorder);
  * output is byte-deterministic for identical traces.
  */
 std::string ExportChromeJson(const TraceRecorder& recorder);
-
-/** Same rendering, for an already-decoded binary trace. */
-std::string ExportChromeJson(const DecodedTrace& trace);
-
-/** Writes EncodeBinary(recorder) to `path`. False on I/O failure. */
-bool WriteBinaryFile(const std::string& path, const TraceRecorder& recorder);
-
-/** Reads a MUXT file written by WriteBinaryFile. False on failure. */
-bool ReadBinaryFile(const std::string& path, DecodedTrace& out);
 
 }  // namespace muxwise::obs
 

@@ -78,36 +78,6 @@ void QuantileSketch::Add(double value) {
   AddToHistogram(stored);
 }
 
-void QuantileSketch::Merge(const QuantileSketch& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  sum_ += other.sum_;
-  count_ += other.count_;
-  if (!overflowed_ && !other.overflowed_ &&
-      exact_.size() + other.exact_.size() <= exact_capacity_) {
-    exact_.insert(exact_.end(), other.exact_.begin(), other.exact_.end());
-    sorted_ = false;
-    return;
-  }
-  // Combined population exceeds the exact tier: every sample from both
-  // sides lands in the histogram, so the final state depends only on
-  // the combined multiset, never on the merge order.
-  if (!overflowed_) CollapseToHistogram();
-  if (other.overflowed_) {
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-  } else {
-    for (double v : other.exact_) ++buckets_[BucketIndex(v)];
-  }
-}
-
 double QuantileSketch::Mean() const {
   if (count_ == 0) return 0.0;
   return sum_ / static_cast<double>(count_);
@@ -210,8 +180,8 @@ std::uint64_t QuantileSketch::StateDigest() const {
   h = sim::MixDigest(h, overflowed_ ? 1 : 0);
   if (count_ == 0) return h;
   // The running sum is excluded on purpose: FP addition is not
-  // associative, so it is the one field whose bits can depend on merge
-  // order. Everything hashed here is a pure function of the multiset.
+  // associative, so it is the one field whose bits can depend on
+  // insertion order. Everything hashed here is a pure function of the multiset.
   h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(min_));
   h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(max_));
   if (!overflowed_) {

@@ -19,7 +19,7 @@ struct LatencySummary {
 };
 
 /**
- * Deterministic, mergeable quantile sketch with two tiers.
+ * Deterministic quantile sketch with two tiers.
  *
  * Up to `exact_capacity` samples live in an exact buffer: quantiles are
  * the R-7 PercentileSorted values, bit-identical to the historical
@@ -30,10 +30,10 @@ struct LatencySummary {
  * sub-buckets by the top mantissa bits). Bucketing is pure integer bit
  * manipulation on the IEEE-754 representation — no logs, no FP rounding
  * — so the histogram state is a platform-stable pure function of the
- * inserted multiset: identical at any insertion order, merge order, or
- * thread count. Memory is O(exact_capacity + kNumBuckets) regardless of
- * how many samples are added; the histogram is allocated lazily, so
- * small populations never pay for it.
+ * inserted multiset: identical at any insertion order. Memory is
+ * O(exact_capacity + kNumBuckets) regardless of how many samples are
+ * added; the histogram is allocated lazily, so small populations never
+ * pay for it.
  *
  * Histogram-tier quantiles carry a bounded relative value error: a
  * bucket spans a 1/32 slice of its binade, so the mid-bucket estimate
@@ -60,13 +60,10 @@ class QuantileSketch {
    * are non-negative; the pre-clamp minimum stays visible via Min()). */
   void Add(double value);
 
-  /** Folds `other` in. Equal combined multisets yield equal states. */
-  void Merge(const QuantileSketch& other);
-
   std::size_t Count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /** Left-fold running sum in insertion order (merge adds sums). */
+  /** Left-fold running sum in insertion order. */
   double Sum() const { return sum_; }
   double Mean() const;
 
@@ -94,7 +91,7 @@ class QuantileSketch {
 
   /**
    * Order-invariant digest of the sketch state: equal multisets give
-   * equal digests at any insertion order, merge order, or thread count.
+   * equal digests at any insertion order.
    */
   std::uint64_t StateDigest() const;
 

@@ -1,44 +1,9 @@
 #include "sim/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 
 namespace muxwise::sim {
-
-namespace {
-
-std::atomic<LogLevel> g_log_level{LogLevel::kWarn};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel GetLogLevel() { return g_log_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(level, std::memory_order_relaxed);
-}
-
-void LogMessage(LogLevel level, const std::string& message) {
-  if (level < GetLogLevel()) return;
-  std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());
-}
 
 void Panic(const std::string& message) {
   std::fprintf(stderr, "[PANIC] %s\n", message.c_str());
@@ -49,15 +14,5 @@ void Fatal(const std::string& message) {
   std::fprintf(stderr, "[FATAL] %s\n", message.c_str());
   std::exit(1);
 }
-
-namespace internal {
-
-LogLine::LogLine(LogLevel level, const char* file, int line) : level_(level) {
-  stream_ << file << ":" << line << ": ";
-}
-
-LogLine::~LogLine() { LogMessage(level_, stream_.str()); }
-
-}  // namespace internal
 
 }  // namespace muxwise::sim

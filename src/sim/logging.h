@@ -1,29 +1,9 @@
 #ifndef MUXWISE_SIM_LOGGING_H_
 #define MUXWISE_SIM_LOGGING_H_
 
-#include <sstream>
 #include <string>
 
 namespace muxwise::sim {
-
-/** Severity levels for the library logger. */
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
-  kOff = 4,
-};
-
-/**
- * Process-wide log threshold. Messages below the threshold are dropped.
- * Tests and benches default to kWarn so output stays machine-readable.
- */
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-/** Emits one log line to stderr if `level` passes the threshold. */
-void LogMessage(LogLevel level, const std::string& message);
 
 /**
  * Aborts the process with a diagnostic. Used for internal invariant
@@ -38,40 +18,7 @@ void LogMessage(LogLevel level, const std::string& message);
  */
 [[noreturn]] void Fatal(const std::string& message);
 
-namespace internal {
-
-/** Stream-style message builder used by the MUX_LOG macros. */
-class LogLine {
- public:
-  LogLine(LogLevel level, const char* file, int line);
-  ~LogLine();
-
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-
-  template <typename T>
-  LogLine& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-}  // namespace internal
-
 }  // namespace muxwise::sim
-
-#define MUX_LOG_DEBUG \
-  ::muxwise::sim::internal::LogLine(::muxwise::sim::LogLevel::kDebug, __FILE__, __LINE__)
-#define MUX_LOG_INFO \
-  ::muxwise::sim::internal::LogLine(::muxwise::sim::LogLevel::kInfo, __FILE__, __LINE__)
-#define MUX_LOG_WARN \
-  ::muxwise::sim::internal::LogLine(::muxwise::sim::LogLevel::kWarn, __FILE__, __LINE__)
-#define MUX_LOG_ERROR \
-  ::muxwise::sim::internal::LogLine(::muxwise::sim::LogLevel::kError, __FILE__, __LINE__)
 
 /** Checks an invariant of the simulator itself; aborts on failure. */
 #define MUX_CHECK(cond)                                                      \

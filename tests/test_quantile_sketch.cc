@@ -105,52 +105,6 @@ TEST(QuantileSketchTest, NegativeSamplesClampToZeroButMinStaysVisible) {
   EXPECT_DOUBLE_EQ(sketch.Quantile(1.0), 10.0);
 }
 
-TEST(QuantileSketchTest, MergeOrderInvarianceOnExactTier) {
-  const std::vector<double> a = LognormalSamples(300, 5);
-  const std::vector<double> b = LognormalSamples(300, 6);
-  const std::vector<double> c = LognormalSamples(300, 7);
-  auto build = [](const std::vector<double>& samples) {
-    QuantileSketch s;
-    for (double v : samples) s.Add(v);
-    return s;
-  };
-  QuantileSketch abc = build(a);
-  abc.Merge(build(b));
-  abc.Merge(build(c));
-  QuantileSketch cba = build(c);
-  cba.Merge(build(b));
-  cba.Merge(build(a));
-  EXPECT_EQ(abc.StateDigest(), cba.StateDigest());
-  EXPECT_EQ(abc.Quantile(0.5), cba.Quantile(0.5));
-  EXPECT_EQ(abc.Quantile(0.99), cba.Quantile(0.99));
-  EXPECT_EQ(abc.Count(), cba.Count());
-}
-
-TEST(QuantileSketchTest, MergeOrderInvariancePastOverflow) {
-  // Shards small enough to overflow their exact tiers, so the digest
-  // must be stable across both histogram merge order and the shard
-  // boundaries themselves.
-  const std::vector<double> all = LognormalSamples(4000, 11);
-  auto shard = [&all](std::size_t begin, std::size_t end) {
-    QuantileSketch s(/*exact_capacity=*/256);
-    for (std::size_t i = begin; i < end; ++i) s.Add(all[i]);
-    return s;
-  };
-  QuantileSketch forward = shard(0, 1000);
-  forward.Merge(shard(1000, 2500));
-  forward.Merge(shard(2500, 4000));
-  QuantileSketch backward = shard(2500, 4000);
-  backward.Merge(shard(0, 1000));
-  backward.Merge(shard(1000, 2500));
-  QuantileSketch whole(/*exact_capacity=*/256);
-  for (double v : all) whole.Add(v);
-  EXPECT_TRUE(forward.overflowed());
-  EXPECT_EQ(forward.StateDigest(), backward.StateDigest());
-  EXPECT_EQ(forward.StateDigest(), whole.StateDigest());
-  EXPECT_EQ(forward.Count(), 4000u);
-  EXPECT_EQ(forward.Quantile(0.99), whole.Quantile(0.99));
-}
-
 TEST(QuantileSketchTest, InsertionOrderInvariancePastOverflow) {
   std::vector<double> samples = LognormalSamples(3000, 23);
   QuantileSketch ascending(/*exact_capacity=*/128);

@@ -14,8 +14,8 @@
 //                [--out-dir=D]
 //       Seeded chaos campaign; failing fault plans are shrunk and
 //       written as repro scenario files (see fuzz.h).
-//   muxwise trace SCENARIO OUT.bin [OUT.json]
-//       Traced run written as a MUXT binary, optionally as Chrome JSON.
+//   muxwise trace SCENARIO OUT.json
+//       Traced run written as Chrome trace_event JSON.
 //
 // Exit status: 0 ok, 1 a check or gate failed, 2 usage or input error.
 
@@ -205,6 +205,6 @@ int main(int argc, char** argv) {
                "  check FILE... [--out=F]\n"
                "  fuzz SCENARIO [--runs=N] [--seed=S] [--max-faults=K] "
                "[--out-dir=D]\n"
-               "  trace SCENARIO OUT.bin [OUT.json]\n");
+               "  trace SCENARIO OUT.json\n");
   return 2;
 }
