@@ -9,16 +9,15 @@ Duration BackoffDelay(const ExponentialBackoff& policy, int attempt) {
   MUX_CHECK(policy.multiplier >= 1.0);
   Duration delay = policy.initial;
   if (delay >= policy.cap) return policy.cap;
+  // The next delay is compared with the cap as a double, before it is
+  // converted back: nothing can overflow, and the conversion only ever
+  // sees values below the cap. Below 2^53 ns every delay is an exact
+  // double, so doubling matches integer doubling bit for bit.
+  const double cap = static_cast<double>(policy.cap);
   for (int i = 1; i < attempt; ++i) {
-    // Doubling stays in integer arithmetic so the shared helper is
-    // bit-identical to the retry loop it replaced in sim::Channel.
-    const Duration next =
-        policy.multiplier == 2.0
-            ? delay * 2
-            : static_cast<Duration>(static_cast<double>(delay) *
-                                    policy.multiplier);
-    if (next >= policy.cap || next < delay) return policy.cap;
-    delay = next;
+    const double next = static_cast<double>(delay) * policy.multiplier;
+    if (next >= cap) return policy.cap;
+    delay = static_cast<Duration>(next);
   }
   return delay;
 }

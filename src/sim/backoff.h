@@ -29,12 +29,13 @@ struct ExponentialBackoff {
 };
 
 /**
- * Delay before retry `attempt` (1-based: attempt 1 waits `initial`).
- * Doubling (multiplier == 2) is computed by repeated integer doubling —
- * bit-identical to the historical Channel retry loop — and any other
- * multiplier by repeated scaled multiplication. Saturates at `cap`
- * (overflow-safe: once the running delay passes the cap it stops
- * growing). `attempt < 1` is treated as attempt 1.
+ * Delay before retry `attempt` (1-based: attempt 1 waits `initial`),
+ * computed by repeated scaled multiplication truncated to whole
+ * nanoseconds; for delays below 2^53 ns a multiplier of 2 reproduces
+ * integer doubling exactly, as the historical Channel retry loop did.
+ * Saturates at `cap` (overflow-safe: a delay that would reach the cap
+ * returns the cap before any integer conversion). `attempt < 1` is
+ * treated as attempt 1.
  */
 Duration BackoffDelay(const ExponentialBackoff& policy, int attempt);
 

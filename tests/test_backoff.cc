@@ -59,6 +59,10 @@ TEST(BackoffTest, OverflowSaturatesAtTheCapInsteadOfWrapping) {
   EXPECT_EQ(huge, kTimeNever);
   const ExponentialBackoff capped{Seconds(1), 2.0, Seconds(30)};
   EXPECT_EQ(BackoffDelay(capped, 200), Seconds(30));
+  // A non-doubling multiplier passes int64's range too: it must reach
+  // the cap without converting an out-of-range double.
+  const ExponentialBackoff scaled{Seconds(1), 1.7, kTimeNever};
+  EXPECT_EQ(BackoffDelay(scaled, 200), kTimeNever);
 }
 
 TEST(BackoffTest, DelaysAreMonotonicallyNonDecreasing) {
