@@ -49,6 +49,17 @@ void MuxWiseEngine::PartitionSummary::Add(int decode_sms, int sm_count,
   }
 }
 
+MuxWiseEngine::PartitionSummary& MuxWiseEngine::PartitionSummary::operator+=(
+    const PartitionSummary& other) {
+  decisions += other.decisions;
+  for (std::size_t i = 0; i < decode_sms_histogram.size(); ++i) {
+    decode_sms_histogram[i] += other.decode_sms_histogram[i];
+  }
+  multiplexing += other.multiplexing;
+  prefill_share_sum += other.prefill_share_sum;
+  return *this;
+}
+
 const char* MuxWiseEngine::name() const {
   switch (options_.mux.mode) {
     case MultiplexEngine::Mode::kSpatial:

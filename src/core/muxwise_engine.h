@@ -169,6 +169,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
 
     /** Records one decision on a device of `sm_count` SMs. */
     void Add(int decode_sms, int sm_count, bool prefill_active);
+
+    /** Adds another engine's decisions (a fleet sums its replicas'). */
+    PartitionSummary& operator+=(const PartitionSummary& other);
   };
 
   const PartitionSummary& partition_summary() const { return partition_; }

@@ -300,6 +300,7 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
       outcome.kv_spills += replica.kv_spills();
       outcome.kv_recomputes += replica.kv_recomputes();
       outcome.kv_restores += replica.kv_restores();
+      outcome.partition += replica.partition_summary();
       hit_rate += replica.pool().HitRate();
     }
     outcome.cache_hit_rate =

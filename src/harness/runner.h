@@ -202,7 +202,7 @@ struct RunOutcome {
   double bubble_ratio = 0.0;    // MuxWise / chunked streams (§4.4.2).
   double cache_hit_rate = 0.0;  // Token-weighted, where applicable.
   std::size_t preemptions = 0;
-  /** MuxWise partition decisions (single-engine MuxWise runs only). */
+  /** MuxWise partition decisions; a fleet run sums its replicas'. */
   core::MuxWiseEngine::PartitionSummary partition;
 
   /**

@@ -162,11 +162,11 @@ inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
     {"scenarios/acceptance_sharegpt.json", 0xb8dab88ef03c0e36ull, 5768,
      0xd26e3f5f04565227ull},
     {"scenarios/chaos_grey_failover.json", 0xa5ff4edf4ffae157ull, 20729,
-     0x45638d5fcab674ddull},
+     0xa88fbd4413cc2d9bull},
     {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
      0x981fc9e9f5ce966eull},
     {"scenarios/fleet_failover.json", 0x09414ef7aa04d269ull, 10697,
-     0x4b12a49c288a6901ull},
+     0x2a9b85262a800181ull},
     {"scenarios/loogle_longcontext.json", 0xf5bad742ade44eefull, 598,
      0x2cbe4f5a8498781aull},
     {"scenarios/mixed_sharegpt_loogle.json", 0xb989ba72b5e2fccfull, 3074,
@@ -176,15 +176,15 @@ inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
     {"scenarios/nightly/streaming_1e6.json", 0x4648550652293312ull, 2824832,
      0x69f76ee7d24b0c4aull},
     {"tests/chaos_corpus/asym_partition.json", 0x8f19bbb91ca8b890ull, 8459,
-     0x3db2849a8e9858e6ull},
+     0x65bfd6b77b9c6692ull},
     {"tests/chaos_corpus/degrade_spill.json", 0x60d71e75d00fcf8eull, 9083,
-     0xb9c34a4bbe4be18bull},
+     0xef6ca0897dfa5dcfull},
     {"tests/chaos_corpus/flap_hysteresis.json", 0x07f8001793ea3faeull, 5921,
-     0x525a21a28b73897dull},
+     0x98e27ac37bf0b838ull},
     {"tests/chaos_corpus/mixed_grey_storm.json", 0xa987b0ef510d47b6ull, 7755,
-     0xe26bae09ab288f45ull},
+     0xb5af0a9c7fad1cb2ull},
     {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
-     0xfcb85893baeae508ull},
+     0xba6f2ffec633fbecull},
 };
 
 /**

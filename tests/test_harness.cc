@@ -4,7 +4,9 @@
 
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
+#include "route/fleet_router.h"
 #include "serve/deployment.h"
+#include "serve/frontend.h"
 #include "workload/datasets.h"
 
 namespace muxwise::harness {
@@ -55,6 +57,35 @@ TEST_F(HarnessTest, RunWorkloadCompletesAndPopulatesOutcome) {
   EXPECT_GT(o.gpu_utilization[0], 0.0);
   EXPECT_LE(o.gpu_utilization[0], 100.0);
   EXPECT_GT(o.partition.decisions, 0u);
+}
+
+TEST_F(HarnessTest, FleetRunSumsItsReplicasPartitionDecisions) {
+  const workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 60, 4.0, 302);
+  RunConfig config;
+  config.fleet.enabled = true;
+  config.fleet.replicas = 2;
+  std::size_t replica_iterations = 0;
+  std::size_t busy_replicas = 0;
+  const RunOutcome o = RunArrivals(
+      EngineKind::kMuxWise, Llama70bA100(), estimator_, config,
+      trace.requests.size(), [&](RunContext& run) {
+        serve::Frontend frontend(&run.simulator, run.instance.engine.get(),
+                                 &trace, &run.metrics);
+        frontend.Start();
+        const DriveResult result =
+            DriveScenario(run.simulator, frontend, trace, config);
+        const route::FleetRouter& fleet = *run.instance.fleet;
+        for (std::size_t r = 0; r < fleet.num_replicas(); ++r) {
+          const std::size_t n = fleet.replica(r).decode_iterations();
+          replica_iterations += n;
+          if (n > 0) ++busy_replicas;
+        }
+        return result;
+      });
+  EXPECT_EQ(o.completed, 60u);
+  EXPECT_EQ(busy_replicas, 2u);
+  EXPECT_EQ(o.partition.decisions, replica_iterations);
 }
 
 TEST_F(HarnessTest, DisaggregatedEngineReportsTwoUtilizations) {
