@@ -181,7 +181,8 @@ std::uint64_t QuantileSketch::StateDigest() const {
   if (count_ == 0) return h;
   // The running sum is excluded on purpose: FP addition is not
   // associative, so it is the one field whose bits can depend on
-  // insertion order. Everything hashed here is a pure function of the multiset.
+  // insertion order. Everything hashed here is a pure function of the
+  // multiset.
   h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(min_));
   h = sim::MixDigest(h, std::bit_cast<std::uint64_t>(max_));
   if (!overflowed_) {

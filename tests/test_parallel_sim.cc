@@ -22,10 +22,10 @@ namespace {
 // The event loop is single-threaded; what may run in parallel is whole
 // runs, each on its own Simulator (the run-level parallelism ROADMAP
 // item 2 proposes). That is sound only if runs share no mutable state
-// beyond the mutex-guarded process tables (kernel-tag interner, cached
-// estimators). These tests spread the repo's strongest witnesses — the
-// frozen seven-engine digests (tests/frozen_digests.h) and the frozen
-// same-tick storm digest 0x3a2d5d1435052199 (tests/test_simulator.cc) —
+// beyond the one mutex-guarded process table (the scenario estimator
+// cache). These tests spread the repo's strongest witnesses — the
+// frozen seven-engine digests and the sixteen-round same-tick storm
+// digest (kSixteenRoundStormDigest), both in tests/frozen_digests.h —
 // over 1/2/4/8 worker threads and demand the exact sequential constants.
 // ===========================================================================
 
