@@ -351,7 +351,7 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
       });
 }
 
-std::uint64_t OutcomeDigest(const RunOutcome& outcome) {
+std::uint64_t SimulatedDigest(const RunOutcome& outcome) {
   const auto count = [](std::size_t n) {
     return static_cast<std::uint64_t>(n);
   };
@@ -425,8 +425,13 @@ std::uint64_t OutcomeDigest(const RunOutcome& outcome) {
   h = MixSummary(h, fleet.failover_latency);
 
   for (unsigned char c : outcome.diagnostic) h = MixDigest(h, count(c));
-  h = MixDigest(h, outcome.event_digest);
-  return MixDigest(h, count(outcome.executed_events));
+  return h;
+}
+
+std::uint64_t OutcomeDigest(const RunOutcome& outcome) {
+  const std::uint64_t h = MixDigest(SimulatedDigest(outcome),
+                                    outcome.event_digest);
+  return MixDigest(h, static_cast<std::uint64_t>(outcome.executed_events));
 }
 
 DeterminismReport VerifyDeterminism(

@@ -254,8 +254,17 @@ struct RunOutcome {
 };
 
 /**
+ * Hashes every simulated field of a run's outcome — everything but
+ * `event_digest` and `executed_events` — into one value. A change to
+ * how the simulator steps (fewer events for the same model) leaves it
+ * unchanged; a change to any simulated number moves it.
+ */
+std::uint64_t SimulatedDigest(const RunOutcome& outcome);
+
+/**
  * Hashes every field of a run's outcome, unconditionally, into one
- * value for cheap equality comparison across repeated runs.
+ * value for cheap equality comparison across repeated runs:
+ * SimulatedDigest, then the event digest and the executed-event count.
  */
 std::uint64_t OutcomeDigest(const RunOutcome& outcome);
 

@@ -19,6 +19,11 @@ namespace muxwise::tests {
 // folding every RunOutcome field; event digests and executed-event
 // counts kept their older recordings except where DESIGN.md §10
 // ("Pinned digests") names the rows that moved and why.
+//
+// Each row's simulated digest (harness::SimulatedDigest) folds every
+// simulated number and nothing of the event stream. A change to how the
+// simulator steps through the same model may move a row's event digest,
+// executed events and outcome digest, but never its simulated digest.
 
 /**
  * The seven-engine acceptance scenario's frozen digests — recorded from
@@ -30,23 +35,24 @@ struct FrozenDigest {
   std::uint64_t event_digest;
   std::size_t executed_events;
   std::uint64_t outcome_digest;
+  std::uint64_t simulated_digest;
 };
 
 inline constexpr FrozenDigest kFrozenEngineDigests[] = {
     {harness::EngineKind::kMuxWise, 0xb8dab88ef03c0e36ull, 5768,
-     0xd26e3f5f04565227ull},
+     0xd26e3f5f04565227ull, 0xfeb8512794f8e8d0ull},
     {harness::EngineKind::kChunked, 0x600f439cd0e9b2a9ull, 5166,
-     0x981fc9e9f5ce966eull},
+     0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
     {harness::EngineKind::kNanoFlow, 0x98d55bf27e747a59ull, 8710,
-     0xfcf5304e2a12198dull},
+     0xfcf5304e2a12198dull, 0xc00c924af7dbadc8ull},
     {harness::EngineKind::kSglangPd, 0x7b797a7451b6eb90ull, 5014,
-     0x07fe6833a90abc8aull},
+     0x07fe6833a90abc8aull, 0x35dca6a28b826b29ull},
     {harness::EngineKind::kLoongServe, 0x7c3cf241ee03682dull, 3912,
-     0xf99ba7fa9202144dull},
+     0xf99ba7fa9202144dull, 0x2ba885b947fff49eull},
     {harness::EngineKind::kWindServe, 0x4af18835f365b17eull, 6196,
-     0x928dacbf34d5ac66ull},
+     0x928dacbf34d5ac66ull, 0x27cac7363a6df15aull},
     {harness::EngineKind::kTemporal, 0xb8d5d933df7c8ccfull, 6260,
-     0xb8ec8c2393ade388ull},
+     0xb8ec8c2393ade388ull, 0x2f11fa7423f897f7ull},
 };
 
 /** The deployment the frozen digests were recorded against. */
@@ -75,29 +81,30 @@ struct FaultPathDigest {
   std::uint64_t event_digest;
   std::size_t executed_events;
   std::uint64_t outcome_digest;
+  std::uint64_t simulated_digest;
 };
 
 inline constexpr FaultPathDigest kFaultPathDigests[] = {
     {harness::EngineKind::kMuxWise, false, 0xefa8918660b699a5ull, 27353,
-     0x20e67b927f5aba66ull},
+     0x20e67b927f5aba66ull, 0xda6607a947d35000ull},
     {harness::EngineKind::kChunked, false, 0x3ea4aa555a54dc0full, 24741,
-     0x35c2cf867c67b5b6ull},
+     0x35c2cf867c67b5b6ull, 0xe56f77f53013b038ull},
     {harness::EngineKind::kNanoFlow, false, 0xf0a5172faa5969c7ull, 49166,
-     0x0db68627a4bdf313ull},
+     0x0db68627a4bdf313ull, 0xd0f7004dcfa8dd7aull},
     {harness::EngineKind::kSglangPd, false, 0xb1c97140455d1d94ull, 25525,
-     0xda5e49849428391eull},
+     0xda5e49849428391eull, 0x17bbf0693d8ad1cbull},
     {harness::EngineKind::kLoongServe, false, 0xed4911bb0b0d243dull, 15641,
-     0x25ed334c38a613dbull},
+     0x25ed334c38a613dbull, 0x7d0ffe10a327193full},
     {harness::EngineKind::kWindServe, false, 0x923dd5adffa69ae6ull, 43121,
-     0x3cd17366462cf7f3ull},
+     0x3cd17366462cf7f3ull, 0x8758ce5ef5d6b6ebull},
     {harness::EngineKind::kTemporal, false, 0x20830db1bd6e2499ull, 33414,
-     0xe992bdcd0ce07fd2ull},
+     0xe992bdcd0ce07fd2ull, 0x953c66f3798622deull},
     {harness::EngineKind::kMuxWise, true, 0xd096a21c688647caull, 26456,
-     0x7360d4e0e217c67dull},
+     0x7360d4e0e217c67dull, 0x5c681c0ef3ad32d4ull},
     {harness::EngineKind::kWindServe, true, 0x0f8cc4dc3a50f6bdull, 45212,
-     0x1f55a864781b2613ull},
+     0x1f55a864781b2613ull, 0xaf35421640e7d7a9ull},
     {harness::EngineKind::kTemporal, true, 0x03e0f27ed2ff1045ull, 36555,
-     0x24addccca054334bull},
+     0x24addccca054334bull, 0xa4b176cae27cf5f4ull},
 };
 
 /** The multi-turn trace the fault-path digests were recorded against. */
@@ -138,10 +145,12 @@ struct PinnedRun {
   std::uint64_t event_digest;
   std::size_t executed_events;
   std::uint64_t outcome_digest;
+  std::uint64_t simulated_digest;
 };
 
 inline constexpr PinnedRun kKvPressurePreemptionDigest = {
-    0xa247033a724e66e4ull, 16895, 0xa98b6051eda0c258ull};
+    0xa247033a724e66e4ull, 16895, 0xa98b6051eda0c258ull,
+    0x2a12f4228029198cull};
 
 /**
  * Every checked-in scenario file, run once through
@@ -156,35 +165,36 @@ struct ScenarioFileDigest {
   std::uint64_t event_digest;
   std::size_t executed_events;
   std::uint64_t outcome_digest;
+  std::uint64_t simulated_digest;
 };
 
 inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
     {"scenarios/acceptance_sharegpt.json", 0xb8dab88ef03c0e36ull, 5768,
-     0xd26e3f5f04565227ull},
+     0xd26e3f5f04565227ull, 0xfeb8512794f8e8d0ull},
     {"scenarios/chaos_grey_failover.json", 0xa5ff4edf4ffae157ull, 20729,
-     0xa88fbd4413cc2d9bull},
+     0xa88fbd4413cc2d9bull, 0x95deb7b3505d1399ull},
     {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
-     0x981fc9e9f5ce966eull},
+     0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
     {"scenarios/fleet_failover.json", 0x09414ef7aa04d269ull, 10697,
-     0x2a9b85262a800181ull},
+     0x2a9b85262a800181ull, 0x6dc13dd3157d8febull},
     {"scenarios/loogle_longcontext.json", 0xf5bad742ade44eefull, 598,
-     0x2cbe4f5a8498781aull},
+     0x2cbe4f5a8498781aull, 0x321f76523589c88aull},
     {"scenarios/mixed_sharegpt_loogle.json", 0xb989ba72b5e2fccfull, 3074,
-     0x6fd208ca89845978ull},
+     0x6fd208ca89845978ull, 0xcf403401b35c5cc6ull},
     {"scenarios/overload_mmpp_burst.json", 0x849b71bf79c77335ull, 7703,
-     0x4aff7c8703c8248cull},
+     0x4aff7c8703c8248cull, 0x867cbd5dd4f4cdc9ull},
     {"scenarios/nightly/streaming_1e6.json", 0x4648550652293312ull, 2824832,
-     0x69f76ee7d24b0c4aull},
+     0x69f76ee7d24b0c4aull, 0x9e92fef69084e87full},
     {"tests/chaos_corpus/asym_partition.json", 0x8f19bbb91ca8b890ull, 8459,
-     0x65bfd6b77b9c6692ull},
+     0x65bfd6b77b9c6692ull, 0xfe8d5a30692e2cc2ull},
     {"tests/chaos_corpus/degrade_spill.json", 0x60d71e75d00fcf8eull, 9083,
-     0xef6ca0897dfa5dcfull},
+     0xef6ca0897dfa5dcfull, 0x8e207112b5a20665ull},
     {"tests/chaos_corpus/flap_hysteresis.json", 0x07f8001793ea3faeull, 5921,
-     0x98e27ac37bf0b838ull},
+     0x98e27ac37bf0b838ull, 0x7edd2e0f47dc3e95ull},
     {"tests/chaos_corpus/mixed_grey_storm.json", 0xa987b0ef510d47b6ull, 7755,
-     0xb5af0a9c7fad1cb2ull},
+     0xb5af0a9c7fad1cb2ull, 0x144e151b45ef4766ull},
     {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
-     0xba6f2ffec633fbecull},
+     0xba6f2ffec633fbecull, 0x3088cd3f0f38d67dull},
 };
 
 /**

@@ -117,6 +117,8 @@ TEST(ChannelTest, SevenEngineDigestsMatchPreRefactorSeed) {
         << harness::EngineKindName(expect.kind);
     EXPECT_EQ(harness::OutcomeDigest(outcome), expect.outcome_digest)
         << harness::EngineKindName(expect.kind);
+    EXPECT_EQ(harness::SimulatedDigest(outcome), expect.simulated_digest)
+        << harness::EngineKindName(expect.kind);
   }
 }
 

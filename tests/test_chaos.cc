@@ -150,6 +150,7 @@ TEST(ChaosFaultPathTest, EveryEngineFaultPathMatchesPinnedDigests) {
     EXPECT_EQ(o.event_digest, expect.event_digest) << label;
     EXPECT_EQ(o.executed_events, expect.executed_events) << label;
     EXPECT_EQ(OutcomeDigest(o), expect.outcome_digest) << label;
+    EXPECT_EQ(SimulatedDigest(o), expect.simulated_digest) << label;
   }
 }
 

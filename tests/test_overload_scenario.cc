@@ -163,6 +163,7 @@ TEST_F(OverloadScenarioTest, KvPressurePreemptionSpillsAndRestores) {
   EXPECT_EQ(outcome.event_digest, pinned.event_digest);
   EXPECT_EQ(outcome.executed_events, pinned.executed_events);
   EXPECT_EQ(OutcomeDigest(outcome), pinned.outcome_digest);
+  EXPECT_EQ(SimulatedDigest(outcome), pinned.simulated_digest);
 }
 
 TEST_F(OverloadScenarioTest, BurstComposesWithGpuCrash) {

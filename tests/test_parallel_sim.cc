@@ -71,6 +71,10 @@ TEST(ParallelSimTest, SevenEngineDigestMatrixMatchesFrozenSequentialSeeds) {
       EXPECT_EQ(harness::OutcomeDigest(outcomes[i]), expect.outcome_digest)
           << harness::EngineKindName(expect.kind) << " at threads="
           << threads;
+      EXPECT_EQ(harness::SimulatedDigest(outcomes[i]),
+                expect.simulated_digest)
+          << harness::EngineKindName(expect.kind) << " at threads="
+          << threads;
     }
   }
 }

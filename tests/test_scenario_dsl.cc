@@ -116,6 +116,8 @@ TEST(ScenarioDslTest, EveryScenarioFileMatchesItsPinnedDigests) {
     EXPECT_EQ(outcome.executed_events, row.executed_events);
     EXPECT_EQ(sim::HexDigest(OutcomeDigest(outcome)),
               sim::HexDigest(row.outcome_digest));
+    EXPECT_EQ(sim::HexDigest(SimulatedDigest(outcome)),
+              sim::HexDigest(row.simulated_digest));
   }
 }
 
