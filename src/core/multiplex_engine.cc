@@ -1,5 +1,6 @@
 #include "core/multiplex_engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.h"
@@ -63,6 +64,19 @@ void MultiplexEngine::LaunchDecode(const gpu::Kernel& kernel,
                                    sim::Duration launch_cost,
                                    std::function<void()> done) {
   SubmitLaunch(decode_stream_, kernel, launch_cost, std::move(done));
+}
+
+bool MultiplexEngine::RunDecodeAlone(const gpu::Kernel& kernel,
+                                     sim::Duration launch_cost) {
+  if (!launches_.empty()) return false;
+  // Where SubmitLaunch's host callback would start the kernel.
+  const sim::Time start =
+      std::max(sim_->Now(), host_->busy_until()) + launch_cost;
+  const sim::Time end = device_->AloneCompletion(decode_stream_, kernel, start);
+  if (end == sim::kTimeNever || !sim_->CanAdvanceTo(end)) return false;
+  host_->Submit(launch_cost, nullptr);
+  device_->RunAlone(decode_stream_, kernel, start, end);
+  return true;
 }
 
 void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,

@@ -58,6 +58,18 @@ class MultiplexEngine {
   void LaunchDecode(const gpu::Kernel& kernel, sim::Duration launch_cost,
                     std::function<void()> done);
 
+  /**
+   * Runs one decode iteration inline, with no simulator event, when it
+   * would run alone on the device and finish before anything else
+   * happens: no launch is pending on the host, no other kernel runs or
+   * waits, and it completes strictly before the next pending event (and
+   * within a running RunUntil's horizon). Then the host and the device
+   * account for it exactly as for LaunchDecode, Now() is its completion
+   * time, and true is returned. Otherwise nothing changes and false is
+   * returned.
+   */
+  bool RunDecodeAlone(const gpu::Kernel& kernel, sim::Duration launch_cost);
+
   /** Launches one prefill layer group on the prefill context. */
   void LaunchPrefillGroup(const gpu::Kernel& kernel,
                           sim::Duration launch_cost,

@@ -196,8 +196,8 @@ std::unique_ptr<serve::Request> MuxWiseEngine::TakeUnstarted(
   return TakeById(gated_, id);
 }
 
-void MuxWiseEngine::PumpScheduler() {
-  if (DomainDown(0)) return;
+bool MuxWiseEngine::PumpScheduler(bool run_ahead) {
+  if (DomainDown(0)) return false;
   if (OverloadOn()) {
     ObserveOverload();
     MaybeRestoreSpilled();
@@ -224,8 +224,11 @@ void MuxWiseEngine::PumpScheduler() {
     ++preemptions_;
   }
   TryStartPrefillBatch();
-  MaybeLaunchDecode();  // Decode launches first (§3.2.2 priority).
+  // Decode launches first (§3.2.2 priority). A decode iteration run
+  // inline had no prefill pending, so there is none to continue.
+  if (MaybeLaunchDecode(run_ahead)) return true;
   ContinuePrefill();
+  return false;
 }
 
 void MuxWiseEngine::TryStartPrefillBatch() {
@@ -487,8 +490,8 @@ void MuxWiseEngine::CompleteActivePrefill() {
   decode_blocked_on_merge_ = false;
 }
 
-void MuxWiseEngine::MaybeLaunchDecode() {
-  if (decode_in_flight_) return;
+bool MuxWiseEngine::MaybeLaunchDecode(bool run_ahead) {
+  if (decode_in_flight_) return false;
 
   // Query-based synchronization: completed prefills merge into the
   // decode batch at iteration-construction time (paper §3.2.3).
@@ -497,7 +500,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
   }
   merge_ready_.clear();
 
-  if (decoding_.empty()) return;
+  if (decoding_.empty()) return false;
 
   if (!options_.query_sync && active_ != nullptr &&
       active_->layers_done + active_->layers_inflight >=
@@ -508,7 +511,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
     tracer_.Instant("engine/decode", "blocked-on-merge",
                     static_cast<std::int64_t>(decode_iterations_),
                     static_cast<double>(decoding_.size()));
-    return;
+    return false;
   }
 
   std::int64_t total_ctx = 0;
@@ -549,52 +552,67 @@ void MuxWiseEngine::MaybeLaunchDecode() {
   last_decode_estimate_ = prefill_pending ? worst : solo;
   inflight_decode_.launch_time = sim_->Now();
   inflight_decode_.solo = solo;
-  inflight_decode_.cell = estimator_.CellFor(desc, batch, decode_sms);
   inflight_decode_.had_cotenant =
       active_ != nullptr && active_->layers_inflight > 0;
+  if (inflight_decode_.had_cotenant) {
+    inflight_decode_.cell = estimator_.CellFor(desc, batch, decode_sms);
+  }
 
   decode_in_flight_ = true;
   ++decode_iterations_;
   tracer_.SpanBegin("engine/decode", "decode-step",
                     static_cast<std::int64_t>(decode_iterations_),
                     static_cast<double>(batch.size));
+  // Decode runs back to back on its own green context: with no prefill
+  // pending, the iteration runs inline when nothing else can happen
+  // before it completes (MultiplexEngine::RunDecodeAlone).
+  if (run_ahead && !prefill_pending &&
+      mux_->RunDecodeAlone(kernel, cost_->DecodeGraphLaunch())) {
+    return true;
+  }
   mux_->LaunchDecode(kernel, cost_->DecodeGraphLaunch(),
                      [this] { OnDecodeIterationDone(); });
+  return false;
 }
 
 void MuxWiseEngine::OnDecodeIterationDone() {
-  decode_in_flight_ = false;
-  const InflightDecode& done = inflight_decode_;
-  // Single decode iteration in flight: the live serial is the last one.
-  tracer_.SpanEnd("engine/decode", "decode-step",
-                  static_cast<std::int64_t>(decode_iterations_));
-  const sim::Time now = sim_->Now();
+  // Each pass finishes one iteration. Only the tail pump may run the next
+  // one inline, and then nothing else follows it in this event, so a
+  // loop keeps the order of operations (runs reach thousands of
+  // iterations, too deep to recurse).
+  do {
+    decode_in_flight_ = false;
+    const InflightDecode& done = inflight_decode_;
+    // Single decode iteration in flight: the live serial is the last one.
+    tracer_.SpanEnd("engine/decode", "decode-step",
+                    static_cast<std::int64_t>(decode_iterations_));
+    const sim::Time now = sim_->Now();
 
-  if (options_.online_refinement && done.had_cotenant && done.solo > 0) {
-    const sim::Duration measured =
-        now - done.launch_time - cost_->DecodeGraphLaunch();
-    const double slowdown =
-        static_cast<double>(measured) / static_cast<double>(done.solo);
-    if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
-  }
-
-  // Compact in place: survivors keep their order, and finished requests
-  // reach FinishRequest in batch order.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < decoding_.size(); ++i) {
-    decoding_[i]->EmitToken(now);
-    if (decoding_[i]->DecodeFinished()) {
-      FinishRequest(std::move(decoding_[i]));
-    } else {
-      if (kept != i) decoding_[kept] = std::move(decoding_[i]);
-      ++kept;
+    if (options_.online_refinement && done.had_cotenant && done.solo > 0) {
+      const sim::Duration measured =
+          now - done.launch_time - cost_->DecodeGraphLaunch();
+      const double slowdown =
+          static_cast<double>(measured) / static_cast<double>(done.solo);
+      if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
     }
-  }
-  decoding_.resize(kept);
-  tracer_.Counter("engine/decode", "decode-pending",
-                  static_cast<double>(decoding_.size()));
-  FlushCompletions();
-  PumpScheduler();
+
+    // Compact in place: survivors keep their order, and finished
+    // requests reach FinishRequest in batch order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < decoding_.size(); ++i) {
+      decoding_[i]->EmitToken(now);
+      if (decoding_[i]->DecodeFinished()) {
+        FinishRequest(std::move(decoding_[i]));
+      } else {
+        if (kept != i) decoding_[kept] = std::move(decoding_[i]);
+        ++kept;
+      }
+    }
+    decoding_.resize(kept);
+    tracer_.Counter("engine/decode", "decode-pending",
+                    static_cast<double>(decoding_.size()));
+    FlushCompletions();
+  } while (PumpScheduler(/*run_ahead=*/true));
 }
 
 void MuxWiseEngine::FinishRequest(std::unique_ptr<serve::Request> request) {

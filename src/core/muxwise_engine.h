@@ -225,13 +225,18 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     bool had_cotenant = false;
   };
 
-  void PumpScheduler();
+  /**
+   * Runs the scheduling pass. With `run_ahead`, a decode iteration
+   * launched with no prefill pending may run inline; returns true when
+   * one did (Now() is then its completion time).
+   */
+  bool PumpScheduler(bool run_ahead = false);
   void FlushCompletions();
   void TryStartPrefillBatch();
   void ContinuePrefill();
   void OnPrefillGroupDone(int layers);
   void CompleteActivePrefill();
-  void MaybeLaunchDecode();
+  bool MaybeLaunchDecode(bool run_ahead);
   void OnDecodeIterationDone();
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);

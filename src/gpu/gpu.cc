@@ -142,18 +142,19 @@ void Gpu::MarkIdle(StreamId id) {
   active_streams_.erase(it);
 }
 
+int Gpu::BusySms(int extra) const {
+  int busy_sms = extra;
+  for (const StreamId id : active_streams_) {
+    busy_sms += streams_[static_cast<std::size_t>(id)].running->granted_sms;
+  }
+  return std::min(busy_sms, spec_.sm_count);
+}
+
 double Gpu::SmUtilizationIntegral() const {
   // Include the un-flushed tail up to now.
   double extra = 0.0;
   const double dt = static_cast<double>(sim_->Now() - integral_updated_at_);
-  if (dt > 0.0) {
-    int busy_sms = 0;
-    for (const StreamId id : active_streams_) {
-      busy_sms += streams_[static_cast<std::size_t>(id)].running->granted_sms;
-    }
-    busy_sms = std::min(busy_sms, spec_.sm_count);
-    extra = dt * busy_sms / spec_.sm_count;
-  }
+  if (dt > 0.0) extra = dt * BusySms() / spec_.sm_count;
   return sm_utilization_integral_ + extra;
 }
 
@@ -196,19 +197,16 @@ double Gpu::SoloDurationSeconds(const Kernel& kernel, int sms) const {
          sim::ToSeconds(kernel.fixed_time);
 }
 
-void Gpu::AdvanceIntegrals() {
-  const sim::Time now = sim_->Now();
-  const double dt = static_cast<double>(now - integral_updated_at_);
+void Gpu::AdvanceIntegrals() { AccrueIntegrals(sim_->Now(), BusySms()); }
+
+void Gpu::AccrueIntegrals(sim::Time until, int busy_sms) {
+  const double dt = static_cast<double>(until - integral_updated_at_);
   if (dt > 0.0) {
-    int busy_sms = 0;
-    for (const StreamId id : active_streams_) {
-      busy_sms += streams_[static_cast<std::size_t>(id)].running->granted_sms;
-    }
-    busy_sms = std::min(busy_sms, spec_.sm_count);
     sm_utilization_integral_ += dt * busy_sms / spec_.sm_count;
-    if (!active_streams_.empty()) busy_time_integral_ += dt;
+    // Every grant is at least one SM, so busy_sms > 0 iff a kernel runs.
+    if (busy_sms > 0) busy_time_integral_ += dt;
   }
-  integral_updated_at_ = now;
+  integral_updated_at_ = until;
 }
 
 bool Gpu::TryStart(StreamId id) {
@@ -341,16 +339,7 @@ void Gpu::Rerate() {
           ? static_cast<double>(spec_.sm_count) / total_granted
           : 1.0;
 
-  const double interference = InterferenceFactor();
-  double pool = spec_.hbm_bandwidth * degrade_bandwidth_ * (1.0 - interference);
-  // Unmanaged SM oversubscription (plain streams, no green contexts)
-  // interleaves thread blocks of unrelated kernels, thrashing caches:
-  // effective bandwidth drops beyond the fair-share loss. Managed
-  // partitions never oversubscribe, so this penalizes only engines
-  // that skip partition management (WindServe-style, §6).
-  if (sm_scale < 1.0) {
-    pool *= 1.0 - 0.4 * (1.0 - sm_scale);
-  }
+  double pool = BandwidthPool(InterferenceFactor(), sm_scale);
 
   // First pass: advance progress and compute demands.
   std::vector<Rated>& rated = rated_scratch_;
@@ -369,18 +358,7 @@ void Gpu::Rerate() {
 
     const int eff_sms = std::max(
         1, static_cast<int>(std::floor(run.granted_sms * sm_scale)));
-    Rated r;
-    r.id = id;
-    r.compute_seconds = ComputeTimeSeconds(run.kernel, eff_sms) / degrade_flops_;
-    const double cap = spec_.BandwidthCap(eff_sms) * degrade_bandwidth_;
-    if (run.kernel.bytes <= 0.0) {
-      r.demand = 0.0;
-    } else if (r.compute_seconds <= 0.0) {
-      r.demand = cap;  // Pure memory mover: takes whatever it can.
-    } else {
-      r.demand = std::min(run.kernel.bytes / r.compute_seconds, cap);
-    }
-    rated.push_back(r);
+    rated.push_back(RateKernel(id, run.kernel, eff_sms));
   }
 
   // Max-min bandwidth allocation within the (interference-shrunk) pool.
@@ -403,18 +381,7 @@ void Gpu::Rerate() {
           obs::SpanLabel{TrackLabel(r.id), NameLabel(&hbm_name_label_, "hbm-share")},
           r.alloc);
     }
-    const double memory_seconds =
-        (run.kernel.bytes > 0.0 && r.alloc > 0.0)
-            ? run.kernel.bytes / r.alloc
-            : (run.kernel.bytes > 0.0 ? 1e9 : 0.0);
-    const double seconds =
-        (std::max(r.compute_seconds, memory_seconds) +
-         run.kernel.overlap_alpha *
-             std::min(r.compute_seconds, memory_seconds) +
-         sim::ToSeconds(run.kernel.fixed_time)) *
-        slowdown_;
-    run.current_total =
-        std::max(kMinKernelTime, static_cast<sim::Duration>(seconds * 1e9));
+    run.current_total = KernelTotal(run.kernel, r);
     const double left = std::max(0.0, 1.0 - run.fraction_done);
     const sim::Duration time_left = std::max<sim::Duration>(
         1, static_cast<sim::Duration>(left * static_cast<double>(run.current_total)));
@@ -422,6 +389,100 @@ void Gpu::Rerate() {
     const StreamId id = r.id;
     run.completion =
         sim_->ScheduleAfter(time_left, [this, id] { Complete(id); });
+  }
+}
+
+Gpu::Rated Gpu::RateKernel(StreamId id, const Kernel& kernel,
+                           int eff_sms) const {
+  Rated r;
+  r.id = id;
+  r.compute_seconds = ComputeTimeSeconds(kernel, eff_sms) / degrade_flops_;
+  const double cap = spec_.BandwidthCap(eff_sms) * degrade_bandwidth_;
+  if (kernel.bytes <= 0.0) {
+    r.demand = 0.0;
+  } else if (r.compute_seconds <= 0.0) {
+    r.demand = cap;  // Pure memory mover: takes whatever it can.
+  } else {
+    r.demand = std::min(kernel.bytes / r.compute_seconds, cap);
+  }
+  return r;
+}
+
+double Gpu::BandwidthPool(double interference, double sm_scale) const {
+  double pool = spec_.hbm_bandwidth * degrade_bandwidth_ * (1.0 - interference);
+  // Unmanaged SM oversubscription (plain streams, no green contexts)
+  // interleaves thread blocks of unrelated kernels, thrashing caches:
+  // effective bandwidth drops beyond the fair-share loss. Managed
+  // partitions never oversubscribe, so this penalizes only engines
+  // that skip partition management (WindServe-style, §6).
+  if (sm_scale < 1.0) {
+    pool *= 1.0 - 0.4 * (1.0 - sm_scale);
+  }
+  return pool;
+}
+
+sim::Duration Gpu::KernelTotal(const Kernel& kernel, const Rated& r) const {
+  const double memory_seconds =
+      (kernel.bytes > 0.0 && r.alloc > 0.0)
+          ? kernel.bytes / r.alloc
+          : (kernel.bytes > 0.0 ? 1e9 : 0.0);
+  const double seconds =
+      (std::max(r.compute_seconds, memory_seconds) +
+       kernel.overlap_alpha * std::min(r.compute_seconds, memory_seconds) +
+       sim::ToSeconds(kernel.fixed_time)) *
+      slowdown_;
+  return std::max(kMinKernelTime, static_cast<sim::Duration>(seconds * 1e9));
+}
+
+Gpu::Rated Gpu::AloneRate(StreamId stream, const Kernel& kernel) const {
+  // Rerate with one active stream: no interference, so the pool is not
+  // shrunk; a grant never exceeds the device, so SMs are not scaled; and
+  // max-min arbitration over one kernel offers it the whole pool.
+  Rated r = RateKernel(stream, kernel, GetStream(stream).sms);
+  r.alloc = std::min(r.demand, BandwidthPool(0.0, 1.0));
+  return r;
+}
+
+sim::Time Gpu::AloneCompletion(StreamId stream, const Kernel& kernel,
+                               sim::Time start) const {
+  if (frozen_ || !active_streams_.empty() || !GetStream(stream).queue.empty()) {
+    return sim::kTimeNever;
+  }
+  // A fresh kernel has no progress to keep (Rerate's `left` is 1), so
+  // its time left is its whole duration.
+  return start + KernelTotal(kernel, AloneRate(stream, kernel));
+}
+
+void Gpu::RunAlone(StreamId id, const Kernel& kernel, sim::Time start,
+                   sim::Time end) {
+  Stream& s = GetStream(id);
+  MUX_CHECK(!frozen_ && active_streams_.empty() && s.queue.empty());
+  MUX_CHECK(start >= sim_->Now() && start <= end);
+  // Start at `start`: the device was idle up to it.
+  AccrueIntegrals(start, 0);
+  const std::uint64_t serial = next_kernel_serial_++;
+  if (tracer_.enabled()) {
+    sim_->AdvanceTo(start);
+    tracer_.SpanBegin(
+        obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
+        static_cast<std::int64_t>(serial), static_cast<double>(s.sms));
+    tracer_.Counter(
+        obs::SpanLabel{TrackLabel(id), NameLabel(&hbm_name_label_, "hbm-share")},
+        AloneRate(id, kernel).alloc);
+  }
+  s.stats.first_activity = std::min(s.stats.first_activity, start);
+
+  // Complete at `end`, the kernel having held its grant alone throughout.
+  sim_->AdvanceTo(end);
+  AccrueIntegrals(end, BusySms(s.sms));
+  s.stats.busy_time += end - start;
+  s.stats.last_activity = end;
+  ++s.stats.kernels_completed;
+  ++kernels_completed_;
+  if (tracer_.enabled()) {
+    tracer_.SpanEnd(
+        obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
+        static_cast<std::int64_t>(serial));
   }
 }
 

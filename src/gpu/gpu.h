@@ -122,6 +122,29 @@ class Gpu {
   std::size_t kernels_completed() const { return kernels_completed_; }
 
   /**
+   * When `kernel`, launched on `stream` at `start` (>= Now()), would
+   * complete if nothing else happened on the device first: the time
+   * Launch's re-rate would schedule its completion for. With one active
+   * stream that re-rate is exact — no interference, no SM scaling, the
+   * whole bandwidth pool and no prior progress. kTimeNever when the
+   * device is frozen, another stream is running or a kernel is queued.
+   */
+  sim::Time AloneCompletion(StreamId stream, const Kernel& kernel,
+                            sim::Time start) const;
+
+  /**
+   * Runs `kernel` on `stream` from `start` to `end` without simulator
+   * events: the bookkeeping of Launch at `start` and of its completion
+   * at `end` (launch serial, activity window, busy time, both integrals,
+   * completion counts, the kernel span and its hbm-share counter), with
+   * no re-rate and no completion callback. Moves the clock to `end`.
+   * `end` must be AloneCompletion(stream, kernel, start) and the
+   * simulator must be able to advance to it (Simulator::CanAdvanceTo).
+   */
+  void RunAlone(StreamId stream, const Kernel& kernel, sim::Time start,
+                sim::Time end);
+
+  /**
    * Straggler injection: stretches every running and future kernel by
    * `factor` (>= 1). Running kernels are re-rated immediately, keeping
    * the progress they already made. Predictions (SoloDurationSeconds)
@@ -270,11 +293,32 @@ class Gpu {
    */
   void Rerate();
 
+  /** Compute time and bandwidth demand of `kernel` on `eff_sms` SMs. */
+  Rated RateKernel(StreamId id, const Kernel& kernel, int eff_sms) const;
+
+  /** HBM pool the running kernels share, shrunk by contention. */
+  double BandwidthPool(double interference, double sm_scale) const;
+
+  /** Full duration of a kernel rated and allocated its bandwidth. */
+  sim::Duration KernelTotal(const Kernel& kernel, const Rated& rated) const;
+
+  /** `kernel` rated on `stream` alone: the whole pool is its to take. */
+  Rated AloneRate(StreamId stream, const Kernel& kernel) const;
+
   /** Deterministic interference factor for the current active set. */
   double InterferenceFactor();
 
   /** Advances the utilization integrals up to now. */
   void AdvanceIntegrals();
+
+  /** Accrues the integrals up to `until` with `busy_sms` SMs busy. */
+  void AccrueIntegrals(sim::Time until, int busy_sms);
+
+  /**
+   * SMs granted to the running kernels plus `extra` (a kernel run by
+   * RunAlone), capped at the device.
+   */
+  int BusySms(int extra = 0) const;
 
   /** Trace track for one stream (empty when tracing is off). */
   std::string StreamTrack(StreamId id) const;

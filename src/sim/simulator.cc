@@ -173,38 +173,41 @@ std::size_t Simulator::Run(std::size_t max_events) {
 }
 
 std::size_t Simulator::RunUntil(Time until) {
-  MUX_CHECK(until >= now_);
-  std::size_t n = 0;
-  while (true) {
-    const QueueEntry* top = PeekLive();
-    if (top == nullptr || top->when > until) break;
-    ExecuteTop(top);
-    ++n;
-  }
-  now_ = until;
-  return n;
+  return RunUntil(until, SIZE_MAX);
 }
 
 std::size_t Simulator::RunUntil(Time until, std::size_t max_events) {
   MUX_CHECK(until >= now_);
+  horizon_ = until;
   std::size_t n = 0;
   while (n < max_events) {
     const QueueEntry* top = PeekLive();
     if (top == nullptr || top->when > until) {
       now_ = until;
-      return n;
+      break;
     }
     ExecuteTop(top);
     ++n;
   }
-  // Budget exhausted mid-stream: Now() stays at the last event's time so
-  // the caller can see where the scenario stalled.
+  // A budget exhausted mid-stream leaves Now() at the last event's time
+  // (or where a callback advanced it) so the caller can see where the
+  // scenario stalled.
+  horizon_ = kTimeNever;
   return n;
 }
 
 Time Simulator::NextEventTime() {
   const QueueEntry* top = PeekLive();
   return top == nullptr ? kTimeNever : top->when;
+}
+
+bool Simulator::CanAdvanceTo(Time t) {
+  return t >= now_ && t <= horizon_ && t < NextEventTime();
+}
+
+void Simulator::AdvanceTo(Time t) {
+  MUX_CHECK(CanAdvanceTo(t));
+  now_ = t;
 }
 
 void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {

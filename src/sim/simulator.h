@@ -106,6 +106,22 @@ class Simulator {
   /** Executes exactly one event if any is pending. Returns true if so. */
   bool Step();
 
+  /**
+   * True when the clock may jump to `t` without running an event: `t`
+   * is not before Now(), strictly before the earliest pending event, and
+   * not past the horizon of a running RunUntil (Step and Run have none,
+   * and neither has code running outside them). Non-const for the same
+   * reason as NextEventTime().
+   */
+  bool CanAdvanceTo(Time t);
+
+  /**
+   * Moves Now() to `t`; CanAdvanceTo(t) must hold. Runs no event and
+   * folds nothing into the event digest: the caller has shown that
+   * nothing else happens before `t` and accounts for [Now(), t) itself.
+   */
+  void AdvanceTo(Time t);
+
   /** True when no live events remain. */
   bool Empty() const { return live_events_ == 0; }
 
@@ -193,6 +209,7 @@ class Simulator {
   void FoldDigest(Time when, EventId id);
 
   Time now_ = kTimeZero;
+  Time horizon_ = kTimeNever;  // RunUntil's `until` while it runs.
   EventId next_id_ = 1;
   std::size_t executed_ = 0;
   std::uint64_t digest_ = 0x9e3779b97f4a7c15ULL;

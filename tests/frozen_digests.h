@@ -39,8 +39,8 @@ struct FrozenDigest {
 };
 
 inline constexpr FrozenDigest kFrozenEngineDigests[] = {
-    {harness::EngineKind::kMuxWise, 0xb8dab88ef03c0e36ull, 5768,
-     0xd26e3f5f04565227ull, 0xfeb8512794f8e8d0ull},
+    {harness::EngineKind::kMuxWise, 0xca13dd56dda5fb83ull, 500,
+     0x5d681cdcbce1c54cull, 0xfeb8512794f8e8d0ull},
     {harness::EngineKind::kChunked, 0x600f439cd0e9b2a9ull, 5166,
      0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
     {harness::EngineKind::kNanoFlow, 0x98d55bf27e747a59ull, 8710,
@@ -49,10 +49,10 @@ inline constexpr FrozenDigest kFrozenEngineDigests[] = {
      0x07fe6833a90abc8aull, 0x35dca6a28b826b29ull},
     {harness::EngineKind::kLoongServe, 0x7c3cf241ee03682dull, 3912,
      0xf99ba7fa9202144dull, 0x2ba885b947fff49eull},
-    {harness::EngineKind::kWindServe, 0x4af18835f365b17eull, 6196,
-     0x928dacbf34d5ac66ull, 0x27cac7363a6df15aull},
-    {harness::EngineKind::kTemporal, 0xb8d5d933df7c8ccfull, 6260,
-     0xb8ec8c2393ade388ull, 0x2f11fa7423f897f7ull},
+    {harness::EngineKind::kWindServe, 0xaac1bb8d52e23b2full, 1166,
+     0x2efd4844fd1ad433ull, 0x27cac7363a6df15aull},
+    {harness::EngineKind::kTemporal, 0x455653cd8aaebaa0ull, 1346,
+     0x696d8785b792987dull, 0x2f11fa7423f897f7ull},
 };
 
 /** The deployment the frozen digests were recorded against. */
@@ -85,8 +85,8 @@ struct FaultPathDigest {
 };
 
 inline constexpr FaultPathDigest kFaultPathDigests[] = {
-    {harness::EngineKind::kMuxWise, false, 0xefa8918660b699a5ull, 27353,
-     0x20e67b927f5aba66ull, 0xda6607a947d35000ull},
+    {harness::EngineKind::kMuxWise, false, 0xce455f74a3d34a70ull, 11527,
+     0x7179f9f6f67f7678ull, 0xda6607a947d35000ull},
     {harness::EngineKind::kChunked, false, 0x3ea4aa555a54dc0full, 24741,
      0x35c2cf867c67b5b6ull, 0xe56f77f53013b038ull},
     {harness::EngineKind::kNanoFlow, false, 0xf0a5172faa5969c7ull, 49166,
@@ -95,16 +95,16 @@ inline constexpr FaultPathDigest kFaultPathDigests[] = {
      0xda5e49849428391eull, 0x17bbf0693d8ad1cbull},
     {harness::EngineKind::kLoongServe, false, 0xed4911bb0b0d243dull, 15641,
      0x25ed334c38a613dbull, 0x7d0ffe10a327193full},
-    {harness::EngineKind::kWindServe, false, 0x923dd5adffa69ae6ull, 43121,
-     0x3cd17366462cf7f3ull, 0x8758ce5ef5d6b6ebull},
-    {harness::EngineKind::kTemporal, false, 0x20830db1bd6e2499ull, 33414,
-     0xe992bdcd0ce07fd2ull, 0x953c66f3798622deull},
-    {harness::EngineKind::kMuxWise, true, 0xd096a21c688647caull, 26456,
-     0x7360d4e0e217c67dull, 0x5c681c0ef3ad32d4ull},
-    {harness::EngineKind::kWindServe, true, 0x0f8cc4dc3a50f6bdull, 45212,
-     0x1f55a864781b2613ull, 0xaf35421640e7d7a9ull},
-    {harness::EngineKind::kTemporal, true, 0x03e0f27ed2ff1045ull, 36555,
-     0x24addccca054334bull, 0xa4b176cae27cf5f4ull},
+    {harness::EngineKind::kWindServe, false, 0x88970c6e08a30cffull, 32257,
+     0xbd3ff5378a48224aull, 0x8758ce5ef5d6b6ebull},
+    {harness::EngineKind::kTemporal, false, 0x8e19b992fd9d7934ull, 21542,
+     0x38b2b5a4c0f1baccull, 0x953c66f3798622deull},
+    {harness::EngineKind::kMuxWise, true, 0x5dc00fbe12ac2893ull, 12870,
+     0x67c5214f5b132134ull, 0x5c681c0ef3ad32d4ull},
+    {harness::EngineKind::kWindServe, true, 0xce4fa85500c0b7a4ull, 33598,
+     0xbfdbcefab3ef86afull, 0xaf35421640e7d7a9ull},
+    {harness::EngineKind::kTemporal, true, 0xe26f40be585ce051ull, 24693,
+     0x29c74f1ebcf93818ull, 0xa4b176cae27cf5f4ull},
 };
 
 /** The multi-turn trace the fault-path digests were recorded against. */
@@ -149,7 +149,7 @@ struct PinnedRun {
 };
 
 inline constexpr PinnedRun kKvPressurePreemptionDigest = {
-    0xa247033a724e66e4ull, 16895, 0xa98b6051eda0c258ull,
+    0xf40a629a50ac939dull, 14349, 0x8ee0133123e02211ull,
     0x2a12f4228029198cull};
 
 /**
@@ -169,32 +169,32 @@ struct ScenarioFileDigest {
 };
 
 inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
-    {"scenarios/acceptance_sharegpt.json", 0xb8dab88ef03c0e36ull, 5768,
-     0xd26e3f5f04565227ull, 0xfeb8512794f8e8d0ull},
-    {"scenarios/chaos_grey_failover.json", 0xa5ff4edf4ffae157ull, 20729,
-     0xa88fbd4413cc2d9bull, 0x95deb7b3505d1399ull},
+    {"scenarios/acceptance_sharegpt.json", 0xca13dd56dda5fb83ull, 500,
+     0x5d681cdcbce1c54cull, 0xfeb8512794f8e8d0ull},
+    {"scenarios/chaos_grey_failover.json", 0x5a038bf87eb8fbe9ull, 19753,
+     0xcd52e7d997351410ull, 0x95deb7b3505d1399ull},
     {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
      0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
-    {"scenarios/fleet_failover.json", 0x09414ef7aa04d269ull, 10697,
-     0x2a9b85262a800181ull, 0x6dc13dd3157d8febull},
-    {"scenarios/loogle_longcontext.json", 0xf5bad742ade44eefull, 598,
-     0x2cbe4f5a8498781aull, 0x321f76523589c88aull},
-    {"scenarios/mixed_sharegpt_loogle.json", 0xb989ba72b5e2fccfull, 3074,
-     0x6fd208ca89845978ull, 0xcf403401b35c5cc6ull},
-    {"scenarios/overload_mmpp_burst.json", 0x849b71bf79c77335ull, 7703,
-     0x4aff7c8703c8248cull, 0x867cbd5dd4f4cdc9ull},
-    {"scenarios/nightly/streaming_1e6.json", 0x4648550652293312ull, 2824832,
-     0x69f76ee7d24b0c4aull, 0x9e92fef69084e87full},
-    {"tests/chaos_corpus/asym_partition.json", 0x8f19bbb91ca8b890ull, 8459,
-     0x65bfd6b77b9c6692ull, 0xfe8d5a30692e2cc2ull},
-    {"tests/chaos_corpus/degrade_spill.json", 0x60d71e75d00fcf8eull, 9083,
-     0xef6ca0897dfa5dcfull, 0x8e207112b5a20665ull},
-    {"tests/chaos_corpus/flap_hysteresis.json", 0x07f8001793ea3faeull, 5921,
-     0x98e27ac37bf0b838ull, 0x7edd2e0f47dc3e95ull},
-    {"tests/chaos_corpus/mixed_grey_storm.json", 0xa987b0ef510d47b6ull, 7755,
-     0xb5af0a9c7fad1cb2ull, 0x144e151b45ef4766ull},
-    {"tests/chaos_corpus/zombie_hold.json", 0x16507f2b24344367ull, 9132,
-     0xba6f2ffec633fbecull, 0x3088cd3f0f38d67dull},
+    {"scenarios/fleet_failover.json", 0xa3ab0a34da005092ull, 7121,
+     0x7f4ea3e85c630702ull, 0x6dc13dd3157d8febull},
+    {"scenarios/loogle_longcontext.json", 0x1cde83954acf02ccull, 342,
+     0x6bf2d187b03ced64ull, 0x321f76523589c88aull},
+    {"scenarios/mixed_sharegpt_loogle.json", 0xaca898533e4ef4acull, 1756,
+     0xbffc88fe90210ceaull, 0xcf403401b35c5cc6ull},
+    {"scenarios/overload_mmpp_burst.json", 0x4cea0994577b3197ull, 1727,
+     0x2144ce259aa04eaeull, 0x867cbd5dd4f4cdc9ull},
+    {"scenarios/nightly/streaming_1e6.json", 0xeef57f140189e44bull, 2823774,
+     0x57d91abc495fa543ull, 0x9e92fef69084e87full},
+    {"tests/chaos_corpus/asym_partition.json", 0x1336a590345d5bcdull, 7003,
+     0x18a29b05dfde2414ull, 0xfe8d5a30692e2cc2ull},
+    {"tests/chaos_corpus/degrade_spill.json", 0x3854fefc7250ee69ull, 7965,
+     0xa9757a2e0792cb4cull, 0x8e207112b5a20665ull},
+    {"tests/chaos_corpus/flap_hysteresis.json", 0x29ca9c46a5c36691ull, 5535,
+     0xacf90860322faa65ull, 0x7edd2e0f47dc3e95ull},
+    {"tests/chaos_corpus/mixed_grey_storm.json", 0x911f8b3ae6264145ull, 7347,
+     0xc83134aaa63bf628ull, 0x144e151b45ef4766ull},
+    {"tests/chaos_corpus/zombie_hold.json", 0x8ec0587ad5b98d49ull, 6006,
+     0xc14b666921236ddbull, 0x3088cd3f0f38d67dull},
 };
 
 /**
@@ -246,12 +246,12 @@ inline constexpr DriverDigest kLaunchChurnDigest = {20000,
 /** test_overload_scenario.cc: 1x/2x/4x MMPP bursts, 30 s each, on
  * MuxWise with control on and off, chunked prefill and SGLang-PD. */
 inline constexpr DriverDigest kOverloadGoodputDigest = {
-    132404, 0x7009c57e3475c645ull};
+    108692, 0x735ecc3d7343f5e3ull};
 
 /** test_route.cc: a 40 s MMPP burst through 1/2/4-replica fleets, each
  * with and without a replica crash at t=30 s. */
-inline constexpr DriverDigest kFleetGoodputDigest = {97228,
-                                                     0xa6156382347a6417ull};
+inline constexpr DriverDigest kFleetGoodputDigest = {81142,
+                                                     0xe9d82e40db7b6e7dull};
 
 }  // namespace muxwise::tests
 

@@ -289,6 +289,101 @@ TEST_F(GpuTest, BubbleRatioMeasuresStreamGaps) {
   EXPECT_NEAR(ratio, 1.0 / 3.0, 0.05);
 }
 
+/** What a device accounted for a sequence of lone kernels. */
+struct LoneKernelRun {
+  std::vector<Time> completions;
+  StreamStats stats;
+  double sm_integral = 0.0;
+  double busy_integral = 0.0;
+  std::size_t kernels_completed = 0;
+};
+
+/**
+ * Runs three kernels one at a time on stream 0 of a two-stream device,
+ * each launched 300 us after the previous one completed, either through
+ * Launch and simulator events or inline through RunAlone.
+ */
+LoneKernelRun RunLoneKernels(bool inline_run, double slowdown,
+                             double flops_factor, double bandwidth_factor) {
+  sim::Simulator simulator;
+  Gpu device(&simulator, GpuSpec::A100());
+  const StreamId stream = device.CreateStream(96);
+  device.CreateStream(12);  // Idle throughout.
+  device.SetSlowdown(slowdown);
+  device.SetDegrade(flops_factor, bandwidth_factor);
+  const Kernel kernels[] = {Kernel::Decode(2e12, 9e9),
+                            Kernel::Prefill(4e13, 2e9), Kernel::Memcpy(1e9)};
+  LoneKernelRun run;
+  Time launch = Milliseconds(1);
+  for (const Kernel& kernel : kernels) {
+    if (inline_run) {
+      const Time end = device.AloneCompletion(stream, kernel, launch);
+      EXPECT_TRUE(simulator.CanAdvanceTo(end));
+      device.RunAlone(stream, kernel, launch, end);
+    } else {
+      simulator.ScheduleAt(launch, [&] { device.Launch(stream, kernel); });
+      simulator.Run();
+    }
+    run.completions.push_back(simulator.Now());
+    launch = simulator.Now() + sim::Microseconds(300);
+  }
+  run.stats = device.stream_stats(stream);
+  run.sm_integral = device.SmUtilizationIntegral();
+  run.busy_integral = device.BusyTimeIntegral();
+  run.kernels_completed = device.kernels_completed();
+  return run;
+}
+
+TEST(GpuRunAloneTest, MatchesLaunchForLoneKernels) {
+  struct Case {
+    const char* name;
+    double slowdown, flops_factor, bandwidth_factor;
+  };
+  for (const Case& c : {Case{"plain", 1.0, 1.0, 1.0},
+                        Case{"straggler", 1.7, 1.0, 1.0},
+                        Case{"degraded", 1.0, 0.6, 0.45},
+                        Case{"both", 2.5, 0.8, 0.3}}) {
+    SCOPED_TRACE(c.name);
+    const LoneKernelRun events =
+        RunLoneKernels(false, c.slowdown, c.flops_factor, c.bandwidth_factor);
+    const LoneKernelRun alone =
+        RunLoneKernels(true, c.slowdown, c.flops_factor, c.bandwidth_factor);
+    EXPECT_EQ(alone.completions, events.completions);
+    EXPECT_EQ(alone.stats.busy_time, events.stats.busy_time);
+    EXPECT_EQ(alone.stats.first_activity, events.stats.first_activity);
+    EXPECT_EQ(alone.stats.last_activity, events.stats.last_activity);
+    EXPECT_EQ(alone.stats.kernels_completed, events.stats.kernels_completed);
+    EXPECT_EQ(alone.sm_integral, events.sm_integral);
+    EXPECT_EQ(alone.busy_integral, events.busy_integral);
+    EXPECT_EQ(alone.kernels_completed, 3u);
+    EXPECT_EQ(events.kernels_completed, 3u);
+  }
+}
+
+TEST_F(GpuTest, AloneCompletionRefusesUnlessTheKernelWouldRunAlone) {
+  Gpu device(&simulator_, spec_);
+  const StreamId a = device.CreateStream(54);
+  const StreamId b = device.CreateStream(54);
+  const Kernel kernel = Kernel::Memcpy(1e9);
+  EXPECT_NE(device.AloneCompletion(a, kernel, 0), sim::kTimeNever);
+
+  device.SetFrozen(true);
+  EXPECT_EQ(device.AloneCompletion(a, kernel, 0), sim::kTimeNever);
+  device.SetFrozen(false);
+
+  device.Launch(b, kernel);  // Another stream is busy.
+  EXPECT_EQ(device.AloneCompletion(a, kernel, 0), sim::kTimeNever);
+  simulator_.Run();
+  EXPECT_NE(device.AloneCompletion(a, kernel, simulator_.Now()),
+            sim::kTimeNever);
+
+  device.Launch(a, kernel);
+  device.Launch(a, kernel);  // Queued behind the first.
+  EXPECT_EQ(device.StreamQueueDepth(a), 1u);
+  EXPECT_EQ(device.AloneCompletion(a, kernel, simulator_.Now()),
+            sim::kTimeNever);
+}
+
 TEST(HostThreadTest, SerializesSubmissions) {
   sim::Simulator simulator;
   HostThread host(&simulator);

@@ -267,5 +267,67 @@ TEST_F(MuxWiseEngineTest, PartitionSummaryCountsEveryDecision) {
   EXPECT_LE(summary.multiplexing, summary.decisions);
 }
 
+// One 512-token request on an idle MuxWise engine: events executed,
+// first-token time and TBT gaps (ns), the same with 64 or 1,024 outputs.
+constexpr std::size_t kLoneRequestEvents = 22;
+constexpr sim::Time kLoneRequestFirstToken = 136159650;
+constexpr sim::Duration kLoneRequestFirstGap = 10804293;
+constexpr sim::Duration kLoneRequestGap64 = 10795575;
+constexpr sim::Duration kLoneRequestLastGap = 10815091;
+
+/** One request's run on an idle engine: events executed, token times. */
+struct LoneRequestRun {
+  std::size_t events = 0;
+  std::vector<sim::Time> token_times;
+};
+
+LoneRequestRun RunLoneRequest(const ContentionEstimator& estimator,
+                              std::int64_t output_tokens) {
+  constexpr std::int64_t kInput = 512;
+  workload::RequestSpec spec;
+  spec.session = 1;
+  kv::AppendSpan(spec.prompt, kv::TokenSpan{1, 0, kInput});
+  spec.full_seq = spec.prompt;
+  kv::AppendSpan(spec.full_seq,
+                 kv::TokenSpan{1, kInput, kInput + output_tokens});
+  spec.input_tokens = kInput;
+  spec.output_tokens = output_tokens;
+
+  sim::Simulator simulator;
+  MuxWiseEngine engine(&simulator, Llama70bA100(), estimator,
+                       MuxWiseEngine::Options());
+  LoneRequestRun run;
+  engine.set_on_complete([&run](std::unique_ptr<serve::Request> request) {
+    run.token_times = request->token_times;
+  });
+  engine.Enqueue(std::make_unique<serve::Request>(&spec));
+  simulator.Run();
+  run.events = simulator.ExecutedEvents();
+  return run;
+}
+
+TEST_F(MuxWiseEngineTest, LoneRequestEventCountDoesNotGrowWithItsOutput) {
+  // With no prefill pending, decode iterations run inline: after the
+  // prefill, only the first iteration (launched from the prefill's
+  // completion) costs events, however many tokens the request generates.
+  const LoneRequestRun short_run = RunLoneRequest(*estimator_, 64);
+  const LoneRequestRun long_run = RunLoneRequest(*estimator_, 1024);
+  EXPECT_EQ(short_run.events, kLoneRequestEvents);
+  EXPECT_EQ(long_run.events, kLoneRequestEvents);
+
+  ASSERT_EQ(short_run.token_times.size(), 64u);
+  ASSERT_EQ(long_run.token_times.size(), 1024u);
+  // Iteration k prices the same one-request batch in both runs, so the
+  // shorter run's token times are a prefix of the longer run's.
+  EXPECT_TRUE(std::equal(short_run.token_times.begin(),
+                         short_run.token_times.end(),
+                         long_run.token_times.begin()));
+  const std::vector<sim::Time>& t = long_run.token_times;
+  EXPECT_EQ(t[0], kLoneRequestFirstToken);
+  EXPECT_EQ(t[1] - t[0], kLoneRequestFirstGap);
+  EXPECT_EQ(t[64] - t[63], kLoneRequestGap64);
+  EXPECT_EQ(t[1023] - t[1022], kLoneRequestLastGap);
+}
+
 }  // namespace
 }  // namespace muxwise::core

@@ -215,6 +215,51 @@ TEST(SimulatorTest, RunUntilBoundaryIsInclusive) {
   EXPECT_TRUE(fired);
 }
 
+TEST(SimulatorTest, CanAdvanceToStopsShortOfPendingEventsAndTheHorizon) {
+  Simulator simulator;
+  std::vector<bool> at_5ms;
+  std::vector<bool> at_8ms;
+  simulator.ScheduleAt(Milliseconds(5), [&] {
+    at_5ms = {simulator.CanAdvanceTo(Milliseconds(5)),
+              simulator.CanAdvanceTo(Milliseconds(7)),
+              simulator.CanAdvanceTo(Milliseconds(8)),   // A pending event.
+              simulator.CanAdvanceTo(Milliseconds(4))};  // The past.
+  });
+  simulator.ScheduleAt(Milliseconds(8), [&] {
+    // Nothing is pending: only RunUntil's horizon bounds the jump.
+    at_8ms = {simulator.CanAdvanceTo(Milliseconds(10)),
+              simulator.CanAdvanceTo(Milliseconds(10) + 1)};
+  });
+  simulator.RunUntil(Milliseconds(10));
+  EXPECT_EQ(at_5ms, (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(at_8ms, (std::vector<bool>{true, false}));
+  // Outside RunUntil there is no horizon.
+  EXPECT_TRUE(simulator.CanAdvanceTo(Seconds(100)));
+}
+
+TEST(SimulatorTest, AdvanceToRunsNoEventAndLeavesTheDigest) {
+  Simulator simulator;
+  simulator.ScheduleAt(Milliseconds(1), [] {});
+  simulator.Step();
+  const std::uint64_t digest = simulator.EventDigest();
+  bool fired = false;
+  simulator.ScheduleAt(Milliseconds(9), [&] { fired = true; });
+  simulator.AdvanceTo(Milliseconds(6));
+  EXPECT_EQ(simulator.Now(), Milliseconds(6));
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(simulator.ExecutedEvents(), 1u);
+  EXPECT_EQ(simulator.EventDigest(), digest);
+  simulator.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(simulator.Now(), Milliseconds(9));
+}
+
+TEST(SimulatorDeathTest, AdvancePastAPendingEventIsFatal) {
+  Simulator simulator;
+  simulator.ScheduleAt(Milliseconds(8), [] {});
+  EXPECT_DEATH(simulator.AdvanceTo(Milliseconds(8)), "CanAdvanceTo");
+}
+
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
   Simulator simulator;
   int count = 0;
