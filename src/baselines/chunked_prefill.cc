@@ -7,6 +7,15 @@
 #include "sim/logging.h"
 
 namespace muxwise::baselines {
+namespace {
+
+/** Cap on the decode batch size. */
+constexpr int kMaxDecodeBatch = 256;
+
+/** Nano-batches per NanoFlow iteration. */
+constexpr int kNanoBatches = 2;
+
+}  // namespace
 
 ChunkedPrefillEngine::ChunkedPrefillEngine(
     sim::Simulator* simulator, const serve::Deployment& deployment,
@@ -48,7 +57,7 @@ void ChunkedPrefillEngine::PumpAdmissions() {
   // when the running set reaches the decode batch cap.
   while (!waiting_.empty() &&
          prefilling_.size() + decoding_.size() <
-             static_cast<std::size_t>(options_.max_decode_batch)) {
+             static_cast<std::size_t>(kMaxDecodeBatch)) {
     serve::Request& head = *waiting_.front();
     if (!serve::AdmitToPool(*pool_, head, sim_->Now())) break;
     head.phase = serve::Phase::kPrefill;
@@ -118,7 +127,7 @@ void ChunkedPrefillEngine::MaybeStartIteration() {
 
   // NanoFlow: split into nano-batches on two concurrent streams. Each
   // nano-batch re-streams the full weights but overlaps better.
-  const int n = std::max(2, options_.nano_batches);
+  const int n = kNanoBatches;
   nano_outstanding_ = n;
   const double kv_bytes = std::max(
       0.0, fused.bytes - cost_->WeightBytesPerGpu());

@@ -41,12 +41,8 @@ class ChunkedPrefillEngine : public fault::FaultAwareEngine {
     /** SARATHI token budget: chunk tokens + decode batch size. */
     int token_budget = 256;
 
-    /** Cap on the decode batch size. */
-    int max_decode_batch = 256;
-
     /** NanoFlow mode. */
     bool nano_overlap = false;
-    int nano_batches = 2;
 
     /** Failure recovery; disabled by default (fault-free runs). */
     fault::RecoveryPolicy recovery;

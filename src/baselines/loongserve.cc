@@ -7,14 +7,21 @@
 #include "sim/logging.h"
 
 namespace muxwise::baselines {
+namespace {
+
+/** Max new tokens packed into one prefill batch. */
+constexpr std::int64_t kPrefillBatchTokens = 16384;
+constexpr int kPrefillBatchRequests = 8;
+
+}  // namespace
 
 LoongServeEngine::LoongServeEngine(sim::Simulator* simulator,
                                    const serve::Deployment& deployment,
-                                   Options options)
-    : fault::FaultAwareEngine(simulator, deployment.slo, options.recovery),
+                                   fault::RecoveryPolicy recovery)
+    : fault::FaultAwareEngine(simulator, deployment.slo, recovery),
       sim_(simulator),
-      deployment_(deployment),
-      options_(options) {
+      deployment_(deployment) {
+  MUX_CHECK(kMinGpus <= deployment_.num_gpus);
   const gpu::GpuSpec aggregate =
       deployment_.gpu.Aggregate(deployment_.num_gpus);
   device_ = std::make_unique<gpu::Gpu>(sim_, aggregate);
@@ -28,7 +35,7 @@ LoongServeEngine::LoongServeEngine(sim::Simulator* simulator,
         deployment_.model, k, deployment_.gpu);
   }
   pool_capacity_ = deployment_.PoolTokens(deployment_.num_gpus);
-  decode_gpus_ = options_.min_decode_gpus;
+  decode_gpus_ = kMinDecodeGpus;
   const int per_gpu_sms = deployment_.gpu.sm_count;
   prefill_stream_ = device_->CreateStream(
       (deployment_.num_gpus - decode_gpus_) * per_gpu_sms);
@@ -66,9 +73,8 @@ void LoongServeEngine::PumpPrefill() {
   std::vector<llm::SeqWork> work;
   std::int64_t batch_tokens = 0;
   while (!waiting_.empty() &&
-         static_cast<int>(prefill_batch_.size()) <
-             options_.prefill_batch_requests &&
-         batch_tokens < options_.prefill_batch_tokens) {
+         static_cast<int>(prefill_batch_.size()) < kPrefillBatchRequests &&
+         batch_tokens < kPrefillBatchTokens) {
     serve::Request& req = *waiting_.front();
     // No cross-request reuse: the whole input is recomputed each turn.
     const std::int64_t need =
@@ -142,7 +148,7 @@ void LoongServeEngine::OnPrefillBatchDone() {
 
 int LoongServeEngine::ChooseDecodeGpus(
     const std::vector<std::int64_t>& ctx) const {
-  for (int k = options_.min_decode_gpus; k <= deployment_.num_gpus; ++k) {
+  for (int k = kMinDecodeGpus; k <= deployment_.num_gpus; ++k) {
     const llm::CostModel& cost = *cost_by_tp_[static_cast<std::size_t>(k)];
     const gpu::Kernel kernel = GroupKernel(cost.DecodeIteration(ctx), k);
     const double seconds = device_->SoloDurationSeconds(

@@ -32,7 +32,7 @@ namespace muxwise::baselines {
  * releases KV when a request completes, so multi-turn sessions
  * recompute their entire history (no cross-request reuse).
  *
- * Failure recovery (when Options::recovery is enabled): the elastic
+ * Failure recovery (when `recovery` is enabled): the elastic
  * group is one fault domain — a crash of any member poisons the whole
  * sequence-parallel shard set, so everything admitted is lost and
  * re-enqueued. Re-shard traffic rides the engine's own interconnect,
@@ -40,20 +40,15 @@ namespace muxwise::baselines {
  */
 class LoongServeEngine : public fault::FaultAwareEngine {
  public:
-  struct Options {
-    int max_decode_batch = 256;
-    /** Minimum GPUs pinned to decode while any request is decoding. */
-    int min_decode_gpus = 1;
-    /** Max new tokens packed into one prefill batch. */
-    std::int64_t prefill_batch_tokens = 16384;
-    int prefill_batch_requests = 8;
+  /** Minimum GPUs pinned to decode while any request is decoding. */
+  static constexpr int kMinDecodeGpus = 1;
 
-    /** Failure recovery; disabled by default (fault-free runs). */
-    fault::RecoveryPolicy recovery;
-  };
+  /** Smallest deployment: the decode minimum plus one prefill GPU. */
+  static constexpr int kMinGpus = kMinDecodeGpus + 1;
 
   LoongServeEngine(sim::Simulator* simulator,
-                   const serve::Deployment& deployment, Options options);
+                   const serve::Deployment& deployment,
+                   fault::RecoveryPolicy recovery);
   ~LoongServeEngine() override;
 
   const char* name() const override { return "LoongServe"; }
@@ -91,7 +86,6 @@ class LoongServeEngine : public fault::FaultAwareEngine {
 
   sim::Simulator* sim_;
   serve::Deployment deployment_;
-  Options options_;
 
   std::unique_ptr<gpu::Gpu> device_;  // Aggregate of num_gpus GPUs.
   std::unique_ptr<gpu::HostThread> host_;

@@ -6,6 +6,15 @@
 #include "sim/logging.h"
 
 namespace muxwise::baselines {
+namespace {
+
+constexpr int kMaxDecodeBatch = 256;
+
+/** Max new tokens packed into one prefill batch. */
+constexpr std::int64_t kPrefillBatchTokens = 8192;
+constexpr int kPrefillBatchRequests = 8;
+
+}  // namespace
 
 struct StaticDisaggEngine::Job {
   std::unique_ptr<serve::Request> request;
@@ -23,24 +32,23 @@ struct StaticDisaggEngine::Job {
 MUX_CHANNEL_ENTRY
 StaticDisaggEngine::StaticDisaggEngine(sim::Simulator* simulator,
                                        const serve::Deployment& deployment,
-                                       Options options)
-    : fault::FaultAwareEngine(simulator, deployment.slo, options.recovery),
+                                       fault::RecoveryPolicy recovery)
+    : fault::FaultAwareEngine(simulator, deployment.slo, recovery),
       sim_(simulator),
-      deployment_(deployment),
-      options_(options) {
-  MUX_CHECK(options_.prefill_tp + options_.decode_tp <= deployment_.num_gpus);
+      deployment_(deployment) {
+  MUX_CHECK(kMinGpus <= deployment_.num_gpus);
   cluster_ = std::make_unique<gpu::Cluster>(sim_, deployment_.gpu,
                                             deployment_.num_gpus);
-  gpu::Instance& prefill = cluster_->AddInstance(options_.prefill_tp);
-  gpu::Instance& decode = cluster_->AddInstance(options_.decode_tp);
+  gpu::Instance& prefill = cluster_->AddInstance(kPrefillTp);
+  gpu::Instance& decode = cluster_->AddInstance(kDecodeTp);
   prefill_pool_ =
-      std::make_unique<kv::KvPool>(deployment_.PoolTokens(options_.prefill_tp));
+      std::make_unique<kv::KvPool>(deployment_.PoolTokens(kPrefillTp));
   decode_pool_ =
-      std::make_unique<kv::KvPool>(deployment_.PoolTokens(options_.decode_tp));
+      std::make_unique<kv::KvPool>(deployment_.PoolTokens(kDecodeTp));
   prefill_cost_ = std::make_unique<llm::CostModel>(
-      deployment_.model, options_.prefill_tp, deployment_.gpu);
+      deployment_.model, kPrefillTp, deployment_.gpu);
   decode_cost_ = std::make_unique<llm::CostModel>(
-      deployment_.model, options_.decode_tp, deployment_.gpu);
+      deployment_.model, kDecodeTp, deployment_.gpu);
   prefill_stream_ = prefill.device->CreateStream(deployment_.gpu.sm_count);
   decode_stream_ = decode.device->CreateStream(deployment_.gpu.sm_count);
 }
@@ -77,9 +85,8 @@ MUX_SHARD_LOCAL void StaticDisaggEngine::PumpPrefill() {
   std::vector<llm::SeqWork> work;
   std::int64_t batch_tokens = 0;
   while (!waiting_.empty() &&
-         static_cast<int>(prefill_batch_.size()) <
-             options_.prefill_batch_requests &&
-         batch_tokens < options_.prefill_batch_tokens) {
+         static_cast<int>(prefill_batch_.size()) < kPrefillBatchRequests &&
+         batch_tokens < kPrefillBatchTokens) {
     Job& job = *waiting_.front();
     serve::Request& req = *job.request;
     kv::KvPool::PrefixLease lease =
@@ -170,8 +177,7 @@ void StaticDisaggEngine::OnPrefillBatchDone() {
 void StaticDisaggEngine::TryMoveToDecode() {
   if (DomainDown(1)) return;
   while (!migrating_.empty() &&
-         decoding_.size() < static_cast<std::size_t>(
-                                options_.max_decode_batch)) {
+         decoding_.size() < static_cast<std::size_t>(kMaxDecodeBatch)) {
     Job& job = *migrating_.front();
     serve::Request& req = *job.request;
     kv::KvPool::PrefixLease lease =

@@ -31,7 +31,7 @@ namespace muxwise::baselines {
  * and compute is statically split (idle decode GPUs during prefill
  * bursts and vice versa, Fig. 4-a).
  *
- * Failure recovery (when Options::recovery is enabled): the prefill
+ * Failure recovery (when `recovery` is enabled): the prefill
  * instance is fault domain 0 and the decode instance domain 1, failing
  * independently — the distinguishing hazard of static disaggregation.
  * A prefill crash loses the prefill cache, the in-flight batch, and
@@ -45,20 +45,16 @@ namespace muxwise::baselines {
  */
 class StaticDisaggEngine : public fault::FaultAwareEngine {
  public:
-  struct Options {
-    int prefill_tp = 4;
-    int decode_tp = 4;
-    int max_decode_batch = 256;
-    /** Max new tokens packed into one prefill batch. */
-    std::int64_t prefill_batch_tokens = 8192;
-    int prefill_batch_requests = 8;
+  /** GPUs of the prefill and the decode instance (TP degree each). */
+  static constexpr int kPrefillTp = 4;
+  static constexpr int kDecodeTp = 4;
 
-    /** Failure recovery; disabled by default (fault-free runs). */
-    fault::RecoveryPolicy recovery;
-  };
+  /** Smallest deployment that holds both instances. */
+  static constexpr int kMinGpus = kPrefillTp + kDecodeTp;
 
   StaticDisaggEngine(sim::Simulator* simulator,
-                     const serve::Deployment& deployment, Options options);
+                     const serve::Deployment& deployment,
+                     fault::RecoveryPolicy recovery);
   ~StaticDisaggEngine() override;
 
   const char* name() const override { return "SGLang-PD"; }
@@ -105,7 +101,6 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
 
   sim::Simulator* sim_;
   serve::Deployment deployment_;
-  Options options_;
 
   std::unique_ptr<gpu::Cluster> cluster_;
   std::unique_ptr<kv::KvPool> prefill_pool_;

@@ -37,7 +37,7 @@ int SloAwareDispatcher::ChooseDecodeSms(const llm::DecodeBatch& decode,
     // start immediately; prefill gets nearly everything.
     return chosen(partition_options_.front());
   }
-  const sim::Duration budget = deployment_.slo.tbt - options_.tbt_margin;
+  const sim::Duration budget = deployment_.slo.tbt - kTbtMargin;
   for (int sms : partition_options_) {
     if (sms >= full) break;  // Multiplexed configs only.
     priced_sms = sms;
@@ -56,7 +56,7 @@ int SloAwareDispatcher::PrefillLayersToLaunch(sim::Duration decode_estimate,
                                               int layers_remaining) const {
   MUX_CHECK(layers_remaining >= 1);
   if (decode_estimate <= 0 || prefill_phase <= 0) {
-    return std::min(layers_remaining, options_.idle_layer_group);
+    return std::min(layers_remaining, kIdleLayerGroup);
   }
   const int total_layers = deployment_.model.num_layers;
   const double n_pl = std::ceil(static_cast<double>(decode_estimate) *

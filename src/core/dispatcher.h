@@ -28,13 +28,13 @@ class SloAwareDispatcher {
  public:
   struct Options {
     bool preemption = true;
-
-    /** Headroom subtracted from the TBT target (launch overheads). */
-    sim::Duration tbt_margin = sim::Milliseconds(2);
-
-    /** Layer-group size when no decode constrains pacing. */
-    int idle_layer_group = 8;
   };
+
+  /** Headroom subtracted from the TBT target (launch overheads). */
+  static constexpr sim::Duration kTbtMargin = sim::Milliseconds(2);
+
+  /** Layer-group size when no decode constrains pacing. */
+  static constexpr int kIdleLayerGroup = 8;
 
   SloAwareDispatcher(const serve::Deployment& deployment,
                      const ContentionEstimator* estimator, Options options);
@@ -86,8 +86,6 @@ class SloAwareDispatcher {
                      bool active_is_preemptor, sim::Time active_deadline,
                      sim::Duration incoming_duration,
                      sim::Time incoming_deadline) const;
-
-  const Options& options() const { return options_; }
 
  private:
   serve::Deployment deployment_;

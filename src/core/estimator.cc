@@ -58,10 +58,7 @@ sim::Duration ContentionEstimator::WorstCaseDecode(
     const llm::DecodeBatch& batch, int decode_sms,
     const PrefillDesc& prefill) const {
   const sim::Duration solo = predictor_.PredictDecode(batch, decode_sms);
-  double factor = 1.0;
-  if (options_.inflate_by_fit_error) {
-    factor += predictor_.DecodeMaxError(decode_sms);
-  }
+  double factor = 1.0 + predictor_.DecodeMaxError(decode_sms);
   if (prefill.new_tokens > 0 || prefill.reused_tokens > 0) {
     factor *= GuardFor(CellFor(prefill, batch, decode_sms));
   }

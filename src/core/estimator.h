@@ -51,9 +51,6 @@ class ContentionEstimator {
      * plus margin.
      */
     double default_guard = 1.35;
-
-    /** Extra inflation covering the solo-run predictor's fit error. */
-    bool inflate_by_fit_error = true;
   };
 
   ContentionEstimator(llm::SoloRunPredictor predictor,

@@ -7,6 +7,16 @@
 #include "sim/logging.h"
 
 namespace muxwise::core {
+namespace {
+
+constexpr int kMaxDecodeBatch = 256;
+constexpr std::int64_t kPrefillBatchTokens = 16384;
+constexpr int kPrefillBatchRequests = 8;
+
+/** KV-pressure victims preempted per admission failure (bounds the work). */
+constexpr int kMaxKvVictimsPerPump = 4;
+
+}  // namespace
 
 MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
                              const serve::Deployment& deployment,
@@ -29,8 +39,7 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
   if (options_.overload.enabled) {
     host_link_ = std::make_unique<sim::Channel>(
         sim_, "muxwise/host-spill",
-        options_.overload.spill_bandwidth_bytes_per_s,
-        options_.overload.spill_latency);
+        overload::kHostLinkBandwidthBytesPerS, overload::kHostLinkLatency);
   }
 }
 
@@ -134,7 +143,7 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
       ctl_->Admit(slo_class, DemandTokens(*request), now,
                   QueuedInClass(slo_class));
   const bool overdue =
-      now - request->arrival >= options_.overload.max_admission_delay;
+      now - request->arrival >= overload::kMaxAdmissionDelay;
   if (decision.action == overload::AdmissionDecision::Action::kShed ||
       (decision.action == overload::AdmissionDecision::Action::kDelay &&
        overdue)) {
@@ -259,7 +268,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
   }
 
   const std::size_t running = decoding_.size() + merge_ready_.size();
-  if (running >= static_cast<std::size_t>(options_.max_decode_batch)) return;
+  if (running >= static_cast<std::size_t>(kMaxDecodeBatch)) return;
   if (waiting_.empty()) {
     if (preempted_ != nullptr) {
       // The would-be preemptor vanished: resume the paused batch.
@@ -272,8 +281,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
 
   auto job = std::make_unique<PrefillJob>();
   const std::size_t batch_cap = std::min<std::size_t>(
-      static_cast<std::size_t>(options_.prefill_batch_requests),
-      waiting_.size());
+      static_cast<std::size_t>(kPrefillBatchRequests), waiting_.size());
   job->requests.reserve(batch_cap);
   job->work.reserve(batch_cap);
   const bool building_preemptor = preemptor_pending_;
@@ -297,7 +305,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
                      });
   }
   // Brownout shrinks the prefill token budget before anything is shed.
-  std::int64_t token_budget = options_.prefill_batch_tokens;
+  std::int64_t token_budget = kPrefillBatchTokens;
   if (OverloadOn()) {
     token_budget = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(static_cast<double>(token_budget) *
@@ -311,11 +319,10 @@ void MuxWiseEngine::TryStartPrefillBatch() {
   int kv_victims = 0;
   std::int64_t batch_tokens = 0;
   while (!waiting_.empty() &&
-         static_cast<int>(job->requests.size()) <
-             options_.prefill_batch_requests &&
+         static_cast<int>(job->requests.size()) < kPrefillBatchRequests &&
          batch_tokens < token_budget &&
          running + job->requests.size() <
-             static_cast<std::size_t>(options_.max_decode_batch)) {
+             static_cast<std::size_t>(kMaxDecodeBatch)) {
     serve::Request& head = *waiting_.front();
     if (OverloadOn() && !building_preemptor &&
         head.spec->slo_class == workload::SloClass::kBatch &&
@@ -326,8 +333,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
     }
     if (!serve::AdmitToPool(*pool_, head, sim_->Now())) {
       if (OverloadOn() && ctl_->PreemptionEligible() &&
-          kv_victims < options_.overload.max_victims_per_pump &&
-          TryPreemptForKv(head)) {
+          kv_victims < kMaxKvVictimsPerPump && TryPreemptForKv(head)) {
         ++kv_victims;
         continue;  // Space was freed; re-offer the same head.
       }
@@ -410,7 +416,7 @@ void MuxWiseEngine::ContinuePrefill() {
       // Fit layer groups into the decode slack (Tropical-style).
       const sim::Duration slack =
           deployment_.slo.tbt - last_decode_estimate_ -
-          dispatcher_->options().tbt_margin;
+          SloAwareDispatcher::kTbtMargin;
       const sim::Duration phase = PhaseTime(*active_, prefill_sms);
       if (decode_live && phase > 0) {
         const double fit = static_cast<double>(std::max<sim::Duration>(
@@ -418,7 +424,7 @@ void MuxWiseEngine::ContinuePrefill() {
                            total_layers / static_cast<double>(phase);
         layers = std::clamp(static_cast<int>(fit), 1, remaining);
       } else {
-        layers = std::min(remaining, dispatcher_->options().idle_layer_group);
+        layers = std::min(remaining, SloAwareDispatcher::kIdleLayerGroup);
       }
     } else {
       layers = decode_live
@@ -426,7 +432,7 @@ void MuxWiseEngine::ContinuePrefill() {
                          last_decode_estimate_,
                          PhaseTime(*active_, prefill_sms), remaining)
                    : std::min(remaining,
-                              dispatcher_->options().idle_layer_group);
+                              SloAwareDispatcher::kIdleLayerGroup);
     }
   }
 
@@ -588,7 +594,8 @@ void MuxWiseEngine::OnDecodeIterationDone() {
                     static_cast<std::int64_t>(decode_iterations_));
     const sim::Time now = sim_->Now();
 
-    if (options_.online_refinement && done.had_cotenant && done.solo > 0) {
+    // Online refinement of the contention guard (paper §3.1).
+    if (done.had_cotenant && done.solo > 0) {
       const sim::Duration measured =
           now - done.launch_time - cost_->DecodeGraphLaunch();
       const double slowdown =

@@ -59,13 +59,6 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     /** Query-based synchronization for batch merging (paper §3.2.3). */
     bool query_sync = true;
 
-    /** Online refinement of the contention guard (paper §3.1). */
-    bool online_refinement = true;
-
-    int max_decode_batch = 256;
-    std::int64_t prefill_batch_tokens = 16384;
-    int prefill_batch_requests = 8;
-
     /** Failure recovery; disabled by default (fault-free runs). */
     fault::RecoveryPolicy recovery;
 

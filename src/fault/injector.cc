@@ -10,9 +10,8 @@
 
 namespace muxwise::fault {
 
-FaultInjector::FaultInjector(sim::Simulator* simulator, FaultPlan plan,
-                             RecoveryPolicy policy)
-    : sim_(simulator), plan_(std::move(plan)), policy_(policy) {
+FaultInjector::FaultInjector(sim::Simulator* simulator, FaultPlan plan)
+    : sim_(simulator), plan_(std::move(plan)) {
   MUX_CHECK(sim_ != nullptr);
 }
 
@@ -208,8 +207,6 @@ void FaultInjector::Arm(serve::Engine& engine) {
     } else {
       sim::Channel::FaultModel model;
       model.failure_probability = 0.0;  // Armed but inert until a window.
-      model.max_attempts = policy_.max_transfer_attempts;
-      model.initial_backoff = policy_.transfer_retry_backoff;
       link->EnableFaults(model,
                          sim::Rng(plan_.seed).Fork("interconnect-loss"));
       for (const TransferFaultWindow& window : plan_.transfer_faults) {

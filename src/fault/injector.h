@@ -5,7 +5,6 @@
 
 #include "check/invariant_registry.h"
 #include "fault/fault_plan.h"
-#include "fault/recovery.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
 #include "sim/simulator.h"
@@ -35,8 +34,7 @@ namespace muxwise::fault {
  */
 class FaultInjector {
  public:
-  FaultInjector(sim::Simulator* simulator, FaultPlan plan,
-                RecoveryPolicy policy);
+  FaultInjector(sim::Simulator* simulator, FaultPlan plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -91,7 +89,6 @@ class FaultInjector {
  private:
   sim::Simulator* sim_;
   FaultPlan plan_;
-  RecoveryPolicy policy_;
   bool armed_ = false;
   std::size_t events_scheduled_ = 0;
   std::size_t events_fired_ = 0;

@@ -45,12 +45,6 @@ struct RecoveryPolicy {
    * would only burn prefill cycles of in-flight decodes.
    */
   double shed_demand_factor = 1.5;
-
-  /** Per-transfer attempt budget handed to faultable interconnects. */
-  int max_transfer_attempts = 4;
-
-  /** First retry backoff; doubles per attempt. */
-  sim::Duration transfer_retry_backoff = sim::Milliseconds(2);
 };
 
 /**

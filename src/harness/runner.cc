@@ -191,17 +191,13 @@ EngineInstance MakeEngine(EngineKind kind, sim::Simulator* simulator,
     instance.chunked = owned.get();
     instance.engine = std::move(owned);
   } else if (kind == EngineKind::kSglangPd) {
-    baselines::StaticDisaggEngine::Options options;
-    options.recovery = policy;
     auto owned = std::make_unique<baselines::StaticDisaggEngine>(
-        simulator, deployment, options);
+        simulator, deployment, policy);
     instance.disagg = owned.get();
     instance.engine = std::move(owned);
   } else {
-    baselines::LoongServeEngine::Options options;
-    options.recovery = policy;
     auto owned = std::make_unique<baselines::LoongServeEngine>(
-        simulator, deployment, options);
+        simulator, deployment, policy);
     instance.loong = owned.get();
     instance.engine = std::move(owned);
   }
@@ -232,8 +228,7 @@ RunOutcome RunArrivals(EngineKind kind, const serve::Deployment& deployment,
 
   std::optional<fault::FaultInjector> injector;
   if (config.fault_plan.has_value()) {
-    injector.emplace(&simulator, *config.fault_plan,
-                     EffectiveRecovery(config));
+    injector.emplace(&simulator, *config.fault_plan);
     if (tracer.enabled()) injector->SetTracer(tracer);
     injector->Arm(*engine);
   }

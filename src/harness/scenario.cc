@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "baselines/loongserve.h"
+#include "baselines/static_disagg.h"
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
 #include "sim/json.h"
@@ -151,6 +153,18 @@ bool ParseDeployment(const json::Value& root, ScenarioSpec& spec,
   }
   if (num_gpus < 1 || num_gpus > 64) {
     return ctx.Fail("deployment.num_gpus", "out of range [1, 64]");
+  }
+  // The disaggregated baselines need room for their instances.
+  int min_gpus = 1;
+  if (spec.engine == EngineKind::kSglangPd) {
+    min_gpus = baselines::StaticDisaggEngine::kMinGpus;
+  } else if (spec.engine == EngineKind::kLoongServe) {
+    min_gpus = baselines::LoongServeEngine::kMinGpus;
+  }
+  if (num_gpus < min_gpus) {
+    return ctx.Fail("deployment.num_gpus",
+                    std::string(EngineKindName(spec.engine)) +
+                        " needs at least " + std::to_string(min_gpus));
   }
   spec.num_gpus = static_cast<int>(num_gpus);
   return true;

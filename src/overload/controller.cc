@@ -3,10 +3,36 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/backoff.h"
 #include "sim/logging.h"
 
 namespace muxwise::overload {
+namespace {
+
+// Brownout ladder thresholds. Entry (either signal trips the mode) sits
+// above a strictly lower exit (both signals must clear to leave it);
+// kPressure's entry occupancy is Policy::pressure_occupancy.
+constexpr double kPressureExitOccupancy = 0.60;
+constexpr double kBrownoutOccupancy = 0.85;
+constexpr double kBrownoutExitOccupancy = 0.75;
+constexpr double kShedOccupancy = 0.95;
+constexpr double kShedExitOccupancy = 0.87;
+constexpr sim::Duration kPressureQueueDelay = sim::Seconds(2);
+constexpr sim::Duration kBrownoutQueueDelay = sim::Seconds(8);
+constexpr sim::Duration kShedQueueDelay = sim::Seconds(20);
+
+/** Minimum time spent in a mode before de-escalating. */
+constexpr sim::Duration kMinDwell = sim::Milliseconds(500);
+
+/** Modes >= this defer new batch-class admissions. */
+constexpr Mode kDeferBatchAt = Mode::kBrownout;
+
+/** Modes >= this shed batch- and standard-class arrivals. */
+constexpr Mode kShedAt = Mode::kShed;
+
+/** Re-offer delay of a brownout-deferred batch admission. */
+constexpr sim::Duration kDeferralDelay = kMinDwell;
+
+}  // namespace
 
 const char* ModeName(Mode mode) {
   switch (mode) {
@@ -44,16 +70,15 @@ void Controller::Refill(int rank, sim::Time now) {
 
 Mode Controller::TargetMode(double kv_occupancy,
                             sim::Duration queue_delay) const {
-  if (kv_occupancy >= policy_.shed_occupancy ||
-      queue_delay >= policy_.shed_queue_delay) {
+  if (kv_occupancy >= kShedOccupancy || queue_delay >= kShedQueueDelay) {
     return Mode::kShed;
   }
-  if (kv_occupancy >= policy_.brownout_occupancy ||
-      queue_delay >= policy_.brownout_queue_delay) {
+  if (kv_occupancy >= kBrownoutOccupancy ||
+      queue_delay >= kBrownoutQueueDelay) {
     return Mode::kBrownout;
   }
   if (kv_occupancy >= policy_.pressure_occupancy ||
-      queue_delay >= policy_.pressure_queue_delay) {
+      queue_delay >= kPressureQueueDelay) {
     return Mode::kPressure;
   }
   return Mode::kNormal;
@@ -65,14 +90,14 @@ bool Controller::BelowExit(Mode mode, double kv_occupancy,
     case Mode::kNormal:
       return false;  // Nothing below normal.
     case Mode::kPressure:
-      return kv_occupancy < policy_.pressure_exit_occupancy &&
-             queue_delay < policy_.pressure_queue_delay;
+      return kv_occupancy < kPressureExitOccupancy &&
+             queue_delay < kPressureQueueDelay;
     case Mode::kBrownout:
-      return kv_occupancy < policy_.brownout_exit_occupancy &&
-             queue_delay < policy_.brownout_queue_delay;
+      return kv_occupancy < kBrownoutExitOccupancy &&
+             queue_delay < kBrownoutQueueDelay;
     case Mode::kShed:
-      return kv_occupancy < policy_.shed_exit_occupancy &&
-             queue_delay < policy_.shed_queue_delay;
+      return kv_occupancy < kShedExitOccupancy &&
+             queue_delay < kShedQueueDelay;
   }
   return false;
 }
@@ -89,7 +114,7 @@ bool Controller::Observe(sim::Time now, double kv_occupancy,
     ++mode_entries_[static_cast<int>(mode_)];
     return true;
   }
-  if (target < mode_ && now - mode_since_ >= policy_.min_dwell &&
+  if (target < mode_ && now - mode_since_ >= kMinDwell &&
       BelowExit(mode_, kv_occupancy, queue_delay)) {
     // De-escalate one rung at a time so recovery is gradual.
     mode_ = static_cast<Mode>(static_cast<int>(mode_) - 1);
@@ -120,28 +145,18 @@ AdmissionDecision Controller::Admit(workload::SloClass slo_class,
     return decision;
   }
 
-  // Mode overrides: batch is shed one rung before standard; standard
-  // sheds at shed_standard_at; interactive is never mode-shed.
-  if (slo_class == workload::SloClass::kBatch &&
-      mode_ >= policy_.shed_standard_at) {
+  // Mode overrides: batch defers from kBrownout, then sheds together
+  // with standard at kShed; interactive is never mode-shed.
+  if (slo_class != workload::SloClass::kInteractive && mode_ >= kShedAt) {
     decision.action = AdmissionDecision::Action::kShed;
     ++shed_[rank];
     return decision;
   }
-  if (slo_class == workload::SloClass::kStandard &&
-      mode_ >= policy_.shed_standard_at) {
-    decision.action = AdmissionDecision::Action::kShed;
-    ++shed_[rank];
-    return decision;
-  }
-  if (slo_class == workload::SloClass::kBatch &&
-      mode_ >= policy_.defer_batch_at) {
+  if (slo_class == workload::SloClass::kBatch && mode_ >= kDeferBatchAt) {
     // Brownout parks batch arrivals; the engine sheds them if the
-    // deferral outlives max_admission_delay. The re-offer delay is the
-    // first rung of the shared backoff policy (DeferralBackoff), so it
-    // paces identically to the other deterministic retry paths.
+    // deferral outlives kMaxAdmissionDelay.
     decision.action = AdmissionDecision::Action::kDelay;
-    decision.retry_at = now + sim::BackoffDelay(DeferralBackoff(), 1);
+    decision.retry_at = now + kDeferralDelay;
     ++delayed_[rank];
     return decision;
   }
@@ -173,35 +188,31 @@ AdmissionDecision Controller::Admit(workload::SloClass slo_class,
 
 double Controller::PrefillScale() const {
   if (!policy_.enabled) return 1.0;
-  return policy_.prefill_scale[static_cast<int>(mode_)];
+  return kPrefillScale[static_cast<int>(mode_)];
 }
 
 bool Controller::DeferBatch() const {
-  return policy_.enabled && mode_ >= policy_.defer_batch_at;
+  return policy_.enabled && mode_ >= kDeferBatchAt;
 }
 
 bool Controller::PreemptionEligible() const {
   return policy_.enabled && policy_.preemption && mode_ >= Mode::kPressure;
 }
 
-sim::ExponentialBackoff Controller::DeferralBackoff() const {
-  sim::ExponentialBackoff backoff;
-  backoff.initial =
-      std::max<sim::Duration>(policy_.min_dwell, sim::Milliseconds(100));
-  backoff.multiplier = 2.0;
-  backoff.cap = policy_.max_admission_delay;
-  return backoff;
-}
-
 bool Controller::SpillCheaper(double spill_bytes,
                               double recompute_seconds) const {
   if (!policy_.spill) return false;
-  if (policy_.spill_bandwidth_bytes_per_s <= 0.0) return false;
+  return overload::SpillCheaper(spill_bytes, recompute_seconds,
+                                kHostLinkBandwidthBytesPerS,
+                                kHostLinkLatency);
+}
+
+bool SpillCheaper(double spill_bytes, double recompute_seconds,
+                  double bandwidth_bytes_per_s, sim::Duration latency) {
   // The victim's pages cross the host link twice (out now, back on
   // restore); recompute pays the prefill roofline again instead.
-  const double round_trip =
-      2.0 * spill_bytes / policy_.spill_bandwidth_bytes_per_s +
-      2.0 * sim::ToSeconds(policy_.spill_latency);
+  const double round_trip = 2.0 * spill_bytes / bandwidth_bytes_per_s +
+                            2.0 * sim::ToSeconds(latency);
   return round_trip < recompute_seconds;
 }
 

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/backoff.h"
 #include "sim/time.h"
 #include "workload/slo.h"
 
@@ -28,14 +27,38 @@ inline constexpr int kNumModes = 4;
 
 const char* ModeName(Mode mode);
 
+/** Prefill token-budget scale per mode (Normal..Shed). */
+inline constexpr std::array<double, kNumModes> kPrefillScale = {1.0, 0.75,
+                                                                0.5, 0.35};
+
+/** A gated or deferred request waits at most this long, then sheds. */
+inline constexpr sim::Duration kMaxAdmissionDelay = sim::Seconds(30);
+
+/**
+ * The host link that KV spill/restore transfers and the fleet's KV
+ * re-migrations ride (~PCIe 4.0 x16 effective).
+ */
+inline constexpr double kHostLinkBandwidthBytesPerS = 24.0e9;
+inline constexpr sim::Duration kHostLinkLatency = sim::Microseconds(25);
+
+/**
+ * Spill-vs-recompute decision for one victim: true when its pages make
+ * the round trip over a host link of `bandwidth_bytes_per_s` and
+ * `latency` (out now, back on restore) faster than redoing
+ * `recompute_seconds` of prefill.
+ */
+bool SpillCheaper(double spill_bytes, double recompute_seconds,
+                  double bandwidth_bytes_per_s, sim::Duration latency);
+
 /**
  * Policy knobs for the overload-control layer. Everything is inert
  * until `enabled` is set, which keeps event streams bit-identical to a
  * build without the subsystem (the same contract FaultPlan honours).
  *
- * Defaults express the design intent — shed batch first, interactive
- * last; degrade chunk budgets before dropping anything — and are tuned
- * for the Llama-70B / 8xA100 acceptance deployment.
+ * Defaults express the design intent — defer and shed batch first,
+ * interactive last; degrade chunk budgets before dropping anything —
+ * and are tuned for the Llama-70B / 8xA100 acceptance deployment. The
+ * ladder's other thresholds are constants in controller.cc.
  */
 struct Policy {
   bool enabled = false;
@@ -49,52 +72,18 @@ struct Policy {
   std::array<double, workload::kNumSloClasses> bucket_capacity_tokens = {
       0.0, 0.0, 0.0};
 
-  /** A bucket-gated request waits for refill at most this long. */
-  sim::Duration max_admission_delay = sim::Seconds(30);
-
   /** Hard per-class pending-queue bound (delay/shed beyond it). */
   std::size_t max_queue_per_class = 4096;
 
   // --- Brownout state machine ---------------------------------------
-  // Entry thresholds (either signal trips the mode) and strictly lower
-  // exit thresholds (both signals must clear to leave it).
+  /** KV occupancy that enters kPressure. */
   double pressure_occupancy = 0.70;
-  double pressure_exit_occupancy = 0.60;
-  double brownout_occupancy = 0.85;
-  double brownout_exit_occupancy = 0.75;
-  double shed_occupancy = 0.95;
-  double shed_exit_occupancy = 0.87;
-  sim::Duration pressure_queue_delay = sim::Seconds(2);
-  sim::Duration brownout_queue_delay = sim::Seconds(8);
-  sim::Duration shed_queue_delay = sim::Seconds(20);
-
-  /** Minimum time spent in a mode before de-escalating. */
-  sim::Duration min_dwell = sim::Milliseconds(500);
-
-  // --- Graceful degradation -----------------------------------------
-  /** Prefill token-budget scale per mode (Normal..Shed). */
-  std::array<double, kNumModes> prefill_scale = {1.0, 0.75, 0.5, 0.35};
-
-  /** Modes >= this defer new batch-class admissions. */
-  Mode defer_batch_at = Mode::kBrownout;
-
-  /** Modes >= this shed standard-class arrivals; batch sheds one
-   * rung earlier, interactive only at kShed with the queue also over
-   * its hard bound. */
-  Mode shed_standard_at = Mode::kShed;
 
   // --- Decode-safe preemption / KV spill ----------------------------
   bool preemption = true;
 
   /** Allow spill-to-host (otherwise every victim recomputes). */
   bool spill = true;
-
-  /** Host link modelling for KV spill/restore transfers. */
-  double spill_bandwidth_bytes_per_s = 24.0e9;  // ~PCIe 4.0 x16 effective
-  sim::Duration spill_latency = sim::Microseconds(25);
-
-  /** Victims preempted per admission failure (bounds the work). */
-  int max_victims_per_pump = 4;
 };
 
 /**
@@ -126,19 +115,18 @@ class Controller {
    * Feeds the control signals (KV occupancy in [0,1], queue delay of
    * the oldest pending request) and advances the mode ladder. Returns
    * true when the mode changed. Escalation is immediate; de-escalation
-   * steps one rung at a time after `min_dwell`.
+   * steps one rung at a time after a minimum dwell.
    */
   bool Observe(sim::Time now, double kv_occupancy,
                sim::Duration queue_delay);
 
   /**
    * Class-aware admission. Draws `demand_tokens` from the class bucket
-   * when available; otherwise delays until the bucket refills (shedding
-   * instead once the wait exceeds max_admission_delay or the class
-   * queue is over its hard bound). Mode overrides: batch defers at
-   * defer_batch_at and sheds one rung below shed_standard_at; standard
-   * sheds at shed_standard_at; interactive is only shed when the hard
-   * queue bound is also exceeded.
+   * when available; otherwise delays until the bucket refills (the
+   * engine sheds instead once the wait exceeds kMaxAdmissionDelay; any
+   * class whose queue is over its hard bound sheds at once). Mode
+   * overrides: batch defers from kBrownout, batch and standard shed at
+   * kShed, and interactive is never mode-shed.
    */
   AdmissionDecision Admit(workload::SloClass slo_class,
                           std::int64_t demand_tokens, sim::Time now,
@@ -157,19 +145,11 @@ class Controller {
   bool RestoreEligible() const { return mode_ <= Mode::kPressure; }
 
   /**
-   * Spill-vs-recompute decision for one victim: models the round trip
-   * over the host link against redoing `recompute_seconds` of prefill.
+   * Spill-vs-recompute for one victim over the engine's host link
+   * (overload::SpillCheaper at kHostLinkBandwidthBytesPerS and
+   * kHostLinkLatency); false when the policy disallows spill.
    */
   bool SpillCheaper(double spill_bytes, double recompute_seconds) const;
-
-  /**
-   * Shared backoff policy for brownout admission deferrals: the first
-   * rung is max(min_dwell, 100 ms) — the historical constant re-offer
-   * delay — doubling per attempt up to max_admission_delay. The
-   * controller itself only issues rung 1 (Admit is stateless per call);
-   * callers that track attempts (the fleet router) climb the ladder.
-   */
-  sim::ExponentialBackoff DeferralBackoff() const;
 
   // --- Introspection for audits, traces, and outcomes ---------------
   std::size_t mode_transitions() const { return mode_transitions_; }

@@ -6,10 +6,38 @@
 
 #include "kv/token_seq.h"
 #include "llm/cost_model.h"
+#include "sim/backoff.h"
 #include "sim/logging.h"
 #include "workload/slo.h"
 
 namespace muxwise::route {
+namespace {
+
+/** Deterministic pacing of re-home attempts, climbed per crash retry
+ * of the request (shared sim::BackoffDelay helper). */
+constexpr sim::ExponentialBackoff kRehomeBackoff{sim::Milliseconds(10), 2.0,
+                                                 sim::Seconds(2)};
+
+/** Prompt tokens hashed into the cache-affinity key. */
+constexpr std::int64_t kAffinityPrefixTokens = 256;
+
+/**
+ * Fleet-level degradation ladder: the overload mode ladder generalized
+ * to lost capacity. With live fraction f of the fleet's non-parked
+ * basis, mode is kShed when f < kShedBelow, kBrownout when
+ * f < kBrownoutBelow, kPressure when f < kPressureBelow, else kNormal.
+ * Batch arrivals are shed from kPressure (batch-first), standard from
+ * kBrownout; interactive is only shed on total outage.
+ */
+constexpr double kPressureBelow = 1.0;
+constexpr double kBrownoutBelow = 0.75;
+constexpr double kShedBelow = 0.5;
+
+/** Demand/capacity utilisation bounds driving autoscale decisions. */
+constexpr double kScaleDownUtil = 0.35;
+constexpr double kScaleUpUtil = 0.85;
+
+}  // namespace
 
 FleetRouter::FleetRouter(sim::Simulator* simulator,
                          const serve::Deployment& deployment,
@@ -24,7 +52,6 @@ FleetRouter::FleetRouter(sim::Simulator* simulator,
       health_(options.health, options.replicas) {
   MUX_CHECK(options_.replicas >= 1);
   MUX_CHECK(options_.min_replicas >= 1);
-  MUX_CHECK(options_.affinity_prefix_tokens > 0);
   replicas_.reserve(options_.replicas);
   for (std::size_t r = 0; r < options_.replicas; ++r) {
     Replica replica;
@@ -43,20 +70,9 @@ FleetRouter::FleetRouter(sim::Simulator* simulator,
   kv_bytes_per_token_ =
       cost.KvBytesPerTokenPerGpu() * static_cast<double>(deployment_.num_gpus);
 
-  link_ = std::make_unique<sim::Channel>(simulator, "fleet-host-link",
-                                         options_.link_bandwidth_bytes_per_s,
-                                         options_.link_latency);
-
-  // The re-home migrate-vs-recompute decision reuses the overload
-  // controller's spill cost model verbatim, tuned to the fleet link:
-  // a durable prefix is worth migrating exactly when its pages cross
-  // the host tier faster than the survivor could recompute them.
-  overload::Policy costing_policy;
-  costing_policy.spill = true;
-  costing_policy.spill_bandwidth_bytes_per_s =
-      options_.link_bandwidth_bytes_per_s;
-  costing_policy.spill_latency = options_.link_latency;
-  costing_ = std::make_unique<overload::Controller>(costing_policy);
+  link_ = std::make_unique<sim::Channel>(
+      simulator, "fleet-host-link", overload::kHostLinkBandwidthBytesPerS,
+      overload::kHostLinkLatency);
 }
 
 FleetRouter::~FleetRouter() = default;
@@ -117,7 +133,7 @@ std::optional<std::size_t> FleetRouter::ChooseReplica(
 void FleetRouter::Dispatch(std::unique_ptr<serve::Request> request,
                            std::size_t r) {
   const std::uint64_t key = PrefixAffinityKey(
-      request->spec->prompt, options_.affinity_prefix_tokens);
+      request->spec->prompt, kAffinityPrefixTokens);
   affinity_.Record(key, r);
   // Dispatch-time, not completion-time: a multi-turn client's next
   // turn can arrive while the previous one is still in flight, and it
@@ -149,7 +165,7 @@ void FleetRouter::Enqueue(std::unique_ptr<serve::Request> request) {
       (slo_class == workload::SloClass::kStandard &&
        mode_ >= overload::Mode::kBrownout);
   const std::uint64_t key = PrefixAffinityKey(
-      request->spec->prompt, options_.affinity_prefix_tokens);
+      request->spec->prompt, kAffinityPrefixTokens);
   const std::optional<std::size_t> target =
       mode_shed ? std::nullopt : ChooseReplica(*request, key);
   if (!target.has_value()) {
@@ -281,7 +297,7 @@ void FleetRouter::Rehome(std::unique_ptr<serve::Request> request) {
     return;
   }
   const std::uint64_t key = PrefixAffinityKey(
-      request->spec->prompt, options_.affinity_prefix_tokens);
+      request->spec->prompt, kAffinityPrefixTokens);
   const std::optional<std::size_t> target = ChooseReplica(*request, key);
   if (!target.has_value()) {
     ++stats_.rehome_shed;
@@ -304,12 +320,16 @@ void FleetRouter::Rehome(std::unique_ptr<serve::Request> request) {
     // the costing the equivalent byte count so migration loses exactly
     // when the degraded wire is slower than recomputing (scale 1.0 is
     // exact, so fault-free decisions are bit-identical).
+    // A durable prefix is worth migrating exactly when its pages cross
+    // the host tier faster than the survivor could recompute them.
     const double wire_bytes = bytes / link_->bandwidth_scale();
-    migrate = costing_->SpillCheaper(wire_bytes, recompute_seconds);
+    migrate = overload::SpillCheaper(wire_bytes, recompute_seconds,
+                                     overload::kHostLinkBandwidthBytesPerS,
+                                     overload::kHostLinkLatency);
   }
 
   const sim::Duration delay =
-      sim::BackoffDelay(options_.rehome_backoff, request->crash_retries);
+      sim::BackoffDelay(kRehomeBackoff, request->crash_retries);
   const std::int64_t id = request->spec->id;
   tracer_.Instant("route", migrate ? "rehome-migrate" : "rehome-recompute",
                   id, static_cast<double>(*target));
@@ -368,11 +388,11 @@ void FleetRouter::UpdateFleetMode() {
   if (basis > 0) {
     const double fraction =
         static_cast<double>(live) / static_cast<double>(basis);
-    if (fraction < options_.shed_below) {
+    if (fraction < kShedBelow) {
       next = overload::Mode::kShed;
-    } else if (fraction < options_.brownout_below) {
+    } else if (fraction < kBrownoutBelow) {
       next = overload::Mode::kBrownout;
-    } else if (fraction < options_.pressure_below) {
+    } else if (fraction < kPressureBelow) {
       next = overload::Mode::kPressure;
     }
   } else {
@@ -414,7 +434,7 @@ void FleetRouter::MaybeAutoscale() {
       static_cast<double>(demand) /
       (static_cast<double>(serving) *
        static_cast<double>(pool_capacity_tokens_));
-  if (utilization > options_.scale_up_util) {
+  if (utilization > kScaleUpUtil) {
     low_util_beats_ = 0;
     // Cancel an in-progress drain before spinning a parked replica up.
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
@@ -435,7 +455,7 @@ void FleetRouter::MaybeAutoscale() {
     }
     return;
   }
-  if (utilization < options_.scale_down_util) {
+  if (utilization < kScaleDownUtil) {
     if (++low_util_beats_ < options_.scale_dwell_beats) return;
     low_util_beats_ = 0;
     if (draining || serving <= options_.min_replicas) return;

@@ -15,7 +15,6 @@
 #include "route/health.h"
 #include "serve/deployment.h"
 #include "serve/metrics.h"
-#include "sim/backoff.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
 
@@ -40,47 +39,18 @@ struct FleetOptions {
    */
   bool failover = true;
 
-  /** Deterministic pacing of re-home attempts, climbed per crash
-   * retry of the request (shared sim::BackoffDelay helper). */
-  sim::ExponentialBackoff rehome_backoff{sim::Milliseconds(10), 2.0,
-                                         sim::Seconds(2)};
-
   /**
    * Allow KV re-migration of a re-homed request's durable prefix over
-   * the fleet host link when the PR 5 spill-vs-recompute cost model
-   * says the wire is cheaper than recomputing it; off, every re-home
-   * recomputes.
+   * the fleet host link when overload::SpillCheaper says the wire is
+   * cheaper than recomputing it; off, every re-home recomputes.
    */
   bool migration = true;
-
-  /** Fleet host-tier link the re-migrated KV pages ride. */
-  double link_bandwidth_bytes_per_s = 24.0e9;
-  sim::Duration link_latency = sim::Microseconds(25);
-
-  /** Prompt tokens hashed into the cache-affinity key. */
-  std::int64_t affinity_prefix_tokens = 256;
-
-  /**
-   * Fleet-level degradation ladder: the overload mode ladder of PR 5
-   * generalized to lost capacity. With live fraction f of the fleet's
-   * non-parked basis, mode is kShed when f < shed_below, kBrownout
-   * when f < brownout_below, kPressure when f < pressure_below, else
-   * kNormal. Batch arrivals are shed from kPressure (batch-first),
-   * standard from kBrownout; interactive is only shed on total outage.
-   */
-  double pressure_below = 1.0;
-  double brownout_below = 0.75;
-  double shed_below = 0.5;
 
   // --- Deterministic autoscale (off by default) ---------------------
 
   /** Evaluate replica scale-up/down at heartbeat ticks. */
   bool autoscale = false;
   std::size_t min_replicas = 1;
-
-  /** Demand/capacity utilisation bounds driving scale decisions. */
-  double scale_down_util = 0.35;
-  double scale_up_util = 0.85;
 
   /** Consecutive low-utilisation beats before draining a replica. */
   int scale_dwell_beats = 4;
@@ -127,9 +97,8 @@ struct FleetStats {
  * when a replica is declared Down, its queued orphans are re-homed to
  * survivors under a bounded retry budget with deterministic backoff,
  * each choosing between KV re-migration over the fleet host link and
- * recomputation via the overload controller's spill-vs-recompute cost
- * model. A shrunken fleet degrades through the overload mode ladder,
- * shedding batch-class arrivals first.
+ * recomputation via overload::SpillCheaper. A shrunken fleet degrades
+ * through the overload mode ladder, shedding batch-class arrivals first.
  *
  * The router is itself a serve::Engine: the harness swaps it in where
  * a single engine would sit, and fault domains map 1:1 onto replicas.
@@ -232,9 +201,6 @@ class FleetRouter : public fault::FaultAwareEngine {
   /** Fleet host-tier link re-migrated KV rides (also the injector's
    * FaultableLink, so transfer-fault windows hit re-migrations). */
   std::unique_ptr<sim::Channel> link_;
-
-  /** Spill-vs-recompute cost model (PR 5), tuned to the fleet link. */
-  std::unique_ptr<overload::Controller> costing_;
 
   std::vector<RehomeEntry> rehoming_;
   bool heartbeat_scheduled_ = false;

@@ -8,9 +8,8 @@ namespace muxwise::sim {
 /**
  * Deterministic exponential backoff with a cap — the one retry-pacing
  * policy shared by every layer that re-offers work after a transient
- * failure: interconnect transfer retries (sim::Channel), overload
- * admission deferrals (overload::Controller), and fleet-router session
- * re-homing (route::FleetRouter).
+ * failure: interconnect transfer retries (sim::Channel) and
+ * fleet-router session re-homing (route::FleetRouter).
  *
  * The delay before attempt k (1-based) is initial * multiplier^(k-1),
  * clamped to `cap`. No jitter: retries in a deterministic simulator must

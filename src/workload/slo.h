@@ -26,18 +26,6 @@ inline int SloClassRank(SloClass slo_class) {
   return static_cast<int>(slo_class);
 }
 
-inline const char* SloClassName(SloClass slo_class) {
-  switch (slo_class) {
-    case SloClass::kInteractive:
-      return "interactive";
-    case SloClass::kStandard:
-      return "standard";
-    case SloClass::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
 /**
  * Service-level objectives for one deployment.
  *

@@ -64,7 +64,7 @@ TEST_F(DispatcherTest, PicksSmallestPartitionMeetingSlo) {
   // Best-fit: the chosen partition meets the SLO, the next smaller
   // option does not (or the chosen one is the smallest).
   const sim::Duration budget =
-      Llama70bA100().slo.tbt - dispatcher.options().tbt_margin;
+      Llama70bA100().slo.tbt - SloAwareDispatcher::kTbtMargin;
   EXPECT_LE(estimator_->WorstCaseDecode(small, sms_small, prefill), budget);
   if (sms_small > 16) {
     EXPECT_GT(estimator_->WorstCaseDecode(small, sms_small - 16, prefill),
@@ -128,7 +128,7 @@ TEST_F(DispatcherTest, IdleDecodeUsesIdleGroupSize) {
   SloAwareDispatcher dispatcher = MakeDispatcher();
   const std::vector<llm::SeqWork> batch = {llm::SeqWork{4096, 0}};
   EXPECT_EQ(dispatcher.PrefillLayersToLaunch(0, batch, 92, 80),
-            dispatcher.options().idle_layer_group);
+            SloAwareDispatcher::kIdleLayerGroup);
 }
 
 TEST_F(DispatcherTest, PreemptionRequiresIncomingDeadlinePressure) {

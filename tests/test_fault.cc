@@ -342,9 +342,7 @@ TEST(FaultInjectorTest, DeliversPlanAndCountsSkippedWindows) {
   plan.Crash(0, sim::Seconds(2), sim::Seconds(3))
       .Straggle(0, sim::Seconds(4), sim::Seconds(5), 2.0)
       .DropTransfers(sim::Seconds(0), sim::Seconds(10), 0.01);
-  RecoveryPolicy policy;
-  policy.enabled = true;
-  FaultInjector injector(&simulator, plan, policy);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   const workload::Trace trace =
@@ -380,9 +378,7 @@ TEST(FaultInjectorTest, DeliversGreyEdgesAndSkipsLinklessLinkWindows) {
                  /*drop_from=*/true)
       .FlapLink(sim::Seconds(1), sim::Seconds(2), sim::Milliseconds(500), 0.5)
       .DegradeLink(sim::Seconds(3), sim::Seconds(4), 0.5);
-  RecoveryPolicy policy;
-  policy.enabled = true;
-  FaultInjector injector(&simulator, plan, policy);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   const workload::Trace trace =
@@ -418,7 +414,7 @@ TEST(ChunkedRecoveryTest, CrashAndRecoverRetriesLostWork) {
 
   FaultPlan plan;
   plan.Crash(0, sim::Seconds(2), sim::Seconds(4));
-  FaultInjector injector(&simulator, plan, options.recovery);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   const workload::Trace trace =
@@ -456,7 +452,7 @@ TEST(ChunkedRecoveryTest, OutageBacklogShedsNewWork) {
 
   FaultPlan plan;
   plan.Crash(0, sim::Milliseconds(1));  // Never recovers.
-  FaultInjector injector(&simulator, plan, options.recovery);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   workload::Trace trace =
@@ -483,7 +479,7 @@ TEST(ChunkedRecoveryTest, PermanentOutageTimesOutEveryRequest) {
 
   FaultPlan plan;
   plan.Crash(0, sim::Milliseconds(1));  // Never recovers.
-  FaultInjector injector(&simulator, plan, options.recovery);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   const workload::Trace trace =
@@ -500,15 +496,15 @@ TEST(ChunkedRecoveryTest, PermanentOutageTimesOutEveryRequest) {
 TEST(StaticDisaggRecoveryTest, SurvivesCrashesOnBothDomains) {
   sim::Simulator simulator;
   const serve::Deployment d = Llama70bA100();
-  baselines::StaticDisaggEngine::Options options;
-  options.recovery.enabled = true;
-  baselines::StaticDisaggEngine engine(&simulator, d, options);
+  RecoveryPolicy recovery;
+  recovery.enabled = true;
+  baselines::StaticDisaggEngine engine(&simulator, d, recovery);
   EXPECT_EQ(engine.NumFaultDomains(), 2u);
 
   FaultPlan plan;
   plan.Crash(0, sim::Seconds(2), sim::Seconds(3))   // Prefill instance.
       .Crash(1, sim::Seconds(6), sim::Seconds(7));  // Decode instance.
-  FaultInjector injector(&simulator, plan, options.recovery);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
 
   const workload::Trace trace =
@@ -522,14 +518,14 @@ TEST(StaticDisaggRecoveryTest, SurvivesCrashesOnBothDomains) {
 TEST(LoongServeRecoveryTest, SurvivesCrashWithLossyResharding) {
   sim::Simulator simulator;
   const serve::Deployment d = Llama70bA100();
-  baselines::LoongServeEngine::Options options;
-  options.recovery.enabled = true;
-  baselines::LoongServeEngine engine(&simulator, d, options);
+  RecoveryPolicy recovery;
+  recovery.enabled = true;
+  baselines::LoongServeEngine engine(&simulator, d, recovery);
 
   FaultPlan plan;
   plan.Crash(0, sim::Seconds(2), sim::Seconds(3))
       .DropTransfers(sim::Seconds(0), sim::Seconds(30), 0.05);
-  FaultInjector injector(&simulator, plan, options.recovery);
+  FaultInjector injector(&simulator, plan);
   injector.Arm(engine);
   EXPECT_NE(engine.FaultableLink(), nullptr);
 

@@ -60,10 +60,10 @@ class IntegrationTest : public ::testing::Test {
                                                                  d, options);
     } else if (which == "sglang-pd") {
       engine = std::make_unique<baselines::StaticDisaggEngine>(
-          &simulator, d, baselines::StaticDisaggEngine::Options());
+          &simulator, d, fault::RecoveryPolicy());
     } else {
       engine = std::make_unique<baselines::LoongServeEngine>(
-          &simulator, d, baselines::LoongServeEngine::Options());
+          &simulator, d, fault::RecoveryPolicy());
     }
     return testutil::RunTrace(simulator, *engine, trace);
   }

@@ -20,7 +20,7 @@ serve::Deployment Llama70bA100() {
 TEST(LoongServeTest, CompletesShareGptTrace) {
   sim::Simulator simulator;
   LoongServeEngine engine(&simulator, Llama70bA100(),
-                          LoongServeEngine::Options());
+                          fault::RecoveryPolicy());
   EXPECT_STREQ(engine.name(), "LoongServe");
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 100, 2.0, 5);
@@ -32,7 +32,7 @@ TEST(LoongServeTest, CompletesShareGptTrace) {
 TEST(LoongServeTest, MeetsTbtByScalingDecodeGpus) {
   sim::Simulator simulator;
   LoongServeEngine engine(&simulator, Llama70bA100(),
-                          LoongServeEngine::Options());
+                          fault::RecoveryPolicy());
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 80, 1.0, 7);
   const auto result = testutil::RunTrace(simulator, engine, trace);
@@ -44,7 +44,7 @@ TEST(LoongServeTest, HandlesLongContextWorkload) {
   // LoongServe's home turf: long-context single-turn requests.
   sim::Simulator simulator;
   LoongServeEngine engine(&simulator, Llama70bA100(),
-                          LoongServeEngine::Options());
+                          fault::RecoveryPolicy());
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kLoogle, 20, 0.4, 9);
   const auto result = testutil::RunTrace(simulator, engine, trace);
@@ -67,7 +67,7 @@ TEST(LoongServeTest, RecomputesMultiTurnHistory) {
 
   sim::Simulator simulator;
   LoongServeEngine engine(&simulator, Llama70bA100(),
-                          LoongServeEngine::Options());
+                          fault::RecoveryPolicy());
   const auto result = testutil::RunTrace(simulator, engine, trace);
   ASSERT_TRUE(result.all_completed);
   // LoongServe prefilled the full inputs (its engine sets
@@ -80,7 +80,7 @@ TEST(LoongServeTest, SlowerThanReuseAwareEngineOnMultiTurn) {
   const workload::Trace trace = workload::GenerateTrace(
       workload::Dataset::kConversation, 60, 1.2, 13);
   sim::Simulator sim_a;
-  LoongServeEngine loong(&sim_a, Llama70bA100(), LoongServeEngine::Options());
+  LoongServeEngine loong(&sim_a, Llama70bA100(), fault::RecoveryPolicy());
   const auto loong_result = testutil::RunTrace(sim_a, loong, trace);
   ASSERT_TRUE(loong_result.all_completed);
   // Mean TTFT suffers from recomputation of long histories: on this

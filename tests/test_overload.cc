@@ -82,14 +82,14 @@ TEST(ControllerModeTest, HysteresisBandHoldsTheMode) {
 TEST(ControllerModeTest, PrefillScaleFollowsTheLadder) {
   Policy policy = EnabledPolicy();
   Controller ctl{policy};
-  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), policy.prefill_scale[0]);
+  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), kPrefillScale[0]);
   ctl.Observe(Seconds(1), 0.72, 0);
-  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), policy.prefill_scale[1]);
+  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), kPrefillScale[1]);
   ctl.Observe(Seconds(2), 0.86, 0);
-  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), policy.prefill_scale[2]);
+  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), kPrefillScale[2]);
   EXPECT_TRUE(ctl.DeferBatch());
   ctl.Observe(Seconds(3), 0.96, 0);
-  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), policy.prefill_scale[3]);
+  EXPECT_DOUBLE_EQ(ctl.PrefillScale(), kPrefillScale[3]);
   EXPECT_TRUE(ctl.PreemptionEligible());
 }
 
@@ -204,14 +204,11 @@ TEST(PreemptBeforeTest, SortYieldsDeterministicVictimOrder) {
 }
 
 TEST(ControllerSpillTest, SpillCheaperModelsTheRoundTrip) {
-  Policy policy = EnabledPolicy();
-  policy.spill_bandwidth_bytes_per_s = 1.0e9;
-  policy.spill_latency = Milliseconds(1);
-  Controller ctl{policy};
   // 1 GB each way at 1 GB/s plus 2 ms latency: 2.002 s round trip.
-  EXPECT_TRUE(ctl.SpillCheaper(1.0e9, 3.0));
-  EXPECT_FALSE(ctl.SpillCheaper(1.0e9, 1.0));
+  EXPECT_TRUE(SpillCheaper(1.0e9, 3.0, 1.0e9, Milliseconds(1)));
+  EXPECT_FALSE(SpillCheaper(1.0e9, 1.0, 1.0e9, Milliseconds(1)));
 
+  Policy policy = EnabledPolicy();
   policy.spill = false;
   Controller no_spill{policy};
   EXPECT_FALSE(no_spill.SpillCheaper(1.0, 1.0e9));

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/loongserve.h"
+#include "baselines/static_disagg.h"
 #include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
@@ -266,6 +268,33 @@ void ExpectRejects(const std::string& text, const std::string& path_needle,
       << parsed.error;
   EXPECT_NE(parsed.error.find(reason_needle), std::string::npos)
       << parsed.error;
+}
+
+std::string WithDeployment(const std::string& engine, int num_gpus) {
+  return R"({"name": "x", "engine": ")" + engine +
+         R"(", "deployment": {"model": "Llama-8B", "gpu": "A100",
+                              "num_gpus": )" +
+         std::to_string(num_gpus) +
+         R"(}, "trace": {"mix": [{"dataset": "sharegpt", "requests": 1,
+                                   "rate_per_second": 1.0}]}})";
+}
+
+TEST(ScenarioDslTest, RejectsSglangPdWithoutRoomForBothInstances) {
+  const int min_gpus = baselines::StaticDisaggEngine::kMinGpus;
+  ExpectRejects(WithDeployment("sglang-pd", min_gpus - 1),
+                "deployment.num_gpus",
+                "needs at least " + std::to_string(min_gpus));
+  EXPECT_TRUE(
+      ParseScenarioJson(WithDeployment("sglang-pd", min_gpus), "inline").ok());
+}
+
+TEST(ScenarioDslTest, RejectsLoongServeWithoutAPrefillGpu) {
+  const int min_gpus = baselines::LoongServeEngine::kMinGpus;
+  ExpectRejects(WithDeployment("loongserve", min_gpus - 1),
+                "deployment.num_gpus",
+                "needs at least " + std::to_string(min_gpus));
+  EXPECT_TRUE(
+      ParseScenarioJson(WithDeployment("loongserve", min_gpus), "inline").ok());
 }
 
 TEST(ScenarioDslTest, RejectsNonPositiveHeartbeat) {

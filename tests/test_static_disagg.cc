@@ -20,7 +20,7 @@ serve::Deployment Llama70bA100() {
 TEST(StaticDisaggTest, CompletesShareGptTrace) {
   sim::Simulator simulator;
   StaticDisaggEngine engine(&simulator, Llama70bA100(),
-                            StaticDisaggEngine::Options());
+                            fault::RecoveryPolicy());
   EXPECT_STREQ(engine.name(), "SGLang-PD");
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 100, 2.0, 5);
@@ -32,7 +32,7 @@ TEST(StaticDisaggTest, CompletesShareGptTrace) {
 TEST(StaticDisaggTest, DecodeSideStaysWithinSloAtLowLoad) {
   sim::Simulator simulator;
   StaticDisaggEngine engine(&simulator, Llama70bA100(),
-                            StaticDisaggEngine::Options());
+                            fault::RecoveryPolicy());
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 60, 0.5, 7);
   const auto result = testutil::RunTrace(simulator, engine, trace);
@@ -44,7 +44,7 @@ TEST(StaticDisaggTest, DecodeSideStaysWithinSloAtLowLoad) {
 TEST(StaticDisaggTest, MigratesKvOverTheLink) {
   sim::Simulator simulator;
   StaticDisaggEngine engine(&simulator, Llama70bA100(),
-                            StaticDisaggEngine::Options());
+                            fault::RecoveryPolicy());
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kShareGpt, 30, 1.0, 9);
   testutil::RunTrace(simulator, engine, trace);
@@ -60,7 +60,7 @@ TEST(StaticDisaggTest, SplitPoolsReduceHitRateVersusAggregated) {
       workload::Dataset::kConversation, 150, 2.0, 13);
   sim::Simulator simulator;
   StaticDisaggEngine engine(&simulator, Llama70bA100(),
-                            StaticDisaggEngine::Options());
+                            fault::RecoveryPolicy());
   const auto result = testutil::RunTrace(simulator, engine, trace);
   ASSERT_TRUE(result.all_completed);
   // Multi-turn reuse does work (prefill pool serves histories)...
@@ -74,7 +74,7 @@ TEST(StaticDisaggTest, SplitPoolsReduceHitRateVersusAggregated) {
 TEST(StaticDisaggTest, SingleTokenOutputsFinishOnPrefillSide) {
   sim::Simulator simulator;
   StaticDisaggEngine engine(&simulator, Llama70bA100(),
-                            StaticDisaggEngine::Options());
+                            fault::RecoveryPolicy());
   // LooGLE outputs can be as short as 2 tokens; build a trace where
   // many finish quickly.
   const workload::Trace trace =
@@ -88,7 +88,7 @@ TEST(StaticDisaggTest, PrefillBurstLeavesDecodeIdle) {
   // while a burst of prefills queues on the prefill instance.
   sim::Simulator simulator;
   const serve::Deployment d = Llama70bA100();
-  StaticDisaggEngine engine(&simulator, d, StaticDisaggEngine::Options());
+  StaticDisaggEngine engine(&simulator, d, fault::RecoveryPolicy());
   const workload::Trace trace =
       workload::GenerateTrace(workload::Dataset::kLoogle, 20, 2.0, 17);
   const auto result = testutil::RunTrace(simulator, engine, trace);

@@ -32,12 +32,14 @@ const std::vector<LineRule>& LineRules() {
        "wall-clock time breaks bit-reproducibility; use "
        "sim::Simulator::Now() / sim::Time",
        std::regex(R"(std::chrono|\b(time|gettimeofday|clock_gettime|ctime|gmtime|localtime)\s*\()"),
-       ""},
+       "",
+       {}},
       {"raw-rand",
        "raw/global randomness is unseeded or platform-dependent; draw "
        "from a named sim::Rng stream",
        std::regex(R"(\b(rand|srand|rand_r|drand48)\s*\(|std::random_device|std::mt19937|std::minstd_rand|std::default_random_engine)"),
-       "sim/rng"},
+       "sim/rng",
+       {}},
       // The key is the first template argument: a run of top-level
       // characters other than `,` and brackets, or of one-level nested
       // template arguments (so `std::pair<sim::Time, Node*>` counts as
@@ -47,16 +49,18 @@ const std::vector<LineRule>& LineRules() {
        "pointer-keyed container orders or hashes by address, which "
        "differs across runs; key by a stable id or serial",
        std::regex(R"(\b(std::)?(unordered_)?(multi)?(set|map)\s*<(?:[^<>,*]|<[^<>*]*>)*(\*|<[^<>]*\*))"),
-       ""},
+       "",
+       {}},
       {"float-sim-time",
        "simulated time must use sim::Time / sim::Duration (integer "
        "nanoseconds), not floating point",
        std::regex(R"(\b(double|float)\s+[A-Za-z_]\w*(_ns|_time|_when|_deadline)\b|\b(double|float)\s+(when|deadline)\b)"),
-       ""},
+       "",
+       {}},
       {"bare-assert",
        "use MUX_CHECK (always-on, reports through sim::Panic) instead "
        "of assert()",
-       std::regex(R"((^|[^\w])assert\s*\()"), ""},
+       std::regex(R"((^|[^\w])assert\s*\()"), "", {}},
       // HostThread::Submit and Channel::Transfer/Send completions cannot
       // be cancelled, so in fault-capable engine layers a lambda that
       // captures raw `this` without also capturing the crash epoch will

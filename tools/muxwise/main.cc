@@ -124,7 +124,7 @@ int RunCommand(const std::vector<std::string>& args) {
   const harness::ScenarioParseResult parsed = harness::LoadScenarioFile(path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "muxwise run: %s\n", parsed.error.c_str());
-    return 1;
+    return 2;
   }
 
   const harness::RunOutcome outcome = harness::RunScenario(*parsed.spec);

@@ -26,7 +26,7 @@ int TraceCommand(const std::vector<std::string>& args) {
       harness::LoadScenarioFile(paths[0]);
   if (!parsed.ok()) {
     std::fprintf(stderr, "muxwise trace: %s\n", parsed.error.c_str());
-    return 1;
+    return 2;
   }
 
   obs::TraceRecorder recorder;
