@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json.h"
 #include "sim/time.h"
 
 namespace muxwise::fault {
@@ -20,6 +21,7 @@ struct CrashEvent {
   std::size_t instance = 0;
   sim::Time at = 0;
   sim::Time recover_at = sim::kTimeNever;
+  bool operator==(const CrashEvent&) const = default;
 };
 
 /** Kernels on `instance` run `slowdown`x slower during [from, to). */
@@ -28,6 +30,7 @@ struct StragglerWindow {
   sim::Time from = 0;
   sim::Time to = 0;
   double slowdown = 2.0;
+  bool operator==(const StragglerWindow&) const = default;
 };
 
 /**
@@ -39,6 +42,7 @@ struct TransferFaultWindow {
   sim::Time from = 0;
   sim::Time to = 0;
   double failure_probability = 0.01;
+  bool operator==(const TransferFaultWindow&) const = default;
 };
 
 /**
@@ -52,6 +56,7 @@ struct ZombieWindow {
   std::size_t instance = 0;
   sim::Time from = 0;
   sim::Time to = 0;
+  bool operator==(const ZombieWindow&) const = default;
 };
 
 /**
@@ -70,6 +75,7 @@ struct FlapWindow {
   sim::Time to = 0;
   sim::Duration period = 0;
   double duty_up = 0.5;
+  bool operator==(const FlapWindow&) const = default;
 };
 
 /**
@@ -89,6 +95,7 @@ struct DegradeWindow {
   sim::Time to = 0;
   double flops_factor = 1.0;
   double bandwidth_factor = 1.0;
+  bool operator==(const DegradeWindow&) const = default;
 };
 
 /**
@@ -107,6 +114,7 @@ struct PartitionWindow {
   sim::Time to = 0;
   bool drop_to_replica = false;
   bool drop_from_replica = false;
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 /**
@@ -131,6 +139,7 @@ struct FaultPlan {
   std::vector<FlapWindow> flaps;
   std::vector<DegradeWindow> degrades;
   std::vector<PartitionWindow> partitions;
+  bool operator==(const FaultPlan&) const = default;
 
   bool Empty() const {
     return crashes.empty() && stragglers.empty() && transfer_faults.empty() &&
@@ -157,22 +166,45 @@ struct FaultPlan {
 
   /**
    * Non-fatal validation: empty string when well-formed, else the first
-   * defect found (the fuzzer filters generated plans through this
-   * without dying). Rules: inverted or overlapping same-target windows,
-   * slowdown < 1, a recover time at or before its crash time, infinite
-   * zombie/flap/partition windows, flap period <= 0 or duty outside
-   * (0, 1), degrade factors outside (0, 1] (link degrades must keep
-   * flops_factor == 1), partitions with both directions dropped
-   * (indistinguishable from a crash) or neither (a no-op).
+   * defect found as "<kind>[<i>]: <reason>", the entry's path inside a
+   * scenario's "faults" block (the fuzzer filters generated plans
+   * through this without dying). Rules: inverted or overlapping
+   * same-target windows, slowdown < 1, a recover time at or before its
+   * crash time, infinite zombie/flap/partition windows, flap period <= 0
+   * or duty outside (0, 1), degrade factors outside (0, 1] (link
+   * degrades must keep flops_factor == 1), partitions with both
+   * directions dropped (indistinguishable from a crash) or neither (a
+   * no-op).
    */
   std::string Check() const;
 
-  /** Fatal on malformed entries: sim::Fatal(Check()) when non-empty. */
+  /** Fatal on malformed entries: sim::Fatal on a non-empty Check(). */
   void Validate() const;
-
-  /** Human-readable one-line-per-entry schedule (logs, diagnostics). */
-  std::string Describe() const;
 };
+
+/**
+ * The scenario DSL's "faults" block, read and written through one
+ * per-kind field table (fault_plan.cc): each kind's array key, and for
+ * each entry field its DSL key, the struct member it fills and whether
+ * it is required (an absent optional field keeps the struct's default).
+ * Times are `*_seconds` numbers.
+ *
+ * PlanFromJson reads the block at `path` strictly: unknown and missing
+ * keys, wrong types, a negative or fractional instance, a value too
+ * large for its member and a block with no entries are errors, and so
+ * is any defect Check() finds, named by the entry's path
+ * ("faults.zombies[0]: ...").
+ */
+bool PlanFromJson(const json::Value& value, const std::string& path,
+                  json::FieldReader& reader, FaultPlan* out);
+
+/**
+ * The plan as a "faults" block: every field of every entry, empty kinds
+ * omitted, times rounded to the millisecond grid, and a crash that never
+ * recovers without "recover_at_seconds". Deterministic, so a plan on the
+ * grid round-trips through PlanFromJson exactly.
+ */
+json::Value PlanToJson(const FaultPlan& plan);
 
 }  // namespace muxwise::fault
 

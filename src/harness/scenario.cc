@@ -1,6 +1,5 @@
 #include "harness/scenario.h"
 
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -10,6 +9,7 @@
 
 #include "baselines/loongserve.h"
 #include "baselines/static_disagg.h"
+#include "fault/fault_plan.h"
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
 #include "sim/json.h"
@@ -19,76 +19,10 @@ namespace muxwise::harness {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Strict field extraction. Every helper returns false after recording a
-// path-qualified error, so a malformed scenario names its own defect
-// instead of silently running something else.
-// ---------------------------------------------------------------------------
-
-struct ParseContext {
-  std::string source;
-  std::string error;
-
-  bool Fail(const std::string& path, const std::string& what) {
-    error = source + ": " + path + ": " + what;
-    return false;
-  }
-};
-
-bool CheckKeys(const json::Value& object, const std::string& path,
-               std::initializer_list<const char*> allowed,
-               ParseContext& ctx) {
-  for (const auto& [key, value] : object.object) {
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return ctx.Fail(path, "unknown key \"" + key + "\"");
-  }
-  return true;
-}
-
-bool RequireObject(const json::Value* v, const std::string& path,
-                   ParseContext& ctx) {
-  if (v == nullptr || !v->IsObject()) {
-    return ctx.Fail(path, "expected an object");
-  }
-  return true;
-}
-
-bool GetDouble(const json::Value& object, const std::string& path,
-               const std::string& key, bool required, double fallback,
-               double* out, ParseContext& ctx) {
-  const json::Value* v = object.Find(key);
-  if (v == nullptr) {
-    if (required) return ctx.Fail(path, "missing required \"" + key + "\"");
-    *out = fallback;
-    return true;
-  }
-  if (v->type != json::Value::Type::kNumber) {
-    return ctx.Fail(path + "." + key, "expected a number");
-  }
-  *out = v->number;
-  return true;
-}
-
-bool GetInteger(const json::Value& object, const std::string& path,
-                const std::string& key, bool required, std::int64_t fallback,
-                std::int64_t* out, ParseContext& ctx) {
-  double value = 0.0;
-  if (!GetDouble(object, path, key, required,
-                 static_cast<double>(fallback), &value, ctx)) {
-    return false;
-  }
-  if (value != std::floor(value)) {
-    return ctx.Fail(path + "." + key, "expected an integer");
-  }
-  *out = static_cast<std::int64_t>(value);
-  return true;
-}
+// Every parser below reads through one json::FieldReader and returns
+// false after it records a path-qualified error, so a malformed
+// scenario names its own defect instead of silently running something
+// else.
 
 bool ParseEngine(const std::string& name, EngineKind* out) {
   static const std::map<std::string, EngineKind> kEngines = {
@@ -106,7 +40,9 @@ bool ParseEngine(const std::string& name, EngineKind* out) {
   return true;
 }
 
-bool ParseDataset(const std::string& name, workload::Dataset* out) {
+/** Reads `object`'s optional "dataset" (default ShareGPT) into `out`. */
+bool ReadDataset(const json::Value& object, const std::string& path,
+                 workload::Dataset* out, json::FieldReader& in) {
   static const std::map<std::string, workload::Dataset> kDatasets = {
       {"sharegpt", workload::Dataset::kShareGpt},
       {"loogle", workload::Dataset::kLoogle},
@@ -114,8 +50,12 @@ bool ParseDataset(const std::string& name, workload::Dataset* out) {
       {"conversation", workload::Dataset::kConversation},
       {"toolagent", workload::Dataset::kToolAgent},
   };
-  const auto it = kDatasets.find(name);
-  if (it == kDatasets.end()) return false;
+  std::string dataset = "sharegpt";
+  if (!in.GetString(object, path, "dataset", false, &dataset)) return false;
+  const auto it = kDatasets.find(dataset);
+  if (it == kDatasets.end()) {
+    return in.Fail(path + ".dataset", "unknown dataset \"" + dataset + "\"");
+  }
   *out = it->second;
   return true;
 }
@@ -131,28 +71,27 @@ bool KnownGpu(const std::string& name) {
 }
 
 bool ParseDeployment(const json::Value& root, ScenarioSpec& spec,
-                     ParseContext& ctx) {
+                     json::FieldReader& in) {
   const json::Value* v = root.Find("deployment");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "deployment", ctx)) return false;
-  if (!CheckKeys(*v, "deployment", {"model", "gpu", "num_gpus"}, ctx)) {
+  if (!in.RequireObject(v, "deployment") ||
+      !in.CheckKeys(*v, "deployment", {"model", "gpu", "num_gpus"}) ||
+      !in.GetString(*v, "deployment", "model", false, &spec.model) ||
+      !in.GetString(*v, "deployment", "gpu", false, &spec.gpu)) {
     return false;
   }
-  spec.model = json::GetString(v->Find("model"), spec.model);
-  spec.gpu = json::GetString(v->Find("gpu"), spec.gpu);
   if (!KnownModel(spec.model)) {
-    return ctx.Fail("deployment.model", "unknown model \"" + spec.model + "\"");
+    return in.Fail("deployment.model", "unknown model \"" + spec.model + "\"");
   }
   if (!KnownGpu(spec.gpu)) {
-    return ctx.Fail("deployment.gpu", "unknown GPU \"" + spec.gpu + "\"");
+    return in.Fail("deployment.gpu", "unknown GPU \"" + spec.gpu + "\"");
   }
   std::int64_t num_gpus = spec.num_gpus;
-  if (!GetInteger(*v, "deployment", "num_gpus", false, num_gpus, &num_gpus,
-                  ctx)) {
+  if (!in.GetInteger(*v, "deployment", "num_gpus", false, &num_gpus)) {
     return false;
   }
   if (num_gpus < 1 || num_gpus > 64) {
-    return ctx.Fail("deployment.num_gpus", "out of range [1, 64]");
+    return in.Fail("deployment.num_gpus", "out of range [1, 64]");
   }
   // The disaggregated baselines need room for their instances.
   int min_gpus = 1;
@@ -162,40 +101,110 @@ bool ParseDeployment(const json::Value& root, ScenarioSpec& spec,
     min_gpus = baselines::LoongServeEngine::kMinGpus;
   }
   if (num_gpus < min_gpus) {
-    return ctx.Fail("deployment.num_gpus",
-                    std::string(EngineKindName(spec.engine)) +
-                        " needs at least " + std::to_string(min_gpus));
+    return in.Fail("deployment.num_gpus",
+                   std::string(EngineKindName(spec.engine)) +
+                       " needs at least " + std::to_string(min_gpus));
   }
   spec.num_gpus = static_cast<int>(num_gpus);
   return true;
 }
 
 bool ParseLengths(const json::Value* v, const std::string& path,
-                  StreamingLengths* out, ParseContext& ctx) {
+                  StreamingLengths* out, json::FieldReader& in) {
   if (v == nullptr) return true;
-  if (!RequireObject(v, path, ctx)) return false;
-  if (!CheckKeys(*v, path, {"min", "mean", "max"}, ctx)) return false;
+  if (!in.RequireObject(v, path) ||
+      !in.CheckKeys(*v, path, {"min", "mean", "max"})) {
+    return false;
+  }
   std::int64_t min = out->min;
   std::int64_t max = out->max;
-  if (!GetInteger(*v, path, "min", false, min, &min, ctx)) return false;
-  if (!GetInteger(*v, path, "max", false, max, &max, ctx)) return false;
-  if (!GetDouble(*v, path, "mean", false, out->mean, &out->mean, ctx)) {
+  if (!in.GetInteger(*v, path, "min", false, &min) ||
+      !in.GetInteger(*v, path, "max", false, &max) ||
+      !in.GetDouble(*v, path, "mean", false, &out->mean)) {
     return false;
   }
   if (min < 1 || max < min || out->mean < static_cast<double>(min) ||
       out->mean > static_cast<double>(max)) {
-    return ctx.Fail(path, "requires 1 <= min <= mean <= max");
+    return in.Fail(path, "requires 1 <= min <= mean <= max");
   }
   out->min = min;
   out->max = max;
   return true;
 }
 
+bool ParseMmpp(const json::Value* mmpp, ScenarioSpec& spec,
+               json::FieldReader& in) {
+  const std::string path = "trace.mmpp";
+  if (!in.RequireObject(mmpp, path) ||
+      !in.CheckKeys(*mmpp, path,
+                    {"dataset", "calm_rate_per_second", "burst_multiplier",
+                     "mean_calm_seconds", "mean_burst_seconds",
+                     "duration_seconds", "class_mix", "seed"})) {
+    return false;
+  }
+  workload::MmppOptions options;
+  std::int64_t seed = 1;
+  if (!ReadDataset(*mmpp, path, &options.dataset, in) ||
+      !in.GetDouble(*mmpp, path, "calm_rate_per_second", true,
+                    &options.calm_rate_per_second) ||
+      !in.GetDouble(*mmpp, path, "burst_multiplier", false,
+                    &options.burst_multiplier) ||
+      !in.GetDouble(*mmpp, path, "mean_calm_seconds", false,
+                    &options.mean_calm_seconds) ||
+      !in.GetDouble(*mmpp, path, "mean_burst_seconds", false,
+                    &options.mean_burst_seconds) ||
+      !in.GetDouble(*mmpp, path, "duration_seconds", false,
+                    &options.duration_seconds) ||
+      !in.GetInteger(*mmpp, path, "seed", false, &seed)) {
+    return false;
+  }
+  // The ranges GenerateMmppTrace requires.
+  if (options.calm_rate_per_second <= 0.0) {
+    return in.Fail(path + ".calm_rate_per_second", "must be > 0");
+  }
+  if (options.burst_multiplier < 1.0) {
+    return in.Fail(path + ".burst_multiplier", "must be >= 1");
+  }
+  if (options.mean_calm_seconds <= 0.0) {
+    return in.Fail(path + ".mean_calm_seconds", "must be > 0");
+  }
+  if (options.mean_burst_seconds <= 0.0) {
+    return in.Fail(path + ".mean_burst_seconds", "must be > 0");
+  }
+  if (options.duration_seconds <= 0.0) {
+    return in.Fail(path + ".duration_seconds", "must be > 0");
+  }
+  if (const json::Value* class_mix = mmpp->Find("class_mix");
+      class_mix != nullptr) {
+    if (!class_mix->IsArray() ||
+        class_mix->array.size() != workload::kNumSloClasses) {
+      return in.Fail(path + ".class_mix",
+                     "expected [interactive, standard, batch] weights");
+    }
+    double total = 0.0;
+    for (int i = 0; i < workload::kNumSloClasses; ++i) {
+      const json::Value& weight = class_mix->array[i];
+      const std::string weight_path =
+          path + ".class_mix[" + std::to_string(i) + "]";
+      if (weight.type != json::Value::Type::kNumber) {
+        return in.Fail(weight_path, "expected a number");
+      }
+      if (weight.number < 0.0) return in.Fail(weight_path, "must be >= 0");
+      options.class_mix[i] = weight.number;
+      total += weight.number;
+    }
+    if (total <= 0.0) return in.Fail(path + ".class_mix", "weights sum to 0");
+  }
+  spec.mmpp = options;
+  spec.mmpp_seed = static_cast<std::uint64_t>(seed);
+  return true;
+}
+
 bool ParseTrace(const json::Value& root, ScenarioSpec& spec,
-                ParseContext& ctx) {
+                json::FieldReader& in) {
   const json::Value* trace = root.Find("trace");
-  if (!RequireObject(trace, "trace", ctx)) return false;
-  if (!CheckKeys(*trace, "trace", {"mix", "mmpp", "streaming"}, ctx)) {
+  if (!in.RequireObject(trace, "trace") ||
+      !in.CheckKeys(*trace, "trace", {"mix", "mmpp", "streaming"})) {
     return false;
   }
   const json::Value* mix = trace->Find("mix");
@@ -204,41 +213,34 @@ bool ParseTrace(const json::Value& root, ScenarioSpec& spec,
   const int shapes = (mix != nullptr) + (mmpp != nullptr) +
                      (streaming != nullptr);
   if (shapes != 1) {
-    return ctx.Fail(
+    return in.Fail(
         "trace", "exactly one of \"mix\", \"mmpp\", \"streaming\" required");
   }
+  if (mmpp != nullptr) return ParseMmpp(mmpp, spec, in);
 
   if (mix != nullptr) {
     if (!mix->IsArray() || mix->array.empty()) {
-      return ctx.Fail("trace.mix", "expected a non-empty array");
+      return in.Fail("trace.mix", "expected a non-empty array");
     }
     for (std::size_t i = 0; i < mix->array.size(); ++i) {
       const std::string path = "trace.mix[" + std::to_string(i) + "]";
       const json::Value& part = mix->array[i];
-      if (!RequireObject(&part, path, ctx)) return false;
-      if (!CheckKeys(part, path,
-                     {"dataset", "requests", "rate_per_second", "seed"},
-                     ctx)) {
-        return false;
-      }
       TraceMixPart out;
-      const std::string dataset =
-          json::GetString(part.Find("dataset"), "sharegpt");
-      if (!ParseDataset(dataset, &out.dataset)) {
-        return ctx.Fail(path + ".dataset",
-                        "unknown dataset \"" + dataset + "\"");
-      }
       std::int64_t requests = 0;
       std::int64_t seed = 1;
-      if (!GetInteger(part, path, "requests", true, 0, &requests, ctx) ||
-          !GetDouble(part, path, "rate_per_second", true, 0.0,
-                     &out.rate_per_second, ctx) ||
-          !GetInteger(part, path, "seed", false, 1, &seed, ctx)) {
+      if (!in.RequireObject(&part, path) ||
+          !in.CheckKeys(part, path,
+                        {"dataset", "requests", "rate_per_second", "seed"}) ||
+          !ReadDataset(part, path, &out.dataset, in) ||
+          !in.GetInteger(part, path, "requests", true, &requests) ||
+          !in.GetDouble(part, path, "rate_per_second", true,
+                        &out.rate_per_second) ||
+          !in.GetInteger(part, path, "seed", false, &seed)) {
         return false;
       }
-      if (requests < 1) return ctx.Fail(path + ".requests", "must be >= 1");
+      if (requests < 1) return in.Fail(path + ".requests", "must be >= 1");
       if (out.rate_per_second <= 0.0) {
-        return ctx.Fail(path + ".rate_per_second", "must be > 0");
+        return in.Fail(path + ".rate_per_second", "must be > 0");
       }
       out.requests = static_cast<int>(requests);
       out.seed = static_cast<std::uint64_t>(seed);
@@ -247,123 +249,65 @@ bool ParseTrace(const json::Value& root, ScenarioSpec& spec,
     return true;
   }
 
-  if (mmpp != nullptr) {
-    const std::string path = "trace.mmpp";
-    if (!RequireObject(mmpp, path, ctx)) return false;
-    if (!CheckKeys(*mmpp, path,
-                   {"dataset", "calm_rate_per_second", "burst_multiplier",
-                    "mean_calm_seconds", "mean_burst_seconds",
-                    "duration_seconds", "class_mix", "seed"},
-                   ctx)) {
-      return false;
-    }
-    workload::MmppOptions options;
-    const std::string dataset =
-        json::GetString(mmpp->Find("dataset"), "sharegpt");
-    if (!ParseDataset(dataset, &options.dataset)) {
-      return ctx.Fail(path + ".dataset", "unknown dataset \"" + dataset + "\"");
-    }
-    std::int64_t seed = 1;
-    if (!GetDouble(*mmpp, path, "calm_rate_per_second", true, 0.0,
-                   &options.calm_rate_per_second, ctx) ||
-        !GetDouble(*mmpp, path, "burst_multiplier", false,
-                   options.burst_multiplier, &options.burst_multiplier, ctx) ||
-        !GetDouble(*mmpp, path, "mean_calm_seconds", false,
-                   options.mean_calm_seconds, &options.mean_calm_seconds,
-                   ctx) ||
-        !GetDouble(*mmpp, path, "mean_burst_seconds", false,
-                   options.mean_burst_seconds, &options.mean_burst_seconds,
-                   ctx) ||
-        !GetDouble(*mmpp, path, "duration_seconds", false,
-                   options.duration_seconds, &options.duration_seconds, ctx) ||
-        !GetInteger(*mmpp, path, "seed", false, 1, &seed, ctx)) {
-      return false;
-    }
-    if (options.calm_rate_per_second <= 0.0) {
-      return ctx.Fail(path + ".calm_rate_per_second", "must be > 0");
-    }
-    if (const json::Value* class_mix = mmpp->Find("class_mix");
-        class_mix != nullptr) {
-      if (!class_mix->IsArray() ||
-          class_mix->array.size() != workload::kNumSloClasses) {
-        return ctx.Fail(path + ".class_mix",
-                        "expected [interactive, standard, batch] weights");
-      }
-      for (int i = 0; i < workload::kNumSloClasses; ++i) {
-        options.class_mix[i] = class_mix->array[i].number;
-      }
-    }
-    spec.mmpp = options;
-    spec.mmpp_seed = static_cast<std::uint64_t>(seed);
-    return true;
-  }
-
   const std::string path = "trace.streaming";
-  if (!RequireObject(streaming, path, ctx)) return false;
-  if (!CheckKeys(*streaming, path,
-                 {"requests", "rate_per_second", "input_tokens",
-                  "output_tokens", "seed", "exact_subsample_period"},
-                 ctx)) {
-    return false;
-  }
   StreamingSpec out;
   std::int64_t requests = 0;
   std::int64_t seed = 1;
-  std::int64_t period = static_cast<std::int64_t>(out.exact_subsample_period);
-  if (!GetInteger(*streaming, path, "requests", true, 0, &requests, ctx) ||
-      !GetDouble(*streaming, path, "rate_per_second", true, 0.0,
-                 &out.rate_per_second, ctx) ||
-      !GetInteger(*streaming, path, "seed", false, 1, &seed, ctx) ||
-      !GetInteger(*streaming, path, "exact_subsample_period", false, period,
-                  &period, ctx)) {
+  auto period = static_cast<std::int64_t>(out.exact_subsample_period);
+  if (!in.RequireObject(streaming, path) ||
+      !in.CheckKeys(*streaming, path,
+                    {"requests", "rate_per_second", "input_tokens",
+                     "output_tokens", "seed", "exact_subsample_period"}) ||
+      !in.GetInteger(*streaming, path, "requests", true, &requests) ||
+      !in.GetDouble(*streaming, path, "rate_per_second", true,
+                    &out.rate_per_second) ||
+      !in.GetInteger(*streaming, path, "seed", false, &seed) ||
+      !in.GetInteger(*streaming, path, "exact_subsample_period", false,
+                     &period)) {
     return false;
   }
-  if (requests < 1) return ctx.Fail(path + ".requests", "must be >= 1");
+  if (requests < 1) return in.Fail(path + ".requests", "must be >= 1");
   if (out.rate_per_second <= 0.0) {
-    return ctx.Fail(path + ".rate_per_second", "must be > 0");
+    return in.Fail(path + ".rate_per_second", "must be > 0");
   }
   if (period < 0) {
-    return ctx.Fail(path + ".exact_subsample_period", "must be >= 0");
+    return in.Fail(path + ".exact_subsample_period", "must be >= 0");
   }
   out.total_requests = static_cast<std::uint64_t>(requests);
   out.seed = static_cast<std::uint64_t>(seed);
   out.exact_subsample_period = static_cast<std::uint64_t>(period);
   if (!ParseLengths(streaming->Find("input_tokens"), path + ".input_tokens",
-                    &out.input, ctx) ||
+                    &out.input, in) ||
       !ParseLengths(streaming->Find("output_tokens"), path + ".output_tokens",
-                    &out.output, ctx)) {
+                    &out.output, in)) {
     return false;
   }
   spec.streaming = out;
   return true;
 }
 
-bool ParseSlo(const json::Value& root, ScenarioSpec& spec, ParseContext& ctx) {
+bool ParseSlo(const json::Value& root, ScenarioSpec& spec,
+              json::FieldReader& in) {
   const json::Value* v = root.Find("slo");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "slo", ctx)) return false;
-  if (!CheckKeys(*v, "slo",
-                 {"ttft_ms", "tbt_ms", "ttft_per_token_us", "percentile"},
-                 ctx)) {
-    return false;
-  }
   // Start from the model's defaults so a partial override keeps the
   // rest (matching SloTargets::ForModel in the hand-coded scenarios).
   workload::SloTargets slo = workload::SloTargets::ForModel(spec.model);
   double ttft_ms = sim::ToMilliseconds(slo.ttft);
   double tbt_ms = sim::ToMilliseconds(slo.tbt);
   double per_token_us = static_cast<double>(slo.ttft_per_token) / 1e3;
-  if (!GetDouble(*v, "slo", "ttft_ms", false, ttft_ms, &ttft_ms, ctx) ||
-      !GetDouble(*v, "slo", "tbt_ms", false, tbt_ms, &tbt_ms, ctx) ||
-      !GetDouble(*v, "slo", "ttft_per_token_us", false, per_token_us,
-                 &per_token_us, ctx) ||
-      !GetDouble(*v, "slo", "percentile", false, slo.percentile,
-                 &slo.percentile, ctx)) {
+  if (!in.RequireObject(v, "slo") ||
+      !in.CheckKeys(*v, "slo",
+                    {"ttft_ms", "tbt_ms", "ttft_per_token_us", "percentile"}) ||
+      !in.GetDouble(*v, "slo", "ttft_ms", false, &ttft_ms) ||
+      !in.GetDouble(*v, "slo", "tbt_ms", false, &tbt_ms) ||
+      !in.GetDouble(*v, "slo", "ttft_per_token_us", false, &per_token_us) ||
+      !in.GetDouble(*v, "slo", "percentile", false, &slo.percentile)) {
     return false;
   }
   if (ttft_ms <= 0 || tbt_ms <= 0 || per_token_us < 0 ||
       slo.percentile <= 0.0 || slo.percentile > 1.0) {
-    return ctx.Fail("slo", "targets must be positive, percentile in (0, 1]");
+    return in.Fail("slo", "targets must be positive, percentile in (0, 1]");
   }
   slo.ttft = sim::Milliseconds(ttft_ms);
   slo.tbt = sim::Milliseconds(tbt_ms);
@@ -372,86 +316,53 @@ bool ParseSlo(const json::Value& root, ScenarioSpec& spec, ParseContext& ctx) {
   return true;
 }
 
-bool ParseRun(const json::Value& root, ScenarioSpec& spec, ParseContext& ctx) {
+bool ParseRun(const json::Value& root, ScenarioSpec& spec,
+              json::FieldReader& in) {
   const json::Value* v = root.Find("run");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "run", ctx)) return false;
-  if (!CheckKeys(*v, "run",
-                 {"drain_timeout_seconds", "steady_state", "event_budget",
-                  "token_budget"},
-                 ctx)) {
-    return false;
-  }
-  std::int64_t event_budget =
-      static_cast<std::int64_t>(spec.config.event_budget);
+  auto event_budget = static_cast<std::int64_t>(spec.config.event_budget);
   std::int64_t token_budget = spec.config.token_budget;
-  if (!GetDouble(*v, "run", "drain_timeout_seconds", false,
-                 spec.config.drain_timeout_seconds,
-                 &spec.config.drain_timeout_seconds, ctx) ||
-      !GetInteger(*v, "run", "event_budget", false, event_budget,
-                  &event_budget, ctx) ||
-      !GetInteger(*v, "run", "token_budget", false, token_budget,
-                  &token_budget, ctx)) {
+  if (!in.RequireObject(v, "run") ||
+      !in.CheckKeys(*v, "run",
+                    {"drain_timeout_seconds", "steady_state", "event_budget",
+                     "token_budget"}) ||
+      !in.GetDouble(*v, "run", "drain_timeout_seconds", false,
+                    &spec.config.drain_timeout_seconds) ||
+      !in.GetInteger(*v, "run", "event_budget", false, &event_budget) ||
+      !in.GetInteger(*v, "run", "token_budget", false, &token_budget) ||
+      !in.GetBool(*v, "run", "steady_state", false,
+                  &spec.config.steady_state)) {
     return false;
   }
-  spec.config.steady_state =
-      json::GetBool(v->Find("steady_state"), spec.config.steady_state);
   if (spec.config.drain_timeout_seconds <= 0.0) {
-    return ctx.Fail("run.drain_timeout_seconds", "must be > 0");
+    return in.Fail("run.drain_timeout_seconds", "must be > 0");
   }
-  if (event_budget < 1) return ctx.Fail("run.event_budget", "must be >= 1");
-  if (token_budget < 0) return ctx.Fail("run.token_budget", "must be >= 0");
+  if (event_budget < 1) return in.Fail("run.event_budget", "must be >= 1");
+  if (token_budget < 0) return in.Fail("run.token_budget", "must be >= 0");
   spec.config.event_budget = static_cast<std::size_t>(event_budget);
   spec.config.token_budget = static_cast<int>(token_budget);
   return true;
 }
 
 bool ParseOverload(const json::Value& root, ScenarioSpec& spec,
-                   ParseContext& ctx) {
+                   json::FieldReader& in) {
   const json::Value* v = root.Find("overload");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "overload", ctx)) return false;
-  if (!CheckKeys(*v, "overload", {"enabled", "preemption", "spill"}, ctx)) {
-    return false;
-  }
-  spec.config.overload.enabled = json::GetBool(v->Find("enabled"), false);
-  spec.config.overload.preemption =
-      json::GetBool(v->Find("preemption"), spec.config.overload.preemption);
-  spec.config.overload.spill =
-      json::GetBool(v->Find("spill"), spec.config.overload.spill);
-  return true;
+  overload::Policy& policy = spec.config.overload;
+  return in.RequireObject(v, "overload") &&
+         in.CheckKeys(*v, "overload", {"enabled", "preemption", "spill"}) &&
+         in.GetBool(*v, "overload", "enabled", false, &policy.enabled) &&
+         in.GetBool(*v, "overload", "preemption", false, &policy.preemption) &&
+         in.GetBool(*v, "overload", "spill", false, &policy.spill);
 }
 
 bool ParseFleet(const json::Value& root, ScenarioSpec& spec,
-                ParseContext& ctx) {
+                json::FieldReader& in) {
   const json::Value* v = root.Find("fleet");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "fleet", ctx)) return false;
-  if (!CheckKeys(*v, "fleet",
-                 {"enabled", "replicas", "failover", "migration",
-                  "heartbeat_ms", "suspect_after_misses", "down_after_misses",
-                  "recovery_probation_beats", "suspect_exit_beats",
-                  "zombie_detection", "zombie_after_beats",
-                  "zombie_down_beats", "partition_detection"},
-                 ctx)) {
-    return false;
-  }
-  spec.config.fleet.enabled = json::GetBool(v->Find("enabled"), false);
-  std::int64_t replicas =
-      static_cast<std::int64_t>(spec.config.fleet.replicas);
-  if (!GetInteger(*v, "fleet", "replicas", false, replicas, &replicas, ctx)) {
-    return false;
-  }
-  if (replicas < 1 || replicas > 64) {
-    return ctx.Fail("fleet.replicas", "out of range [1, 64]");
-  }
-  spec.config.fleet.replicas = static_cast<std::size_t>(replicas);
-  spec.config.fleet.failover =
-      json::GetBool(v->Find("failover"), spec.config.fleet.failover);
-  spec.config.fleet.migration =
-      json::GetBool(v->Find("migration"), spec.config.fleet.migration);
-
-  route::HealthPolicy& health = spec.config.fleet.health;
+  route::FleetOptions& fleet = spec.config.fleet;
+  route::HealthPolicy& health = fleet.health;
+  auto replicas = static_cast<std::int64_t>(fleet.replicas);
   double heartbeat_ms = sim::ToMilliseconds(health.heartbeat_interval);
   std::int64_t suspect = health.suspect_after_misses;
   std::int64_t down = health.down_after_misses;
@@ -459,40 +370,57 @@ bool ParseFleet(const json::Value& root, ScenarioSpec& spec,
   std::int64_t exit_beats = health.suspect_exit_beats;
   std::int64_t zombie_after = health.zombie_after_beats;
   std::int64_t zombie_down = health.zombie_down_beats;
-  if (!GetDouble(*v, "fleet", "heartbeat_ms", false, heartbeat_ms,
-                 &heartbeat_ms, ctx) ||
-      !GetInteger(*v, "fleet", "suspect_after_misses", false, suspect,
-                  &suspect, ctx) ||
-      !GetInteger(*v, "fleet", "down_after_misses", false, down, &down,
-                  ctx) ||
-      !GetInteger(*v, "fleet", "recovery_probation_beats", false, probation,
-                  &probation, ctx) ||
-      !GetInteger(*v, "fleet", "suspect_exit_beats", false, exit_beats,
-                  &exit_beats, ctx) ||
-      !GetInteger(*v, "fleet", "zombie_after_beats", false, zombie_after,
-                  &zombie_after, ctx) ||
-      !GetInteger(*v, "fleet", "zombie_down_beats", false, zombie_down,
-                  &zombie_down, ctx)) {
+  if (!in.RequireObject(v, "fleet") ||
+      !in.CheckKeys(*v, "fleet",
+                    {"enabled", "replicas", "failover", "migration",
+                     "heartbeat_ms", "suspect_after_misses",
+                     "down_after_misses", "recovery_probation_beats",
+                     "suspect_exit_beats", "zombie_detection",
+                     "zombie_after_beats", "zombie_down_beats",
+                     "partition_detection"}) ||
+      !in.GetBool(*v, "fleet", "enabled", false, &fleet.enabled) ||
+      !in.GetInteger(*v, "fleet", "replicas", false, &replicas)) {
     return false;
   }
-  if (heartbeat_ms <= 0.0) return ctx.Fail("fleet.heartbeat_ms", "must be > 0");
-  if (suspect < 1) return ctx.Fail("fleet.suspect_after_misses", "must be >= 1");
+  if (replicas < 1 || replicas > 64) {
+    return in.Fail("fleet.replicas", "out of range [1, 64]");
+  }
+  fleet.replicas = static_cast<std::size_t>(replicas);
+  if (!in.GetBool(*v, "fleet", "failover", false, &fleet.failover) ||
+      !in.GetBool(*v, "fleet", "migration", false, &fleet.migration) ||
+      !in.GetDouble(*v, "fleet", "heartbeat_ms", false, &heartbeat_ms) ||
+      !in.GetInteger(*v, "fleet", "suspect_after_misses", false, &suspect) ||
+      !in.GetInteger(*v, "fleet", "down_after_misses", false, &down) ||
+      !in.GetInteger(*v, "fleet", "recovery_probation_beats", false,
+                     &probation) ||
+      !in.GetInteger(*v, "fleet", "suspect_exit_beats", false,
+                     &exit_beats) ||
+      !in.GetInteger(*v, "fleet", "zombie_after_beats", false,
+                     &zombie_after) ||
+      !in.GetInteger(*v, "fleet", "zombie_down_beats", false, &zombie_down) ||
+      !in.GetBool(*v, "fleet", "zombie_detection", false,
+                  &health.zombie_detection) ||
+      !in.GetBool(*v, "fleet", "partition_detection", false,
+                  &health.partition_detection)) {
+    return false;
+  }
+  if (heartbeat_ms <= 0.0) return in.Fail("fleet.heartbeat_ms", "must be > 0");
+  if (suspect < 1) return in.Fail("fleet.suspect_after_misses", "must be >= 1");
   if (down < suspect) {
-    return ctx.Fail("fleet.down_after_misses",
-                    "must be >= suspect_after_misses");
+    return in.Fail("fleet.down_after_misses",
+                   "must be >= suspect_after_misses");
   }
   if (probation < 0) {
-    return ctx.Fail("fleet.recovery_probation_beats", "must be >= 0");
+    return in.Fail("fleet.recovery_probation_beats", "must be >= 0");
   }
   if (exit_beats < 1) {
-    return ctx.Fail("fleet.suspect_exit_beats", "must be >= 1");
+    return in.Fail("fleet.suspect_exit_beats", "must be >= 1");
   }
   if (zombie_after < 1) {
-    return ctx.Fail("fleet.zombie_after_beats", "must be >= 1");
+    return in.Fail("fleet.zombie_after_beats", "must be >= 1");
   }
   if (zombie_down < zombie_after) {
-    return ctx.Fail("fleet.zombie_down_beats",
-                    "must be >= zombie_after_beats");
+    return in.Fail("fleet.zombie_down_beats", "must be >= zombie_after_beats");
   }
   health.heartbeat_interval = sim::Milliseconds(heartbeat_ms);
   health.suspect_after_misses = static_cast<int>(suspect);
@@ -501,296 +429,17 @@ bool ParseFleet(const json::Value& root, ScenarioSpec& spec,
   health.suspect_exit_beats = static_cast<int>(exit_beats);
   health.zombie_after_beats = static_cast<int>(zombie_after);
   health.zombie_down_beats = static_cast<int>(zombie_down);
-  health.zombie_detection =
-      json::GetBool(v->Find("zombie_detection"), health.zombie_detection);
-  health.partition_detection =
-      json::GetBool(v->Find("partition_detection"), health.partition_detection);
-  return true;
-}
-
-bool ParseFaults(const json::Value& root, ScenarioSpec& spec,
-                 ParseContext& ctx) {
-  const json::Value* v = root.Find("faults");
-  if (v == nullptr) return true;
-  if (!RequireObject(v, "faults", ctx)) return false;
-  if (!CheckKeys(*v, "faults",
-                 {"seed", "crashes", "stragglers", "transfer_drops", "zombies",
-                  "flaps", "degrades", "partitions"},
-                 ctx)) {
-    return false;
-  }
-  fault::FaultPlan plan;
-  std::int64_t seed = static_cast<std::int64_t>(plan.seed);
-  if (!GetInteger(*v, "faults", "seed", false, seed, &seed, ctx)) {
-    return false;
-  }
-  plan.seed = static_cast<std::uint64_t>(seed);
-
-  if (const json::Value* crashes = v->Find("crashes"); crashes != nullptr) {
-    if (!crashes->IsArray()) {
-      return ctx.Fail("faults.crashes", "expected an array");
-    }
-    for (std::size_t i = 0; i < crashes->array.size(); ++i) {
-      const std::string path = "faults.crashes[" + std::to_string(i) + "]";
-      const json::Value& entry = crashes->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"instance", "at_seconds", "recover_at_seconds"}, ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double at = 0.0;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "at_seconds", true, 0.0, &at, ctx)) {
-        return false;
-      }
-      sim::Time recover = sim::kTimeNever;
-      if (entry.Find("recover_at_seconds") != nullptr) {
-        double recover_at = 0.0;
-        if (!GetDouble(entry, path, "recover_at_seconds", true, 0.0,
-                       &recover_at, ctx)) {
-          return false;
-        }
-        if (recover_at <= at) {
-          return ctx.Fail(path, "recover_at_seconds must exceed at_seconds");
-        }
-        recover = sim::Seconds(recover_at);
-      }
-      if (inst < 0 || at < 0.0) {
-        return ctx.Fail(path, "instance and at_seconds must be >= 0");
-      }
-      plan.Crash(static_cast<std::size_t>(inst), sim::Seconds(at), recover);
-    }
-  }
-
-  if (const json::Value* stragglers = v->Find("stragglers");
-      stragglers != nullptr) {
-    if (!stragglers->IsArray()) {
-      return ctx.Fail("faults.stragglers", "expected an array");
-    }
-    for (std::size_t i = 0; i < stragglers->array.size(); ++i) {
-      const std::string path = "faults.stragglers[" + std::to_string(i) + "]";
-      const json::Value& entry = stragglers->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"instance", "from_seconds", "to_seconds", "slowdown"},
-                     ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double from = 0.0, to = 0.0, slowdown = 2.0;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx) ||
-          !GetDouble(entry, path, "slowdown", false, 2.0, &slowdown, ctx)) {
-        return false;
-      }
-      if (inst < 0 || from < 0.0 || to <= from || slowdown < 1.0) {
-        return ctx.Fail(path,
-                        "requires 0 <= from < to and slowdown >= 1");
-      }
-      plan.Straggle(static_cast<std::size_t>(inst), sim::Seconds(from),
-                    sim::Seconds(to), slowdown);
-    }
-  }
-
-  if (const json::Value* drops = v->Find("transfer_drops"); drops != nullptr) {
-    if (!drops->IsArray()) {
-      return ctx.Fail("faults.transfer_drops", "expected an array");
-    }
-    for (std::size_t i = 0; i < drops->array.size(); ++i) {
-      const std::string path =
-          "faults.transfer_drops[" + std::to_string(i) + "]";
-      const json::Value& entry = drops->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"from_seconds", "to_seconds", "probability"}, ctx)) {
-        return false;
-      }
-      double from = 0.0, to = 0.0, probability = 0.0;
-      if (!GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx) ||
-          !GetDouble(entry, path, "probability", true, 0.0, &probability,
-                     ctx)) {
-        return false;
-      }
-      if (from < 0.0 || to <= from || probability < 0.0 ||
-          probability > 1.0) {
-        return ctx.Fail(path,
-                        "requires 0 <= from < to and probability in [0, 1]");
-      }
-      plan.DropTransfers(sim::Seconds(from), sim::Seconds(to), probability);
-    }
-  }
-
-  if (const json::Value* zombies = v->Find("zombies"); zombies != nullptr) {
-    if (!zombies->IsArray()) {
-      return ctx.Fail("faults.zombies", "expected an array");
-    }
-    for (std::size_t i = 0; i < zombies->array.size(); ++i) {
-      const std::string path = "faults.zombies[" + std::to_string(i) + "]";
-      const json::Value& entry = zombies->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path, {"instance", "from_seconds", "to_seconds"},
-                     ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double from = 0.0, to = 0.0;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx)) {
-        return false;
-      }
-      if (inst < 0 || from < 0.0 || to <= from) {
-        return ctx.Fail(path, "requires instance >= 0 and 0 <= from < to");
-      }
-      plan.Zombie(static_cast<std::size_t>(inst), sim::Seconds(from),
-                  sim::Seconds(to));
-    }
-  }
-
-  if (const json::Value* flaps = v->Find("flaps"); flaps != nullptr) {
-    if (!flaps->IsArray()) {
-      return ctx.Fail("faults.flaps", "expected an array");
-    }
-    for (std::size_t i = 0; i < flaps->array.size(); ++i) {
-      const std::string path = "faults.flaps[" + std::to_string(i) + "]";
-      const json::Value& entry = flaps->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"instance", "link", "from_seconds", "to_seconds",
-                      "period_seconds", "duty_up"},
-                     ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double from = 0.0, to = 0.0, period = 0.0, duty_up = 0.5;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx) ||
-          !GetDouble(entry, path, "period_seconds", true, 0.0, &period,
-                     ctx) ||
-          !GetDouble(entry, path, "duty_up", false, 0.5, &duty_up, ctx)) {
-        return false;
-      }
-      const bool link = json::GetBool(entry.Find("link"), false);
-      if (inst < 0 || from < 0.0 || to <= from || period <= 0.0 ||
-          duty_up <= 0.0 || duty_up >= 1.0) {
-        return ctx.Fail(path,
-                        "requires 0 <= from < to, period > 0, and duty_up "
-                        "in (0, 1)");
-      }
-      if (link) {
-        plan.FlapLink(sim::Seconds(from), sim::Seconds(to),
-                      sim::Seconds(period), duty_up);
-      } else {
-        plan.Flap(static_cast<std::size_t>(inst), sim::Seconds(from),
-                  sim::Seconds(to), sim::Seconds(period), duty_up);
-      }
-    }
-  }
-
-  if (const json::Value* degrades = v->Find("degrades"); degrades != nullptr) {
-    if (!degrades->IsArray()) {
-      return ctx.Fail("faults.degrades", "expected an array");
-    }
-    for (std::size_t i = 0; i < degrades->array.size(); ++i) {
-      const std::string path = "faults.degrades[" + std::to_string(i) + "]";
-      const json::Value& entry = degrades->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"instance", "link", "from_seconds", "to_seconds",
-                      "flops_factor", "bandwidth_factor"},
-                     ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double from = 0.0, to = 0.0, ff = 1.0, bf = 1.0;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx) ||
-          !GetDouble(entry, path, "flops_factor", false, 1.0, &ff, ctx) ||
-          !GetDouble(entry, path, "bandwidth_factor", false, 1.0, &bf, ctx)) {
-        return false;
-      }
-      const bool link = json::GetBool(entry.Find("link"), false);
-      if (inst < 0 || from < 0.0 || to <= from || ff <= 0.0 || ff > 1.0 ||
-          bf <= 0.0 || bf > 1.0) {
-        return ctx.Fail(path,
-                        "requires 0 <= from < to and factors in (0, 1]");
-      }
-      if (link) {
-        if (ff != 1.0) {
-          return ctx.Fail(path,
-                          "a link degrade cannot carry a flops_factor");
-        }
-        plan.DegradeLink(sim::Seconds(from), sim::Seconds(to), bf);
-      } else {
-        plan.Degrade(static_cast<std::size_t>(inst), sim::Seconds(from),
-                     sim::Seconds(to), ff, bf);
-      }
-    }
-  }
-
-  if (const json::Value* partitions = v->Find("partitions");
-      partitions != nullptr) {
-    if (!partitions->IsArray()) {
-      return ctx.Fail("faults.partitions", "expected an array");
-    }
-    for (std::size_t i = 0; i < partitions->array.size(); ++i) {
-      const std::string path = "faults.partitions[" + std::to_string(i) + "]";
-      const json::Value& entry = partitions->array[i];
-      if (!RequireObject(&entry, path, ctx)) return false;
-      if (!CheckKeys(entry, path,
-                     {"instance", "from_seconds", "to_seconds",
-                      "drop_to_replica", "drop_from_replica"},
-                     ctx)) {
-        return false;
-      }
-      std::int64_t inst = 0;
-      double from = 0.0, to = 0.0;
-      if (!GetInteger(entry, path, "instance", false, 0, &inst, ctx) ||
-          !GetDouble(entry, path, "from_seconds", true, 0.0, &from, ctx) ||
-          !GetDouble(entry, path, "to_seconds", true, 0.0, &to, ctx)) {
-        return false;
-      }
-      const bool drop_to = json::GetBool(entry.Find("drop_to_replica"), false);
-      const bool drop_from =
-          json::GetBool(entry.Find("drop_from_replica"), false);
-      if (inst < 0 || from < 0.0 || to <= from) {
-        return ctx.Fail(path, "requires instance >= 0 and 0 <= from < to");
-      }
-      if (drop_to && drop_from) {
-        return ctx.Fail(path,
-                        "dropping both directions is a crash, not a "
-                        "partition; use faults.crashes");
-      }
-      if (!drop_to && !drop_from) {
-        return ctx.Fail(path, "must drop at least one direction");
-      }
-      plan.Partition(static_cast<std::size_t>(inst), sim::Seconds(from),
-                     sim::Seconds(to), drop_to, drop_from);
-    }
-  }
-
-  if (plan.Empty()) {
-    return ctx.Fail("faults", "declared but contains no fault entries");
-  }
-  const std::string plan_error = plan.Check();
-  if (!plan_error.empty()) return ctx.Fail("faults", plan_error);
-  spec.config.fault_plan = std::move(plan);
   return true;
 }
 
 bool ParseRecovery(const json::Value& root, ScenarioSpec& spec,
-                   ParseContext& ctx) {
+                   json::FieldReader& in) {
   const json::Value* v = root.Find("recovery");
   if (v == nullptr) return true;
-  if (!RequireObject(v, "recovery", ctx)) return false;
-  if (!CheckKeys(*v, "recovery", {"enabled"}, ctx)) return false;
-  spec.config.recovery.enabled = json::GetBool(v->Find("enabled"), false);
-  return true;
+  return in.RequireObject(v, "recovery") &&
+         in.CheckKeys(*v, "recovery", {"enabled"}) &&
+         in.GetBool(*v, "recovery", "enabled", false,
+                    &spec.config.recovery.enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -840,9 +489,6 @@ const core::ContentionEstimator& CachedEstimator(const ScenarioSpec& spec) {
 ScenarioParseResult ParseScenarioJson(const std::string& text,
                                       const std::string& source) {
   ScenarioParseResult result;
-  ParseContext ctx;
-  ctx.source = source;
-
   json::Value root;
   std::string json_error;
   if (!json::Parse(text, root, json_error)) {
@@ -855,34 +501,29 @@ ScenarioParseResult ParseScenarioJson(const std::string& text,
   }
 
   ScenarioSpec spec;
-  if (!CheckKeys(root, "(root)",
-                 {"name", "engine", "deployment", "trace", "slo", "run",
-                  "overload", "fleet", "faults", "recovery"},
-                 ctx)) {
-    result.error = ctx.error;
+  json::FieldReader in;
+  std::string engine = "muxwise";
+  const json::Value* faults = root.Find("faults");
+  const bool ok =
+      in.CheckKeys(root, "",
+                   {"name", "engine", "deployment", "trace", "slo", "run",
+                    "overload", "fleet", "faults", "recovery"}) &&
+      in.GetString(root, "", "name", true, &spec.name) &&
+      (!spec.name.empty() || in.Fail("", "missing required \"name\"")) &&
+      in.GetString(root, "", "engine", false, &engine) &&
+      (ParseEngine(engine, &spec.engine) ||
+       in.Fail("engine", "unknown engine \"" + engine + "\"")) &&
+      ParseDeployment(root, spec, in) && ParseTrace(root, spec, in) &&
+      ParseSlo(root, spec, in) && ParseRun(root, spec, in) &&
+      ParseOverload(root, spec, in) && ParseFleet(root, spec, in) &&
+      (faults == nullptr ||
+       fault::PlanFromJson(*faults, "faults", in,
+                           &spec.config.fault_plan.emplace())) &&
+      ParseRecovery(root, spec, in);
+  if (!ok) {
+    result.error = source + ": " + in.error();
     return result;
   }
-
-  spec.name = json::GetString(root.Find("name"));
-  if (spec.name.empty()) {
-    result.error = source + ": (root): missing required \"name\"";
-    return result;
-  }
-
-  const std::string engine = json::GetString(root.Find("engine"), "muxwise");
-  if (!ParseEngine(engine, &spec.engine)) {
-    result.error = source + ": engine: unknown engine \"" + engine + "\"";
-    return result;
-  }
-
-  if (!ParseDeployment(root, spec, ctx) || !ParseTrace(root, spec, ctx) ||
-      !ParseSlo(root, spec, ctx) || !ParseRun(root, spec, ctx) ||
-      !ParseOverload(root, spec, ctx) || !ParseFleet(root, spec, ctx) ||
-      !ParseFaults(root, spec, ctx) || !ParseRecovery(root, spec, ctx)) {
-    result.error = ctx.error;
-    return result;
-  }
-
   result.spec = std::move(spec);
   return result;
 }

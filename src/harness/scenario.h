@@ -18,8 +18,9 @@ namespace muxwise::harness {
  * MMPP phases, or a synthetic stream), SLO targets, and overload /
  * fleet / fault configuration — so new end-to-end scenarios are data,
  * not recompiled C++. The parser is
- * strict: unknown keys, unknown enum spellings, and malformed values
- * are reported with the offending path rather than silently defaulted,
+ * strict: unknown keys, unknown enum spellings, wrong-typed and
+ * malformed values are reported with the offending path rather than
+ * silently defaulted,
  * because a typo that half-applies a scenario would still produce a
  * digest — just not the one the matrix pinned.
  *
@@ -55,6 +56,9 @@ namespace muxwise::harness {
  *               "suspect_exit_beats": 1, "zombie_detection": true,
  *               "zombie_after_beats": 2, "zombie_down_beats": 4,
  *               "partition_detection": true},
+ *     // The "faults" block is read and written by fault::PlanFromJson /
+ *     // fault::PlanToJson, whose per-kind field table in
+ *     // src/fault/fault_plan.cc is the authority on its keys.
  *     "faults": {
  *       "seed": 257,
  *       "crashes": [{"instance": 1, "at_seconds": 30,

@@ -1,6 +1,8 @@
 #include "sim/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -348,19 +350,83 @@ void SetKey(Value& object, const std::string& key, Value value) {
   object.object.emplace_back(key, std::move(value));
 }
 
-double GetNumber(const Value* v, double fallback) {
-  return v != nullptr && v->type == Value::Type::kNumber ? v->number
-                                                         : fallback;
+namespace {
+
+std::string MemberPath(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
 }
 
-std::string GetString(const Value* v, const std::string& fallback) {
-  return v != nullptr && v->type == Value::Type::kString ? v->string
-                                                         : fallback;
+}  // namespace
+
+bool FieldReader::Fail(const std::string& path, const std::string& what) {
+  error_ = (path.empty() ? "(root)" : path) + ": " + what;
+  return false;
 }
 
-bool GetBool(const Value* v, bool fallback) {
-  return v != nullptr && v->type == Value::Type::kBool ? v->boolean
-                                                       : fallback;
+bool FieldReader::CheckKeys(const Value& object, const std::string& path,
+                            const std::vector<std::string>& allowed) {
+  for (const auto& [key, value] : object.object) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      return Fail(path, "unknown key \"" + key + "\"");
+    }
+  }
+  return true;
+}
+
+bool FieldReader::RequireObject(const Value* v, const std::string& path) {
+  if (v == nullptr || !v->IsObject()) return Fail(path, "expected an object");
+  return true;
+}
+
+template <typename T>
+bool FieldReader::Get(const Value& object, const std::string& path,
+                      const std::string& key, bool required, Value::Type type,
+                      const char* expected, T Value::*member, T* out) {
+  const Value* v = object.Find(key);
+  if (v == nullptr) {
+    return !required || Fail(path, "missing required \"" + key + "\"");
+  }
+  if (v->type != type) {
+    return Fail(MemberPath(path, key), std::string("expected ") + expected);
+  }
+  *out = v->*member;
+  return true;
+}
+
+bool FieldReader::GetDouble(const Value& object, const std::string& path,
+                            const std::string& key, bool required,
+                            double* out) {
+  return Get(object, path, key, required, Value::Type::kNumber, "a number",
+             &Value::number, out);
+}
+
+bool FieldReader::GetInteger(const Value& object, const std::string& path,
+                             const std::string& key, bool required,
+                             std::int64_t* out) {
+  double value = static_cast<double>(*out);
+  if (!GetDouble(object, path, key, required, &value)) return false;
+  if (value != std::floor(value)) {
+    return Fail(MemberPath(path, key), "expected an integer");
+  }
+  // The cast below is defined only inside [-2^63, 2^63).
+  if (value < -0x1p63 || value >= 0x1p63) {
+    return Fail(MemberPath(path, key), "out of the 64-bit integer range");
+  }
+  *out = static_cast<std::int64_t>(value);
+  return true;
+}
+
+bool FieldReader::GetBool(const Value& object, const std::string& path,
+                          const std::string& key, bool required, bool* out) {
+  return Get(object, path, key, required, Value::Type::kBool, "true or false",
+             &Value::boolean, out);
+}
+
+bool FieldReader::GetString(const Value& object, const std::string& path,
+                            const std::string& key, bool required,
+                            std::string* out) {
+  return Get(object, path, key, required, Value::Type::kString, "a string",
+             &Value::string, out);
 }
 
 }  // namespace muxwise::json

@@ -1,6 +1,7 @@
 #ifndef MUXWISE_SIM_JSON_H_
 #define MUXWISE_SIM_JSON_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,12 +62,48 @@ Value Arr(std::vector<Value> items = {});
  * its position is kept) or appending a new one. */
 void SetKey(Value& object, const std::string& key, Value value);
 
-// Tolerant typed accessors: `v` may be nullptr or of another type, in
-// which case the fallback is returned — absent optional fields read as
-// their defaults without per-site null checks.
-double GetNumber(const Value* v, double fallback = 0.0);
-std::string GetString(const Value* v, const std::string& fallback = "");
-bool GetBool(const Value* v, bool fallback = false);
+/**
+ * Strict field reader for documents people write (scenario files).
+ * Every read returns false after recording a path-qualified error, so a
+ * malformed document names its own defect instead of silently running
+ * something else: an unknown key, a missing required one, or a value of
+ * the wrong type. `path` names the object being read ("trace.mix[0]");
+ * the root object's path is "". An absent optional key leaves `*out`
+ * untouched, so callers pre-load their defaults.
+ */
+class FieldReader {
+ public:
+  /** Records "`path`: `what`" as the error; always returns false. */
+  bool Fail(const std::string& path, const std::string& what);
+
+  /** Rejects any key of `object` outside `allowed`. */
+  bool CheckKeys(const Value& object, const std::string& path,
+                 const std::vector<std::string>& allowed);
+
+  /** Rejects `v` unless it is a present object. */
+  bool RequireObject(const Value* v, const std::string& path);
+
+  bool GetDouble(const Value& object, const std::string& path,
+                 const std::string& key, bool required, double* out);
+  /** A number with no fractional part. */
+  bool GetInteger(const Value& object, const std::string& path,
+                  const std::string& key, bool required, std::int64_t* out);
+  bool GetBool(const Value& object, const std::string& path,
+               const std::string& key, bool required, bool* out);
+  bool GetString(const Value& object, const std::string& path,
+                 const std::string& key, bool required, std::string* out);
+
+  const std::string& error() const { return error_; }
+
+ private:
+  /** Reads `key` into `*out` from the `member` of a value of `type`. */
+  template <typename T>
+  bool Get(const Value& object, const std::string& path,
+           const std::string& key, bool required, Value::Type type,
+           const char* expected, T Value::*member, T* out);
+
+  std::string error_;
+};
 
 }  // namespace muxwise::json
 

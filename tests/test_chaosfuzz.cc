@@ -14,7 +14,7 @@ namespace muxwise::cli {
 namespace {
 
 std::string PlanFingerprint(const fault::FaultPlan& plan) {
-  return json::Dump(PlanToJson(plan));
+  return json::Dump(fault::PlanToJson(plan));
 }
 
 // A compact but complete scenario document the repro tests graft fault

@@ -43,8 +43,6 @@ TEST(FaultPlanTest, FluentBuilderAccumulatesEntries) {
   ASSERT_EQ(plan.transfer_faults.size(), 1u);
   EXPECT_EQ(plan.crashes[0].recover_at, sim::Seconds(45));
   plan.Validate();  // Well-formed plan must not abort.
-  const std::string text = plan.Describe();
-  EXPECT_NE(text.find("crash"), std::string::npos);
 }
 
 TEST(FaultPlanDeathTest, ValidateRejectsInvertedStragglerWindow) {
@@ -96,7 +94,7 @@ TEST(FaultPlanTest, ValidateAcceptsSequentialCrashWindowsPerInstance) {
 
 // ------------------------------------------------- grey-failure plans
 
-TEST(FaultPlanTest, GreyKindsBuildValidateAndDescribe) {
+TEST(FaultPlanTest, GreyKindsBuildAndValidate) {
   // One well-formed entry per grey kind (and both link-targeted
   // flavours); a clean Validate() is the positive fixture the death
   // tests below are the negatives of.
@@ -112,12 +110,6 @@ TEST(FaultPlanTest, GreyKindsBuildValidateAndDescribe) {
                  /*drop_from=*/true);
   EXPECT_FALSE(plan.Empty());
   plan.Validate();  // Must not abort.
-  const std::string text = plan.Describe();
-  EXPECT_NE(text.find("zombie instance 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("flap link"), std::string::npos) << text;
-  EXPECT_NE(text.find("degrade instance 0"), std::string::npos) << text;
-  EXPECT_NE(text.find("router->replica"), std::string::npos) << text;
-  EXPECT_NE(text.find("replica->router"), std::string::npos) << text;
 }
 
 TEST(FaultPlanDeathTest, ValidateRejectsInvertedZombieWindow) {

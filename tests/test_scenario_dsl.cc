@@ -9,12 +9,14 @@
 
 #include "baselines/loongserve.h"
 #include "baselines/static_disagg.h"
+#include "fault/fault_plan.h"
 #include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
 #include "sim/hash.h"
+#include "sim/json.h"
 #include "workload/datasets.h"
 
 namespace muxwise::harness {
@@ -297,6 +299,53 @@ TEST(ScenarioDslTest, RejectsLoongServeWithoutAPrefillGpu) {
       ParseScenarioJson(WithDeployment("loongserve", min_gpus), "inline").ok());
 }
 
+constexpr char kOneRequestMix[] =
+    R"("trace": {"mix": [{"dataset": "sharegpt", "requests": 1,
+                         "rate_per_second": 1.0}]})";
+
+TEST(ScenarioDslTest, RejectsWrongTypedValues) {
+  // A value of the wrong type is an error, never its key's default.
+  const std::string mix = kOneRequestMix;
+  ExpectRejects(R"({"name": "x", "engine": 7, )" + mix + "}", "engine",
+                "expected a string");
+  ExpectRejects(R"({"name": "x", "deployment": {"model": 7}, )" + mix + "}",
+                "deployment.model", "expected a string");
+  ExpectRejects(R"({"name": "x", "trace": {"mix": [{"dataset": 3,
+                    "requests": 1, "rate_per_second": 1.0}]}})",
+                "trace.mix[0].dataset", "expected a string");
+  ExpectRejects(
+      R"({"name": "x", "overload": {"enabled": "yes"}, )" + mix + "}",
+      "overload.enabled", "expected true or false");
+  ExpectRejects(WithFleet(R"("failover": 1)"), "fleet.failover",
+                "expected true or false");
+}
+
+std::string WithMmpp(const std::string& extra) {
+  return R"({"name": "x", "trace": {"mmpp": {"calm_rate_per_second": 1.0, )" +
+         extra + "}}}";
+}
+
+TEST(ScenarioDslTest, RejectsDegenerateMmppTraces) {
+  // Each of these parsed and then aborted in GenerateMmppTrace.
+  ExpectRejects(WithMmpp(R"("burst_multiplier": 0.5)"),
+                "trace.mmpp.burst_multiplier", "must be >= 1");
+  ExpectRejects(WithMmpp(R"("mean_calm_seconds": 0)"),
+                "trace.mmpp.mean_calm_seconds", "must be > 0");
+  ExpectRejects(WithMmpp(R"("mean_burst_seconds": -1)"),
+                "trace.mmpp.mean_burst_seconds", "must be > 0");
+  ExpectRejects(WithMmpp(R"("duration_seconds": -5)"),
+                "trace.mmpp.duration_seconds", "must be > 0");
+  ExpectRejects(WithMmpp(R"("class_mix": [1, "a", 1])"),
+                "trace.mmpp.class_mix[1]", "expected a number");
+  ExpectRejects(WithMmpp(R"("class_mix": [1, -1, 1])"),
+                "trace.mmpp.class_mix[1]", "must be >= 0");
+  ExpectRejects(WithMmpp(R"("class_mix": [0, 0, 0])"),
+                "trace.mmpp.class_mix", "weights sum to 0");
+  EXPECT_TRUE(ParseScenarioJson(WithMmpp(R"("class_mix": [0, 1, 0])"),
+                                "inline")
+                  .ok());
+}
+
 TEST(ScenarioDslTest, RejectsNonPositiveHeartbeat) {
   ExpectRejects(WithFleet(R"("heartbeat_ms": 0)"), "fleet.heartbeat_ms",
                 "must be > 0");
@@ -328,7 +377,7 @@ TEST(ScenarioDslTest, RejectsEmptyZombieWindow) {
   ExpectRejects(
       WithFaults(
           R"("zombies": [{"instance": 0, "from_seconds": 5, "to_seconds": 5}])"),
-      "faults.zombies[0]", "from < to");
+      "faults.zombies[0]", "inverted zombie window");
 }
 
 TEST(ScenarioDslTest, RejectsFlapWithUnitDutyCycle) {
@@ -337,7 +386,7 @@ TEST(ScenarioDslTest, RejectsFlapWithUnitDutyCycle) {
       WithFaults(
           R"("flaps": [{"instance": 0, "from_seconds": 1, "to_seconds": 5,
                         "period_seconds": 1.0, "duty_up": 1.0}])"),
-      "faults.flaps[0]", "duty_up");
+      "faults.flaps[0]", "flap duty cycle");
 }
 
 TEST(ScenarioDslTest, RejectsFlapWithZeroPeriod) {
@@ -345,7 +394,7 @@ TEST(ScenarioDslTest, RejectsFlapWithZeroPeriod) {
       WithFaults(
           R"("flaps": [{"instance": 0, "from_seconds": 1, "to_seconds": 5,
                         "period_seconds": 0.0, "duty_up": 0.5}])"),
-      "faults.flaps[0]", "period > 0");
+      "faults.flaps[0]", "flap period");
 }
 
 TEST(ScenarioDslTest, RejectsDegradeFactorAboveOne) {
@@ -353,7 +402,7 @@ TEST(ScenarioDslTest, RejectsDegradeFactorAboveOne) {
       WithFaults(
           R"("degrades": [{"instance": 0, "from_seconds": 1,
                            "to_seconds": 5, "flops_factor": 1.5}])"),
-      "faults.degrades[0]", "factors in (0, 1]");
+      "faults.degrades[0]", "degrade factors");
 }
 
 TEST(ScenarioDslTest, RejectsLinkDegradeWithFlopsFactor) {
@@ -363,7 +412,7 @@ TEST(ScenarioDslTest, RejectsLinkDegradeWithFlopsFactor) {
           R"("degrades": [{"link": true, "from_seconds": 1,
                            "to_seconds": 5, "flops_factor": 0.5,
                            "bandwidth_factor": 0.5}])"),
-      "faults.degrades[0]", "link degrade cannot carry a flops_factor");
+      "faults.degrades[0]", "link degrade carries flops_factor");
 }
 
 TEST(ScenarioDslTest, RejectsPartitionDroppingBothDirections) {
@@ -372,7 +421,7 @@ TEST(ScenarioDslTest, RejectsPartitionDroppingBothDirections) {
           R"("partitions": [{"instance": 0, "from_seconds": 1,
                              "to_seconds": 5, "drop_to_replica": true,
                              "drop_from_replica": true}])"),
-      "faults.partitions[0]", "dropping both directions is a crash");
+      "faults.partitions[0]", "drops both directions");
 }
 
 TEST(ScenarioDslTest, RejectsPartitionDroppingNeitherDirection) {
@@ -380,7 +429,7 @@ TEST(ScenarioDslTest, RejectsPartitionDroppingNeitherDirection) {
       WithFaults(
           R"("partitions": [{"instance": 0, "from_seconds": 1,
                              "to_seconds": 5}])"),
-      "faults.partitions[0]", "must drop at least one direction");
+      "faults.partitions[0]", "drops neither direction");
 }
 
 TEST(ScenarioDslTest, RejectsUnknownFaultEntryKey) {
@@ -391,14 +440,80 @@ TEST(ScenarioDslTest, RejectsUnknownFaultEntryKey) {
       "faults.zombies[0]", "til_seconds");
 }
 
+TEST(ScenarioDslTest, NamesTheOffendingEntryOfALongerList) {
+  ExpectRejects(
+      WithFaults(R"("zombies": [
+          {"instance": 0, "from_seconds": 1, "to_seconds": 2},
+          {"instance": 0, "from_seconds": 5, "to_seconds": 4}])"),
+      "faults.zombies[1]", "inverted zombie window");
+  // An overlap names the window that starts later.
+  ExpectRejects(
+      WithFaults(R"("zombies": [
+          {"instance": 0, "from_seconds": 5, "to_seconds": 9},
+          {"instance": 0, "from_seconds": 1, "to_seconds": 6}])"),
+      "faults.zombies[0]", "overlapping zombie windows on instance 0");
+  ExpectRejects(
+      WithFaults(R"("crashes": [
+          {"instance": 0, "at_seconds": 10, "recover_at_seconds": 40},
+          {"instance": 0, "at_seconds": 20, "recover_at_seconds": 30}])"),
+      "faults.crashes[1]", "crashes again");
+}
+
+TEST(ScenarioDslTest, RejectsFaultValuesNoEntryCanHold) {
+  // The codec's own input checks, made before a value is cast into the
+  // plan: Check() only ever sees the cast result.
+  ExpectRejects(WithFaults(R"("zombies": [{"instance": -1, "from_seconds": 1,
+                                           "to_seconds": 2}])"),
+                "faults.zombies[0].instance", "must be >= 0");
+  ExpectRejects(WithFaults(R"("crashes": [{"instance": 0.5,
+                                           "at_seconds": 1}])"),
+                "faults.crashes[0].instance", "expected an integer");
+  ExpectRejects(WithFaults(R"("crashes": [{"instance": 1e300,
+                                           "at_seconds": 1}])"),
+                "faults.crashes[0].instance", "out of the 64-bit");
+  ExpectRejects(WithFaults(R"("crashes": [{"at_seconds": 1e300}])"),
+                "faults.crashes[0].at_seconds", "out of range");
+  ExpectRejects(WithFaults(R"("crashes": [])"), "faults",
+                "declared but contains no fault entries");
+}
+
+TEST(ScenarioDslTest, EveryCheckedInFaultBlockRoundTrips) {
+  // fault::PlanToJson prints what fault::PlanFromJson reads, so every
+  // checked-in "faults" block parses back to the plan it printed.
+  std::size_t blocks = 0;
+  for (const std::string dir :
+       {"scenarios", "scenarios/nightly", "tests/chaos_corpus"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(RepoPath(dir))) {
+      if (entry.path().extension() != ".json") continue;
+      SCOPED_TRACE(entry.path().string());
+      const ScenarioParseResult parsed =
+          LoadScenarioFile(entry.path().string());
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      if (!parsed.spec->config.fault_plan.has_value()) continue;
+      ++blocks;
+      const fault::FaultPlan& plan = *parsed.spec->config.fault_plan;
+      const json::Value printed = fault::PlanToJson(plan);
+      json::FieldReader in;
+      fault::FaultPlan again;
+      ASSERT_TRUE(fault::PlanFromJson(printed, "faults", in, &again))
+          << in.error();
+      EXPECT_EQ(json::Dump(fault::PlanToJson(again)), json::Dump(printed));
+      EXPECT_TRUE(again == plan) << json::Dump(printed);
+    }
+  }
+  EXPECT_GE(blocks, 7u);
+}
+
 TEST(ScenarioDslTest, AcceptsAFullGreyFaultBlock) {
   const ScenarioParseResult parsed = ParseScenarioJson(
       WithFaults(
           R"("seed": 7,
              "zombies": [{"instance": 1, "from_seconds": 2,
                           "to_seconds": 4}],
-             "flaps": [{"link": true, "from_seconds": 1, "to_seconds": 3,
-                        "period_seconds": 0.5, "duty_up": 0.5}],
+             "flaps": [{"link": true, "instance": 2, "from_seconds": 1,
+                        "to_seconds": 3, "period_seconds": 0.5,
+                        "duty_up": 0.5}],
              "degrades": [{"instance": 0, "from_seconds": 5,
                            "to_seconds": 6, "flops_factor": 0.8,
                            "bandwidth_factor": 0.9}],
@@ -412,6 +527,7 @@ TEST(ScenarioDslTest, AcceptsAFullGreyFaultBlock) {
   ASSERT_EQ(plan.zombies.size(), 1u);
   ASSERT_EQ(plan.flaps.size(), 1u);
   EXPECT_TRUE(plan.flaps[0].link);
+  EXPECT_EQ(plan.flaps[0].instance, 0u);  // A link has no instance.
   ASSERT_EQ(plan.degrades.size(), 1u);
   ASSERT_EQ(plan.partitions.size(), 1u);
   EXPECT_TRUE(plan.partitions[0].drop_from_replica);

@@ -26,7 +26,7 @@ json::Value FailedEntry(const std::string& path, const std::string& failure) {
 /** The verdict an artifact entry records. */
 Verdict FromEntry(json::Value entry) {
   Verdict v;
-  if (!json::GetBool(entry.Find("ok"))) {
+  if (!EntryBool(entry, "ok")) {
     v.result = Verdict::Result::kViolation;
     if (const json::Value* failures = entry.Find("failures")) {
       for (const json::Value& failure : failures->array) {
@@ -47,6 +47,23 @@ json::Value CheckInProcess(const harness::ScenarioSpec& spec,
 }
 
 }  // namespace
+
+double EntryNumber(const json::Value& entry, const std::string& key) {
+  const json::Value* v = entry.Find(key);
+  return v != nullptr && v->type == json::Value::Type::kNumber ? v->number
+                                                               : 0.0;
+}
+
+std::string EntryString(const json::Value& entry, const std::string& key) {
+  const json::Value* v = entry.Find(key);
+  return v != nullptr && v->type == json::Value::Type::kString ? v->string
+                                                               : "";
+}
+
+bool EntryBool(const json::Value& entry, const std::string& key) {
+  const json::Value* v = entry.Find(key);
+  return v != nullptr && v->type == json::Value::Type::kBool && v->boolean;
+}
 
 json::Value ScenarioEntry(const std::string& path,
                           const harness::ScenarioSpec& spec,

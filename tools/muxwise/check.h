@@ -19,6 +19,12 @@ json::Value ScenarioEntry(const std::string& path,
                           const harness::RunOutcome& outcome,
                           const harness::RunCheck& check);
 
+// Tolerant reads of an artifact entry: a member that is absent or of
+// another type reads as 0, "" or false.
+double EntryNumber(const json::Value& entry, const std::string& key);
+std::string EntryString(const json::Value& entry, const std::string& key);
+bool EntryBool(const json::Value& entry, const std::string& key);
+
 struct Verdict {
   enum class Result {
     kPass = 0,

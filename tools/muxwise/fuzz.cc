@@ -13,10 +13,6 @@
 
 namespace muxwise::cli {
 
-using json::Arr;
-using json::Bool;
-using json::Num;
-using json::Obj;
 using json::SetKey;
 using json::Str;
 
@@ -121,8 +117,6 @@ void AddRandomFault(fault::FaultPlan& plan, sim::Rng& rng,
   }
 }
 
-double Secs(sim::Time t) { return Round3(sim::ToSeconds(t)); }
-
 }  // namespace
 
 fault::FaultPlan GeneratePlan(std::uint64_t seed, const PlanShape& shape) {
@@ -152,106 +146,12 @@ fault::FaultPlan GeneratePlan(std::uint64_t seed, const PlanShape& shape) {
   return plan;
 }
 
-json::Value PlanToJson(const fault::FaultPlan& plan) {
-  json::Value faults = Obj();
-  SetKey(faults, "seed", Num(static_cast<double>(plan.seed)));
-  if (!plan.crashes.empty()) {
-    json::Value arr = Arr();
-    for (const fault::CrashEvent& c : plan.crashes) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(c.instance)));
-      SetKey(e, "at_seconds", Num(Secs(c.at)));
-      if (c.recover_at != sim::kTimeNever) {
-        SetKey(e, "recover_at_seconds", Num(Secs(c.recover_at)));
-      }
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "crashes", std::move(arr));
-  }
-  if (!plan.stragglers.empty()) {
-    json::Value arr = Arr();
-    for (const fault::StragglerWindow& w : plan.stragglers) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(w.instance)));
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      SetKey(e, "slowdown", Num(w.slowdown));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "stragglers", std::move(arr));
-  }
-  if (!plan.transfer_faults.empty()) {
-    json::Value arr = Arr();
-    for (const fault::TransferFaultWindow& w : plan.transfer_faults) {
-      json::Value e = Obj();
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      SetKey(e, "probability", Num(w.failure_probability));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "transfer_drops", std::move(arr));
-  }
-  if (!plan.zombies.empty()) {
-    json::Value arr = Arr();
-    for (const fault::ZombieWindow& w : plan.zombies) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(w.instance)));
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "zombies", std::move(arr));
-  }
-  if (!plan.flaps.empty()) {
-    json::Value arr = Arr();
-    for (const fault::FlapWindow& w : plan.flaps) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(w.instance)));
-      SetKey(e, "link", Bool(w.link));
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      SetKey(e, "period_seconds", Num(Secs(w.period)));
-      SetKey(e, "duty_up", Num(w.duty_up));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "flaps", std::move(arr));
-  }
-  if (!plan.degrades.empty()) {
-    json::Value arr = Arr();
-    for (const fault::DegradeWindow& w : plan.degrades) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(w.instance)));
-      SetKey(e, "link", Bool(w.link));
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      SetKey(e, "flops_factor", Num(w.flops_factor));
-      SetKey(e, "bandwidth_factor", Num(w.bandwidth_factor));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "degrades", std::move(arr));
-  }
-  if (!plan.partitions.empty()) {
-    json::Value arr = Arr();
-    for (const fault::PartitionWindow& w : plan.partitions) {
-      json::Value e = Obj();
-      SetKey(e, "instance", Num(static_cast<double>(w.instance)));
-      SetKey(e, "from_seconds", Num(Secs(w.from)));
-      SetKey(e, "to_seconds", Num(Secs(w.to)));
-      SetKey(e, "drop_to_replica", Bool(w.drop_to_replica));
-      SetKey(e, "drop_from_replica", Bool(w.drop_from_replica));
-      arr.array.push_back(std::move(e));
-    }
-    SetKey(faults, "partitions", std::move(arr));
-  }
-  return faults;
-}
-
 std::string MakeReproText(const json::Value& base_doc,
                           const fault::FaultPlan& plan,
                           const std::string& name) {
   json::Value doc = base_doc;
   SetKey(doc, "name", Str(name));
-  SetKey(doc, "faults", PlanToJson(plan));
+  SetKey(doc, "faults", fault::PlanToJson(plan));
   return json::Dump(doc) + "\n";
 }
 

@@ -52,9 +52,6 @@ struct PlanShape {
  */
 fault::FaultPlan GeneratePlan(std::uint64_t seed, const PlanShape& shape);
 
-/** The plan as a scenario-DSL "faults" object (empty arrays omitted). */
-json::Value PlanToJson(const fault::FaultPlan& plan);
-
 /**
  * Self-contained repro: `base_doc` (a parsed scenario object) with its
  * "name" and "faults" members replaced. Deterministic serialization —

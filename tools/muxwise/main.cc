@@ -67,22 +67,22 @@ double BaselinePeakRssMb(const std::string& path, std::string& error) {
   }
   double peak = 0.0;
   for (const json::Value& entry : scenarios->array) {
-    peak = std::max(peak, json::GetNumber(entry.Find("peak_rss_mb")));
+    peak = std::max(peak, EntryNumber(entry, "peak_rss_mb"));
   }
   if (peak <= 0.0) error = "RSS baseline records no peak_rss_mb";
   return peak;
 }
 
 void PrintEntry(const json::Value& e) {
-  std::printf("%s %s", json::GetBool(e.Find("ok")) ? "ok  " : "FAIL",
-              json::GetString(e.Find("name")).c_str());
+  std::printf("%s %s", EntryBool(e, "ok") ? "ok  " : "FAIL",
+              EntryString(e, "name").c_str());
   if (e.Find("engine") != nullptr) {
     std::printf(" [%s/%s] digest %s  %.0f/%.0f completed",
-                json::GetString(e.Find("kind")).c_str(),
-                json::GetString(e.Find("engine")).c_str(),
-                json::GetString(e.Find("outcome_digest")).c_str(),
-                json::GetNumber(e.Find("completed")),
-                json::GetNumber(e.Find("total")));
+                EntryString(e, "kind").c_str(),
+                EntryString(e, "engine").c_str(),
+                EntryString(e, "outcome_digest").c_str(),
+                EntryNumber(e, "completed"),
+                EntryNumber(e, "total"));
   }
   if (const json::Value* rss = e.Find("peak_rss_mb")) {
     std::printf("  rss %.1f MiB", rss->number);
@@ -166,15 +166,18 @@ int CheckCommand(const std::vector<std::string>& args) {
     return 2;
   }
   bool all_ok = true;
+  bool all_parsed = true;
   json::Value entries = json::Arr();
   for (const std::string& path : flags.positional()) {
     Verdict verdict = CheckFile(path);
     all_ok = all_ok && verdict.result == Verdict::Result::kPass;
+    all_parsed = all_parsed && verdict.result != Verdict::Result::kInvalid;
     PrintEntry(verdict.entry);
     entries.array.push_back(std::move(verdict.entry));
   }
   const bool written =
       out_path.empty() || WriteArtifact(out_path, std::move(entries));
+  if (!all_parsed) return 2;
   return all_ok && written ? 0 : 1;
 }
 
