@@ -66,17 +66,22 @@ void MultiplexEngine::LaunchDecode(const gpu::Kernel& kernel,
   SubmitLaunch(decode_stream_, kernel, launch_cost, std::move(done));
 }
 
-bool MultiplexEngine::RunDecodeAlone(const gpu::Kernel& kernel,
-                                     sim::Duration launch_cost) {
-  if (!launches_.empty()) return false;
+std::optional<gpu::Gpu::AloneClock> MultiplexEngine::DecodeAloneClock(
+    const gpu::Kernel& shape) const {
+  if (!launches_.empty()) return std::nullopt;
+  return device_->AloneClockFor(decode_stream_, shape);
+}
+
+sim::Time MultiplexEngine::DecodeLaunchStart(sim::Duration launch_cost) const {
   // Where SubmitLaunch's host callback would start the kernel.
-  const sim::Time start =
-      std::max(sim_->Now(), host_->busy_until()) + launch_cost;
-  const sim::Time end = device_->AloneCompletion(decode_stream_, kernel, start);
-  if (end == sim::kTimeNever || !sim_->CanAdvanceTo(end)) return false;
-  host_->Submit(launch_cost, nullptr);
-  device_->RunAlone(decode_stream_, kernel, start, end);
-  return true;
+  return std::max(sim_->Now(), host_->busy_until()) + launch_cost;
+}
+
+void MultiplexEngine::RunDecodeInline(const gpu::Kernel& kernel,
+                                      sim::Duration launch_cost,
+                                      sim::Time end, sim::Time bound) {
+  const sim::Time start = host_->Submit(launch_cost, nullptr);
+  device_->RunAlone(decode_stream_, kernel, start, end, bound);
 }
 
 void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "gpu/gpu.h"
@@ -59,16 +60,28 @@ class MultiplexEngine {
                     std::function<void()> done);
 
   /**
-   * Runs one decode iteration inline, with no simulator event, when it
-   * would run alone on the device and finish before anything else
-   * happens: no launch is pending on the host, no other kernel runs or
-   * waits, and it completes strictly before the next pending event (and
-   * within a running RunUntil's horizon). Then the host and the device
-   * account for it exactly as for LaunchDecode, Now() is its completion
-   * time, and true is returned. Otherwise nothing changes and false is
-   * returned.
+   * The device's clock (gpu::Gpu::AloneClock) for decode iterations run
+   * inline one after another, their kernels shaped like `shape`. Nothing
+   * when a launch waits on the host or the device is not free.
    */
-  bool RunDecodeAlone(const gpu::Kernel& kernel, sim::Duration launch_cost);
+  std::optional<gpu::Gpu::AloneClock> DecodeAloneClock(
+      const gpu::Kernel& shape) const;
+
+  /**
+   * Where a decode iteration launched now would start on the device: the
+   * host starts it after any earlier submission and its launch cost.
+   */
+  sim::Time DecodeLaunchStart(sim::Duration launch_cost) const;
+
+  /**
+   * Runs a decode iteration inline to `end`, its DecodeAloneClock() end
+   * from DecodeLaunchStart(), with no simulator event: the host and the device account for it exactly as
+   * for LaunchDecode, and Now() becomes `end`. `bound` is a
+   * Simulator::AdvanceBound() answer that still holds and `end` is no
+   * later.
+   */
+  void RunDecodeInline(const gpu::Kernel& kernel, sim::Duration launch_cost,
+                       sim::Time end, sim::Time bound);
 
   /** Launches one prefill layer group on the prefill context. */
   void LaunchPrefillGroup(const gpu::Kernel& kernel,

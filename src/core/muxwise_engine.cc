@@ -205,8 +205,8 @@ std::unique_ptr<serve::Request> MuxWiseEngine::TakeUnstarted(
   return TakeById(gated_, id);
 }
 
-bool MuxWiseEngine::PumpScheduler(bool run_ahead) {
-  if (DomainDown(0)) return false;
+void MuxWiseEngine::PumpScheduler() {
+  if (DomainDown(0)) return;
   if (OverloadOn()) {
     ObserveOverload();
     MaybeRestoreSpilled();
@@ -233,11 +233,8 @@ bool MuxWiseEngine::PumpScheduler(bool run_ahead) {
     ++preemptions_;
   }
   TryStartPrefillBatch();
-  // Decode launches first (§3.2.2 priority). A decode iteration run
-  // inline had no prefill pending, so there is none to continue.
-  if (MaybeLaunchDecode(run_ahead)) return true;
+  MaybeLaunchDecode();  // Decode launches first (§3.2.2 priority).
   ContinuePrefill();
-  return false;
 }
 
 void MuxWiseEngine::TryStartPrefillBatch() {
@@ -496,17 +493,19 @@ void MuxWiseEngine::CompleteActivePrefill() {
   decode_blocked_on_merge_ = false;
 }
 
-bool MuxWiseEngine::MaybeLaunchDecode(bool run_ahead) {
-  if (decode_in_flight_) return false;
-
+void MuxWiseEngine::FoldMerges() {
   // Query-based synchronization: completed prefills merge into the
   // decode batch at iteration-construction time (paper §3.2.3).
   for (auto& request : merge_ready_) {
     decoding_.push_back(std::move(request));
   }
   merge_ready_.clear();
+}
 
-  if (decoding_.empty()) return false;
+void MuxWiseEngine::MaybeLaunchDecode() {
+  if (decode_in_flight_) return;
+  FoldMerges();
+  if (decoding_.empty()) return;
 
   if (!options_.query_sync && active_ != nullptr &&
       active_->layers_done + active_->layers_inflight >=
@@ -517,7 +516,7 @@ bool MuxWiseEngine::MaybeLaunchDecode(bool run_ahead) {
     tracer_.Instant("engine/decode", "blocked-on-merge",
                     static_cast<std::int64_t>(decode_iterations_),
                     static_cast<double>(decoding_.size()));
-    return false;
+    return;
   }
 
   std::int64_t total_ctx = 0;
@@ -569,57 +568,122 @@ bool MuxWiseEngine::MaybeLaunchDecode(bool run_ahead) {
   tracer_.SpanBegin("engine/decode", "decode-step",
                     static_cast<std::int64_t>(decode_iterations_),
                     static_cast<double>(batch.size));
-  // Decode runs back to back on its own green context: with no prefill
-  // pending, the iteration runs inline when nothing else can happen
-  // before it completes (MultiplexEngine::RunDecodeAlone).
-  if (run_ahead && !prefill_pending &&
-      mux_->RunDecodeAlone(kernel, cost_->DecodeGraphLaunch())) {
-    return true;
-  }
   mux_->LaunchDecode(kernel, cost_->DecodeGraphLaunch(),
                      [this] { OnDecodeIterationDone(); });
-  return false;
 }
 
 void MuxWiseEngine::OnDecodeIterationDone() {
-  // Each pass finishes one iteration. Only the tail pump may run the next
-  // one inline, and then nothing else follows it in this event, so a
-  // loop keeps the order of operations (runs reach thousands of
-  // iterations, too deep to recurse).
-  do {
-    decode_in_flight_ = false;
-    const InflightDecode& done = inflight_decode_;
-    // Single decode iteration in flight: the live serial is the last one.
-    tracer_.SpanEnd("engine/decode", "decode-step",
-                    static_cast<std::int64_t>(decode_iterations_));
-    const sim::Time now = sim_->Now();
+  // Online refinement of the contention guard (paper §3.1).
+  const InflightDecode& done = inflight_decode_;
+  if (done.had_cotenant && done.solo > 0) {
+    const sim::Duration measured =
+        sim_->Now() - done.launch_time - cost_->DecodeGraphLaunch();
+    const double slowdown =
+        static_cast<double>(measured) / static_cast<double>(done.solo);
+    if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
+  }
+  FinishDecodeIteration();
+  // A stretch ends on the iteration that finishes a request; the batch
+  // left behind may start the next one at once.
+  while (DecodeStretchMayStart()) {
+    if (RunDecodeStretch()) return;  // The next iteration is launched.
+  }
+  PumpScheduler();
+}
 
-    // Online refinement of the contention guard (paper §3.1).
-    if (done.had_cotenant && done.solo > 0) {
-      const sim::Duration measured =
-          now - done.launch_time - cost_->DecodeGraphLaunch();
-      const double slowdown =
-          static_cast<double>(measured) / static_cast<double>(done.solo);
-      if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
+void MuxWiseEngine::FinishDecodeIteration() {
+  decode_in_flight_ = false;
+  // Single decode iteration in flight: the live serial is the last one.
+  tracer_.SpanEnd("engine/decode", "decode-step",
+                  static_cast<std::int64_t>(decode_iterations_));
+  const sim::Time now = sim_->Now();
+  // Compact in place: survivors keep their order, and finished requests
+  // reach FinishRequest in batch order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < decoding_.size(); ++i) {
+    decoding_[i]->EmitToken(now);
+    if (decoding_[i]->DecodeFinished()) {
+      FinishRequest(std::move(decoding_[i]));
+    } else {
+      if (kept != i) decoding_[kept] = std::move(decoding_[i]);
+      ++kept;
     }
+  }
+  decoding_.resize(kept);
+  tracer_.Counter("engine/decode", "decode-pending",
+                  static_cast<double>(decoding_.size()));
+  FlushCompletions();
+}
 
-    // Compact in place: survivors keep their order, and finished
-    // requests reach FinishRequest in batch order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < decoding_.size(); ++i) {
-      decoding_[i]->EmitToken(now);
-      if (decoding_[i]->DecodeFinished()) {
-        FinishRequest(std::move(decoding_[i]));
-      } else {
-        if (kept != i) decoding_[kept] = std::move(decoding_[i]);
-        ++kept;
-      }
+bool MuxWiseEngine::DecodeStretchMayStart() const {
+  return !DomainDown(0) && !decode_in_flight_ && active_ == nullptr &&
+         preempted_ == nullptr && waiting_.empty() && restored_.empty() &&
+         spilled_.empty() && !(decoding_.empty() && merge_ready_.empty());
+}
+
+bool MuxWiseEngine::RunDecodeStretch() {
+  // What the scheduling pass does before launching with no prefill
+  // pending: TryStartPrefillBatch only drops a stale KV-pressure pause,
+  // and ChooseDecodeSms gives decode the whole device.
+  if (OverloadOn()) ObserveOverload();
+  kv_preempt_pending_ = false;
+  FoldMerges();
+  const int total = deployment_.gpu.sm_count;
+  mux_->SetPartition(total, deployment_.gpu.partition_granularity);
+
+  // The batch is fixed until a request finishes, `left` iterations on;
+  // each iteration adds one token to every context.
+  const std::size_t size = decoding_.size();
+  std::int64_t context = 0;
+  std::int64_t left = 0;
+  for (const auto& request : decoding_) {
+    context += request->spec->input_tokens + request->generated;
+    const std::int64_t remaining =
+        request->output_target() - request->generated;
+    if (left == 0 || remaining < left) left = remaining;
+  }
+  const llm::DecodeStep step = cost_->DecodeStepFor(size);
+  const std::optional<gpu::Gpu::AloneClock> clock =
+      mux_->DecodeAloneClock(step.At(context));
+  const sim::Duration launch_cost = cost_->DecodeGraphLaunch();
+  const sim::Time bound = sim_->AdvanceBound();
+  const std::uint64_t scheduled = sim_->ScheduledEvents();
+  const std::size_t pending = sim_->PendingEvents();
+  // Nothing runs inside a stretch that could schedule or cancel an
+  // event, which is what keeps `bound` true to its end.
+  const auto check_bound_held = [&] {
+    MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
+              sim_->PendingEvents() == pending);
+  };
+  for (std::int64_t i = 0;; ++i) {
+    if (i > 0 && OverloadOn()) ObserveOverload();
+    const gpu::Kernel kernel = step.At(context);
+    const sim::Time end =
+        clock ? clock->End(kernel, mux_->DecodeLaunchStart(launch_cost))
+              : sim::kTimeNever;
+    if (end > bound) {
+      // Something else may happen first: step it through events.
+      check_bound_held();
+      MaybeLaunchDecode();
+      return true;
     }
-    decoding_.resize(kept);
-    tracer_.Counter("engine/decode", "decode-pending",
-                    static_cast<double>(decoding_.size()));
-    FlushCompletions();
-  } while (PumpScheduler(/*run_ahead=*/true));
+    partition_.Add(total, total, /*prefill_active=*/false);
+    decode_in_flight_ = true;
+    ++decode_iterations_;
+    tracer_.SpanBegin("engine/decode", "decode-step",
+                      static_cast<std::int64_t>(decode_iterations_),
+                      static_cast<double>(size));
+    mux_->RunDecodeInline(kernel, launch_cost, end, bound);
+    if (i + 1 == left) break;
+    context += static_cast<std::int64_t>(size);
+    FinishDecodeIteration();
+  }
+  check_bound_held();
+  // Only the last iteration's estimate outlives the stretch.
+  last_decode_estimate_ = estimator_.PredictDecodeSolo(
+      llm::DecodeBatch(size, context), total);
+  FinishDecodeIteration();  // Hands back the finished requests.
+  return false;
 }
 
 void MuxWiseEngine::FinishRequest(std::unique_ptr<serve::Request> request) {

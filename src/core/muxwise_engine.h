@@ -210,7 +210,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     sim::Duration duration = 0;
   };
 
-  /** The decode iteration in flight, kept for online refinement. */
+  /** The stepped decode iteration in flight, kept for online refinement. */
   struct InflightDecode {
     sim::Time launch_time = 0;
     sim::Duration solo = 0;
@@ -218,19 +218,43 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     bool had_cotenant = false;
   };
 
-  /**
-   * Runs the scheduling pass. With `run_ahead`, a decode iteration
-   * launched with no prefill pending may run inline; returns true when
-   * one did (Now() is then its completion time).
-   */
-  bool PumpScheduler(bool run_ahead = false);
+  /** Runs the scheduling pass. */
+  void PumpScheduler();
   void FlushCompletions();
   void TryStartPrefillBatch();
   void ContinuePrefill();
   void OnPrefillGroupDone(int layers);
   void CompleteActivePrefill();
-  bool MaybeLaunchDecode(bool run_ahead);
+
+  /** Moves completed prefills into the decode batch (paper §3.2.3). */
+  void FoldMerges();
+  void MaybeLaunchDecode();
   void OnDecodeIterationDone();
+
+  /**
+   * The completion of one decode iteration, stepped or inline: every
+   * request gets its token, finished ones leave the batch and are
+   * handed back.
+   */
+  void FinishDecodeIteration();
+
+  /**
+   * Whether the next decode iteration may start a decode stretch: the
+   * domain is up, no iteration is in flight, no prefill is pending and
+   * there is a batch. Decode then runs back to back on its own green
+   * context (paper §3.2), each iteration's length fixed by the roofline.
+   */
+  bool DecodeStretchMayStart() const;
+
+  /**
+   * Runs the batch's iterations inline, with no simulator event, from
+   * one advance bound, until one finishes a request (returns false) or
+   * the next would end past the bound; that one is launched through
+   * events (returns true). Every iteration prices, accounts and traces
+   * as a launched one would.
+   */
+  bool RunDecodeStretch();
+
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);
   std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id,
@@ -338,7 +362,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::vector<std::unique_ptr<serve::Request>> pending_completions_;
 
   bool decode_in_flight_ = false;
-  InflightDecode inflight_decode_;  // Valid while decode_in_flight_.
+  InflightDecode inflight_decode_;  // The last MaybeLaunchDecode launch.
   bool decode_blocked_on_merge_ = false;
   // Set when an approved preemption awaits its preemptor batch; the
   // paused batch resumes only after that batch (and only it) runs.

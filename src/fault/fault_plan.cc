@@ -154,16 +154,9 @@ std::string EntryDefect(const TransferFaultWindow& w) {
   return "";
 }
 
-std::string EntryDefect(const ZombieWindow& w) {
-  if (w.to == sim::kTimeNever) {
-    return "zombie window on instance " + std::to_string(w.instance) +
-           " never ends (a frozen device would strand its work forever)";
-  }
-  return "";
-}
+std::string EntryDefect(const ZombieWindow&) { return ""; }
 
 std::string EntryDefect(const FlapWindow& w) {
-  if (w.to == sim::kTimeNever) return "flap window never ends";
   if (w.period <= 0) {
     return "flap period " + std::to_string(w.period) + " must be > 0";
   }
@@ -188,7 +181,6 @@ std::string EntryDefect(const DegradeWindow& w) {
 }
 
 std::string EntryDefect(const PartitionWindow& w) {
-  if (w.to == sim::kTimeNever) return "partition window never ends";
   if (w.drop_to_replica && w.drop_from_replica) {
     return "partition on instance " + std::to_string(w.instance) +
            " drops both directions (indistinguishable from a crash; use "
@@ -288,6 +280,19 @@ Defect CrashOverlap(const char* key, const std::vector<CrashEvent>& crashes) {
   return {};
 }
 
+/** " on instance N", " on the link", or "" for a window of no target. */
+template <typename Window>
+std::string OnTarget(const Window& w) {
+  if constexpr (requires { w.link; }) {
+    if (w.link) return " on the link";
+  }
+  if constexpr (requires { w.instance; }) {
+    return " on instance " + std::to_string(w.instance);
+  } else {
+    return "";
+  }
+}
+
 /** One kind's entry rules in entry order, then its cross-entry rule. */
 template <typename Entry>
 Defect KindDefect(const Kind<Entry>& kind, const std::vector<Entry>& entries) {
@@ -298,6 +303,11 @@ Defect KindDefect(const Kind<Entry>& kind, const std::vector<Entry>& entries) {
       if (e.from < 0 || e.to <= e.from) {
         reason = "inverted " + std::string(kind.noun) + " window [" +
                  std::to_string(e.from) + ", " + std::to_string(e.to) + ")";
+      } else if (e.to == sim::kTimeNever) {
+        // Every window closes: a fault without an end would, say, freeze
+        // a device and strand its work, and no plan file can write it.
+        reason = std::string(kind.noun) + " window" + OnTarget(e) +
+                 " never ends";
       }
     }
     if (reason.empty()) reason = EntryDefect(e);

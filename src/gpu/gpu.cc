@@ -167,25 +167,31 @@ double Gpu::BusyTimeIntegral() const {
 
 double Gpu::ComputeTimeSeconds(const Kernel& kernel, int sms) const {
   MUX_CHECK(sms > 0);
-  double total = 0.0;
-  if (kernel.flops > 0.0) {
-    double efficiency;
-    if (kernel.work_items > 0.0 && kernel.saturation_half_items > 0.0) {
-      // GEMM saturation by activation rows (tokens).
-      efficiency = kernel.peak_efficiency * kernel.work_items /
-                   (kernel.work_items + kernel.saturation_half_items);
-    } else {
-      const double work_per_sm = kernel.flops / sms;
-      efficiency = kernel.peak_efficiency * work_per_sm /
-                   (work_per_sm + kernel.saturation_half_flops_per_sm);
-    }
-    total += kernel.flops / (sms * spec_.flops_per_sm * efficiency);
+  return GemmSeconds(kernel, sms) +
+         StreamedSeconds(kernel.stream_flops, StreamDivisor(kernel, sms));
+}
+
+double Gpu::GemmSeconds(const Kernel& kernel, int sms) const {
+  if (kernel.flops <= 0.0) return 0.0;
+  double efficiency;
+  if (kernel.work_items > 0.0 && kernel.saturation_half_items > 0.0) {
+    // GEMM saturation by activation rows (tokens).
+    efficiency = kernel.peak_efficiency * kernel.work_items /
+                 (kernel.work_items + kernel.saturation_half_items);
+  } else {
+    const double work_per_sm = kernel.flops / sms;
+    efficiency = kernel.peak_efficiency * work_per_sm /
+                 (work_per_sm + kernel.saturation_half_flops_per_sm);
   }
-  if (kernel.stream_flops > 0.0) {
-    total += kernel.stream_flops /
-             (sms * spec_.flops_per_sm * kernel.stream_efficiency);
-  }
-  return total;
+  return kernel.flops / (sms * spec_.flops_per_sm * efficiency);
+}
+
+double Gpu::StreamDivisor(const Kernel& kernel, int sms) const {
+  return sms * spec_.flops_per_sm * kernel.stream_efficiency;
+}
+
+double Gpu::StreamedSeconds(double stream_flops, double divisor) {
+  return stream_flops > 0.0 ? stream_flops / divisor : 0.0;
 }
 
 double Gpu::SoloDurationSeconds(const Kernel& kernel, int sms) const {
@@ -394,10 +400,15 @@ void Gpu::Rerate() {
 
 Gpu::Rated Gpu::RateKernel(StreamId id, const Kernel& kernel,
                            int eff_sms) const {
+  return Demand(id, kernel, ComputeTimeSeconds(kernel, eff_sms) / degrade_flops_,
+                spec_.BandwidthCap(eff_sms) * degrade_bandwidth_);
+}
+
+Gpu::Rated Gpu::Demand(StreamId id, const Kernel& kernel,
+                       double compute_seconds, double cap) {
   Rated r;
   r.id = id;
-  r.compute_seconds = ComputeTimeSeconds(kernel, eff_sms) / degrade_flops_;
-  const double cap = spec_.BandwidthCap(eff_sms) * degrade_bandwidth_;
+  r.compute_seconds = compute_seconds;
   if (kernel.bytes <= 0.0) {
     r.demand = 0.0;
   } else if (r.compute_seconds <= 0.0) {
@@ -434,27 +445,52 @@ sim::Duration Gpu::KernelTotal(const Kernel& kernel, const Rated& r) const {
   return std::max(kMinKernelTime, static_cast<sim::Duration>(seconds * 1e9));
 }
 
-Gpu::Rated Gpu::AloneRate(StreamId stream, const Kernel& kernel) const {
+std::optional<Gpu::AloneClock> Gpu::AloneClockFor(StreamId stream,
+                                                 const Kernel& shape) const {
+  const Stream& s = GetStream(stream);
+  if (frozen_ || !active_streams_.empty() || !s.queue.empty()) {
+    return std::nullopt;
+  }
   // Rerate with one active stream: no interference, so the pool is not
   // shrunk; a grant never exceeds the device, so SMs are not scaled; and
   // max-min arbitration over one kernel offers it the whole pool.
-  Rated r = RateKernel(stream, kernel, GetStream(stream).sms);
-  r.alloc = std::min(r.demand, BandwidthPool(0.0, 1.0));
+  MUX_CHECK(s.sms > 0);
+  AloneClock clock;
+  clock.gpu_ = this;
+  clock.stream_ = stream;
+  clock.gemm_seconds_ = GemmSeconds(shape, s.sms);
+  clock.stream_divisor_ = StreamDivisor(shape, s.sms);
+  clock.flops_factor_ = degrade_flops_;
+  clock.cap_ = spec_.BandwidthCap(s.sms) * degrade_bandwidth_;
+  clock.pool_ = BandwidthPool(0.0, 1.0);
+  return clock;
+}
+
+Gpu::Rated Gpu::AloneClock::Rate(const Kernel& kernel) const {
+  // ComputeTimeSeconds and RateKernel, with the shape's terms held.
+  Rated r = Demand(stream_, kernel,
+                   (gemm_seconds_ +
+                    StreamedSeconds(kernel.stream_flops, stream_divisor_)) /
+                       flops_factor_,
+                   cap_);
+  r.alloc = std::min(r.demand, pool_);
   return r;
+}
+
+sim::Time Gpu::AloneClock::End(const Kernel& kernel, sim::Time start) const {
+  // A fresh kernel has no progress to keep (Rerate's `left` is 1), so
+  // its time left is its whole duration.
+  return start + gpu_->KernelTotal(kernel, Rate(kernel));
 }
 
 sim::Time Gpu::AloneCompletion(StreamId stream, const Kernel& kernel,
                                sim::Time start) const {
-  if (frozen_ || !active_streams_.empty() || !GetStream(stream).queue.empty()) {
-    return sim::kTimeNever;
-  }
-  // A fresh kernel has no progress to keep (Rerate's `left` is 1), so
-  // its time left is its whole duration.
-  return start + KernelTotal(kernel, AloneRate(stream, kernel));
+  const std::optional<AloneClock> clock = AloneClockFor(stream, kernel);
+  return clock ? clock->End(kernel, start) : sim::kTimeNever;
 }
 
 void Gpu::RunAlone(StreamId id, const Kernel& kernel, sim::Time start,
-                   sim::Time end) {
+                   sim::Time end, sim::Time bound) {
   Stream& s = GetStream(id);
   MUX_CHECK(!frozen_ && active_streams_.empty() && s.queue.empty());
   MUX_CHECK(start >= sim_->Now() && start <= end);
@@ -462,18 +498,18 @@ void Gpu::RunAlone(StreamId id, const Kernel& kernel, sim::Time start,
   AccrueIntegrals(start, 0);
   const std::uint64_t serial = next_kernel_serial_++;
   if (tracer_.enabled()) {
-    sim_->AdvanceTo(start);
+    sim_->AdvanceTo(start, bound);
     tracer_.SpanBegin(
         obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
         static_cast<std::int64_t>(serial), static_cast<double>(s.sms));
     tracer_.Counter(
         obs::SpanLabel{TrackLabel(id), NameLabel(&hbm_name_label_, "hbm-share")},
-        AloneRate(id, kernel).alloc);
+        AloneClockFor(id, kernel)->Rate(kernel).alloc);
   }
   s.stats.first_activity = std::min(s.stats.first_activity, start);
 
   // Complete at `end`, the kernel having held its grant alone throughout.
-  sim_->AdvanceTo(end);
+  sim_->AdvanceTo(end, bound);
   AccrueIntegrals(end, BusySms(s.sms));
   s.stats.busy_time += end - start;
   s.stats.last_activity = end;

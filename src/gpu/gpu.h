@@ -121,13 +121,54 @@ class Gpu {
   /** Total kernels completed on this device. */
   std::size_t kernels_completed() const { return kernels_completed_; }
 
+ private:
+  struct Rated;
+
+ public:
   /**
-   * When `kernel`, launched on `stream` at `start` (>= Now()), would
-   * complete if nothing else happened on the device first: the time
-   * Launch's re-rate would schedule its completion for. With one active
-   * stream that re-rate is exact — no interference, no SM scaling, the
-   * whole bandwidth pool and no prior progress. kTimeNever when the
-   * device is frozen, another stream is running or a kernel is queued.
+   * Prices kernels run alone on one stream that differ from one shape
+   * only in the bytes they move and their streamed flops: a decode
+   * batch's iterations as its context grows. The terms those two leave
+   * alone are worked out once, by the expressions Rerate uses. Holds the
+   * device's factors and grant as they were, so it is valid only while
+   * no event runs.
+   */
+  class AloneClock {
+   public:
+    /**
+     * When `kernel`, launched at `start` (>= Now()), would complete if
+     * nothing else happened first: the time Launch's re-rate would
+     * schedule its completion for.
+     */
+    sim::Time End(const Kernel& kernel, sim::Time start) const;
+
+   private:
+    friend class Gpu;
+
+    Rated Rate(const Kernel& kernel) const;
+
+    const Gpu* gpu_ = nullptr;
+    StreamId stream_ = 0;
+    double gemm_seconds_ = 0.0;    // ComputeTimeSeconds' flops term.
+    double stream_divisor_ = 0.0;  // Its streamed flops' divisor.
+    double flops_factor_ = 1.0;
+    double cap_ = 0.0;   // The stream's bandwidth cap.
+    double pool_ = 0.0;  // The whole pool: the stream runs alone.
+  };
+
+  /**
+   * The clock for kernels shaped like `shape` on `stream`. With one
+   * active stream Launch's re-rate is exact: no interference, no SM
+   * scaling, the whole bandwidth pool and no prior progress. Nothing
+   * when the device is frozen, another stream is running or a kernel is
+   * queued on `stream`.
+   */
+  std::optional<AloneClock> AloneClockFor(StreamId stream,
+                                          const Kernel& shape) const;
+
+  /**
+   * AloneClockFor(stream, kernel)->End(kernel, start), or kTimeNever
+   * when there is no such clock.
    */
   sim::Time AloneCompletion(StreamId stream, const Kernel& kernel,
                             sim::Time start) const;
@@ -138,11 +179,11 @@ class Gpu {
    * at `end` (launch serial, activity window, busy time, both integrals,
    * completion counts, the kernel span and its hbm-share counter), with
    * no re-rate and no completion callback. Moves the clock to `end`.
-   * `end` must be AloneCompletion(stream, kernel, start) and the
-   * simulator must be able to advance to it (Simulator::CanAdvanceTo).
+   * `end` must be AloneCompletion(stream, kernel, start), no later than
+   * `bound`, a Simulator::AdvanceBound() answer that still holds.
    */
   void RunAlone(StreamId stream, const Kernel& kernel, sim::Time start,
-                sim::Time end);
+                sim::Time end, sim::Time bound);
 
   /**
    * Straggler injection: stretches every running and future kernel by
@@ -263,7 +304,7 @@ class Gpu {
     std::uint32_t track_label = kLabelUnset;
   };
 
-  /** Demand/allocation scratch row for one Rerate() pass. */
+  /** Demand/allocation row for one kernel of a Rerate() pass. */
   struct Rated {
     StreamId id;
     double compute_seconds;
@@ -296,14 +337,20 @@ class Gpu {
   /** Compute time and bandwidth demand of `kernel` on `eff_sms` SMs. */
   Rated RateKernel(StreamId id, const Kernel& kernel, int eff_sms) const;
 
+  /** The demand of `kernel` computing for `compute_seconds`, capped. */
+  static Rated Demand(StreamId id, const Kernel& kernel,
+                      double compute_seconds, double cap);
+
+  /** ComputeTimeSeconds' two terms: GEMM flops and streamed flops. */
+  double GemmSeconds(const Kernel& kernel, int sms) const;
+  double StreamDivisor(const Kernel& kernel, int sms) const;
+  static double StreamedSeconds(double stream_flops, double divisor);
+
   /** HBM pool the running kernels share, shrunk by contention. */
   double BandwidthPool(double interference, double sm_scale) const;
 
   /** Full duration of a kernel rated and allocated its bandwidth. */
   sim::Duration KernelTotal(const Kernel& kernel, const Rated& rated) const;
-
-  /** `kernel` rated on `stream` alone: the whole pool is its to take. */
-  Rated AloneRate(StreamId stream, const Kernel& kernel) const;
 
   /** Deterministic interference factor for the current active set. */
   double InterferenceFactor();

@@ -226,23 +226,23 @@ bool ParseTrace(const json::Value& root, ScenarioSpec& spec,
       const std::string path = "trace.mix[" + std::to_string(i) + "]";
       const json::Value& part = mix->array[i];
       TraceMixPart out;
-      std::int64_t requests = 0;
       std::int64_t seed = 1;
       if (!in.RequireObject(&part, path) ||
           !in.CheckKeys(part, path,
                         {"dataset", "requests", "rate_per_second", "seed"}) ||
           !ReadDataset(part, path, &out.dataset, in) ||
-          !in.GetInteger(part, path, "requests", true, &requests) ||
+          !in.GetInteger(part, path, "requests", true, &out.requests) ||
           !in.GetDouble(part, path, "rate_per_second", true,
                         &out.rate_per_second) ||
           !in.GetInteger(part, path, "seed", false, &seed)) {
         return false;
       }
-      if (requests < 1) return in.Fail(path + ".requests", "must be >= 1");
+      if (out.requests < 1) {
+        return in.Fail(path + ".requests", "must be >= 1");
+      }
       if (out.rate_per_second <= 0.0) {
         return in.Fail(path + ".rate_per_second", "must be > 0");
       }
-      out.requests = static_cast<int>(requests);
       out.seed = static_cast<std::uint64_t>(seed);
       spec.mix.push_back(out);
     }
@@ -321,7 +321,7 @@ bool ParseRun(const json::Value& root, ScenarioSpec& spec,
   const json::Value* v = root.Find("run");
   if (v == nullptr) return true;
   auto event_budget = static_cast<std::int64_t>(spec.config.event_budget);
-  std::int64_t token_budget = spec.config.token_budget;
+  int token_budget = spec.config.token_budget;
   if (!in.RequireObject(v, "run") ||
       !in.CheckKeys(*v, "run",
                     {"drain_timeout_seconds", "steady_state", "event_budget",
@@ -340,7 +340,7 @@ bool ParseRun(const json::Value& root, ScenarioSpec& spec,
   if (event_budget < 1) return in.Fail("run.event_budget", "must be >= 1");
   if (token_budget < 0) return in.Fail("run.token_budget", "must be >= 0");
   spec.config.event_budget = static_cast<std::size_t>(event_budget);
-  spec.config.token_budget = static_cast<int>(token_budget);
+  spec.config.token_budget = token_budget;
   return true;
 }
 
@@ -364,12 +364,12 @@ bool ParseFleet(const json::Value& root, ScenarioSpec& spec,
   route::HealthPolicy& health = fleet.health;
   auto replicas = static_cast<std::int64_t>(fleet.replicas);
   double heartbeat_ms = sim::ToMilliseconds(health.heartbeat_interval);
-  std::int64_t suspect = health.suspect_after_misses;
-  std::int64_t down = health.down_after_misses;
-  std::int64_t probation = health.recovery_probation_beats;
-  std::int64_t exit_beats = health.suspect_exit_beats;
-  std::int64_t zombie_after = health.zombie_after_beats;
-  std::int64_t zombie_down = health.zombie_down_beats;
+  int suspect = health.suspect_after_misses;
+  int down = health.down_after_misses;
+  int probation = health.recovery_probation_beats;
+  int exit_beats = health.suspect_exit_beats;
+  int zombie_after = health.zombie_after_beats;
+  int zombie_down = health.zombie_down_beats;
   if (!in.RequireObject(v, "fleet") ||
       !in.CheckKeys(*v, "fleet",
                     {"enabled", "replicas", "failover", "migration",
@@ -423,12 +423,12 @@ bool ParseFleet(const json::Value& root, ScenarioSpec& spec,
     return in.Fail("fleet.zombie_down_beats", "must be >= zombie_after_beats");
   }
   health.heartbeat_interval = sim::Milliseconds(heartbeat_ms);
-  health.suspect_after_misses = static_cast<int>(suspect);
-  health.down_after_misses = static_cast<int>(down);
-  health.recovery_probation_beats = static_cast<int>(probation);
-  health.suspect_exit_beats = static_cast<int>(exit_beats);
-  health.zombie_after_beats = static_cast<int>(zombie_after);
-  health.zombie_down_beats = static_cast<int>(zombie_down);
+  health.suspect_after_misses = suspect;
+  health.down_after_misses = down;
+  health.recovery_probation_beats = probation;
+  health.suspect_exit_beats = exit_beats;
+  health.zombie_after_beats = zombie_after;
+  health.zombie_down_beats = zombie_down;
   return true;
 }
 

@@ -131,21 +131,28 @@ double CostModel::DecodeFlopsTotal(
          4.0 * model_.num_layers * model_.hidden_dim * total_context;
 }
 
-gpu::Kernel CostModel::DecodeIteration(const DecodeBatch& batch) const {
-  MUX_CHECK(batch.size > 0);
-  const double bs = static_cast<double>(batch.size);
-  const double total_context = static_cast<double>(batch.total_context);
+DecodeStep CostModel::DecodeStepFor(std::size_t batch_size) const {
+  MUX_CHECK(batch_size > 0);
+  const double bs = static_cast<double>(batch_size);
+  DecodeStep step;
+  step.kernel_ = gpu::Kernel::Decode(
+      2.0 * model_.active_params * bs / tp_,
+      model_.DecodeWeightBytes(static_cast<int>(bs)) / tp_);
+  step.kernel_.fixed_time = AllReduceTime(bs, model_.num_layers);
+  step.kv_bytes_per_token_ = KvBytesPerTokenPerGpu();
+  step.write_bytes_ = bs * step.kv_bytes_per_token_;
+  step.attention_flops_per_token_ =
+      4.0 * model_.num_layers * model_.hidden_dim;
+  step.tp_ = tp_;
+  return step;
+}
 
-  const double gemm_flops = 2.0 * model_.active_params * bs / tp_;
-  const double attn_flops =
-      4.0 * model_.num_layers * model_.hidden_dim * total_context / tp_;
-  double bytes = model_.DecodeWeightBytes(static_cast<int>(bs)) / tp_;
-  bytes += total_context * KvBytesPerTokenPerGpu();  // Attend all cached KV.
-  bytes += bs * KvBytesPerTokenPerGpu();             // Write one token each.
-
-  gpu::Kernel kernel = gpu::Kernel::Decode(gemm_flops, bytes);
-  kernel.stream_flops = attn_flops;
-  kernel.fixed_time = AllReduceTime(bs, model_.num_layers);
+gpu::Kernel DecodeStep::At(std::int64_t total_context) const {
+  const double context = static_cast<double>(total_context);
+  gpu::Kernel kernel = kernel_;
+  kernel.bytes += context * kv_bytes_per_token_;  // Attend all cached KV.
+  kernel.bytes += write_bytes_;                   // Write one token each.
+  kernel.stream_flops = attention_flops_per_token_ * context / tp_;
   return kernel;
 }
 

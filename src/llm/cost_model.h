@@ -47,6 +47,29 @@ struct DecodeBatch {
 };
 
 /**
+ * A decode iteration's kernel for one batch size, with every term that
+ * depends only on that size worked out: GEMM flops, streamed weights,
+ * the all-reduce time and each sequence's KV write. At() adds the terms
+ * of the batch's total context. CostModel::DecodeIteration is
+ * DecodeStepFor(size).At(total_context), so a batch priced from a step
+ * held across iterations gets the kernel it would get priced afresh,
+ * bit for bit.
+ */
+class DecodeStep {
+ public:
+  gpu::Kernel At(std::int64_t total_context) const;
+
+ private:
+  friend class CostModel;
+
+  gpu::Kernel kernel_;  // Flops, fixed time, and the weights as bytes.
+  double write_bytes_ = 0.0;
+  double kv_bytes_per_token_ = 0.0;
+  double attention_flops_per_token_ = 0.0;  // Before the TP split.
+  double tp_ = 1.0;
+};
+
+/**
  * Builds GPU kernels (per-GPU FLOPs / bytes / fixed time) for prefill
  * layers, decode iterations and chunked-prefill fused iterations of a
  * model deployed with symmetric tensor parallelism.
@@ -80,7 +103,12 @@ class CostModel {
    * Kernel for one decode iteration over `batch` (one new token per
    * running sequence).
    */
-  gpu::Kernel DecodeIteration(const DecodeBatch& batch) const;
+  gpu::Kernel DecodeIteration(const DecodeBatch& batch) const {
+    return DecodeStepFor(batch.size).At(batch.total_context);
+  }
+
+  /** The size-only terms of a decode iteration over `batch_size` seqs. */
+  DecodeStep DecodeStepFor(std::size_t batch_size) const;
 
   /** DecodeIteration over one current context length per sequence. */
   gpu::Kernel DecodeIteration(const std::vector<std::int64_t>& context_lens)

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace muxwise::json {
@@ -413,6 +414,22 @@ bool FieldReader::GetInteger(const Value& object, const std::string& path,
     return Fail(MemberPath(path, key), "out of the 64-bit integer range");
   }
   *out = static_cast<std::int64_t>(value);
+  return true;
+}
+
+bool FieldReader::GetInteger(const Value& object, const std::string& path,
+                             const std::string& key, bool required,
+                             int* out) {
+  std::int64_t value = *out;
+  if (!GetInteger(object, path, key, required, &value)) return false;
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Fail(MemberPath(path, key),
+                "out of range [" +
+                    std::to_string(std::numeric_limits<int>::min()) + ", " +
+                    std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  *out = static_cast<int>(value);
   return true;
 }
 

@@ -88,6 +88,9 @@ class FieldReader {
   /** A number with no fractional part. */
   bool GetInteger(const Value& object, const std::string& path,
                   const std::string& key, bool required, std::int64_t* out);
+  /** GetInteger, rejecting a value an `int` cannot hold as out of range. */
+  bool GetInteger(const Value& object, const std::string& path,
+                  const std::string& key, bool required, int* out);
   bool GetBool(const Value& object, const std::string& path,
                const std::string& key, bool required, bool* out);
   bool GetString(const Value& object, const std::string& path,

@@ -201,12 +201,14 @@ Time Simulator::NextEventTime() {
   return top == nullptr ? kTimeNever : top->when;
 }
 
-bool Simulator::CanAdvanceTo(Time t) {
-  return t >= now_ && t <= horizon_ && t < NextEventTime();
+Time Simulator::AdvanceBound() {
+  // NextEventTime() is kTimeNever when drained, so the bound stays below
+  // it and a completion priced at kTimeNever never fits.
+  return std::min(horizon_, NextEventTime() - 1);
 }
 
-void Simulator::AdvanceTo(Time t) {
-  MUX_CHECK(CanAdvanceTo(t));
+void Simulator::AdvanceTo(Time t, Time bound) {
+  MUX_CHECK(t >= now_ && t <= bound);
   now_ = t;
 }
 

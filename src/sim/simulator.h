@@ -107,20 +107,26 @@ class Simulator {
   bool Step();
 
   /**
-   * True when the clock may jump to `t` without running an event: `t`
-   * is not before Now(), strictly before the earliest pending event, and
-   * not past the horizon of a running RunUntil (Step and Run have none,
-   * and neither has code running outside them). Non-const for the same
-   * reason as NextEventTime().
+   * The latest time the clock may jump to without running an event: the
+   * horizon of a running RunUntil (Step and Run have none, and neither
+   * has code running outside them), capped one tick before the earliest
+   * pending event. Before Now() when an event is due now. The answer
+   * holds until an event is scheduled or cancelled, which
+   * ScheduledEvents() and PendingEvents() witness. Non-const for the
+   * same reason as NextEventTime().
    */
-  bool CanAdvanceTo(Time t);
+  Time AdvanceBound();
 
   /**
-   * Moves Now() to `t`; CanAdvanceTo(t) must hold. Runs no event and
-   * folds nothing into the event digest: the caller has shown that
-   * nothing else happens before `t` and accounts for [Now(), t) itself.
+   * Moves Now() to `t`, with Now() <= t <= `bound` and `bound` an
+   * AdvanceBound() answer that still holds. Runs no event and folds
+   * nothing into the event digest: the caller has shown that nothing
+   * else happens before `t` and accounts for [Now(), t) itself.
    */
-  void AdvanceTo(Time t);
+  void AdvanceTo(Time t, Time bound);
+
+  /** Events scheduled since construction, cancelled or not. */
+  std::uint64_t ScheduledEvents() const { return next_id_ - 1; }
 
   /** True when no live events remain. */
   bool Empty() const { return live_events_ == 0; }

@@ -130,6 +130,51 @@ fault::FaultPlan AllKindsPlan() {
   return plan;
 }
 
+// ---------------------------------------------------------------------------
+// The fault-plan codec: what PlanToJson prints, PlanFromJson reads back
+// to a plan that prints the same bytes.
+// ---------------------------------------------------------------------------
+
+void ExpectReencodes(const fault::FaultPlan& plan) {
+  ASSERT_EQ(plan.Check(), "");
+  const json::Value printed = fault::PlanToJson(plan);
+  json::FieldReader in;
+  fault::FaultPlan again;
+  ASSERT_TRUE(fault::PlanFromJson(printed, "faults", in, &again))
+      << in.error() << "\n" << json::Dump(printed);
+  EXPECT_EQ(json::Dump(fault::PlanToJson(again)), json::Dump(printed));
+}
+
+TEST(PlanCodecTest, GeneratedAndEdgePlansReencodeByteIdentically) {
+  PlanShape wide;
+  wide.horizon_seconds = 86400.0;
+  wide.instances = 64;
+  wide.max_faults = 12;
+  for (const PlanShape& shape : {PlanShape(), wide}) {
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      ExpectReencodes(GeneratePlan(seed, shape));
+    }
+  }
+
+  ExpectReencodes(AllKindsPlan());
+  fault::FaultPlan edges;
+  edges.seed = 0;
+  // A crash at t=0 that never recovers (its end is left out).
+  edges.Crash(0, 0, sim::kTimeNever)
+      // Windows one millisecond long, far out and on a high instance.
+      .Straggle(63, sim::Seconds(1e6), sim::Seconds(1e6) + sim::Milliseconds(1),
+                1.0)
+      .Zombie(2, sim::Milliseconds(1), sim::Milliseconds(2))
+      // Factors and probabilities with no short decimal form.
+      .DropTransfers(sim::Milliseconds(1), sim::Seconds(7), 1.0 / 3.0)
+      .Degrade(1, sim::Seconds(1), sim::Seconds(2), 0.1, 2.0 / 3.0)
+      .FlapLink(sim::Seconds(1), sim::Seconds(2), sim::Milliseconds(1),
+                0.999)
+      .Partition(5, 0, sim::Seconds(86400), true, false);
+  ExpectReencodes(edges);
+}
+
 TEST(ReproTest, MakeReproTextIsByteDeterministic) {
   const json::Value doc = ParseBaseDoc();
   const fault::FaultPlan plan = AllKindsPlan();

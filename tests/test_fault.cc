@@ -128,6 +128,34 @@ TEST(FaultPlanDeathTest, ValidateRejectsNeverEndingZombieWindow) {
               "zombie window on instance 2 never ends");
 }
 
+TEST(FaultPlanTest, NoWindowKindMayNeverEnd) {
+  // A plan file cannot say "never" for a window's end, so Check rejects
+  // it for every kind; a crash that never recovers is no window.
+  const sim::Time from = sim::Seconds(1);
+  const sim::Time never = sim::kTimeNever;
+  FaultPlan straggler;
+  straggler.Straggle(1, from, never, 2.0);
+  FaultPlan drops;
+  drops.DropTransfers(from, never, 0.1);
+  FaultPlan flap;
+  flap.Flap(0, from, never, sim::Milliseconds(500), 0.5);
+  FaultPlan degrade;
+  degrade.DegradeLink(from, never, 0.5);
+  FaultPlan partition;
+  partition.Partition(2, from, never, true, false);
+  const std::pair<const FaultPlan*, std::string> cases[] = {
+      {&straggler, "stragglers[0]: straggler window on instance 1 never ends"},
+      {&drops, "transfer_drops[0]: transfer-fault window never ends"},
+      {&flap, "flaps[0]: flap window on instance 0 never ends"},
+      {&degrade, "degrades[0]: degrade window on the link never ends"},
+      {&partition, "partitions[0]: partition window on instance 2 never ends"},
+  };
+  for (const auto& [plan, error] : cases) EXPECT_EQ(plan->Check(), error);
+  FaultPlan crash;
+  crash.Crash(0, from, never);
+  EXPECT_EQ(crash.Check(), "");
+}
+
 TEST(FaultPlanDeathTest, ValidateRejectsOverlappingZombieWindows) {
   FaultPlan plan;
   plan.Zombie(0, sim::Seconds(5), sim::Seconds(15))

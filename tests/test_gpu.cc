@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -318,8 +319,9 @@ LoneKernelRun RunLoneKernels(bool inline_run, double slowdown,
   for (const Kernel& kernel : kernels) {
     if (inline_run) {
       const Time end = device.AloneCompletion(stream, kernel, launch);
-      EXPECT_TRUE(simulator.CanAdvanceTo(end));
-      device.RunAlone(stream, kernel, launch, end);
+      const Time bound = simulator.AdvanceBound();
+      EXPECT_LE(end, bound);
+      device.RunAlone(stream, kernel, launch, end, bound);
     } else {
       simulator.ScheduleAt(launch, [&] { device.Launch(stream, kernel); });
       simulator.Run();
@@ -357,6 +359,35 @@ TEST(GpuRunAloneTest, MatchesLaunchForLoneKernels) {
     EXPECT_EQ(alone.busy_integral, events.busy_integral);
     EXPECT_EQ(alone.kernels_completed, 3u);
     EXPECT_EQ(events.kernels_completed, 3u);
+  }
+}
+
+TEST(GpuAloneClockTest, PricesEveryKernelOfItsShapeAsAloneCompletion) {
+  // A clock made from one decode kernel prices the batch's later
+  // iterations, which move more bytes and stream more flops, exactly as
+  // AloneCompletion prices each afresh, straggler and degrade included.
+  for (const double slowdown : {1.0, 1.7}) {
+    for (const double bandwidth_factor : {1.0, 0.45}) {
+      sim::Simulator simulator;
+      Gpu device(&simulator, GpuSpec::A100());
+      const StreamId stream = device.CreateStream(96);
+      device.SetSlowdown(slowdown);
+      device.SetDegrade(0.8, bandwidth_factor);
+      Kernel shape = Kernel::Decode(2e11, 9e9);
+      shape.fixed_time = sim::Microseconds(40);
+      const std::optional<Gpu::AloneClock> clock =
+          device.AloneClockFor(stream, shape);
+      ASSERT_TRUE(clock.has_value());
+      for (int step = 0; step < 64; ++step) {
+        Kernel kernel = shape;
+        kernel.bytes += step * 3.3e7;
+        kernel.stream_flops = step * 1.7e9;  // None on the first step.
+        const Time start = Milliseconds(1) + step * sim::Microseconds(613);
+        EXPECT_EQ(clock->End(kernel, start),
+                  device.AloneCompletion(stream, kernel, start))
+            << "step " << step;
+      }
+    }
   }
 }
 

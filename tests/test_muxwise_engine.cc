@@ -3,11 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine_test_util.h"
+#include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
+#include "harness/runner.h"
 #include "llm/model_config.h"
+#include "obs/trace.h"
+#include "obs/trace_export.h"
 #include "serve/deployment.h"
 #include "sim/simulator.h"
 #include "workload/datasets.h"
@@ -281,18 +290,25 @@ struct LoneRequestRun {
   std::vector<sim::Time> token_times;
 };
 
-LoneRequestRun RunLoneRequest(const ContentionEstimator& estimator,
-                              std::int64_t output_tokens) {
+/** A 512-token prompt of its own session, answered with `output_tokens`. */
+workload::RequestSpec LoneSpec(std::int64_t session,
+                               std::int64_t output_tokens) {
   constexpr std::int64_t kInput = 512;
   workload::RequestSpec spec;
-  spec.session = 1;
-  kv::AppendSpan(spec.prompt, kv::TokenSpan{1, 0, kInput});
+  spec.id = session;
+  spec.session = session;
+  kv::AppendSpan(spec.prompt, kv::TokenSpan{session, 0, kInput});
   spec.full_seq = spec.prompt;
   kv::AppendSpan(spec.full_seq,
-                 kv::TokenSpan{1, kInput, kInput + output_tokens});
+                 kv::TokenSpan{session, kInput, kInput + output_tokens});
   spec.input_tokens = kInput;
   spec.output_tokens = output_tokens;
+  return spec;
+}
 
+LoneRequestRun RunLoneRequest(const ContentionEstimator& estimator,
+                              std::int64_t output_tokens) {
+  const workload::RequestSpec spec = LoneSpec(1, output_tokens);
   sim::Simulator simulator;
   MuxWiseEngine engine(&simulator, Llama70bA100(), estimator,
                        MuxWiseEngine::Options());
@@ -327,6 +343,232 @@ TEST_F(MuxWiseEngineTest, LoneRequestEventCountDoesNotGrowWithItsOutput) {
   EXPECT_EQ(t[1] - t[0], kLoneRequestFirstGap);
   EXPECT_EQ(t[64] - t[63], kLoneRequestGap64);
   EXPECT_EQ(t[1023] - t[1022], kLoneRequestLastGap);
+}
+
+// --- Decode stretches -------------------------------------------------
+//
+// With no prefill pending, MuxWise runs its decode batch inline, one
+// stretch of iterations at a time. A stretch may never pass anything
+// the event loop would have run first, so a run that is stepped through
+// events throughout simulates exactly what a stretched run simulates.
+
+/** Schedules a no-op every `period`, from `period` on, until `done()`. */
+class Ticker {
+ public:
+  Ticker(sim::Simulator& simulator, sim::Duration period,
+         std::function<bool()> done)
+      : simulator_(simulator), period_(period), done_(std::move(done)) {
+    Schedule();
+  }
+
+  Ticker(const Ticker&) = delete;
+  Ticker& operator=(const Ticker&) = delete;
+
+ private:
+  void Schedule() {
+    simulator_.ScheduleAfter(period_, [this] {
+      if (!done_()) Schedule();
+    });
+  }
+
+  sim::Simulator& simulator_;
+  sim::Duration period_;
+  std::function<bool()> done_;
+};
+
+/**
+ * Every decode iteration lasts at least its 500 us graph launch, so a
+ * tick every 250 us is always pending before it ends: none runs inline.
+ */
+constexpr sim::Duration kTickPeriod = sim::Microseconds(250);
+
+/** Requests of LoneSpec, all enqueued at t=0, run to their end. */
+struct BatchRun {
+  std::size_t events = 0;
+  std::size_t decode_iterations = 0;
+  std::vector<std::vector<sim::Time>> token_times;  // By request id - 1.
+  // Per completion: Now() minus the last token's time, and the decode
+  // iterations begun by then.
+  std::vector<std::pair<sim::Duration, std::size_t>> completions;
+};
+
+BatchRun RunBatch(const ContentionEstimator& estimator,
+                  const std::vector<std::int64_t>& outputs, bool ticked) {
+  std::vector<workload::RequestSpec> specs;
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    specs.push_back(LoneSpec(static_cast<std::int64_t>(i) + 1, outputs[i]));
+  }
+  sim::Simulator simulator;
+  MuxWiseEngine engine(&simulator, Llama70bA100(), estimator,
+                       MuxWiseEngine::Options());
+  BatchRun run;
+  run.token_times.resize(specs.size());
+  engine.set_on_complete([&](std::unique_ptr<serve::Request> request) {
+    run.completions.emplace_back(
+        simulator.Now() - request->token_times.back(),
+        engine.decode_iterations());
+    run.token_times[static_cast<std::size_t>(request->spec->id) - 1] =
+        request->token_times;
+  });
+  std::optional<Ticker> ticker;
+  if (ticked) {
+    ticker.emplace(simulator, kTickPeriod, [&run, &specs] {
+      return run.completions.size() == specs.size();
+    });
+  }
+  for (const workload::RequestSpec& spec : specs) {
+    engine.Enqueue(std::make_unique<serve::Request>(&spec));
+  }
+  simulator.Run();
+  run.events = simulator.ExecutedEvents();
+  run.decode_iterations = engine.decode_iterations();
+  return run;
+}
+
+TEST_F(MuxWiseEngineTest, DecodeStretchEndsOnTheIterationThatFinishesARequest) {
+  // A decode batch that shrinks as requests finish, two of them in the
+  // same iteration. (The first request is prefilled alone; the other
+  // three merge into its batch once their prefill completes.)
+  const std::vector<std::int64_t> outputs = {5, 9, 9, 30};
+  const BatchRun stretched = RunBatch(*estimator_, outputs, false);
+  const BatchRun stepped = RunBatch(*estimator_, outputs, true);
+  ASSERT_EQ(stretched.completions.size(), outputs.size());
+  // Each request was handed back at its last token's time, with as many
+  // iterations begun as when every iteration is stepped: none after the
+  // one that finished it.
+  for (const auto& completion : stretched.completions) {
+    EXPECT_EQ(completion.first, 0);
+  }
+  EXPECT_EQ(stretched.completions, stepped.completions);
+  EXPECT_EQ(stretched.token_times, stepped.token_times);
+  EXPECT_EQ(stretched.decode_iterations, stepped.decode_iterations);
+  // The next stretch starts at once: a longer tail costs no events.
+  EXPECT_EQ(RunBatch(*estimator_, {5, 9, 9, 300}, false).events,
+            stretched.events);
+}
+
+/**
+ * RunLoneRequest with a no-op event at `event_at`, run to `horizon`
+ * first when it is set. Returns the decode iterations begun when the
+ * event ran (or when the horizon was reached).
+ */
+std::size_t RunLoneRequestAround(const ContentionEstimator& estimator,
+                                 std::optional<sim::Time> event_at,
+                                 std::optional<sim::Time> horizon,
+                                 LoneRequestRun* run) {
+  const workload::RequestSpec spec = LoneSpec(1, 64);
+  sim::Simulator simulator;
+  MuxWiseEngine engine(&simulator, Llama70bA100(), estimator,
+                       MuxWiseEngine::Options());
+  engine.set_on_complete([run](std::unique_ptr<serve::Request> request) {
+    run->token_times = request->token_times;
+  });
+  std::size_t begun = 0;
+  if (event_at.has_value()) {
+    simulator.ScheduleAt(*event_at,
+                         [&] { begun = engine.decode_iterations(); });
+  }
+  engine.Enqueue(std::make_unique<serve::Request>(&spec));
+  if (horizon.has_value()) {
+    simulator.RunUntil(*horizon);
+    EXPECT_EQ(simulator.Now(), *horizon);
+    begun = engine.decode_iterations();
+  }
+  simulator.Run();
+  run->events = simulator.ExecutedEvents();
+  return begun;
+}
+
+TEST_F(MuxWiseEngineTest, DecodeStretchStopsStrictlyBeforeAPendingEvent) {
+  const LoneRequestRun plain = RunLoneRequest(*estimator_, 64);
+  ASSERT_EQ(plain.token_times.size(), 64u);
+  // Decode iteration k emits token k; put an event exactly at its end.
+  constexpr std::size_t k = 20;
+  LoneRequestRun run;
+  const std::size_t begun =
+      RunLoneRequestAround(*estimator_, plain.token_times[k], {}, &run);
+  // Iteration k would end at the event, which runs first; so k was
+  // launched through events (two of them), and only k: the stretch ran
+  // up to iteration k - 1 and resumed once k completed.
+  EXPECT_EQ(begun, k);
+  EXPECT_EQ(run.events, kLoneRequestEvents + 1 + 2);
+  EXPECT_EQ(run.token_times, plain.token_times);
+}
+
+TEST_F(MuxWiseEngineTest, DecodeStretchStopsAtTheRunUntilHorizon) {
+  const LoneRequestRun plain = RunLoneRequest(*estimator_, 64);
+  ASSERT_EQ(plain.token_times.size(), 64u);
+  constexpr std::size_t k = 20;
+  LoneRequestRun run;
+  const std::size_t begun =
+      RunLoneRequestAround(*estimator_, {}, plain.token_times[k], &run);
+  // The horizon is inclusive: iteration k ran inline to it, and k + 1,
+  // which ends past it, was launched through events.
+  EXPECT_EQ(begun, k + 1);
+  EXPECT_EQ(run.events, kLoneRequestEvents + 2);
+  EXPECT_EQ(run.token_times, plain.token_times);
+}
+
+/** RunWorkload with a no-op tick every kTickPeriod until all complete. */
+harness::RunOutcome RunStepped(harness::EngineKind kind,
+                               const serve::Deployment& deployment,
+                               const workload::Trace& trace,
+                               const ContentionEstimator& estimator,
+                               const harness::RunConfig& config) {
+  return harness::RunArrivals(
+      kind, deployment, &estimator, config, trace.requests.size(),
+      [&](harness::RunContext& run) {
+        serve::Frontend frontend(&run.simulator, run.instance.engine.get(),
+                                 &trace, &run.metrics);
+        frontend.Start();
+        const Ticker ticker(run.simulator, kTickPeriod,
+                            [&frontend] { return frontend.AllCompleted(); });
+        return harness::DriveScenario(run.simulator, frontend, trace, config);
+      });
+}
+
+TEST(DecodeStretchTest, SteppedRunsSimulateAndTraceWhatStretchedRunsDo) {
+  const serve::Deployment deployment = tests::FrozenDeployment();
+  const ContentionEstimator estimator =
+      ContentionEstimator::BuildOffline(deployment);
+  const workload::Trace trace = tests::FrozenTrace();
+  // The MuxWise family, plain (pinned) and under overload control.
+  for (const tests::FrozenDigest& row : tests::kFrozenEngineDigests) {
+    if (row.kind != harness::EngineKind::kMuxWise &&
+        row.kind != harness::EngineKind::kWindServe &&
+        row.kind != harness::EngineKind::kTemporal) {
+      continue;
+    }
+    for (const bool overload : {false, true}) {
+      SCOPED_TRACE(std::string(harness::EngineKindName(row.kind)) +
+                   (overload ? " with overload control" : ""));
+      harness::RunConfig config;
+      config.overload.enabled = overload;
+      obs::TraceRecorder stretched_trace;
+      config.trace = &stretched_trace;
+      const harness::RunOutcome stretched =
+          harness::RunWorkload(row.kind, deployment, trace, &estimator, config);
+      obs::TraceRecorder stepped_trace;
+      config.trace = &stepped_trace;
+      const harness::RunOutcome stepped =
+          RunStepped(row.kind, deployment, trace, estimator, config);
+      EXPECT_EQ(harness::SimulatedDigest(stepped),
+                harness::SimulatedDigest(stretched));
+      // An inline iteration emits the trace events a stepped one does.
+      EXPECT_EQ(obs::TraceDigest(stepped_trace),
+                obs::TraceDigest(stretched_trace));
+      if (!overload) {
+        EXPECT_EQ(stretched.event_digest, row.event_digest);
+        EXPECT_EQ(harness::SimulatedDigest(stretched), row.simulated_digest);
+      }
+      if (!overload && row.kind == harness::EngineKind::kMuxWise) {
+        EXPECT_EQ(obs::TraceDigest(stretched_trace),
+                  tests::kUnsampledTraceDigest);
+      }
+      // The ticks alone outnumber the stretched run's events.
+      EXPECT_GT(stepped.executed_events, 10 * stretched.executed_events);
+    }
+  }
 }
 
 }  // namespace

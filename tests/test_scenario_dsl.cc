@@ -320,6 +320,28 @@ TEST(ScenarioDslTest, RejectsWrongTypedValues) {
                 "expected true or false");
 }
 
+TEST(ScenarioDslTest, RejectsIntegersTheirFieldCannotHold) {
+  // Narrowed unchecked, these ran 1 request and a zero token budget.
+  ExpectRejects(R"({"name": "x",
+                    "trace": {"mix": [{"dataset": "sharegpt",
+                                       "requests": 4294967297,
+                                       "rate_per_second": 1.0}]}})",
+                "trace.mix[0].requests", "out of range");
+  ExpectRejects(R"({"name": "x", "run": {"token_budget": 4294967296}, )" +
+                    std::string(kOneRequestMix) + "}",
+                "run.token_budget", "out of range");
+  ExpectRejects(WithFleet(R"("suspect_after_misses": 4294967297)"),
+                "fleet.suspect_after_misses", "out of range");
+  ExpectRejects(WithFleet(R"("zombie_down_beats": -4294967296)"),
+                "fleet.zombie_down_beats", "out of range");
+  // The largest value an int holds still reads.
+  EXPECT_TRUE(ParseScenarioJson(R"({"name": "x",
+                                    "run": {"token_budget": 2147483647}, )" +
+                                    std::string(kOneRequestMix) + "}",
+                                "inline")
+                  .ok());
+}
+
 std::string WithMmpp(const std::string& extra) {
   return R"({"name": "x", "trace": {"mmpp": {"calm_rate_per_second": 1.0, )" +
          extra + "}}}";

@@ -215,26 +215,26 @@ TEST(SimulatorTest, RunUntilBoundaryIsInclusive) {
   EXPECT_TRUE(fired);
 }
 
-TEST(SimulatorTest, CanAdvanceToStopsShortOfPendingEventsAndTheHorizon) {
+TEST(SimulatorTest, AdvanceBoundStopsShortOfPendingEventsAndTheHorizon) {
   Simulator simulator;
-  std::vector<bool> at_5ms;
-  std::vector<bool> at_8ms;
+  std::vector<Time> bounds;
   simulator.ScheduleAt(Milliseconds(5), [&] {
-    at_5ms = {simulator.CanAdvanceTo(Milliseconds(5)),
-              simulator.CanAdvanceTo(Milliseconds(7)),
-              simulator.CanAdvanceTo(Milliseconds(8)),   // A pending event.
-              simulator.CanAdvanceTo(Milliseconds(4))};  // The past.
+    bounds.push_back(simulator.AdvanceBound());  // One tick before 8 ms.
+    simulator.ScheduleAt(Milliseconds(5), [] {});
+    bounds.push_back(simulator.AdvanceBound());  // An event is due now.
   });
   simulator.ScheduleAt(Milliseconds(8), [&] {
-    // Nothing is pending: only RunUntil's horizon bounds the jump.
-    at_8ms = {simulator.CanAdvanceTo(Milliseconds(10)),
-              simulator.CanAdvanceTo(Milliseconds(10) + 1)};
+    // Nothing else is pending: only RunUntil's horizon bounds the jump.
+    bounds.push_back(simulator.AdvanceBound());
   });
   simulator.RunUntil(Milliseconds(10));
-  EXPECT_EQ(at_5ms, (std::vector<bool>{true, true, false, false}));
-  EXPECT_EQ(at_8ms, (std::vector<bool>{true, false}));
-  // Outside RunUntil there is no horizon.
-  EXPECT_TRUE(simulator.CanAdvanceTo(Seconds(100)));
+  EXPECT_EQ(bounds, (std::vector<Time>{Milliseconds(8) - 1,
+                                       Milliseconds(5) - 1, Milliseconds(10)}));
+  // Outside RunUntil there is no horizon, and with nothing pending no
+  // finite time is out of reach.
+  EXPECT_EQ(simulator.AdvanceBound(), kTimeNever - 1);
+  simulator.ScheduleAt(Seconds(100), [] {});
+  EXPECT_EQ(simulator.AdvanceBound(), Seconds(100) - 1);
 }
 
 TEST(SimulatorTest, AdvanceToRunsNoEventAndLeavesTheDigest) {
@@ -244,11 +244,13 @@ TEST(SimulatorTest, AdvanceToRunsNoEventAndLeavesTheDigest) {
   const std::uint64_t digest = simulator.EventDigest();
   bool fired = false;
   simulator.ScheduleAt(Milliseconds(9), [&] { fired = true; });
-  simulator.AdvanceTo(Milliseconds(6));
+  const std::uint64_t scheduled = simulator.ScheduledEvents();
+  simulator.AdvanceTo(Milliseconds(6), simulator.AdvanceBound());
   EXPECT_EQ(simulator.Now(), Milliseconds(6));
   EXPECT_FALSE(fired);
   EXPECT_EQ(simulator.ExecutedEvents(), 1u);
   EXPECT_EQ(simulator.EventDigest(), digest);
+  EXPECT_EQ(simulator.ScheduledEvents(), scheduled);
   simulator.Run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(simulator.Now(), Milliseconds(9));
@@ -257,7 +259,8 @@ TEST(SimulatorTest, AdvanceToRunsNoEventAndLeavesTheDigest) {
 TEST(SimulatorDeathTest, AdvancePastAPendingEventIsFatal) {
   Simulator simulator;
   simulator.ScheduleAt(Milliseconds(8), [] {});
-  EXPECT_DEATH(simulator.AdvanceTo(Milliseconds(8)), "CanAdvanceTo");
+  EXPECT_DEATH(simulator.AdvanceTo(Milliseconds(8), simulator.AdvanceBound()),
+               "t <= bound");
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
