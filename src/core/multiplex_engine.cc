@@ -77,11 +77,11 @@ sim::Time MultiplexEngine::DecodeLaunchStart(sim::Duration launch_cost) const {
   return std::max(sim_->Now(), host_->busy_until()) + launch_cost;
 }
 
-void MultiplexEngine::RunDecodeInline(const gpu::Kernel& kernel,
-                                      sim::Duration launch_cost,
-                                      sim::Time end, sim::Time bound) {
-  const sim::Time start = host_->Submit(launch_cost, nullptr);
-  device_->RunAlone(decode_stream_, kernel, start, end, bound);
+void MultiplexEngine::RunDecodes(std::span<const gpu::Gpu::Priced> run,
+                                 sim::Duration launch_cost, sim::Time bound) {
+  // Each launch completes on the host as its kernel starts.
+  host_->SubmitRun(run.size(), launch_cost, run.back().start);
+  device_->RunPriced(decode_stream_, run, bound);
 }
 
 void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu.h"
@@ -74,14 +75,16 @@ class MultiplexEngine {
   sim::Time DecodeLaunchStart(sim::Duration launch_cost) const;
 
   /**
-   * Runs a decode iteration inline to `end`, its DecodeAloneClock() end
-   * from DecodeLaunchStart(), with no simulator event: the host and the device account for it exactly as
-   * for LaunchDecode, and Now() becomes `end`. `bound` is a
-   * Simulator::AdvanceBound() answer that still holds and `end` is no
+   * Runs decode iterations inline with no simulator event, their kernels
+   * priced one after another by a DecodeAloneClock(), the first from
+   * DecodeLaunchStart() and each later one `launch_cost` after the one
+   * before it ended. The host and the device account for them as for as
+   * many LaunchDecode calls, and Now() becomes the last end. `bound` is
+   * a Simulator::AdvanceBound() answer that still holds and no end is
    * later.
    */
-  void RunDecodeInline(const gpu::Kernel& kernel, sim::Duration launch_cost,
-                       sim::Time end, sim::Time bound);
+  void RunDecodes(std::span<const gpu::Gpu::Priced> run,
+                  sim::Duration launch_cost, sim::Time bound);
 
   /** Launches one prefill layer group on the prefill context. */
   void LaunchPrefillGroup(const gpu::Kernel& kernel,

@@ -46,15 +46,18 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
 MuxWiseEngine::~MuxWiseEngine() = default;
 
 void MuxWiseEngine::PartitionSummary::Add(int decode_sms, int sm_count,
-                                          bool prefill_active) {
+                                          bool prefill_active,
+                                          std::size_t count) {
   MUX_CHECK(decode_sms >= 0 && decode_sms < kMaxDecodeSms);
-  ++decisions;
-  ++decode_sms_histogram[static_cast<std::size_t>(decode_sms)];
+  decisions += count;
+  decode_sms_histogram[static_cast<std::size_t>(decode_sms)] += count;
   const int prefill_sms = decode_sms >= sm_count ? 0 : sm_count - decode_sms;
   if (prefill_active && prefill_sms > 0) {
-    prefill_share_sum +=
+    const double share =
         static_cast<double>(prefill_sms) / (prefill_sms + decode_sms);
-    ++multiplexing;
+    // One at a time, so the sum rounds as it does decision by decision.
+    for (std::size_t i = 0; i < count; ++i) prefill_share_sum += share;
+    multiplexing += count;
   }
 }
 
@@ -88,7 +91,7 @@ void MuxWiseEngine::Enqueue(std::unique_ptr<serve::Request> request) {
   // overload control is on; the SLO-derived deadline reaps either way.
   overload::AdmissionDecision decision;
   if (OverloadOn()) {
-    ObserveOverload();
+    ObserveOverload(sim_->Now());
     decision = ctl_->Admit(slo_class, DemandTokens(*request), sim_->Now(),
                            QueuedInClass(slo_class));
   } else if (ShedNow(*request, pool_->capacity_tokens())) {
@@ -136,7 +139,7 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
   auto request = std::move(*it);
   gated_.erase(it);
 
-  ObserveOverload();
+  ObserveOverload(sim_->Now());
   const workload::SloClass slo_class = request->spec->slo_class;
   const sim::Time now = sim_->Now();
   const overload::AdmissionDecision decision =
@@ -163,12 +166,11 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
   AdmitToWaiting(std::move(request));
 }
 
-void MuxWiseEngine::ObserveOverload() {
+void MuxWiseEngine::ObserveOverload(sim::Time now) {
   const double occupancy =
       static_cast<double>(pool_->used_tokens()) /
       static_cast<double>(pool_->capacity_tokens());
   sim::Duration queue_delay = 0;
-  const sim::Time now = sim_->Now();
   for (const auto& request : waiting_) {
     queue_delay = std::max(queue_delay, now - request->arrival);
   }
@@ -208,7 +210,7 @@ std::unique_ptr<serve::Request> MuxWiseEngine::TakeUnstarted(
 void MuxWiseEngine::PumpScheduler() {
   if (DomainDown(0)) return;
   if (OverloadOn()) {
-    ObserveOverload();
+    ObserveOverload(sim_->Now());
     MaybeRestoreSpilled();
     MaybeKvPreempt();
   }
@@ -625,7 +627,7 @@ bool MuxWiseEngine::RunDecodeStretch() {
   // What the scheduling pass does before launching with no prefill
   // pending: TryStartPrefillBatch only drops a stale KV-pressure pause,
   // and ChooseDecodeSms gives decode the whole device.
-  if (OverloadOn()) ObserveOverload();
+  if (OverloadOn()) ObserveOverload(sim_->Now());
   kv_preempt_pending_ = false;
   FoldMerges();
   const int total = deployment_.gpu.sm_count;
@@ -649,41 +651,77 @@ bool MuxWiseEngine::RunDecodeStretch() {
   const sim::Time bound = sim_->AdvanceBound();
   const std::uint64_t scheduled = sim_->ScheduledEvents();
   const std::size_t pending = sim_->PendingEvents();
+  // Each trace event needs the clock at its own time.
+  const std::size_t run_cap = tracer_.enabled() ? 1 : kStretchRun;
+  bool bounded = !clock.has_value();
+  while (!bounded) {
+    // Price until the buffer is full, an iteration finishes a request
+    // or the next would end past the bound.
+    std::size_t n = 0;
+    bool finishes = false;
+    sim::Time start = mux_->DecodeLaunchStart(launch_cost);
+    while (n < run_cap) {
+      const gpu::Gpu::Priced priced = clock->Price(step.At(context), start);
+      if (priced.end > bound) {
+        bounded = true;
+        break;
+      }
+      priced_[n++] = priced;
+      if (--left == 0) {
+        finishes = true;
+        break;
+      }
+      context += static_cast<std::int64_t>(size);
+      // The host launched this one by its start, so the next launch
+      // waits only for its end.
+      start = priced.end + launch_cost;
+    }
+    if (n > 0) RunPricedDecodes(std::span(priced_.data(), n), finishes, bound);
+    if (finishes) break;
+  }
   // Nothing runs inside a stretch that could schedule or cancel an
   // event, which is what keeps `bound` true to its end.
-  const auto check_bound_held = [&] {
-    MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
-              sim_->PendingEvents() == pending);
-  };
-  for (std::int64_t i = 0;; ++i) {
-    if (i > 0 && OverloadOn()) ObserveOverload();
-    const gpu::Kernel kernel = step.At(context);
-    const sim::Time end =
-        clock ? clock->End(kernel, mux_->DecodeLaunchStart(launch_cost))
-              : sim::kTimeNever;
-    if (end > bound) {
-      // Something else may happen first: step it through events.
-      check_bound_held();
-      MaybeLaunchDecode();
-      return true;
-    }
-    partition_.Add(total, total, /*prefill_active=*/false);
-    decode_in_flight_ = true;
-    ++decode_iterations_;
-    tracer_.SpanBegin("engine/decode", "decode-step",
-                      static_cast<std::int64_t>(decode_iterations_),
-                      static_cast<double>(size));
-    mux_->RunDecodeInline(kernel, launch_cost, end, bound);
-    if (i + 1 == left) break;
-    context += static_cast<std::int64_t>(size);
-    FinishDecodeIteration();
+  MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
+            sim_->PendingEvents() == pending);
+  if (bounded) {
+    // Something else may happen first: step it through events.
+    MaybeLaunchDecode();
+    return true;
   }
-  check_bound_held();
   // Only the last iteration's estimate outlives the stretch.
   last_decode_estimate_ = estimator_.PredictDecodeSolo(
       llm::DecodeBatch(size, context), total);
   FinishDecodeIteration();  // Hands back the finished requests.
   return false;
+}
+
+void MuxWiseEngine::RunPricedDecodes(std::span<const gpu::Gpu::Priced> run,
+                                     bool finishes, sim::Time bound) {
+  const int total = deployment_.gpu.sm_count;
+  partition_.Add(total, total, /*prefill_active=*/false, run.size());
+  decode_iterations_ += run.size();
+  // Traced, `run` is one iteration, which these spans bracket.
+  tracer_.SpanBegin("engine/decode", "decode-step",
+                    static_cast<std::int64_t>(decode_iterations_),
+                    static_cast<double>(decoding_.size()));
+  mux_->RunDecodes(run, cost_->DecodeGraphLaunch(), bound);
+  const std::span<const gpu::Gpu::Priced> emitted =
+      finishes ? run.first(run.size() - 1) : run;
+  if (emitted.empty()) return;
+  for (const auto& request : decoding_) {
+    for (const gpu::Gpu::Priced& iteration : emitted) {
+      request->EmitToken(iteration.end);
+    }
+  }
+  tracer_.SpanEnd("engine/decode", "decode-step",
+                  static_cast<std::int64_t>(decode_iterations_));
+  tracer_.Counter("engine/decode", "decode-pending",
+                  static_cast<double>(decoding_.size()));
+  if (OverloadOn()) {
+    for (const gpu::Gpu::Priced& iteration : emitted) {
+      ObserveOverload(iteration.end);
+    }
+  }
 }
 
 void MuxWiseEngine::FinishRequest(std::unique_ptr<serve::Request> request) {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/dispatcher.h"
@@ -160,8 +161,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
     std::size_t multiplexing = 0;
     double prefill_share_sum = 0.0;
 
-    /** Records one decision on a device of `sm_count` SMs. */
-    void Add(int decode_sms, int sm_count, bool prefill_active);
+    /** Records `count` like decisions on a device of `sm_count` SMs. */
+    void Add(int decode_sms, int sm_count, bool prefill_active,
+             std::size_t count = 1);
 
     /** Adds another engine's decisions (a fleet sums its replicas'). */
     PartitionSummary& operator+=(const PartitionSummary& other);
@@ -176,6 +178,12 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   void set_partition_trace_capacity(std::size_t /*capacity*/) {}
 
  private:
+  /**
+   * Decode iterations a stretch prices before it accounts for them: the
+   * capacity of its reused price buffer.
+   */
+  static constexpr std::size_t kStretchRun = 256;
+
   struct PrefillJob {
     std::vector<std::unique_ptr<serve::Request>> requests;
     std::vector<llm::SeqWork> work;
@@ -251,9 +259,22 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
    * one advance bound, until one finishes a request (returns false) or
    * the next would end past the bound; that one is launched through
    * events (returns true). Every iteration prices, accounts and traces
-   * as a launched one would.
+   * as a launched one would. The iterations are priced up to
+   * kStretchRun at a time, then accounted for as one run
+   * (RunPricedDecodes); a traced stretch runs them one at a time.
    */
   bool RunDecodeStretch();
+
+  /**
+   * Accounts for `run`, decode iterations of the batch priced back to
+   * back and none past `bound`: the partition decisions, the launches
+   * and kernels (which move the clock to the last end), every token but
+   * that of an iteration that finishes a request (when `finishes`, the
+   * last one; FinishDecodeIteration emits it) and the overload
+   * observation made as each next iteration is launched.
+   */
+  void RunPricedDecodes(std::span<const gpu::Gpu::Priced> run, bool finishes,
+                        sim::Time bound);
 
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);
@@ -270,8 +291,8 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   /** Re-offers a bucket-delayed request to the controller. */
   void OnAdmissionRetry(std::int64_t id);
 
-  /** Feeds KV occupancy + queue delay into the brownout ladder. */
-  void ObserveOverload();
+  /** Feeds KV occupancy + queue delay at `now` into the brownout ladder. */
+  void ObserveOverload(sim::Time now);
 
   /** Waiting + gated requests of `slo_class` (hard-bound input). */
   std::size_t QueuedInClass(workload::SloClass slo_class) const;
@@ -377,6 +398,8 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::array<SeqPrice, 2> incoming_prices_;
   std::size_t next_incoming_price_ = 0;
   std::size_t decode_iterations_ = 0;
+  // Decode iterations a stretch has priced and not yet accounted for.
+  std::array<gpu::Gpu::Priced, kStretchRun> priced_;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;
   PartitionSummary partition_;

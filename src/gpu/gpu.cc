@@ -142,8 +142,8 @@ void Gpu::MarkIdle(StreamId id) {
   active_streams_.erase(it);
 }
 
-int Gpu::BusySms(int extra) const {
-  int busy_sms = extra;
+int Gpu::BusySms() const {
+  int busy_sms = 0;
   for (const StreamId id : active_streams_) {
     busy_sms += streams_[static_cast<std::size_t>(id)].running->granted_sms;
   }
@@ -477,49 +477,76 @@ Gpu::Rated Gpu::AloneClock::Rate(const Kernel& kernel) const {
   return r;
 }
 
-sim::Time Gpu::AloneClock::End(const Kernel& kernel, sim::Time start) const {
+Gpu::Priced Gpu::AloneClock::Price(const Kernel& kernel,
+                                   sim::Time start) const {
   // A fresh kernel has no progress to keep (Rerate's `left` is 1), so
   // its time left is its whole duration.
-  return start + gpu_->KernelTotal(kernel, Rate(kernel));
+  const Rated r = Rate(kernel);
+  return Priced{start, start + gpu_->KernelTotal(kernel, r), r.alloc};
 }
 
 sim::Time Gpu::AloneCompletion(StreamId stream, const Kernel& kernel,
                                sim::Time start) const {
   const std::optional<AloneClock> clock = AloneClockFor(stream, kernel);
-  return clock ? clock->End(kernel, start) : sim::kTimeNever;
+  return clock ? clock->Price(kernel, start).end : sim::kTimeNever;
 }
 
-void Gpu::RunAlone(StreamId id, const Kernel& kernel, sim::Time start,
-                   sim::Time end, sim::Time bound) {
+void Gpu::RunPriced(StreamId id, std::span<const Priced> run,
+                    sim::Time bound) {
   Stream& s = GetStream(id);
   MUX_CHECK(!frozen_ && active_streams_.empty() && s.queue.empty());
-  MUX_CHECK(start >= sim_->Now() && start <= end);
-  // Start at `start`: the device was idle up to it.
-  AccrueIntegrals(start, 0);
-  const std::uint64_t serial = next_kernel_serial_++;
-  if (tracer_.enabled()) {
-    sim_->AdvanceTo(start, bound);
-    tracer_.SpanBegin(
-        obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
-        static_cast<std::int64_t>(serial), static_cast<double>(s.sms));
+  MUX_CHECK(!run.empty() && run.front().start >= sim_->Now());
+  if (!tracer_.enabled()) {
+    AccountPriced(s, run);
+    sim_->AdvanceTo(run.back().end, bound);
+    return;
+  }
+  // One kernel at a time, so each trace event keeps its time.
+  for (const Priced& kernel : run) {
+    const auto serial = static_cast<std::int64_t>(next_kernel_serial_);
+    const obs::SpanLabel span{TrackLabel(id),
+                              NameLabel(&kernel_name_label_, "kernel")};
+    sim_->AdvanceTo(kernel.start, bound);
+    tracer_.SpanBegin(span, serial, static_cast<double>(s.sms));
     tracer_.Counter(
         obs::SpanLabel{TrackLabel(id), NameLabel(&hbm_name_label_, "hbm-share")},
-        AloneClockFor(id, kernel)->Rate(kernel).alloc);
+        kernel.hbm_share);
+    sim_->AdvanceTo(kernel.end, bound);
+    AccountPriced(s, std::span(&kernel, 1));
+    tracer_.SpanEnd(span, serial);
   }
-  s.stats.first_activity = std::min(s.stats.first_activity, start);
+}
 
-  // Complete at `end`, the kernel having held its grant alone throughout.
-  sim_->AdvanceTo(end, bound);
-  AccrueIntegrals(end, BusySms(s.sms));
-  s.stats.busy_time += end - start;
-  s.stats.last_activity = end;
-  ++s.stats.kernels_completed;
-  ++kernels_completed_;
-  if (tracer_.enabled()) {
-    tracer_.SpanEnd(
-        obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
-        static_cast<std::int64_t>(serial));
+void Gpu::AccountPriced(Stream& s, std::span<const Priced> run) {
+  // What AccrueIntegrals adds kernel by kernel. The idle gap before each
+  // kernel adds +0.0 to the utilization integral, which leaves it as it
+  // is. The kernel holds the stream's grant alone for dt, adding
+  // dt * sms / sm_count; on a full-device grant that is dt exactly, as
+  // dt * sm_count is an integer below 2^53. Each dt is still added in
+  // order, so both integrals round as they do under Launch.
+  const bool whole_device = s.sms == spec_.sm_count;
+  double sm_integral = sm_utilization_integral_;
+  double busy_integral = busy_time_integral_;
+  sim::Duration busy = 0;
+  sim::Time last_end = integral_updated_at_;
+  for (const Priced& kernel : run) {
+    MUX_CHECK(last_end <= kernel.start && kernel.start <= kernel.end);
+    const sim::Duration d = kernel.end - kernel.start;
+    const double dt = static_cast<double>(d);
+    sm_integral += whole_device ? dt : dt * s.sms / spec_.sm_count;
+    busy_integral += dt;
+    busy += d;
+    last_end = kernel.end;
   }
+  sm_utilization_integral_ = sm_integral;
+  busy_time_integral_ = busy_integral;
+  integral_updated_at_ = last_end;
+  next_kernel_serial_ += run.size();
+  s.stats.first_activity = std::min(s.stats.first_activity, run.front().start);
+  s.stats.busy_time += busy;
+  s.stats.last_activity = last_end;
+  s.stats.kernels_completed += run.size();
+  kernels_completed_ += run.size();
 }
 
 void Gpu::SetSlowdown(double factor) {

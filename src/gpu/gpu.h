@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,6 +127,16 @@ class Gpu {
 
  public:
   /**
+   * One kernel as an AloneClock priced it: it runs alone over
+   * [start, end) with `hbm_share` bytes/s of the bandwidth pool.
+   */
+  struct Priced {
+    sim::Time start = 0;
+    sim::Time end = 0;
+    double hbm_share = 0.0;  // Traced as the kernel's "hbm-share".
+  };
+
+  /**
    * Prices kernels run alone on one stream that differ from one shape
    * only in the bytes they move and their streamed flops: a decode
    * batch's iterations as its context grows. The terms those two leave
@@ -136,11 +147,11 @@ class Gpu {
   class AloneClock {
    public:
     /**
-     * When `kernel`, launched at `start` (>= Now()), would complete if
-     * nothing else happened first: the time Launch's re-rate would
-     * schedule its completion for.
+     * Where `kernel`, launched at `start` (>= Now()), would run if
+     * nothing else happened first: its end is the time Launch's re-rate
+     * would schedule its completion for.
      */
-    sim::Time End(const Kernel& kernel, sim::Time start) const;
+    Priced Price(const Kernel& kernel, sim::Time start) const;
 
    private:
     friend class Gpu;
@@ -167,23 +178,25 @@ class Gpu {
                                           const Kernel& shape) const;
 
   /**
-   * AloneClockFor(stream, kernel)->End(kernel, start), or kTimeNever
+   * AloneClockFor(stream, kernel)->Price(kernel, start).end, or kTimeNever
    * when there is no such clock.
    */
   sim::Time AloneCompletion(StreamId stream, const Kernel& kernel,
                             sim::Time start) const;
 
   /**
-   * Runs `kernel` on `stream` from `start` to `end` without simulator
-   * events: the bookkeeping of Launch at `start` and of its completion
-   * at `end` (launch serial, activity window, busy time, both integrals,
-   * completion counts, the kernel span and its hbm-share counter), with
-   * no re-rate and no completion callback. Moves the clock to `end`.
-   * `end` must be AloneCompletion(stream, kernel, start), no later than
-   * `bound`, a Simulator::AdvanceBound() answer that still holds.
+   * Runs `run`, kernels an AloneClock for `stream` priced, one after
+   * another without simulator events: the bookkeeping of Launch at each
+   * start and of its completion at its end (launch serials, activity
+   * window, busy time, both integrals, completion counts, and when
+   * traced each kernel's span and hbm-share counter), with no re-rate
+   * and no completion callback. Moves the clock to the last end. The
+   * first kernel starts no earlier than Now(), each later one no
+   * earlier than the one before it ended, and the last ends no later
+   * than `bound`, a Simulator::AdvanceBound() answer that still holds.
    */
-  void RunAlone(StreamId stream, const Kernel& kernel, sim::Time start,
-                sim::Time end, sim::Time bound);
+  void RunPriced(StreamId stream, std::span<const Priced> run,
+                 sim::Time bound);
 
   /**
    * Straggler injection: stretches every running and future kernel by
@@ -361,11 +374,14 @@ class Gpu {
   /** Accrues the integrals up to `until` with `busy_sms` SMs busy. */
   void AccrueIntegrals(sim::Time until, int busy_sms);
 
+  /** SMs granted to the running kernels, capped at the device. */
+  int BusySms() const;
+
   /**
-   * SMs granted to the running kernels plus `extra` (a kernel run by
-   * RunAlone), capped at the device.
+   * RunPriced's accounting, trace aside: integrals, busy time, activity
+   * window, launch serials and completion counts of `run` on `s`.
    */
-  int BusySms(int extra = 0) const;
+  void AccountPriced(Stream& s, std::span<const Priced> run);
 
   /** Trace track for one stream (empty when tracing is off). */
   std::string StreamTrack(StreamId id) const;

@@ -1,8 +1,11 @@
 #ifndef MUXWISE_GPU_HOST_H_
 #define MUXWISE_GPU_HOST_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 
+#include "sim/logging.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -34,6 +37,18 @@ class HostThread {
     if (fn) sim_->ScheduleAt(busy_until_, std::move(fn));
     total_busy_ += cost;
     return busy_until_;
+  }
+
+  /**
+   * Takes `count` submissions of `cost` at once, placed by the caller as
+   * Submit would place them one by one, with no callback: the last of
+   * them completes at `last_done`.
+   */
+  void SubmitRun(std::size_t count, sim::Duration cost, sim::Time last_done) {
+    MUX_CHECK(count > 0 &&
+              last_done >= std::max(sim_->Now(), busy_until_) + cost);
+    busy_until_ = last_done;
+    total_busy_ += static_cast<sim::Duration>(count) * cost;
   }
 
   /** Time at which all submitted host work completes. */

@@ -11,12 +11,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
 #include "core/estimator.h"
 #include "core/muxwise_engine.h"
 #include "engine_test_util.h"
 #include "gpu/gpu_spec.h"
+#include "kv/token_seq.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
 #include "sim/simulator.h"
@@ -117,6 +120,52 @@ TEST_F(AllocBudgetTest, ConversationDecodeIterationsStayOffTheHeap) {
   RecordProperty("allocations_per_decode_iteration",
                  std::to_string(per_iteration));
   EXPECT_LE(per_iteration, kMaxAllocationsPerIteration);
+}
+
+/**
+ * Heap allocations made while one request with `outputs` tokens runs
+ * alone on a fresh MuxWise engine, from its creation to the end of the
+ * run.
+ */
+std::uint64_t LoneRequestAllocations(const ContentionEstimator& estimator,
+                                     const serve::Deployment& deployment,
+                                     std::int64_t outputs) {
+  constexpr std::int64_t kInput = 512;
+  workload::RequestSpec spec;
+  spec.id = 1;
+  spec.session = 1;
+  kv::AppendSpan(spec.prompt, kv::TokenSpan{1, 0, kInput});
+  spec.full_seq = spec.prompt;
+  kv::AppendSpan(spec.full_seq, kv::TokenSpan{1, kInput, kInput + outputs});
+  spec.input_tokens = kInput;
+  spec.output_tokens = outputs;
+  sim::Simulator simulator;
+  MuxWiseEngine engine(&simulator, deployment, estimator,
+                       MuxWiseEngine::Options());
+  std::int64_t generated = 0;
+  engine.set_on_complete([&generated](std::unique_ptr<serve::Request> r) {
+    generated = r->generated;
+  });
+  const std::uint64_t before = g_allocations.load();
+  engine.Enqueue(std::make_unique<serve::Request>(&spec));
+  simulator.Run();
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(generated, outputs);
+  EXPECT_GE(engine.decode_iterations(), static_cast<std::size_t>(outputs - 1));
+  return allocations;
+}
+
+TEST_F(AllocBudgetTest, DecodeStretchesAllocateNothingPerIteration) {
+  // A lone request decodes in stretches. Whether they cross their price
+  // buffer several times (1,024 outputs) or never (64), the run makes no
+  // more allocations: the buffer is fixed and reused.
+  const std::uint64_t short_run =
+      LoneRequestAllocations(*estimator_, Deployment(), 64);
+  const std::uint64_t long_run =
+      LoneRequestAllocations(*estimator_, Deployment(), 1024);
+  RecordProperty("allocations_64_outputs", std::to_string(short_run));
+  RecordProperty("allocations_1024_outputs", std::to_string(long_run));
+  EXPECT_LE(long_run, short_run);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "gpu/gpu_spec.h"
 #include "gpu/host.h"
 #include "gpu/kernel.h"
+#include "obs/trace.h"
+#include "obs/trace_export.h"
 #include "sim/simulator.h"
 
 namespace muxwise::gpu {
@@ -297,68 +300,117 @@ struct LoneKernelRun {
   double sm_integral = 0.0;
   double busy_integral = 0.0;
   std::size_t kernels_completed = 0;
+  std::uint64_t trace_digest = 0;  // 0 when untraced.
 };
 
+/** A device to run lone kernels on. */
+struct LoneDevice {
+  const char* name;
+  int sms;  // The lone stream's grant; 108 is the whole A100.
+  double slowdown, flops_factor, bandwidth_factor;
+  // Whether a co-run of both streams comes first: its partial grants
+  // leave the utilization integral with a non-integral part.
+  bool co_run_first;
+};
+
+/** Lone kernels per run: prefill-sized ones push the integrals past 2^31. */
+constexpr int kLoneKernels = 48;
+
 /**
- * Runs three kernels one at a time on stream 0 of a two-stream device,
- * each launched 300 us after the previous one completed, either through
- * Launch and simulator events or inline through RunAlone.
+ * Runs kLoneKernels kernels one at a time on stream 0 of a two-stream
+ * device, each launched 300 us after the previous one completed: either
+ * each through Launch and simulator events, or all priced by their
+ * AloneClocks first and run in one RunPriced call.
  */
-LoneKernelRun RunLoneKernels(bool inline_run, double slowdown,
-                             double flops_factor, double bandwidth_factor) {
+LoneKernelRun RunLoneKernels(const LoneDevice& d, bool in_one_call,
+                             bool traced) {
   sim::Simulator simulator;
+  obs::TraceRecorder recorder;
   Gpu device(&simulator, GpuSpec::A100());
+  if (traced) device.SetTracer(obs::Tracer(&recorder, &simulator), "gpu/");
   const StreamId stream = device.CreateStream(96);
-  device.CreateStream(12);  // Idle throughout.
-  device.SetSlowdown(slowdown);
-  device.SetDegrade(flops_factor, bandwidth_factor);
-  const Kernel kernels[] = {Kernel::Decode(2e12, 9e9),
-                            Kernel::Prefill(4e13, 2e9), Kernel::Memcpy(1e9)};
+  const StreamId other = device.CreateStream(11);
+  if (d.co_run_first) {
+    device.Launch(stream, Kernel::Decode(2e12, 9e9));
+    device.Launch(other, Kernel::Prefill(4e13, 2e9));
+    simulator.Run();
+    const double integral = device.SmUtilizationIntegral();
+    EXPECT_NE(integral, std::floor(integral));
+  }
+  device.SetStreamSms(stream, d.sms);
+  device.SetSlowdown(d.slowdown);
+  device.SetDegrade(d.flops_factor, d.bandwidth_factor);
+  const Kernel shapes[] = {Kernel::Decode(2e12, 9e9),
+                           Kernel::Prefill(4e13, 2e9), Kernel::Memcpy(1e9)};
+  std::vector<Kernel> kernels;
+  for (int i = 0; i < kLoneKernels; ++i) {
+    Kernel kernel = shapes[i % 3];
+    kernel.bytes += i * 1.3e7;  // No two alike.
+    kernels.push_back(kernel);
+  }
   LoneKernelRun run;
-  Time launch = Milliseconds(1);
-  for (const Kernel& kernel : kernels) {
-    if (inline_run) {
-      const Time end = device.AloneCompletion(stream, kernel, launch);
-      const Time bound = simulator.AdvanceBound();
-      EXPECT_LE(end, bound);
-      device.RunAlone(stream, kernel, launch, end, bound);
-    } else {
+  Time launch = simulator.Now() + Milliseconds(1);
+  if (in_one_call) {
+    std::vector<Gpu::Priced> priced;
+    for (const Kernel& kernel : kernels) {
+      const std::optional<Gpu::AloneClock> clock =
+          device.AloneClockFor(stream, kernel);
+      EXPECT_TRUE(clock.has_value());
+      priced.push_back(clock->Price(kernel, launch));
+      run.completions.push_back(priced.back().end);
+      launch = priced.back().end + sim::Microseconds(300);
+    }
+    const Time bound = simulator.AdvanceBound();
+    EXPECT_LE(priced.back().end, bound);
+    device.RunPriced(stream, priced, bound);
+    EXPECT_EQ(simulator.Now(), priced.back().end);
+  } else {
+    for (const Kernel& kernel : kernels) {
       simulator.ScheduleAt(launch, [&] { device.Launch(stream, kernel); });
       simulator.Run();
+      run.completions.push_back(simulator.Now());
+      launch = simulator.Now() + sim::Microseconds(300);
     }
-    run.completions.push_back(simulator.Now());
-    launch = simulator.Now() + sim::Microseconds(300);
   }
   run.stats = device.stream_stats(stream);
   run.sm_integral = device.SmUtilizationIntegral();
   run.busy_integral = device.BusyTimeIntegral();
   run.kernels_completed = device.kernels_completed();
+  if (traced) run.trace_digest = obs::TraceDigest(recorder);
   return run;
 }
 
 TEST(GpuRunAloneTest, MatchesLaunchForLoneKernels) {
-  struct Case {
-    const char* name;
-    double slowdown, flops_factor, bandwidth_factor;
-  };
-  for (const Case& c : {Case{"plain", 1.0, 1.0, 1.0},
-                        Case{"straggler", 1.7, 1.0, 1.0},
-                        Case{"degraded", 1.0, 0.6, 0.45},
-                        Case{"both", 2.5, 0.8, 0.3}}) {
-    SCOPED_TRACE(c.name);
-    const LoneKernelRun events =
-        RunLoneKernels(false, c.slowdown, c.flops_factor, c.bandwidth_factor);
-    const LoneKernelRun alone =
-        RunLoneKernels(true, c.slowdown, c.flops_factor, c.bandwidth_factor);
-    EXPECT_EQ(alone.completions, events.completions);
-    EXPECT_EQ(alone.stats.busy_time, events.stats.busy_time);
-    EXPECT_EQ(alone.stats.first_activity, events.stats.first_activity);
-    EXPECT_EQ(alone.stats.last_activity, events.stats.last_activity);
-    EXPECT_EQ(alone.stats.kernels_completed, events.stats.kernels_completed);
-    EXPECT_EQ(alone.sm_integral, events.sm_integral);
-    EXPECT_EQ(alone.busy_integral, events.busy_integral);
-    EXPECT_EQ(alone.kernels_completed, 3u);
-    EXPECT_EQ(events.kernels_completed, 3u);
+  for (const LoneDevice& d :
+       {LoneDevice{"plain", 108, 1.0, 1.0, 1.0, false},
+        LoneDevice{"partial grant", 96, 1.0, 1.0, 1.0, false},
+        LoneDevice{"straggler", 108, 1.7, 1.0, 1.0, false},
+        LoneDevice{"degraded", 108, 1.0, 0.6, 0.45, false},
+        LoneDevice{"straggling and degraded", 96, 2.5, 0.8, 0.3, false},
+        LoneDevice{"after a co-run", 108, 1.0, 1.0, 1.0, true},
+        // Where adding the run's total at once rounds differently.
+        LoneDevice{"partial grant after a co-run", 96, 1.0, 1.0, 1.0, true},
+        LoneDevice{"straggling, degraded partial grant after a co-run", 97,
+                   1.7, 0.8, 0.6, true}}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(std::string(d.name) + (traced ? ", traced" : ""));
+      const LoneKernelRun events = RunLoneKernels(d, false, traced);
+      const LoneKernelRun one_call = RunLoneKernels(d, true, traced);
+      EXPECT_EQ(one_call.completions, events.completions);
+      EXPECT_EQ(one_call.stats.busy_time, events.stats.busy_time);
+      EXPECT_EQ(one_call.stats.first_activity, events.stats.first_activity);
+      EXPECT_EQ(one_call.stats.last_activity, events.stats.last_activity);
+      EXPECT_EQ(one_call.stats.kernels_completed,
+                events.stats.kernels_completed);
+      // Bit for bit: each kernel's dt is added in the order Launch adds it.
+      EXPECT_EQ(one_call.sm_integral, events.sm_integral);
+      EXPECT_EQ(one_call.busy_integral, events.busy_integral);
+      // The launch serials are the kernels' trace ids.
+      EXPECT_EQ(one_call.trace_digest, events.trace_digest);
+      const std::size_t co_run = d.co_run_first ? 2 : 0;
+      EXPECT_EQ(one_call.kernels_completed, kLoneKernels + co_run);
+      EXPECT_EQ(events.kernels_completed, kLoneKernels + co_run);
+    }
   }
 }
 
@@ -383,7 +435,7 @@ TEST(GpuAloneClockTest, PricesEveryKernelOfItsShapeAsAloneCompletion) {
         kernel.bytes += step * 3.3e7;
         kernel.stream_flops = step * 1.7e9;  // None on the first step.
         const Time start = Milliseconds(1) + step * sim::Microseconds(613);
-        EXPECT_EQ(clock->End(kernel, start),
+        EXPECT_EQ(clock->Price(kernel, start).end,
                   device.AloneCompletion(stream, kernel, start))
             << "step " << step;
       }

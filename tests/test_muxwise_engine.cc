@@ -571,5 +571,42 @@ TEST(DecodeStretchTest, SteppedRunsSimulateAndTraceWhatStretchedRunsDo) {
   }
 }
 
+TEST(DecodeStretchTest, TracedRunsSimulateWhatUntracedRunsDo) {
+  // A traced stretch runs its iterations one at a time, so that each
+  // trace event keeps its time; an untraced one prices up to a buffer of
+  // them and accounts for them in bulk. Both must simulate the same
+  // thing: on the frozen trace, and on a multi-turn one whose decode
+  // batches outlive a buffer.
+  const serve::Deployment deployment = tests::FrozenDeployment();
+  const ContentionEstimator estimator =
+      ContentionEstimator::BuildOffline(deployment);
+  const workload::Trace traces[] = {
+      tests::FrozenTrace(),
+      workload::GenerateTrace(workload::Dataset::kConversation, 40, 2.0, 7)};
+  for (const workload::Trace& trace : traces) {
+    for (const harness::EngineKind kind :
+         {harness::EngineKind::kMuxWise, harness::EngineKind::kWindServe,
+          harness::EngineKind::kTemporal}) {
+      for (const bool overload : {false, true}) {
+        SCOPED_TRACE(std::string(harness::EngineKindName(kind)) + " on " +
+                     std::to_string(trace.requests.size()) + " requests" +
+                     (overload ? " with overload control" : ""));
+        harness::RunConfig config;
+        config.overload.enabled = overload;
+        const harness::RunOutcome untraced =
+            harness::RunWorkload(kind, deployment, trace, &estimator, config);
+        obs::TraceRecorder recorder;
+        config.trace = &recorder;
+        const harness::RunOutcome traced =
+            harness::RunWorkload(kind, deployment, trace, &estimator, config);
+        EXPECT_EQ(traced.event_digest, untraced.event_digest);
+        EXPECT_EQ(harness::SimulatedDigest(traced),
+                  harness::SimulatedDigest(untraced));
+        EXPECT_EQ(traced.executed_events, untraced.executed_events);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace muxwise::core
