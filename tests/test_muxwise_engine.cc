@@ -14,9 +14,11 @@
 #include "frozen_digests.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
+#include "harness/scenario.h"
 #include "llm/model_config.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "route/fleet_router.h"
 #include "serve/deployment.h"
 #include "sim/simulator.h"
 #include "workload/datasets.h"
@@ -606,6 +608,153 @@ TEST(DecodeStretchTest, TracedRunsSimulateWhatUntracedRunsDo) {
       }
     }
   }
+}
+
+
+/** A stretched and a stepped run of one fleet, with their digests. */
+void ExpectSteppedFleetMatches(const std::string& label,
+                               harness::EngineKind kind,
+                               const serve::Deployment& deployment,
+                               const workload::Trace& trace,
+                               const harness::RunConfig& config) {
+  SCOPED_TRACE(label + ", " + std::to_string(trace.requests.size()) +
+               " requests");
+  ASSERT_TRUE(config.fleet.enabled);
+  ASSERT_GT(config.fleet.replicas, 1u);
+  const ContentionEstimator estimator =
+      ContentionEstimator::BuildOffline(deployment);
+  const harness::RunOutcome stretched =
+      harness::RunWorkload(kind, deployment, trace, &estimator, config);
+  const harness::RunOutcome stepped =
+      RunStepped(kind, deployment, trace, estimator, config);
+  ASSERT_TRUE(stretched.stable);
+  EXPECT_EQ(stretched.completed, trace.requests.size());
+  EXPECT_EQ(harness::SimulatedDigest(stepped),
+            harness::SimulatedDigest(stretched));
+  EXPECT_GT(stepped.executed_events, stretched.executed_events);
+}
+
+/**
+ * A relay through a fleet of three: each completion hands the next
+ * request, at once and from inside the completing replica's event, to
+ * the next replica's session, so work reaches replicas whose stretches
+ * run ahead of the event loop. Every request has one shape, so replicas
+ * that start together stay in lockstep and end runs on the same tick.
+ * The tenth completion crashes the replica the relay goes to next,
+ * which recovers two seconds later.
+ */
+harness::RunOutcome RunRelay(const serve::Deployment& deployment,
+                             const ContentionEstimator& estimator,
+                             bool stepped) {
+  constexpr std::size_t kReplicas = 3;
+  constexpr std::size_t kRequests = 36;
+  std::vector<workload::RequestSpec> specs;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    specs.push_back(LoneSpec(static_cast<std::int64_t>(i) + 1, 64));
+  }
+  harness::RunConfig config;
+  config.recovery.enabled = true;
+  config.fleet.enabled = true;
+  config.fleet.replicas = kReplicas;
+  return harness::RunArrivals(
+      harness::EngineKind::kMuxWise, deployment, &estimator, config,
+      kRequests, [&](harness::RunContext& run) {
+        route::FleetRouter& fleet = *run.instance.fleet;
+        harness::DriveResult result;
+        std::size_t sent = 0;
+        const auto send = [&](std::int64_t session) {
+          workload::RequestSpec& spec = specs[sent++];
+          spec.session = session;
+          auto request = std::make_unique<serve::Request>(&spec);
+          request->arrival = run.simulator.Now();
+          fleet.Enqueue(std::move(request));
+        };
+        fleet.set_on_complete([&](std::unique_ptr<serve::Request> request) {
+          run.metrics.OnRequestComplete(*request);
+          ++result.terminal;
+          result.last_completion = run.simulator.Now();
+          const std::int64_t next =
+              request->spec->session % static_cast<std::int64_t>(kReplicas) + 1;
+          if (result.terminal == 10) {
+            const auto down = static_cast<std::size_t>(next - 1);
+            fleet.InjectCrash(down);
+            run.simulator.ScheduleAfter(sim::Seconds(2), [&fleet, down] {
+              fleet.InjectRecovery(down);
+            });
+          }
+          if (sent < kRequests) send(next);
+        });
+        for (std::int64_t session = 1;
+             session <= static_cast<std::int64_t>(kReplicas); ++session) {
+          send(session);
+        }
+        std::optional<Ticker> ticker;
+        if (stepped) {
+          ticker.emplace(run.simulator, kTickPeriod,
+                         [&] { return result.terminal == kRequests; });
+        }
+        run.simulator.Run();
+        result.stable = result.terminal == kRequests;
+        return result;
+      });
+}
+
+TEST(DecodeStretchTest, SteppedFleetsSimulateWhatStretchedFleetsDo) {
+  // A fleet's replicas share one simulator. A tick every 250 us is a
+  // global event that cuts every replica's stretch, so the stepped run
+  // launches every decode iteration through events; the stretched run
+  // must simulate exactly the same thing.
+  {
+    // fleet_burst's shape: MMPP ToolAgent bursts into four replicas
+    // under overload control.
+    workload::MmppOptions mmpp;
+    mmpp.dataset = workload::Dataset::kToolAgent;
+    mmpp.calm_rate_per_second = 0.4;
+    mmpp.burst_multiplier = 4.0;
+    mmpp.mean_calm_seconds = 30.0;
+    mmpp.mean_burst_seconds = 8.0;
+    mmpp.duration_seconds = 480.0;
+    mmpp.class_mix = {0.3, 0.5, 0.2};
+    harness::RunConfig config;
+    config.overload.enabled = true;
+    config.fleet.enabled = true;
+    config.fleet.replicas = 4;
+    ExpectSteppedFleetMatches("MMPP ToolAgent burst",
+                              harness::EngineKind::kMuxWise, Llama70bA100(),
+                              workload::GenerateMmppTrace(mmpp, 1), config);
+  }
+  // The checked-in fleet scenarios, with their fault plans.
+  for (const char* file :
+       {"scenarios/fleet_failover.json", "scenarios/chaos_grey_failover.json",
+        "tests/chaos_corpus/asym_partition.json",
+        "tests/chaos_corpus/degrade_spill.json",
+        "tests/chaos_corpus/flap_hysteresis.json",
+        "tests/chaos_corpus/mixed_grey_storm.json",
+        "tests/chaos_corpus/zombie_hold.json"}) {
+    const harness::ScenarioParseResult parsed = harness::LoadScenarioFile(
+        std::string(MUXWISE_SOURCE_DIR) + "/" + file);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const harness::ScenarioSpec& spec = *parsed.spec;
+    serve::Deployment deployment = serve::Deployment::Make(
+        llm::ModelConfig::ByName(spec.model), gpu::GpuSpec::ByName(spec.gpu),
+        spec.num_gpus);
+    if (spec.slo.has_value()) deployment.slo = *spec.slo;
+    ExpectSteppedFleetMatches(file, spec.engine, deployment,
+                              harness::BuildScenarioTrace(spec), spec.config);
+  }
+  // Work and a crash handed to replicas whose stretches run ahead, on
+  // ticks where lockstep replicas end their runs together.
+  const ContentionEstimator estimator =
+      ContentionEstimator::BuildOffline(Llama70bA100());
+  const harness::RunOutcome relayed =
+      RunRelay(Llama70bA100(), estimator, /*stepped=*/false);
+  const harness::RunOutcome relayed_stepped =
+      RunRelay(Llama70bA100(), estimator, /*stepped=*/true);
+  EXPECT_TRUE(relayed.stable);
+  EXPECT_EQ(relayed.completed, 36u);
+  EXPECT_GT(relayed.fleet.rehomed, 0u);
+  EXPECT_EQ(harness::SimulatedDigest(relayed_stepped),
+            harness::SimulatedDigest(relayed));
 }
 
 }  // namespace
