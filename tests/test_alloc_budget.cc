@@ -18,6 +18,7 @@
 #include "core/estimator.h"
 #include "core/muxwise_engine.h"
 #include "engine_test_util.h"
+#include "gpu/gpu.h"
 #include "gpu/gpu_spec.h"
 #include "kv/token_seq.h"
 #include "llm/model_config.h"
@@ -64,6 +65,14 @@ namespace {
 /** Allocations per decode iteration may not exceed this. */
 constexpr double kMaxAllocationsPerIteration = 1.5;
 
+/**
+ * Allocations of one ContentionEstimator::BuildOffline for Llama-70B on
+ * eight A100s, as measured when this bound was set. Offline profiling
+ * co-runs 4,320 throw-away simulators and devices, so set-up time pays
+ * for whatever each of them allocates.
+ */
+constexpr std::uint64_t kMaxOfflineProfilingAllocations = 107887;
+
 class AllocBudgetTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -103,6 +112,29 @@ class AllocBudgetTest : public ::testing::Test {
 };
 
 ContentionEstimator* AllocBudgetTest::estimator_ = nullptr;
+
+TEST_F(AllocBudgetTest, SimulatorAndGpuConstructionAllocateNothing) {
+  // Offline profiling builds and drops thousands of these: they keep
+  // nothing on the heap until they are used.
+  const gpu::GpuSpec spec = gpu::GpuSpec::A100();
+  const std::uint64_t before = g_allocations.load();
+  {
+    sim::Simulator simulator;
+    const gpu::Gpu device(&simulator, spec);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST_F(AllocBudgetTest, OfflineProfilingAllocatesNoMoreThanItDid) {
+  const serve::Deployment deployment = Deployment();
+  const std::uint64_t before = g_allocations.load();
+  const ContentionEstimator estimator =
+      ContentionEstimator::BuildOffline(deployment);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  RecordProperty("offline_profiling_allocations",
+                 std::to_string(allocations));
+  EXPECT_LE(allocations, kMaxOfflineProfilingAllocations);
+}
 
 TEST_F(AllocBudgetTest, ShareGptDecodeIterationsStayOffTheHeap) {
   const workload::Trace trace =
