@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <span>
 #include <tuple>
@@ -336,6 +338,26 @@ Defect FirstDefect(const FaultPlan& plan) {
 // Field reads and writes.
 // ---------------------------------------------------------------------------
 
+/** A time in seconds as ReadField reads it: the nearest nanosecond. */
+double Nanoseconds(double seconds) { return std::round(seconds * 1e9); }
+
+/**
+ * The decimal number of seconds with the fewest significant digits that
+ * ReadField reads back as `time`. One exists for every time below 2^51
+ * ns (26 days); past that, the nearest double, which may read back a
+ * nanosecond or two off.
+ */
+double ShortestSeconds(sim::Time time) {
+  const double seconds = sim::ToSeconds(time);
+  char text[32];
+  for (int digits = 1; digits < 17; ++digits) {
+    std::snprintf(text, sizeof(text), "%.*g", digits, seconds);
+    const double shorter = std::strtod(text, nullptr);
+    if (Nanoseconds(shorter) == static_cast<double>(time)) return shorter;
+  }
+  return seconds;
+}
+
 template <typename Entry>
 bool ReadField(const json::Value& object, const std::string& path,
                const Field<Entry>& field, json::FieldReader& in,
@@ -364,9 +386,8 @@ bool ReadField(const json::Value& object, const std::string& path,
             return false;
           }
           if (!present) return true;
-          // Rounds down: the same as sim::Seconds for a time >= 0, and
-          // still negative for a negative one, so Check() sees it.
-          const double ns = std::floor(seconds * 1e9);
+          // A negative time stays negative, so Check() sees it.
+          const double ns = Nanoseconds(seconds);
           if (!(ns >= -0x1p63 && ns < 0x1p63)) {
             return in.Fail(path + "." + field.key, "out of range");
           }
@@ -394,9 +415,7 @@ void WriteField(const Entry& entry, const Field<Entry>& field,
         } else if constexpr (std::is_same_v<T, sim::Time>) {
           // An optional time at kTimeNever (no recovery) is left out.
           if (!field.required && value == sim::kTimeNever) return;
-          json::SetKey(
-              out, field.key,
-              json::Num(std::round(sim::ToSeconds(value) * 1000.0) / 1000.0));
+          json::SetKey(out, field.key, json::Num(ShortestSeconds(value)));
         } else {
           json::SetKey(out, field.key, json::Num(static_cast<double>(value)));
         }

@@ -200,9 +200,10 @@ bool PlanFromJson(const json::Value& value, const std::string& path,
 
 /**
  * The plan as a "faults" block: every field of every entry, empty kinds
- * omitted, times rounded to the millisecond grid, and a crash that never
- * recovers without "recover_at_seconds". Deterministic, so a plan on the
- * grid round-trips through PlanFromJson exactly.
+ * omitted, each time as the shortest decimal number of seconds that
+ * reads back as the same nanosecond, and a crash that never recovers
+ * without "recover_at_seconds". Deterministic, and every time below 26
+ * days round-trips through PlanFromJson exactly.
  */
 json::Value PlanToJson(const FaultPlan& plan);
 

@@ -93,7 +93,7 @@ TEST(GeneratePlanTest, WindowsRespectTheShapeBounds) {
       EXPECT_LE(to, horizon) << "seed " << seed;
       EXPECT_LT(from, to) << "seed " << seed;
       EXPECT_LT(instance, shape.instances) << "seed " << seed;
-      // The millisecond grid is what makes the DSL round-trip exact.
+      // The millisecond grid keeps the DSL's numbers short.
       EXPECT_EQ(from % sim::Milliseconds(1), 0) << "seed " << seed;
       EXPECT_EQ(to % sim::Milliseconds(1), 0) << "seed " << seed;
     };
@@ -132,7 +132,7 @@ fault::FaultPlan AllKindsPlan() {
 
 // ---------------------------------------------------------------------------
 // The fault-plan codec: what PlanToJson prints, PlanFromJson reads back
-// to a plan that prints the same bytes.
+// to the same plan, which prints the same bytes.
 // ---------------------------------------------------------------------------
 
 void ExpectReencodes(const fault::FaultPlan& plan) {
@@ -143,6 +143,8 @@ void ExpectReencodes(const fault::FaultPlan& plan) {
   ASSERT_TRUE(fault::PlanFromJson(printed, "faults", in, &again))
       << in.error() << "\n" << json::Dump(printed);
   EXPECT_EQ(json::Dump(fault::PlanToJson(again)), json::Dump(printed));
+  // Every time reads back as the nanosecond it was written from.
+  EXPECT_TRUE(again == plan) << json::Dump(printed);
 }
 
 TEST(PlanCodecTest, GeneratedAndEdgePlansReencodeByteIdentically) {
@@ -173,6 +175,10 @@ TEST(PlanCodecTest, GeneratedAndEdgePlansReencodeByteIdentically) {
                 0.999)
       .Partition(5, 0, sim::Seconds(86400), true, false);
   ExpectReencodes(edges);
+  // A window inside one millisecond, off the generator's grid.
+  fault::FaultPlan narrow;
+  narrow.Zombie(0, sim::Microseconds(1000100), sim::Microseconds(1000400));
+  ExpectReencodes(narrow);
 }
 
 TEST(ReproTest, MakeReproTextIsByteDeterministic) {

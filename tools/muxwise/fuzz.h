@@ -47,8 +47,7 @@ struct PlanShape {
  * Generates a Validate-clean plan from `seed`: every draw comes from a
  * forked sim::Rng, entries that would collide (overlapping windows on
  * one target) are re-drawn a bounded number of times, and all times
- * land on a millisecond grid so the plan round-trips exactly through
- * the scenario DSL.
+ * land on a millisecond grid, so a repro's numbers stay short.
  */
 fault::FaultPlan GeneratePlan(std::uint64_t seed, const PlanShape& shape);
 
