@@ -9,10 +9,13 @@ namespace muxwise::core {
 
 MultiplexEngine::MultiplexEngine(sim::Simulator* simulator,
                                  const serve::Deployment& deployment,
-                                 Options options)
-    : sim_(simulator), deployment_(deployment), options_(options) {
-  device_ = std::make_unique<gpu::Gpu>(sim_, deployment_.gpu);
-  host_ = std::make_unique<gpu::HostThread>(sim_);
+                                 Options options, sim::Domain domain)
+    : sim_(simulator),
+      deployment_(deployment),
+      options_(options),
+      domain_(domain) {
+  device_ = std::make_unique<gpu::Gpu>(sim_, deployment_.gpu, domain);
+  host_ = std::make_unique<gpu::HostThread>(sim_, domain);
   const int total = deployment_.gpu.sm_count;
   // Initial split; the dispatcher reconfigures before the first launch.
   decode_sms_ = total / 2 / deployment_.gpu.partition_granularity *
@@ -78,10 +81,26 @@ sim::Time MultiplexEngine::DecodeLaunchStart(sim::Duration launch_cost) const {
 }
 
 void MultiplexEngine::RunDecodes(std::span<const gpu::Gpu::Priced> run,
-                                 sim::Duration launch_cost, sim::Time bound) {
+                                 sim::Duration launch_cost) {
   // Each launch completes on the host as its kernel starts.
   host_->SubmitRun(run.size(), launch_cost, run.back().start);
-  device_->RunPriced(decode_stream_, run, bound);
+  device_->RunPriced(decode_stream_, run);
+}
+
+void MultiplexEngine::AdoptDecode(const gpu::Kernel& kernel,
+                                  sim::Duration launch_cost,
+                                  const gpu::Gpu::Priced& priced,
+                                  std::function<void()> done,
+                                  sim::EventId place) {
+  MUX_CHECK(launches_.empty());
+  host_->SubmitRun(1, launch_cost, priced.start);
+  if (priced.start < sim_->Now()) {
+    device_->Adopt(decode_stream_, kernel, priced, std::move(done), place);
+    return;
+  }
+  // Submit's callback, due where the host finishes the launch.
+  launches_.push_back(PendingLaunch{decode_stream_, kernel, std::move(done)});
+  sim_->Replace(place, priced.start, domain_, StartPendingLaunch());
 }
 
 void MultiplexEngine::LaunchPrefillGroup(const gpu::Kernel& kernel,
@@ -98,12 +117,16 @@ void MultiplexEngine::SubmitLaunch(gpu::StreamId stream,
                                    sim::Duration launch_cost,
                                    std::function<void()> done) {
   launches_.push_back(PendingLaunch{stream, kernel, std::move(done)});
-  host_->Submit(launch_cost, [this, e = epoch_] {
+  host_->Submit(launch_cost, StartPendingLaunch());
+}
+
+std::function<void()> MultiplexEngine::StartPendingLaunch() {
+  return [this, e = epoch_] {
     if (e != epoch_) return;  // Abort() already dropped the launch.
     PendingLaunch next = std::move(launches_.front());
     launches_.erase(launches_.begin());
     device_->Launch(next.stream, next.kernel, std::move(next.done));
-  });
+  };
 }
 
 void MultiplexEngine::Abort() {

@@ -42,8 +42,10 @@ class MultiplexEngine {
     sim::Duration reconfig_cost = sim::Microseconds(10);
   };
 
+  /** The device's and the host's events belong to `domain`. */
   MultiplexEngine(sim::Simulator* simulator,
-                  const serve::Deployment& deployment, Options options);
+                  const serve::Deployment& deployment, Options options,
+                  sim::Domain domain = sim::kGlobalDomain);
 
   gpu::Gpu& device() { return *device_; }
   const gpu::Gpu& device() const { return *device_; }
@@ -75,16 +77,26 @@ class MultiplexEngine {
   sim::Time DecodeLaunchStart(sim::Duration launch_cost) const;
 
   /**
-   * Runs decode iterations inline with no simulator event, their kernels
-   * priced one after another by a DecodeAloneClock(), the first from
-   * DecodeLaunchStart() and each later one `launch_cost` after the one
-   * before it ended. The host and the device account for them as for as
-   * many LaunchDecode calls, and Now() becomes the last end. `bound` is
-   * a Simulator::AdvanceBound() answer that still holds and no end is
-   * later.
+   * Accounts for decode iterations that ran with no simulator event, all
+   * ended by Now(), their kernels priced one after another by a
+   * DecodeAloneClock(), the first from DecodeLaunchStart() and each
+   * later one `launch_cost` after the one before it ended. The host and
+   * the device account for them as for as many LaunchDecode calls.
    */
   void RunDecodes(std::span<const gpu::Gpu::Priced> run,
-                  sim::Duration launch_cost, sim::Time bound);
+                  sim::Duration launch_cost);
+
+  /**
+   * Takes one more such iteration, launched before Now() and priced as
+   * `priced`, as a LaunchDecode of `kernel` would have left it by now:
+   * running on the device when it started before Now(), else still a
+   * launch on the host. `done` fires at its completion. The event this
+   * leaves pending, the kernel's completion or the launch's end on the
+   * host, replaces pending event `place` (Simulator::Replace).
+   */
+  void AdoptDecode(const gpu::Kernel& kernel, sim::Duration launch_cost,
+                   const gpu::Gpu::Priced& priced, std::function<void()> done,
+                   sim::EventId place);
 
   /** Launches one prefill layer group on the prefill context. */
   void LaunchPrefillGroup(const gpu::Kernel& kernel,
@@ -148,12 +160,16 @@ class MultiplexEngine {
   void SubmitLaunch(gpu::StreamId stream, const gpu::Kernel& kernel,
                     sim::Duration launch_cost, std::function<void()> done);
 
+  /** The host callback of a launch: starts the oldest pending one. */
+  std::function<void()> StartPendingLaunch();
+
   /** Publishes the current partition counters (no-op when untraced). */
   void TracePartition() const;
 
   sim::Simulator* sim_;
   serve::Deployment deployment_;
   Options options_;
+  sim::Domain domain_;
 
   std::unique_ptr<gpu::Gpu> device_;
   std::unique_ptr<gpu::HostThread> host_;

@@ -20,13 +20,17 @@ constexpr int kMaxKvVictimsPerPump = 4;
 
 MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
                              const serve::Deployment& deployment,
-                             ContentionEstimator estimator, Options options)
-    : fault::FaultAwareEngine(simulator, deployment.slo, options.recovery),
+                             ContentionEstimator estimator, Options options,
+                             sim::Domain domain)
+    : fault::FaultAwareEngine(simulator, deployment.slo, options.recovery,
+                              domain),
       sim_(simulator),
+      domain_(domain),
       deployment_(deployment),
       options_(options),
       estimator_(std::move(estimator)) {
-  mux_ = std::make_unique<MultiplexEngine>(sim_, deployment_, options_.mux);
+  mux_ = std::make_unique<MultiplexEngine>(sim_, deployment_, options_.mux,
+                                           domain_);
   pool_ = std::make_unique<kv::KvPool>(deployment_.PoolTokens(
       deployment_.num_gpus,
       /*extra_graph_fraction=*/0.032));  // Per-partition decode graphs, §4.5.
@@ -39,7 +43,8 @@ MuxWiseEngine::MuxWiseEngine(sim::Simulator* simulator,
   if (options_.overload.enabled) {
     host_link_ = std::make_unique<sim::Channel>(
         sim_, "muxwise/host-spill",
-        overload::kHostLinkBandwidthBytesPerS, overload::kHostLinkLatency);
+        overload::kHostLinkBandwidthBytesPerS, overload::kHostLinkLatency,
+        domain_);
   }
 }
 
@@ -107,7 +112,8 @@ void MuxWiseEngine::Enqueue(std::unique_ptr<serve::Request> request) {
     tracer_.Instant("engine/overload", "admission-delayed",
                     request->spec->id,
                     static_cast<double>(workload::SloClassRank(slo_class)));
-    sim_->ScheduleAt(decision.retry_at, [this, id = request->spec->id] {
+    sim_->ScheduleAt(decision.retry_at, domain_,
+                     [this, id = request->spec->id] {
       OnAdmissionRetry(id);
     });
     gated_.push_back(  // muxlint: allow(unbounded-queue) — delayed
@@ -154,7 +160,7 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
     return;
   }
   if (decision.action == overload::AdmissionDecision::Action::kDelay) {
-    sim_->ScheduleAt(decision.retry_at,
+    sim_->ScheduleAt(decision.retry_at, domain_,
                      [this, id] { OnAdmissionRetry(id); });
     gated_.push_back(  // muxlint: allow(unbounded-queue) — re-gates a
                        // request already inside the hard cap (net queue
@@ -174,14 +180,15 @@ void MuxWiseEngine::ObserveOverload(sim::Time now) {
   for (const auto& request : waiting_) {
     queue_delay = std::max(queue_delay, now - request->arrival);
   }
+  const obs::Tracer tracer = tracer_.At(now);
   if (ctl_->Observe(now, occupancy, queue_delay)) {
-    tracer_.Instant("engine/overload", "mode-change",
-                    static_cast<std::int64_t>(ctl_->mode_transitions()),
-                    static_cast<double>(static_cast<int>(ctl_->mode())));
+    tracer.Instant("engine/overload", "mode-change",
+                   static_cast<std::int64_t>(ctl_->mode_transitions()),
+                   static_cast<double>(static_cast<int>(ctl_->mode())));
   }
-  if (tracer_.enabled()) {
-    tracer_.Counter("engine/overload", "mode",
-                    static_cast<double>(static_cast<int>(ctl_->mode())));
+  if (tracer.enabled()) {
+    tracer.Counter("engine/overload", "mode",
+                   static_cast<double>(static_cast<int>(ctl_->mode())));
   }
 }
 
@@ -521,11 +528,7 @@ void MuxWiseEngine::MaybeLaunchDecode() {
     return;
   }
 
-  std::int64_t total_ctx = 0;
-  for (const auto& request : decoding_) {
-    total_ctx += request->spec->input_tokens + request->generated;
-  }
-  const llm::DecodeBatch batch(decoding_.size(), total_ctx);
+  const llm::DecodeBatch batch = DecodeBatchNow();
 
   const bool prefill_pending = active_ != nullptr ||
                                preempted_ != nullptr || !waiting_.empty() ||
@@ -585,10 +588,14 @@ void MuxWiseEngine::OnDecodeIterationDone() {
     if (slowdown > 1.0) estimator_.ObserveDecode(done.cell, slowdown);
   }
   FinishDecodeIteration();
+  AfterDecodeIteration();
+}
+
+void MuxWiseEngine::AfterDecodeIteration() {
   // A stretch ends on the iteration that finishes a request; the batch
   // left behind may start the next one at once.
   while (DecodeStretchMayStart()) {
-    if (RunDecodeStretch()) return;  // The next iteration is launched.
+    if (RunDecodeStretch()) return;  // The next iteration is in flight.
   }
   PumpScheduler();
 }
@@ -632,14 +639,53 @@ bool MuxWiseEngine::RunDecodeStretch() {
   FoldMerges();
   const int total = deployment_.gpu.sm_count;
   mux_->SetPartition(total, deployment_.gpu.partition_granularity);
+  return ContinueDecodeStretch();
+}
 
+bool MuxWiseEngine::ContinueDecodeStretch() {
+  while (PriceDecodeRun()) {
+    const sim::Time end = priced_[run_size_ - 1].end;
+    if (domain_ != sim::kGlobalDomain) {
+      // Nothing else of this domain happens first. Other domains' events
+      // may, and whatever reaches into this engine syncs it first.
+      run_end_ =
+          sim_->ScheduleAt(end, domain_, [this] { EndDeferredRun(); });
+      return true;
+    }
+    // Nothing at all happens first: run to the end at once. Nothing in
+    // the run may schedule or cancel an event, which keeps the bound
+    // true to its end.
+    const std::uint64_t scheduled = sim_->ScheduledEvents();
+    const std::size_t pending = sim_->PendingEvents();
+    sim_->AdvanceTo(end, sim_->AdvanceBound());
+    const bool finishes = AccountDecodeRun();
+    MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
+              sim_->PendingEvents() == pending);
+    if (finishes) {
+      FinishDecodeRun();
+      return false;
+    }
+  }
+  // Something else may happen first: step it through events.
+  MaybeLaunchDecode();
+  return true;
+}
+
+llm::DecodeBatch MuxWiseEngine::DecodeBatchNow() const {
+  std::int64_t context = 0;
+  for (const auto& request : decoding_) {
+    context += request->spec->input_tokens + request->generated;
+  }
+  return llm::DecodeBatch(decoding_.size(), context);
+}
+
+bool MuxWiseEngine::PriceDecodeRun() {
   // The batch is fixed until a request finishes, `left` iterations on;
   // each iteration adds one token to every context.
   const std::size_t size = decoding_.size();
-  std::int64_t context = 0;
+  std::int64_t context = DecodeBatchNow().total_context;
   std::int64_t left = 0;
   for (const auto& request : decoding_) {
-    context += request->spec->input_tokens + request->generated;
     const std::int64_t remaining =
         request->output_target() - request->generated;
     if (left == 0 || remaining < left) left = remaining;
@@ -647,64 +693,125 @@ bool MuxWiseEngine::RunDecodeStretch() {
   const llm::DecodeStep step = cost_->DecodeStepFor(size);
   const std::optional<gpu::Gpu::AloneClock> clock =
       mux_->DecodeAloneClock(step.At(context));
+  if (!clock.has_value()) return false;
   const sim::Duration launch_cost = cost_->DecodeGraphLaunch();
-  const sim::Time bound = sim_->AdvanceBound();
-  const std::uint64_t scheduled = sim_->ScheduledEvents();
-  const std::size_t pending = sim_->PendingEvents();
-  // Each trace event needs the clock at its own time.
-  const std::size_t run_cap = tracer_.enabled() ? 1 : kStretchRun;
-  bool bounded = !clock.has_value();
-  while (!bounded) {
-    // Price until the buffer is full, an iteration finishes a request
-    // or the next would end past the bound.
-    std::size_t n = 0;
-    bool finishes = false;
-    sim::Time start = mux_->DecodeLaunchStart(launch_cost);
-    while (n < run_cap) {
-      const gpu::Gpu::Priced priced = clock->Price(step.At(context), start);
-      if (priced.end > bound) {
-        bounded = true;
-        break;
-      }
-      priced_[n++] = priced;
-      if (--left == 0) {
-        finishes = true;
-        break;
-      }
-      context += static_cast<std::int64_t>(size);
-      // The host launched this one by its start, so the next launch
-      // waits only for its end.
-      start = priced.end + launch_cost;
+  const sim::Time bound = sim_->AdvanceBound(domain_);
+  // Price until the buffer is full, an iteration finishes a request or
+  // the next would end past the bound.
+  std::size_t n = 0;
+  bool finishes = false;
+  sim::Time start = mux_->DecodeLaunchStart(launch_cost);
+  while (n < kStretchRun) {
+    const gpu::Gpu::Priced priced = clock->Price(step.At(context), start);
+    if (priced.end > bound) break;
+    priced_[n++] = priced;
+    if (--left == 0) {
+      finishes = true;
+      break;
     }
-    if (n > 0) RunPricedDecodes(std::span(priced_.data(), n), finishes, bound);
-    if (finishes) break;
+    context += static_cast<std::int64_t>(size);
+    // The host launched this one by its start, so the next launch
+    // waits only for its end.
+    start = priced.end + launch_cost;
   }
-  // Nothing runs inside a stretch that could schedule or cancel an
-  // event, which is what keeps `bound` true to its end.
-  MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
-            sim_->PendingEvents() == pending);
-  if (bounded) {
-    // Something else may happen first: step it through events.
-    MaybeLaunchDecode();
-    return true;
-  }
-  // Only the last iteration's estimate outlives the stretch.
+  if (n == 0) return false;
+  run_size_ = n;
+  run_done_ = 0;
+  run_finishes_ = finishes;
+  run_launched_ = sim_->Now();
+  decode_in_flight_ = true;
+  return true;
+}
+
+bool MuxWiseEngine::AccountDecodeRun() {
+  AccountPricedUpTo(run_size_);
+  run_size_ = 0;
+  run_done_ = 0;
+  decode_in_flight_ = false;
+  return run_finishes_;
+}
+
+void MuxWiseEngine::FinishDecodeRun() {
+  // Only the last iteration's estimate outlives the stretch; the batch
+  // still holds that iteration's context.
   last_decode_estimate_ = estimator_.PredictDecodeSolo(
-      llm::DecodeBatch(size, context), total);
+      DecodeBatchNow(), deployment_.gpu.sm_count);
   FinishDecodeIteration();  // Hands back the finished requests.
-  return false;
+}
+
+void MuxWiseEngine::EndDeferredRun() {
+  run_end_ = sim::kInvalidEventId;
+  if (AccountDecodeRun()) {
+    FinishDecodeRun();
+  } else if (ContinueDecodeStretch()) {
+    return;
+  }
+  AfterDecodeIteration();
+}
+
+void MuxWiseEngine::AccountPricedUpTo(std::size_t to) {
+  // Traced, one iteration at a time, so its trace events keep their
+  // order: each stepped iteration's come before the next one's.
+  const std::size_t step = tracer_.enabled() ? 1 : kStretchRun;
+  while (run_done_ < to) {
+    const std::size_t n = std::min(step, to - run_done_);
+    const sim::Time launched =
+        run_done_ == 0 ? run_launched_ : priced_[run_done_ - 1].end;
+    RunPricedDecodes(std::span(priced_.data() + run_done_, n),
+                     run_finishes_ && run_done_ + n == run_size_, launched);
+    run_done_ += n;
+  }
+}
+
+void MuxWiseEngine::Sync(SyncFor purpose) {
+  if (run_end_ == sim::kInvalidEventId) return;
+  // An iteration ending exactly now has not ended: whatever calls runs
+  // before its completion, as it would before a stepped one's scheduled
+  // later. The run's last iteration ends at or after now (its end event
+  // is pending), so `ended` stops inside the run.
+  const sim::Time now = sim_->Now();
+  std::size_t ended = run_done_;
+  while (priced_[ended].end < now) ++ended;
+  AccountPricedUpTo(ended);
+  if (purpose == SyncFor::kRead) return;
+
+  // The caller goes on to change the engine: drop the unlaunched tail and
+  // leave the iteration in flight as MaybeLaunchDecode, with no prefill
+  // pending, launched it when the one before it ended. Its pending event
+  // takes the run end's place among same-time events.
+  const sim::EventId place = run_end_;
+  run_end_ = sim::kInvalidEventId;
+  const gpu::Gpu::Priced priced = priced_[ended];
+  const sim::Time launched =
+      ended == 0 ? run_launched_ : priced_[ended - 1].end;
+  run_size_ = 0;
+  run_done_ = 0;
+  const llm::DecodeBatch batch = DecodeBatchNow();
+  const int total = deployment_.gpu.sm_count;
+  partition_.Add(total, total, /*prefill_active=*/false);
+  const sim::Duration solo = estimator_.PredictDecodeSolo(batch, total);
+  last_decode_estimate_ = solo;
+  inflight_decode_.launch_time = launched;
+  inflight_decode_.solo = solo;
+  inflight_decode_.had_cotenant = false;
+  ++decode_iterations_;
+  tracer_.At(launched).SpanBegin("engine/decode", "decode-step",
+                                 static_cast<std::int64_t>(decode_iterations_),
+                                 static_cast<double>(batch.size));
+  mux_->AdoptDecode(cost_->DecodeIteration(batch), cost_->DecodeGraphLaunch(),
+                    priced, [this] { OnDecodeIterationDone(); }, place);
 }
 
 void MuxWiseEngine::RunPricedDecodes(std::span<const gpu::Gpu::Priced> run,
-                                     bool finishes, sim::Time bound) {
+                                     bool finishes, sim::Time launched) {
   const int total = deployment_.gpu.sm_count;
   partition_.Add(total, total, /*prefill_active=*/false, run.size());
   decode_iterations_ += run.size();
   // Traced, `run` is one iteration, which these spans bracket.
-  tracer_.SpanBegin("engine/decode", "decode-step",
-                    static_cast<std::int64_t>(decode_iterations_),
-                    static_cast<double>(decoding_.size()));
-  mux_->RunDecodes(run, cost_->DecodeGraphLaunch(), bound);
+  tracer_.At(launched).SpanBegin("engine/decode", "decode-step",
+                                 static_cast<std::int64_t>(decode_iterations_),
+                                 static_cast<double>(decoding_.size()));
+  mux_->RunDecodes(run, cost_->DecodeGraphLaunch());
   const std::span<const gpu::Gpu::Priced> emitted =
       finishes ? run.first(run.size() - 1) : run;
   if (emitted.empty()) return;
@@ -713,10 +820,11 @@ void MuxWiseEngine::RunPricedDecodes(std::span<const gpu::Gpu::Priced> run,
       request->EmitToken(iteration.end);
     }
   }
-  tracer_.SpanEnd("engine/decode", "decode-step",
-                  static_cast<std::int64_t>(decode_iterations_));
-  tracer_.Counter("engine/decode", "decode-pending",
-                  static_cast<double>(decoding_.size()));
+  const obs::Tracer at_end = tracer_.At(emitted.back().end);
+  at_end.SpanEnd("engine/decode", "decode-step",
+                 static_cast<std::int64_t>(decode_iterations_));
+  at_end.Counter("engine/decode", "decode-pending",
+                 static_cast<double>(decoding_.size()));
   if (OverloadOn()) {
     for (const gpu::Gpu::Priced& iteration : emitted) {
       ObserveOverload(iteration.end);

@@ -74,11 +74,15 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   /**
    * `estimator` is the offline-profiled estimator for this deployment
    * (ContentionEstimator::BuildOffline); the engine takes its own copy
-   * so online refinement stays per-instance.
+   * so online refinement stays per-instance. Every event the engine,
+   * its device, host thread and host link schedule belongs to `domain`;
+   * outside the global domain a decode stretch may run ahead of the
+   * event loop, and whatever reaches into the engine calls Sync first.
    */
   MuxWiseEngine(sim::Simulator* simulator,
                 const serve::Deployment& deployment,
-                ContentionEstimator estimator, Options options);
+                ContentionEstimator estimator, Options options,
+                sim::Domain domain = sim::kGlobalDomain);
   ~MuxWiseEngine() override;
 
   const char* name() const override;
@@ -126,6 +130,19 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::size_t kv_restores() const { return kv_restores_; }
 
   // --- Fleet-router surface (src/route/) ----------------------------
+
+  /** What a caller of Sync goes on to do with the engine. */
+  enum class SyncFor { kRead, kChange };
+
+  /**
+   * Brings a decode stretch that runs ahead of the event loop back to
+   * Now(): accounts for the iterations that ended before Now(). For
+   * kChange it also drops the iterations not yet launched and leaves the
+   * one in flight as a stepped launch would have: a running kernel on
+   * the device, or a launch still on the host. No-op when no stretch
+   * runs ahead, as always in the global domain.
+   */
+  void Sync(SyncFor purpose);
 
   /**
    * Drains every request that has not started compute — the waiting
@@ -234,6 +251,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   void OnPrefillGroupDone(int layers);
   void CompleteActivePrefill();
 
+  /** The decode batch's size and total context. */
+  llm::DecodeBatch DecodeBatchNow() const;
+
   /** Moves completed prefills into the decode batch (paper §3.2.3). */
   void FoldMerges();
   void MaybeLaunchDecode();
@@ -255,26 +275,56 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   bool DecodeStretchMayStart() const;
 
   /**
-   * Runs the batch's iterations inline, with no simulator event, from
-   * one advance bound, until one finishes a request (returns false) or
-   * the next would end past the bound; that one is launched through
-   * events (returns true). Every iteration prices, accounts and traces
-   * as a launched one would. The iterations are priced up to
-   * kStretchRun at a time, then accounted for as one run
-   * (RunPricedDecodes); a traced stretch runs them one at a time.
+   * Runs the batch's iterations with no event of their own, until one
+   * finishes a request (returns false, the request handed back) or the
+   * next would end past the domain's advance bound; that one is
+   * launched through events (returns true). Every iteration prices,
+   * accounts and traces as a launched one would. The iterations are
+   * priced up to kStretchRun at a time into a run. In the global domain
+   * the clock moves to the run's end and the run is accounted for at
+   * once; in another, the run ends with one event of the domain
+   * (EndDeferredRun), and the stretch returns true.
    */
   bool RunDecodeStretch();
 
+  /** RunDecodeStretch, from its pricing on. */
+  bool ContinueDecodeStretch();
+
+  /**
+   * Prices the next run of the batch's iterations into priced_, from a
+   * launch now; false when not even one fits.
+   */
+  bool PriceDecodeRun();
+
+  /**
+   * Accounts for the rest of the priced run and clears it; true when its
+   * last iteration finishes a request, whose token is left to
+   * FinishDecodeIteration.
+   */
+  bool AccountDecodeRun();
+
+  /** Hands back what the run's last iteration finished. */
+  void FinishDecodeRun();
+
+  /** The deferred run's end event. */
+  void EndDeferredRun();
+
+  /** After a decode iteration: the next stretch, or the scheduling pass. */
+  void AfterDecodeIteration();
+
+  /** Accounts for priced_[run_done_, to), a traced run one at a time. */
+  void AccountPricedUpTo(std::size_t to);
+
   /**
    * Accounts for `run`, decode iterations of the batch priced back to
-   * back and none past `bound`: the partition decisions, the launches
-   * and kernels (which move the clock to the last end), every token but
-   * that of an iteration that finishes a request (when `finishes`, the
-   * last one; FinishDecodeIteration emits it) and the overload
-   * observation made as each next iteration is launched.
+   * back, the first launched at `launched` and all ended by Now(): the
+   * partition decisions, the launches and kernels, every token but that
+   * of an iteration that finishes a request (when `finishes`, the last
+   * one; FinishDecodeIteration emits it) and the overload observation
+   * made as each next iteration is launched.
    */
   void RunPricedDecodes(std::span<const gpu::Gpu::Priced> run, bool finishes,
-                        sim::Time bound);
+                        sim::Time launched);
 
   void FinishRequest(std::unique_ptr<serve::Request> request);
   void MaybePreemptFor(const serve::Request& incoming);
@@ -334,6 +384,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   sim::Duration IncomingPhaseTime(const llm::SeqWork& seq, int sms);
 
   sim::Simulator* sim_;
+  sim::Domain domain_;
   serve::Deployment deployment_;
   Options options_;
 
@@ -398,8 +449,16 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   std::array<SeqPrice, 2> incoming_prices_;
   std::size_t next_incoming_price_ = 0;
   std::size_t decode_iterations_ = 0;
-  // Decode iterations a stretch has priced and not yet accounted for.
+  // The run a stretch priced: priced_[0, run_size_), launched from
+  // run_launched_, of which the first run_done_ are accounted for;
+  // run_finishes_ when its last iteration finishes a request. Outside
+  // the global domain it ends with the event run_end_.
   std::array<gpu::Gpu::Priced, kStretchRun> priced_;
+  std::size_t run_size_ = 0;
+  std::size_t run_done_ = 0;
+  bool run_finishes_ = false;
+  sim::Time run_launched_ = 0;
+  sim::EventId run_end_ = sim::kInvalidEventId;
   std::size_t preemptions_ = 0;
   std::uint64_t prefill_group_serial_ = 0;
   PartitionSummary partition_;

@@ -61,9 +61,11 @@ class FaultAwareEngine : public serve::Engine {
   std::size_t crash_requeues() const { return crash_requeues_; }
 
  protected:
+  /** Deadline events belong to `domain`, the engine's event domain. */
   FaultAwareEngine(sim::Simulator* simulator, workload::SloTargets slo,
-                   RecoveryPolicy policy)
-      : fault_sim_(simulator), slo_(slo), recovery_(policy) {
+                   RecoveryPolicy policy,
+                   sim::Domain domain = sim::kGlobalDomain)
+      : fault_sim_(simulator), slo_(slo), recovery_(policy), domain_(domain) {
     MUX_CHECK(fault_sim_ != nullptr);
   }
 
@@ -130,7 +132,7 @@ class FaultAwareEngine : public serve::Engine {
     if (recovery_.enabled && admission != Admission::kForwarded) {
       request->deadline =
           RequestDeadline(request->arrival, *request->spec, slo_, recovery_);
-      fault_sim_->ScheduleAt(request->deadline,
+      fault_sim_->ScheduleAt(request->deadline, domain_,
                              [this, id = request->spec->id] { Reap(id); });
       if (admission == Admission::kQueued) QueueDemand(*request);
     }
@@ -298,6 +300,7 @@ class FaultAwareEngine : public serve::Engine {
 
   workload::SloTargets slo_;
   RecoveryPolicy recovery_;
+  sim::Domain domain_;
   std::vector<bool> down_;
   std::uint64_t epoch_ = 0;
   std::size_t in_flight_ = 0;

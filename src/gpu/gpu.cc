@@ -29,8 +29,8 @@ double StreamStats::BubbleRatio() const {
   return std::max(0.0, idle / window);
 }
 
-Gpu::Gpu(sim::Simulator* simulator, GpuSpec spec)
-    : sim_(simulator), spec_(std::move(spec)) {
+Gpu::Gpu(sim::Simulator* simulator, GpuSpec spec, sim::Domain domain)
+    : sim_(simulator), spec_(std::move(spec)), domain_(domain) {
   MUX_CHECK(sim_ != nullptr);
   MUX_CHECK(spec_.sm_count > 0);
 }
@@ -81,7 +81,7 @@ void Gpu::OnStreamDrained(StreamId stream, Callback fn) {
   } else if (s.running.has_value()) {
     s.running->on_complete.Add(std::move(fn));
   } else {
-    sim_->ScheduleAfter(0, std::move(fn));
+    sim_->ScheduleAfter(0, domain_, std::move(fn));
   }
 }
 
@@ -393,8 +393,8 @@ void Gpu::Rerate() {
         1, static_cast<sim::Duration>(left * static_cast<double>(run.current_total)));
     if (run.completion != sim::kInvalidEventId) sim_->Cancel(run.completion);
     const StreamId id = r.id;
-    run.completion =
-        sim_->ScheduleAfter(time_left, [this, id] { Complete(id); });
+    run.completion = sim_->ScheduleAfter(time_left, domain_,
+                                         [this, id] { Complete(id); });
   }
 }
 
@@ -491,29 +491,60 @@ sim::Time Gpu::AloneCompletion(StreamId stream, const Kernel& kernel,
   return clock ? clock->Price(kernel, start).end : sim::kTimeNever;
 }
 
-void Gpu::RunPriced(StreamId id, std::span<const Priced> run,
-                    sim::Time bound) {
+void Gpu::RunPriced(StreamId id, std::span<const Priced> run) {
   Stream& s = GetStream(id);
   MUX_CHECK(!frozen_ && active_streams_.empty() && s.queue.empty());
-  MUX_CHECK(!run.empty() && run.front().start >= sim_->Now());
+  MUX_CHECK(!run.empty() && run.back().end <= sim_->Now());
   if (!tracer_.enabled()) {
     AccountPriced(s, run);
-    sim_->AdvanceTo(run.back().end, bound);
     return;
   }
-  // One kernel at a time, so each trace event keeps its time.
+  // One kernel at a time, so each trace event keeps its place.
   for (const Priced& kernel : run) {
     const auto serial = static_cast<std::int64_t>(next_kernel_serial_);
     const obs::SpanLabel span{TrackLabel(id),
                               NameLabel(&kernel_name_label_, "kernel")};
-    sim_->AdvanceTo(kernel.start, bound);
-    tracer_.SpanBegin(span, serial, static_cast<double>(s.sms));
-    tracer_.Counter(
+    const obs::Tracer at_start = tracer_.At(kernel.start);
+    at_start.SpanBegin(span, serial, static_cast<double>(s.sms));
+    at_start.Counter(
         obs::SpanLabel{TrackLabel(id), NameLabel(&hbm_name_label_, "hbm-share")},
         kernel.hbm_share);
-    sim_->AdvanceTo(kernel.end, bound);
     AccountPriced(s, std::span(&kernel, 1));
-    tracer_.SpanEnd(span, serial);
+    tracer_.At(kernel.end).SpanEnd(span, serial);
+  }
+}
+
+void Gpu::Adopt(StreamId id, Kernel kernel, const Priced& priced,
+                Callback on_complete, sim::EventId place) {
+  Stream& s = GetStream(id);
+  MUX_CHECK(!frozen_ && active_streams_.empty() && s.queue.empty());
+  MUX_CHECK(priced.start < sim_->Now() && sim_->Now() <= priced.end);
+  MUX_CHECK(integral_updated_at_ <= priced.start);
+  // Start's bookkeeping at priced.start: the idle gap before it adds
+  // nothing busy, and Rerate gives a lone kernel the duration it was
+  // priced at, with no progress yet.
+  AccrueIntegrals(priced.start, 0);
+  RunningKernel run;
+  run.kernel = std::move(kernel);
+  run.on_complete.Add(std::move(on_complete));
+  run.serial = next_kernel_serial_++;
+  run.granted_sms = s.sms;
+  run.last_update = priced.start;
+  run.current_total = priced.end - priced.start;
+  run.completion = sim_->Replace(place, priced.end, domain_,
+                                 [this, id] { Complete(id); });
+  s.running = std::move(run);
+  MarkActive(id);
+  s.stats.first_activity = std::min(s.stats.first_activity, priced.start);
+  if (tracer_.enabled()) {
+    const obs::Tracer at_start = tracer_.At(priced.start);
+    at_start.SpanBegin(
+        obs::SpanLabel{TrackLabel(id), NameLabel(&kernel_name_label_, "kernel")},
+        static_cast<std::int64_t>(s.running->serial),
+        static_cast<double>(s.running->granted_sms));
+    at_start.Counter(
+        obs::SpanLabel{TrackLabel(id), NameLabel(&hbm_name_label_, "hbm-share")},
+        priced.hbm_share);
   }
 }
 

@@ -58,7 +58,9 @@ class Gpu {
  public:
   using Callback = std::function<void()>;
 
-  Gpu(sim::Simulator* simulator, GpuSpec spec);
+  /** `domain` is the event domain of the device's completions. */
+  Gpu(sim::Simulator* simulator, GpuSpec spec,
+      sim::Domain domain = sim::kGlobalDomain);
 
   Gpu(const Gpu&) = delete;
   Gpu& operator=(const Gpu&) = delete;
@@ -185,18 +187,28 @@ class Gpu {
                             sim::Time start) const;
 
   /**
-   * Runs `run`, kernels an AloneClock for `stream` priced, one after
-   * another without simulator events: the bookkeeping of Launch at each
-   * start and of its completion at its end (launch serials, activity
-   * window, busy time, both integrals, completion counts, and when
-   * traced each kernel's span and hbm-share counter), with no re-rate
-   * and no completion callback. Moves the clock to the last end. The
-   * first kernel starts no earlier than Now(), each later one no
-   * earlier than the one before it ended, and the last ends no later
-   * than `bound`, a Simulator::AdvanceBound() answer that still holds.
+   * Accounts for `run`, kernels an AloneClock for `stream` priced that
+   * ran one after another without simulator events: the bookkeeping of
+   * Launch at each start and of its completion at its end (launch
+   * serials, activity window, busy time, both integrals, completion
+   * counts, and when traced each kernel's span and hbm-share counter,
+   * stamped with its own times), with no re-rate and no completion
+   * callback. The first kernel starts no earlier than the device's last
+   * change, each later one no earlier than the one before it ended, and
+   * the last ends no later than Now().
    */
-  void RunPriced(StreamId stream, std::span<const Priced> run,
-                 sim::Time bound);
+  void RunPriced(StreamId stream, std::span<const Priced> run);
+
+  /**
+   * Takes `kernel`, which an AloneClock for `stream` priced as `priced`
+   * and which started before Now() without a simulator event, as a
+   * running kernel: the state Launch at `priced.start` would have left,
+   * with its completion (and then `on_complete`) due at `priced.end`.
+   * The completion replaces pending event `place` (Simulator::Replace),
+   * in its schedule order.
+   */
+  void Adopt(StreamId stream, Kernel kernel, const Priced& priced,
+             Callback on_complete, sim::EventId place);
 
   /**
    * Straggler injection: stretches every running and future kernel by
@@ -398,6 +410,7 @@ class Gpu {
 
   sim::Simulator* sim_;
   GpuSpec spec_;
+  sim::Domain domain_;
   std::vector<Stream> streams_;
   std::size_t kernels_completed_ = 0;
   std::size_t kernels_aborted_ = 0;

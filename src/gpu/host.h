@@ -22,7 +22,10 @@ namespace muxwise::gpu {
  */
 class HostThread {
  public:
-  explicit HostThread(sim::Simulator* simulator) : sim_(simulator) {}
+  /** `domain` is the event domain of the host's callbacks. */
+  explicit HostThread(sim::Simulator* simulator,
+                      sim::Domain domain = sim::kGlobalDomain)
+      : sim_(simulator), domain_(domain) {}
 
   HostThread(const HostThread&) = delete;
   HostThread& operator=(const HostThread&) = delete;
@@ -34,19 +37,19 @@ class HostThread {
   sim::Time Submit(sim::Duration cost, std::function<void()> fn) {
     const sim::Time start = std::max(sim_->Now(), busy_until_);
     busy_until_ = start + cost;
-    if (fn) sim_->ScheduleAt(busy_until_, std::move(fn));
+    if (fn) sim_->ScheduleAt(busy_until_, domain_, std::move(fn));
     total_busy_ += cost;
     return busy_until_;
   }
 
   /**
    * Takes `count` submissions of `cost` at once, placed by the caller as
-   * Submit would place them one by one, with no callback: the last of
-   * them completes at `last_done`.
+   * Submit would have placed them one by one, the first no earlier than
+   * the host was free, with no callback: the last of them completes at
+   * `last_done`.
    */
   void SubmitRun(std::size_t count, sim::Duration cost, sim::Time last_done) {
-    MUX_CHECK(count > 0 &&
-              last_done >= std::max(sim_->Now(), busy_until_) + cost);
+    MUX_CHECK(count > 0 && last_done >= busy_until_ + cost);
     busy_until_ = last_done;
     total_busy_ += static_cast<sim::Duration>(count) * cost;
   }
@@ -62,6 +65,7 @@ class HostThread {
 
  private:
   sim::Simulator* sim_;
+  sim::Domain domain_;
   sim::Time busy_until_ = 0;
   sim::Duration total_busy_ = 0;
 };

@@ -156,18 +156,28 @@ class Tracer {
   bool enabled() const { return recorder_ != nullptr; }
   TraceRecorder* recorder() const { return recorder_; }
 
+  /**
+   * This tracer with its clock held at `time`, for events recorded after
+   * the fact, each at its own time (a deferred decode stretch's).
+   */
+  Tracer At(sim::Time time) const {
+    Tracer at = *this;
+    at.at_ = time;
+    return at;
+  }
+
   /** Opens span `name` with stable `id` on `track` at Now(). */
   void SpanBegin(std::string_view track, std::string_view name,
                  std::int64_t id, double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    Emit(EventKind::kSpanBegin, track, name, sim_->Now(), id, value);
+    Emit(EventKind::kSpanBegin, track, name, Now(), id, value);
   }
 
   /** Closes the matching span at Now(). */
   void SpanEnd(std::string_view track, std::string_view name,
                std::int64_t id, double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    Emit(EventKind::kSpanEnd, track, name, sim_->Now(), id, value);
+    Emit(EventKind::kSpanEnd, track, name, Now(), id, value);
   }
 
   /**
@@ -186,14 +196,14 @@ class Tracer {
   void Instant(std::string_view track, std::string_view name,
                std::int64_t id = 0, double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    Emit(EventKind::kInstant, track, name, sim_->Now(), id, value);
+    Emit(EventKind::kInstant, track, name, Now(), id, value);
   }
 
   /** Samples counter `name` = `value` at Now(). */
   void Counter(std::string_view track, std::string_view name,
                double value) const {
     if (recorder_ == nullptr) return;
-    Emit(EventKind::kCounter, track, name, sim_->Now(), 0, value);
+    Emit(EventKind::kCounter, track, name, Now(), 0, value);
   }
 
   // --- Pre-interned fast path -----------------------------------------
@@ -210,23 +220,23 @@ class Tracer {
 
   void SpanBegin(SpanLabel label, std::int64_t id, double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    EmitInterned(EventKind::kSpanBegin, label, sim_->Now(), id, value);
+    EmitInterned(EventKind::kSpanBegin, label, Now(), id, value);
   }
 
   void SpanEnd(SpanLabel label, std::int64_t id, double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    EmitInterned(EventKind::kSpanEnd, label, sim_->Now(), id, value);
+    EmitInterned(EventKind::kSpanEnd, label, Now(), id, value);
   }
 
   void Instant(SpanLabel label, std::int64_t id = 0,
                double value = 0.0) const {
     if (recorder_ == nullptr) return;
-    EmitInterned(EventKind::kInstant, label, sim_->Now(), id, value);
+    EmitInterned(EventKind::kInstant, label, Now(), id, value);
   }
 
   void Counter(SpanLabel label, double value) const {
     if (recorder_ == nullptr) return;
-    EmitInterned(EventKind::kCounter, label, sim_->Now(), 0, value);
+    EmitInterned(EventKind::kCounter, label, Now(), 0, value);
   }
 
  private:
@@ -236,8 +246,12 @@ class Tracer {
   void EmitInterned(EventKind kind, SpanLabel label, sim::Time time,
                     std::int64_t id, double value) const;
 
+  /** The simulator clock, or the time At() held. */
+  sim::Time Now() const { return at_ == sim::kTimeNever ? sim_->Now() : at_; }
+
   TraceRecorder* recorder_ = nullptr;
   const sim::Simulator* sim_ = nullptr;
+  sim::Time at_ = sim::kTimeNever;
 };
 
 }  // namespace muxwise::obs

@@ -54,9 +54,14 @@ FleetRouter::FleetRouter(sim::Simulator* simulator,
   MUX_CHECK(options_.min_replicas >= 1);
   replicas_.reserve(options_.replicas);
   for (std::size_t r = 0; r < options_.replicas; ++r) {
+    // A replica's events touch only the replica, so each of several gets
+    // its own domain, and its decode stretches run past the others'
+    // events. A lone replica stays in the global domain.
+    const sim::Domain domain = options_.replicas > 1 ? simulator->NewDomain()
+                                                     : sim::kGlobalDomain;
     Replica replica;
     replica.engine = std::make_unique<core::MuxWiseEngine>(
-        simulator, deployment, estimator_, engine_options);
+        simulator, deployment, estimator_, engine_options, domain);
     replica.engine->set_on_complete(
         [this, r](std::unique_ptr<serve::Request> request) {
           OnReplicaComplete(r, std::move(request));
@@ -147,7 +152,7 @@ void FleetRouter::Dispatch(std::unique_ptr<serve::Request> request,
   // May complete synchronously (replica-level shed): OnReplicaComplete
   // re-enters through the completion callback, after the accounting
   // above, so the books stay balanced.
-  replica.engine->Enqueue(std::move(request));
+  Synced(r, SyncFor::kChange).Enqueue(std::move(request));
   // A grey fleet watches progress while work is in flight: this
   // dispatch may be the first work a zombie can stall, so the watermark
   // sampler must be ticking.
@@ -200,7 +205,9 @@ bool FleetRouter::HeartbeatNeeded() const {
     if (replicas_[r].draining) return true;
     if (!health_.Stable(r)) return true;
     // Grey runs: a zombie only betrays itself through a frozen
-    // watermark, so keep sampling any replica with work in flight.
+    // watermark, so keep sampling any replica with work in flight. (A
+    // decode stretch moves the in-flight count only at its end event,
+    // so reading it needs no Sync.)
     if (grey_active_ && options_.health.zombie_detection &&
         replicas_[r].engine->InFlight() > 0) {
       return true;
@@ -224,9 +231,9 @@ void FleetRouter::OnHeartbeat() {
     // Zombie detection first: sample the replica's work-progress
     // watermark, then let the deadline FSM take its ordinary beat.
     if (grey_active_ && options_.health.zombie_detection) {
+      const core::MuxWiseEngine& engine = Synced(r, SyncFor::kRead);
       const HealthTracker::Transition verdict = health_.ObserveProgress(
-          r, replicas_[r].engine->ProgressWatermark(),
-          replicas_[r].engine->InFlight(), now);
+          r, engine.ProgressWatermark(), engine.InFlight(), now);
       if (verdict.changed) {
         ++stats_.health_transitions;
         tracer_.Instant("route", HealthName(verdict.to),
@@ -266,7 +273,7 @@ void FleetRouter::DeclareDown(std::size_t r, sim::Time now) {
                 [r](const auto& entry) { return entry.second == r; });
   Replica& replica = replicas_[r];
   std::vector<std::unique_ptr<serve::Request>> orphans =
-      replica.engine->ExtractForRehoming();
+      Synced(r, SyncFor::kChange).ExtractForRehoming();
   for (const auto& orphan : orphans) {
     const std::int64_t demand = DemandTokens(*orphan);
     MUX_CHECK(replica.pending_demand >= demand);
@@ -368,7 +375,7 @@ void FleetRouter::FinishRehome(std::int64_t id, bool migrated) {
     return;
   }
   if (migrated) {
-    replicas_[entry.target].engine->WarmCachePrefix(kv::SeqPrefix(
+    Synced(entry.target, SyncFor::kChange).WarmCachePrefix(kv::SeqPrefix(
         entry.request->spec->prompt, entry.request->spec->reused_tokens));
   }
   Dispatch(std::move(entry.request), entry.target);
@@ -410,7 +417,7 @@ void FleetRouter::MaybeAutoscale() {
   // Park any drained replica first (its last in-flight work finished).
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     Replica& replica = replicas_[r];
-    if (replica.draining && replica.engine->InFlight() == 0) {
+    if (replica.draining && Synced(r, SyncFor::kRead).InFlight() == 0) {
       replica.draining = false;
       replica.parked = true;
       ++stats_.scale_downs;
@@ -474,21 +481,21 @@ void FleetRouter::MaybeAutoscale() {
 
 void FleetRouter::InjectCrash(std::size_t domain) {
   if (domain >= replicas_.size()) return;
-  replicas_[domain].engine->InjectCrash(0);
+  Synced(domain, SyncFor::kChange).InjectCrash(0);
   health_.OnCrashSignal(domain, fault_sim_->Now());
   EnsureHeartbeat();
 }
 
 void FleetRouter::InjectRecovery(std::size_t domain) {
   if (domain >= replicas_.size()) return;
-  replicas_[domain].engine->InjectRecovery(0);
+  Synced(domain, SyncFor::kChange).InjectRecovery(0);
   health_.OnRecoverySignal(domain);
   EnsureHeartbeat();
 }
 
 void FleetRouter::InjectStraggler(std::size_t domain, double slowdown) {
   if (domain >= replicas_.size()) return;
-  replicas_[domain].engine->InjectStraggler(0, slowdown);
+  Synced(domain, SyncFor::kChange).InjectStraggler(0, slowdown);
   if (health_.OnStragglerSignal(domain, slowdown)) {
     ++stats_.health_transitions;
     tracer_.Instant("route", HealthName(health_.state(domain)),
@@ -501,7 +508,7 @@ void FleetRouter::InjectZombie(std::size_t domain, bool frozen) {
   if (domain >= replicas_.size()) return;
   // Freeze the replica's device: heartbeats keep answering (the engine
   // is alive), kernel completions stall. Only the watermark tells.
-  replicas_[domain].engine->InjectZombie(0, frozen);
+  Synced(domain, SyncFor::kChange).InjectZombie(0, frozen);
   grey_active_ = true;
   EnsureHeartbeat();
 }
@@ -512,7 +519,7 @@ void FleetRouter::InjectDegrade(std::size_t domain, double flops_factor,
   // Silent capacity loss: no health signal fires — the replica is
   // merely slower, and only observable symptoms (straggling latency,
   // missed deadlines) may eventually surface it.
-  replicas_[domain].engine->InjectDegrade(0, flops_factor, bandwidth_factor);
+  Synced(domain, SyncFor::kChange).InjectDegrade(0, flops_factor, bandwidth_factor);
 }
 
 void FleetRouter::InjectPartition(std::size_t domain, bool drop_to,
@@ -548,6 +555,12 @@ void FleetRouter::RegisterAudits(check::InvariantRegistry& registry) const {
   for (const Replica& replica : replicas_) {
     replica.engine->RegisterAudits(registry);
   }
+}
+
+core::MuxWiseEngine& FleetRouter::Synced(std::size_t r, SyncFor purpose) {
+  core::MuxWiseEngine& engine = *replicas_[r].engine;
+  engine.Sync(purpose);
+  return engine;
 }
 
 FleetStats FleetRouter::Stats() const {

@@ -144,7 +144,10 @@ class FleetRouter : public fault::FaultAwareEngine {
   const core::MuxWiseEngine& replica(std::size_t r) const {
     return *replicas_[r].engine;
   }
-  core::MuxWiseEngine& replica(std::size_t r) { return *replicas_[r].engine; }
+  /** Replica `r`, brought to Now() for reading (run-end collection). */
+  core::MuxWiseEngine& replica(std::size_t r) {
+    return Synced(r, SyncFor::kRead);
+  }
   ReplicaHealth replica_health(std::size_t r) const {
     return health_.state(r);
   }
@@ -169,6 +172,15 @@ class FleetRouter : public fault::FaultAwareEngine {
     std::size_t target = 0;
     bool migrating = false;
   };
+
+  using SyncFor = core::MuxWiseEngine::SyncFor;
+
+  /**
+   * Replica `r`, synced for `purpose`: every read or change of a replica
+   * from outside goes through here, so none sees or moves a replica
+   * whose decode stretch runs ahead of the event loop.
+   */
+  core::MuxWiseEngine& Synced(std::size_t r, SyncFor purpose);
 
   bool Routable(std::size_t r) const;
   std::optional<std::size_t> ChooseReplica(const serve::Request& request,

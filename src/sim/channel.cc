@@ -9,8 +9,9 @@
 namespace muxwise::sim {
 
 Channel::Channel(Simulator* simulator, std::string name,
-                 double bandwidth_bytes_per_s, Duration latency)
+                 double bandwidth_bytes_per_s, Duration latency, Domain domain)
     : sim_(simulator),
+      domain_(domain),
       name_(std::move(name)),
       bandwidth_(bandwidth_bytes_per_s),
       latency_(latency) {
@@ -73,7 +74,7 @@ void Channel::StartAttempt(double bytes, int attempt,
       ++transfers_completed_;
       if (done) done();
     };
-    sim_->ScheduleAt(free_at_, std::move(finish));
+    sim_->ScheduleAt(free_at_, domain_, std::move(finish));
     return;
   }
   // The attempt occupied the wire for its full duration before being
@@ -85,7 +86,7 @@ void Channel::StartAttempt(double bytes, int attempt,
       ++transfers_failed_;
       if (failed) failed();
     };
-    sim_->ScheduleAt(free_at_, std::move(give_up));
+    sim_->ScheduleAt(free_at_, domain_, std::move(give_up));
     return;
   }
   const Duration backoff = BackoffDelay(
@@ -96,7 +97,7 @@ void Channel::StartAttempt(double bytes, int attempt,
     ++attempts_failed_;
     StartAttempt(bytes, attempt + 1, std::move(done), std::move(failed));
   };
-  sim_->ScheduleAt(free_at_ + backoff, std::move(retry));
+  sim_->ScheduleAt(free_at_ + backoff, domain_, std::move(retry));
 }
 
 }  // namespace muxwise::sim

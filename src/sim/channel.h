@@ -77,9 +77,13 @@ class Channel {
     Duration initial_backoff = Milliseconds(2);
   };
 
-  /** A clocked channel: FIFO wire with the given delay model. */
+  /**
+   * A clocked channel: FIFO wire with the given delay model, its
+   * landings events of `domain`.
+   */
   Channel(Simulator* simulator, std::string name,
-          double bandwidth_bytes_per_s, Duration latency);
+          double bandwidth_bytes_per_s, Duration latency,
+          Domain domain = kGlobalDomain);
 
   /**
    * A control-only channel (no wire model). Deliver() works; calling
@@ -186,6 +190,7 @@ class Channel {
                     std::function<void()> failed);
 
   Simulator* sim_;
+  Domain domain_ = kGlobalDomain;
   std::string name_;
   double bandwidth_ = 0.0;  // 0 marks a control-only channel.
   double bandwidth_scale_ = 1.0;  // Degrade factor, (0, 1].

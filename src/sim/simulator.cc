@@ -30,30 +30,31 @@ void Simulator::FreeSlot(std::uint32_t slot) {
 
 // --- Binary heap -----------------------------------------------------------
 
-void Simulator::HeapPush(const QueueEntry& entry) {
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
+void Simulator::HeapPush(std::vector<QueueEntry>& heap,
+                         const QueueEntry& entry) {
+  heap.push_back(entry);
+  std::size_t i = heap.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!Before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!Before(heap[i], heap[parent])) break;
+    std::swap(heap[i], heap[parent]);
     i = parent;
   }
 }
 
-void Simulator::HeapPopTop() {
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+void Simulator::HeapPopTop(std::vector<QueueEntry>& heap) {
+  heap[0] = heap.back();
+  heap.pop_back();
+  const std::size_t n = heap.size();
   std::size_t i = 0;
   while (true) {
     const std::size_t left = 2 * i + 1;
     if (left >= n) break;
     const std::size_t right = left + 1;
     std::size_t least =
-        (right < n && Before(heap_[right], heap_[left])) ? right : left;
-    if (!Before(heap_[least], heap_[i])) break;
-    std::swap(heap_[i], heap_[least]);
+        (right < n && Before(heap[right], heap[left])) ? right : left;
+    if (!Before(heap[least], heap[i])) break;
+    std::swap(heap[i], heap[least]);
     i = least;
   }
 }
@@ -71,11 +72,11 @@ void Simulator::LanePopFront() {
   }
 }
 
-const Simulator::QueueEntry* Simulator::PeekLive() {
+const Simulator::QueueEntry* Simulator::PeekGlobal() {
   // A cancelled event freed its slot; the slot's id no longer matches
   // (freed, or already recycled by a newer event), marking the entry as
   // a tombstone.
-  while (!heap_.empty() && !IsLive(heap_[0])) HeapPopTop();
+  while (!heap_.empty() && !IsLive(heap_[0])) HeapPopTop(heap_);
   while (lane_head_ < lane_.size() && !IsLive(lane_[lane_head_])) {
     LanePopFront();
   }
@@ -86,35 +87,98 @@ const Simulator::QueueEntry* Simulator::PeekLive() {
   return heap_top;
 }
 
+const Simulator::QueueEntry* Simulator::DomainTop(
+    std::vector<QueueEntry>& heap) {
+  while (!heap.empty() && !IsLive(heap[0])) HeapPopTop(heap);
+  return heap.empty() ? nullptr : heap.data();
+}
+
+bool Simulator::PopDomainTop(const QueueEntry* top) {
+  for (std::vector<QueueEntry>& heap : domains_) {
+    if (top == heap.data()) {
+      HeapPopTop(heap);
+      return true;
+    }
+  }
+  return false;
+}
+
+const Simulator::QueueEntry* Simulator::PeekLive() {
+  const QueueEntry* top = PeekGlobal();
+  for (std::vector<QueueEntry>& heap : domains_) {
+    const QueueEntry* candidate = DomainTop(heap);
+    if (candidate != nullptr && (top == nullptr || Before(*candidate, *top))) {
+      top = candidate;
+    }
+  }
+  return top;
+}
+
 // --- Scheduling API --------------------------------------------------------
 
-EventId Simulator::ScheduleAt(Time when, Callback cb) {
+Simulator::QueueEntry Simulator::NewEvent(Time when, EventId id,
+                                          Callback&& cb) {
   MUX_CHECK(when >= now_);
   MUX_CHECK(cb != nullptr);
-  // The handle packs the slot above the serial: 2^40 events per
-  // simulator and 2^24 simultaneously pending ones.
-  MUX_CHECK(next_id_ <= kSerialMask);
   const std::uint32_t slot = AllocSlot();
   MUX_CHECK(slot < (std::uint32_t{1} << (64 - kSerialBits)));
   Event& event = pool_[slot];
   event.when = when;
-  event.id = next_id_++;
+  event.id = id;
   event.callback = std::move(cb);
-  const QueueEntry entry{when, event.id, slot};
-  // Ids grow monotonically, so an entry not earlier than the lane's tail
-  // keeps the lane sorted by (when, id).
-  if (lane_.empty() || when >= lane_.back().when) {
+  ++live_events_;
+  return QueueEntry{when, id, slot};
+}
+
+void Simulator::PushToDomain(Domain domain, const QueueEntry& entry) {
+  MUX_CHECK(domain >= 1 && domain <= domains_.size());
+  HeapPush(domains_[domain - 1], entry);
+}
+
+EventId Simulator::Schedule(Time when, Domain domain, Callback&& cb) {
+  // The handle packs the slot above the serial: 2^40 events per
+  // simulator and 2^24 simultaneously pending ones.
+  MUX_CHECK(next_id_ <= kSerialMask);
+  const QueueEntry entry = NewEvent(when, next_id_++, std::move(cb));
+  if (domain != kGlobalDomain) {
+    PushToDomain(domain, entry);
+  } else if (lane_.empty() || when >= lane_.back().when) {
+    // Ids grow monotonically, so an entry not earlier than the lane's
+    // tail keeps the lane sorted by (when, id).
     lane_.push_back(entry);
   } else {
-    HeapPush(entry);
+    HeapPush(heap_, entry);
   }
-  ++live_events_;
-  return (static_cast<EventId>(slot) << kSerialBits) | event.id;
+  return Handle(entry);
+}
+
+EventId Simulator::Replace(EventId place, Time when, Domain domain,
+                           Callback cb) {
+  MUX_CHECK(Cancel(place));
+  // The serial keeps the schedule order. It may be older than the global
+  // lane's tail, and the lane takes only entries that keep it sorted.
+  const QueueEntry entry = NewEvent(when, place & kSerialMask, std::move(cb));
+  if (domain == kGlobalDomain) {
+    HeapPush(heap_, entry);
+  } else {
+    PushToDomain(domain, entry);
+  }
+  return Handle(entry);
 }
 
 EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
   MUX_CHECK(delay >= 0);
-  return ScheduleAt(now_ + delay, std::move(cb));
+  return Schedule(now_ + delay, kGlobalDomain, std::move(cb));
+}
+
+EventId Simulator::ScheduleAfter(Duration delay, Domain domain, Callback cb) {
+  MUX_CHECK(delay >= 0);
+  return Schedule(now_ + delay, domain, std::move(cb));
+}
+
+Domain Simulator::NewDomain() {
+  domains_.emplace_back();
+  return static_cast<Domain>(domains_.size());
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -141,8 +205,8 @@ void Simulator::FoldDigest(Time when, EventId id) {
 void Simulator::ExecuteTop(const QueueEntry* top) {
   const QueueEntry entry = *top;
   if (top == heap_.data()) {
-    HeapPopTop();
-  } else {
+    HeapPopTop(heap_);
+  } else if (!PopDomainTop(top)) {
     LanePopFront();
   }
   Event& event = pool_[entry.slot];
@@ -201,10 +265,20 @@ Time Simulator::NextEventTime() {
   return top == nullptr ? kTimeNever : top->when;
 }
 
-Time Simulator::AdvanceBound() {
-  // NextEventTime() is kTimeNever when drained, so the bound stays below
-  // it and a completion priced at kTimeNever never fits.
-  return std::min(horizon_, NextEventTime() - 1);
+Time Simulator::AdvanceBound(Domain domain) {
+  Time next = kTimeNever;
+  if (domain == kGlobalDomain) {
+    next = NextEventTime();
+  } else {
+    MUX_CHECK(domain <= domains_.size());
+    const QueueEntry* global = PeekGlobal();
+    const QueueEntry* own = DomainTop(domains_[domain - 1]);
+    if (global != nullptr) next = global->when;
+    if (own != nullptr) next = std::min(next, own->when);
+  }
+  // `next` is kTimeNever when nothing bounds the domain, so the bound
+  // stays below it and a completion priced at kTimeNever never fits.
+  return std::min(horizon_, next - 1);
 }
 
 void Simulator::AdvanceTo(Time t, Time bound) {
@@ -227,6 +301,9 @@ void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
           }
         };
         for (const QueueEntry& entry : heap_) count(entry);
+        for (const std::vector<QueueEntry>& heap : domains_) {
+          for (const QueueEntry& entry : heap) count(entry);
+        }
         for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
           count(lane_[i]);
           if (i > lane_head_ && !Before(lane_[i - 1], lane_[i])) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariant_registry.h"
@@ -17,6 +18,15 @@ namespace muxwise::sim {
  */
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+/**
+ * Who may observe an event: the global domain, or one that NewDomain()
+ * made for a component whose events touch only its own state (a fleet
+ * replica's device, host thread, timers and links). An event that
+ * names no domain is global.
+ */
+using Domain = std::uint32_t;
+inline constexpr Domain kGlobalDomain = 0;
 
 /**
  * Discrete-event simulator core.
@@ -62,10 +72,35 @@ class Simulator {
    * Schedules `cb` to run at absolute time `when` (>= Now()).
    * Returns a handle usable with Cancel().
    */
-  EventId ScheduleAt(Time when, Callback cb);
+  EventId ScheduleAt(Time when, Callback cb) {
+    return Schedule(when, kGlobalDomain, std::move(cb));
+  }
+
+  /** ScheduleAt, for an event of `domain`. */
+  EventId ScheduleAt(Time when, Domain domain, Callback cb) {
+    return Schedule(when, domain, std::move(cb));
+  }
 
   /** Schedules `cb` to run `delay` after the current time. */
   EventId ScheduleAfter(Duration delay, Callback cb);
+
+  /** ScheduleAfter, for an event of `domain`. */
+  EventId ScheduleAfter(Duration delay, Domain domain, Callback cb);
+
+  /**
+   * A new event domain. Events of different domains still run in one
+   * (time, schedule order); domains only narrow AdvanceBound(). A
+   * simulator keeps no per-domain state before the first call.
+   */
+  Domain NewDomain();
+
+  /**
+   * Cancels pending event `place` and schedules `cb` at `when` (>= Now())
+   * in `domain` in its stead, keeping its schedule order: among events
+   * due at the same time, it runs where one scheduled together with
+   * `place` would. Returns the new handle.
+   */
+  EventId Replace(EventId place, Time when, Domain domain, Callback cb);
 
   /**
    * Cancels a pending event. Safe to call with a handle whose event
@@ -107,15 +142,17 @@ class Simulator {
   bool Step();
 
   /**
-   * The latest time the clock may jump to without running an event: the
-   * horizon of a running RunUntil (Step and Run have none, and neither
-   * has code running outside them), capped one tick before the earliest
-   * pending event. Before Now() when an event is due now. The answer
-   * holds until an event is scheduled or cancelled, which
+   * How far `domain` may run ahead of the event loop: the horizon of a
+   * running RunUntil (Step and Run have none, and neither has code
+   * running outside them), capped one tick before the earliest pending
+   * event of `domain` or of the global domain. For kGlobalDomain that
+   * is every pending event: the latest time the clock may jump to
+   * without running one. Before Now() when such an event is due now.
+   * The answer holds until an event is scheduled or cancelled, which
    * ScheduledEvents() and PendingEvents() witness. Non-const for the
    * same reason as NextEventTime().
    */
-  Time AdvanceBound();
+  Time AdvanceBound(Domain domain = kGlobalDomain);
 
   /**
    * Moves Now() to `t`, with Now() <= t <= `bound` and `bound` an
@@ -190,8 +227,27 @@ class Simulator {
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
 
-  void HeapPush(const QueueEntry& entry);
-  void HeapPopTop();
+  EventId Schedule(Time when, Domain domain, Callback&& cb);
+
+  /** Fills a fresh slot for event `id` and returns its queue entry. */
+  QueueEntry NewEvent(Time when, EventId id, Callback&& cb);
+
+  /** Queues `entry` of `domain`, a domain other than the global one. */
+  void PushToDomain(Domain domain, const QueueEntry& entry);
+
+  /** The Cancel() handle of a queued event. */
+  static EventId Handle(const QueueEntry& entry) {
+    return (static_cast<EventId>(entry.slot) << kSerialBits) | entry.id;
+  }
+
+  static void HeapPush(std::vector<QueueEntry>& heap, const QueueEntry& entry);
+  static void HeapPopTop(std::vector<QueueEntry>& heap);
+
+  /** Discards tombstones at the top of a domain's heap; its top or null. */
+  const QueueEntry* DomainTop(std::vector<QueueEntry>& heap);
+
+  /** Pops `top` when it heads a domain's heap; false when none does. */
+  bool PopDomainTop(const QueueEntry* top);
 
   /** Advances the lane head, compacting once it passes half the lane. */
   void LanePopFront();
@@ -201,6 +257,9 @@ class Simulator {
    * live minimum of the two (nullptr when drained). The returned pointer
    * is invalidated by any schedule/pop.
    */
+  const QueueEntry* PeekGlobal();
+
+  /** PeekGlobal, and every domain's top: the live minimum of them all. */
   const QueueEntry* PeekLive();
 
   /**
@@ -227,6 +286,9 @@ class Simulator {
   // Sorted by (when, id) from lane_head_; entries before it are popped.
   std::vector<QueueEntry> lane_;
   std::size_t lane_head_ = 0;
+  // The heap of domain d's events, at d - 1; the global domain's events
+  // are in heap_ and lane_.
+  std::vector<std::vector<QueueEntry>> domains_;
 };
 
 }  // namespace muxwise::sim

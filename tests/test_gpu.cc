@@ -320,7 +320,8 @@ constexpr int kLoneKernels = 48;
  * Runs kLoneKernels kernels one at a time on stream 0 of a two-stream
  * device, each launched 300 us after the previous one completed: either
  * each through Launch and simulator events, or all priced by their
- * AloneClocks first and run in one RunPriced call.
+ * AloneClocks first, the clock moved to the last end and the run
+ * accounted for in one RunPriced call.
  */
 LoneKernelRun RunLoneKernels(const LoneDevice& d, bool in_one_call,
                              bool traced) {
@@ -362,8 +363,8 @@ LoneKernelRun RunLoneKernels(const LoneDevice& d, bool in_one_call,
     }
     const Time bound = simulator.AdvanceBound();
     EXPECT_LE(priced.back().end, bound);
-    device.RunPriced(stream, priced, bound);
-    EXPECT_EQ(simulator.Now(), priced.back().end);
+    simulator.AdvanceTo(priced.back().end, bound);
+    device.RunPriced(stream, priced);
   } else {
     for (const Kernel& kernel : kernels) {
       simulator.ScheduleAt(launch, [&] { device.Launch(stream, kernel); });
