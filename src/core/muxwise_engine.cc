@@ -763,7 +763,7 @@ void MuxWiseEngine::AccountPricedUpTo(std::size_t to) {
   }
 }
 
-void MuxWiseEngine::Sync(SyncFor purpose) {
+void MuxWiseEngine::Sync() {
   if (run_end_ == sim::kInvalidEventId) return;
   // An iteration ending exactly now has not ended: whatever calls runs
   // before its completion, as it would before a stepped one's scheduled
@@ -773,12 +773,10 @@ void MuxWiseEngine::Sync(SyncFor purpose) {
   std::size_t ended = run_done_;
   while (priced_[ended].end < now) ++ended;
   AccountPricedUpTo(ended);
-  if (purpose == SyncFor::kRead) return;
-
-  // The caller goes on to change the engine: drop the unlaunched tail and
-  // leave the iteration in flight as MaybeLaunchDecode, with no prefill
-  // pending, launched it when the one before it ended. Its pending event
-  // takes the run end's place among same-time events.
+  // Drop the unlaunched tail and leave the iteration in flight as
+  // MaybeLaunchDecode, with no prefill pending, launched it when the one
+  // before it ended. Its pending event takes the run end's place among
+  // same-time events.
   const sim::EventId place = run_end_;
   run_end_ = sim::kInvalidEventId;
   const gpu::Gpu::Priced priced = priced_[ended];

@@ -131,18 +131,15 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
 
   // --- Fleet-router surface (src/route/) ----------------------------
 
-  /** What a caller of Sync goes on to do with the engine. */
-  enum class SyncFor { kRead, kChange };
-
   /**
    * Brings a decode stretch that runs ahead of the event loop back to
-   * Now(): accounts for the iterations that ended before Now(). For
-   * kChange it also drops the iterations not yet launched and leaves the
-   * one in flight as a stepped launch would have: a running kernel on
-   * the device, or a launch still on the host. No-op when no stretch
-   * runs ahead, as always in the global domain.
+   * Now(), as stepped launches would have left the engine: accounts for
+   * the iterations that ended before Now(), drops those not yet
+   * launched, and leaves the one in flight a running kernel on the
+   * device or a launch still on the host. No-op when no stretch runs
+   * ahead, as always in the global domain.
    */
-  void Sync(SyncFor purpose);
+  void Sync();
 
   /**
    * Drains every request that has not started compute — the waiting

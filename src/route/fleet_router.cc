@@ -152,7 +152,7 @@ void FleetRouter::Dispatch(std::unique_ptr<serve::Request> request,
   // May complete synchronously (replica-level shed): OnReplicaComplete
   // re-enters through the completion callback, after the accounting
   // above, so the books stay balanced.
-  Synced(r, SyncFor::kChange).Enqueue(std::move(request));
+  Synced(r).Enqueue(std::move(request));
   // A grey fleet watches progress while work is in flight: this
   // dispatch may be the first work a zombie can stall, so the watermark
   // sampler must be ticking.
@@ -207,7 +207,7 @@ bool FleetRouter::HeartbeatNeeded() const {
     // Grey runs: a zombie only betrays itself through a frozen
     // watermark, so keep sampling any replica with work in flight. (A
     // decode stretch moves the in-flight count only at its end event,
-    // so reading it needs no Sync.)
+    // so reading the count needs no Sync, here or in MaybeAutoscale.)
     if (grey_active_ && options_.health.zombie_detection &&
         replicas_[r].engine->InFlight() > 0) {
       return true;
@@ -231,7 +231,7 @@ void FleetRouter::OnHeartbeat() {
     // Zombie detection first: sample the replica's work-progress
     // watermark, then let the deadline FSM take its ordinary beat.
     if (grey_active_ && options_.health.zombie_detection) {
-      const core::MuxWiseEngine& engine = Synced(r, SyncFor::kRead);
+      const core::MuxWiseEngine& engine = Synced(r);
       const HealthTracker::Transition verdict = health_.ObserveProgress(
           r, engine.ProgressWatermark(), engine.InFlight(), now);
       if (verdict.changed) {
@@ -273,7 +273,7 @@ void FleetRouter::DeclareDown(std::size_t r, sim::Time now) {
                 [r](const auto& entry) { return entry.second == r; });
   Replica& replica = replicas_[r];
   std::vector<std::unique_ptr<serve::Request>> orphans =
-      Synced(r, SyncFor::kChange).ExtractForRehoming();
+      Synced(r).ExtractForRehoming();
   for (const auto& orphan : orphans) {
     const std::int64_t demand = DemandTokens(*orphan);
     MUX_CHECK(replica.pending_demand >= demand);
@@ -375,7 +375,7 @@ void FleetRouter::FinishRehome(std::int64_t id, bool migrated) {
     return;
   }
   if (migrated) {
-    Synced(entry.target, SyncFor::kChange).WarmCachePrefix(kv::SeqPrefix(
+    Synced(entry.target).WarmCachePrefix(kv::SeqPrefix(
         entry.request->spec->prompt, entry.request->spec->reused_tokens));
   }
   Dispatch(std::move(entry.request), entry.target);
@@ -417,7 +417,7 @@ void FleetRouter::MaybeAutoscale() {
   // Park any drained replica first (its last in-flight work finished).
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     Replica& replica = replicas_[r];
-    if (replica.draining && Synced(r, SyncFor::kRead).InFlight() == 0) {
+    if (replica.draining && replica.engine->InFlight() == 0) {
       replica.draining = false;
       replica.parked = true;
       ++stats_.scale_downs;
@@ -481,21 +481,21 @@ void FleetRouter::MaybeAutoscale() {
 
 void FleetRouter::InjectCrash(std::size_t domain) {
   if (domain >= replicas_.size()) return;
-  Synced(domain, SyncFor::kChange).InjectCrash(0);
+  Synced(domain).InjectCrash(0);
   health_.OnCrashSignal(domain, fault_sim_->Now());
   EnsureHeartbeat();
 }
 
 void FleetRouter::InjectRecovery(std::size_t domain) {
   if (domain >= replicas_.size()) return;
-  Synced(domain, SyncFor::kChange).InjectRecovery(0);
+  Synced(domain).InjectRecovery(0);
   health_.OnRecoverySignal(domain);
   EnsureHeartbeat();
 }
 
 void FleetRouter::InjectStraggler(std::size_t domain, double slowdown) {
   if (domain >= replicas_.size()) return;
-  Synced(domain, SyncFor::kChange).InjectStraggler(0, slowdown);
+  Synced(domain).InjectStraggler(0, slowdown);
   if (health_.OnStragglerSignal(domain, slowdown)) {
     ++stats_.health_transitions;
     tracer_.Instant("route", HealthName(health_.state(domain)),
@@ -508,7 +508,7 @@ void FleetRouter::InjectZombie(std::size_t domain, bool frozen) {
   if (domain >= replicas_.size()) return;
   // Freeze the replica's device: heartbeats keep answering (the engine
   // is alive), kernel completions stall. Only the watermark tells.
-  Synced(domain, SyncFor::kChange).InjectZombie(0, frozen);
+  Synced(domain).InjectZombie(0, frozen);
   grey_active_ = true;
   EnsureHeartbeat();
 }
@@ -519,7 +519,7 @@ void FleetRouter::InjectDegrade(std::size_t domain, double flops_factor,
   // Silent capacity loss: no health signal fires — the replica is
   // merely slower, and only observable symptoms (straggling latency,
   // missed deadlines) may eventually surface it.
-  Synced(domain, SyncFor::kChange).InjectDegrade(0, flops_factor, bandwidth_factor);
+  Synced(domain).InjectDegrade(0, flops_factor, bandwidth_factor);
 }
 
 void FleetRouter::InjectPartition(std::size_t domain, bool drop_to,
@@ -557,9 +557,9 @@ void FleetRouter::RegisterAudits(check::InvariantRegistry& registry) const {
   }
 }
 
-core::MuxWiseEngine& FleetRouter::Synced(std::size_t r, SyncFor purpose) {
+core::MuxWiseEngine& FleetRouter::Synced(std::size_t r) {
   core::MuxWiseEngine& engine = *replicas_[r].engine;
-  engine.Sync(purpose);
+  engine.Sync();
   return engine;
 }
 

@@ -144,10 +144,8 @@ class FleetRouter : public fault::FaultAwareEngine {
   const core::MuxWiseEngine& replica(std::size_t r) const {
     return *replicas_[r].engine;
   }
-  /** Replica `r`, brought to Now() for reading (run-end collection). */
-  core::MuxWiseEngine& replica(std::size_t r) {
-    return Synced(r, SyncFor::kRead);
-  }
+  /** Replica `r`, brought to Now() (run-end collection). */
+  core::MuxWiseEngine& replica(std::size_t r) { return Synced(r); }
   ReplicaHealth replica_health(std::size_t r) const {
     return health_.state(r);
   }
@@ -173,14 +171,12 @@ class FleetRouter : public fault::FaultAwareEngine {
     bool migrating = false;
   };
 
-  using SyncFor = core::MuxWiseEngine::SyncFor;
-
   /**
-   * Replica `r`, synced for `purpose`: every read or change of a replica
-   * from outside goes through here, so none sees or moves a replica
-   * whose decode stretch runs ahead of the event loop.
+   * Replica `r`, synced (MuxWiseEngine::Sync): every read or change of a
+   * replica from outside goes through here, so none sees or moves a
+   * replica whose decode stretch runs ahead of the event loop.
    */
-  core::MuxWiseEngine& Synced(std::size_t r, SyncFor purpose);
+  core::MuxWiseEngine& Synced(std::size_t r);
 
   bool Routable(std::size_t r) const;
   std::optional<std::size_t> ChooseReplica(const serve::Request& request,
