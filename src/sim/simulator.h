@@ -51,6 +51,9 @@ inline constexpr Domain kGlobalDomain = 0;
  *    slot is a tombstone, skipped on pop).
  *  - An EventId handle carries its arena slot beside the serial, so
  *    Cancel() finds the event without any id -> slot map.
+ *  - Events of a domain from NewDomain() go to that domain's own binary
+ *    heap, and a pop takes the least of every top, so AdvanceBound()
+ *    can read one domain's next event.
  *
  * None of this changes observable ordering: events still execute in
  * exactly (when, id) order, so event-stream digests are bit-identical
