@@ -611,16 +611,14 @@ TEST(DecodeStretchTest, TracedRunsSimulateWhatUntracedRunsDo) {
 }
 
 
-/** A stretched and a stepped run of one fleet, with their digests. */
-void ExpectSteppedFleetMatches(const std::string& label,
-                               harness::EngineKind kind,
-                               const serve::Deployment& deployment,
-                               const workload::Trace& trace,
-                               const harness::RunConfig& config) {
+/** A stretched and a stepped run of one engine or fleet, with their digests. */
+void ExpectSteppedRunMatches(const std::string& label,
+                             harness::EngineKind kind,
+                             const serve::Deployment& deployment,
+                             const workload::Trace& trace,
+                             const harness::RunConfig& config) {
   SCOPED_TRACE(label + ", " + std::to_string(trace.requests.size()) +
                " requests");
-  ASSERT_TRUE(config.fleet.enabled);
-  ASSERT_GT(config.fleet.replicas, 1u);
   const ContentionEstimator estimator =
       ContentionEstimator::BuildOffline(deployment);
   const harness::RunOutcome stretched =
@@ -699,11 +697,11 @@ harness::RunOutcome RunRelay(const serve::Deployment& deployment,
       });
 }
 
-TEST(DecodeStretchTest, SteppedFleetsSimulateWhatStretchedFleetsDo) {
+TEST(DecodeStretchTest, SteppedScenariosSimulateWhatStretchedScenariosDo) {
   // A fleet's replicas share one simulator. A tick every 250 us is a
-  // global event that cuts every replica's stretch, so the stepped run
-  // launches every decode iteration through events; the stretched run
-  // must simulate exactly the same thing.
+  // global event that cuts every engine's and replica's stretch, so the
+  // stepped run launches every decode iteration through events; the
+  // stretched run must simulate exactly the same thing.
   {
     // fleet_burst's shape: MMPP ToolAgent bursts into four replicas
     // under overload control.
@@ -719,13 +717,18 @@ TEST(DecodeStretchTest, SteppedFleetsSimulateWhatStretchedFleetsDo) {
     config.overload.enabled = true;
     config.fleet.enabled = true;
     config.fleet.replicas = 4;
-    ExpectSteppedFleetMatches("MMPP ToolAgent burst",
-                              harness::EngineKind::kMuxWise, Llama70bA100(),
-                              workload::GenerateMmppTrace(mmpp, 1), config);
+    ExpectSteppedRunMatches("MMPP ToolAgent burst",
+                            harness::EngineKind::kMuxWise, Llama70bA100(),
+                            workload::GenerateMmppTrace(mmpp, 1), config);
   }
-  // The checked-in fleet scenarios, with their fault plans.
+  // The checked-in single-engine and fleet scenarios, with their fault
+  // plans.
   for (const char* file :
-       {"scenarios/fleet_failover.json", "scenarios/chaos_grey_failover.json",
+       {"scenarios/acceptance_sharegpt.json",
+        "scenarios/loogle_longcontext.json",
+        "scenarios/mixed_sharegpt_loogle.json",
+        "scenarios/overload_mmpp_burst.json", "scenarios/fleet_failover.json",
+        "scenarios/chaos_grey_failover.json",
         "tests/chaos_corpus/asym_partition.json",
         "tests/chaos_corpus/degrade_spill.json",
         "tests/chaos_corpus/flap_hysteresis.json",
@@ -739,8 +742,8 @@ TEST(DecodeStretchTest, SteppedFleetsSimulateWhatStretchedFleetsDo) {
         llm::ModelConfig::ByName(spec.model), gpu::GpuSpec::ByName(spec.gpu),
         spec.num_gpus);
     if (spec.slo.has_value()) deployment.slo = *spec.slo;
-    ExpectSteppedFleetMatches(file, spec.engine, deployment,
-                              harness::BuildScenarioTrace(spec), spec.config);
+    ExpectSteppedRunMatches(file, spec.engine, deployment,
+                            harness::BuildScenarioTrace(spec), spec.config);
   }
   // Work and a crash handed to replicas whose stretches run ahead, on
   // ticks where lockstep replicas end their runs together.
