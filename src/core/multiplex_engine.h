@@ -64,8 +64,9 @@ class MultiplexEngine {
 
   /**
    * The device's clock (gpu::Gpu::AloneClock) for decode iterations run
-   * inline one after another, their kernels shaped like `shape`. Nothing
-   * when a launch waits on the host or the device is not free.
+   * back to back with no event of their own, their kernels shaped like
+   * `shape`. Nothing when a launch waits on the host or the device is
+   * not free.
    */
   std::optional<gpu::Gpu::AloneClock> DecodeAloneClock(
       const gpu::Kernel& shape) const;

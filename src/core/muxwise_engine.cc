@@ -594,10 +594,11 @@ void MuxWiseEngine::OnDecodeIterationDone() {
 void MuxWiseEngine::AfterDecodeIteration() {
   // A stretch ends on the iteration that finishes a request; the batch
   // left behind may start the next one at once.
-  while (DecodeStretchMayStart()) {
-    if (RunDecodeStretch()) return;  // The next iteration is in flight.
+  if (DecodeStretchMayStart()) {
+    RunDecodeStretch();
+  } else {
+    PumpScheduler();
   }
-  PumpScheduler();
 }
 
 void MuxWiseEngine::FinishDecodeIteration() {
@@ -630,7 +631,7 @@ bool MuxWiseEngine::DecodeStretchMayStart() const {
          spilled_.empty() && !(decoding_.empty() && merge_ready_.empty());
 }
 
-bool MuxWiseEngine::RunDecodeStretch() {
+void MuxWiseEngine::RunDecodeStretch() {
   // What the scheduling pass does before launching with no prefill
   // pending: TryStartPrefillBatch only drops a stale KV-pressure pause,
   // and ChooseDecodeSms gives decode the whole device.
@@ -639,36 +640,20 @@ bool MuxWiseEngine::RunDecodeStretch() {
   FoldMerges();
   const int total = deployment_.gpu.sm_count;
   mux_->SetPartition(total, deployment_.gpu.partition_granularity);
-  return ContinueDecodeStretch();
+  ContinueDecodeStretch();
 }
 
-bool MuxWiseEngine::ContinueDecodeStretch() {
-  while (PriceDecodeRun()) {
-    const sim::Time end = priced_[run_size_ - 1].end;
-    if (domain_ != sim::kGlobalDomain) {
-      // Nothing else of this domain happens first. Other domains' events
-      // may, and whatever reaches into this engine syncs it first.
-      run_end_ =
-          sim_->ScheduleAt(end, domain_, [this] { EndDeferredRun(); });
-      return true;
-    }
-    // Nothing at all happens first: run to the end at once. Nothing in
-    // the run may schedule or cancel an event, which keeps the bound
-    // true to its end.
-    const std::uint64_t scheduled = sim_->ScheduledEvents();
-    const std::size_t pending = sim_->PendingEvents();
-    sim_->AdvanceTo(end, sim_->AdvanceBound());
-    const bool finishes = AccountDecodeRun();
-    MUX_CHECK(sim_->ScheduledEvents() == scheduled &&
-              sim_->PendingEvents() == pending);
-    if (finishes) {
-      FinishDecodeRun();
-      return false;
-    }
+void MuxWiseEngine::ContinueDecodeStretch() {
+  if (PriceDecodeRun()) {
+    // Nothing else of this domain or the global one happens first. Other
+    // domains' events may, and whatever reaches into this engine syncs
+    // it first.
+    run_end_ = sim_->ScheduleAt(priced_[run_size_ - 1].end, domain_,
+                                [this] { EndDeferredRun(); });
+  } else {
+    // Something else may happen first: step it through events.
+    MaybeLaunchDecode();
   }
-  // Something else may happen first: step it through events.
-  MaybeLaunchDecode();
-  return true;
 }
 
 llm::DecodeBatch MuxWiseEngine::DecodeBatchNow() const {
@@ -723,29 +708,21 @@ bool MuxWiseEngine::PriceDecodeRun() {
   return true;
 }
 
-bool MuxWiseEngine::AccountDecodeRun() {
+void MuxWiseEngine::EndDeferredRun() {
+  run_end_ = sim::kInvalidEventId;
   AccountPricedUpTo(run_size_);
   run_size_ = 0;
   run_done_ = 0;
   decode_in_flight_ = false;
-  return run_finishes_;
-}
-
-void MuxWiseEngine::FinishDecodeRun() {
+  if (!run_finishes_) {
+    ContinueDecodeStretch();
+    return;
+  }
   // Only the last iteration's estimate outlives the stretch; the batch
   // still holds that iteration's context.
   last_decode_estimate_ = estimator_.PredictDecodeSolo(
       DecodeBatchNow(), deployment_.gpu.sm_count);
   FinishDecodeIteration();  // Hands back the finished requests.
-}
-
-void MuxWiseEngine::EndDeferredRun() {
-  run_end_ = sim::kInvalidEventId;
-  if (AccountDecodeRun()) {
-    FinishDecodeRun();
-  } else if (ContinueDecodeStretch()) {
-    return;
-  }
   AfterDecodeIteration();
 }
 

@@ -75,9 +75,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
    * `estimator` is the offline-profiled estimator for this deployment
    * (ContentionEstimator::BuildOffline); the engine takes its own copy
    * so online refinement stays per-instance. Every event the engine,
-   * its device, host thread and host link schedule belongs to `domain`;
-   * outside the global domain a decode stretch may run ahead of the
-   * event loop, and whatever reaches into the engine calls Sync first.
+   * its device, host thread and host link schedule belongs to `domain`.
+   * A decode stretch may run ahead of other domains' events, and
+   * whatever reaches into the engine from one of them calls Sync first.
    */
   MuxWiseEngine(sim::Simulator* simulator,
                 const serve::Deployment& deployment,
@@ -137,7 +137,7 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
    * the iterations that ended before Now(), drops those not yet
    * launched, and leaves the one in flight a running kernel on the
    * device or a launch still on the host. No-op when no stretch runs
-   * ahead, as always in the global domain.
+   * ahead.
    */
   void Sync();
 
@@ -257,9 +257,9 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   void OnDecodeIterationDone();
 
   /**
-   * The completion of one decode iteration, stepped or inline: every
-   * request gets its token, finished ones leave the batch and are
-   * handed back.
+   * The completion of one decode iteration, stepped or the last of a
+   * priced run: every request gets its token, finished ones leave the
+   * batch and are handed back.
    */
   void FinishDecodeIteration();
 
@@ -273,19 +273,17 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
 
   /**
    * Runs the batch's iterations with no event of their own, until one
-   * finishes a request (returns false, the request handed back) or the
-   * next would end past the domain's advance bound; that one is
-   * launched through events (returns true). Every iteration prices,
-   * accounts and traces as a launched one would. The iterations are
-   * priced up to kStretchRun at a time into a run. In the global domain
-   * the clock moves to the run's end and the run is accounted for at
-   * once; in another, the run ends with one event of the domain
-   * (EndDeferredRun), and the stretch returns true.
+   * finishes a request (the request handed back) or the next would end
+   * past the domain's advance bound; that one is launched through
+   * events. Every iteration prices, accounts and traces as a launched
+   * one would. The iterations are priced up to kStretchRun at a time
+   * into a run, which ends with one event of the engine's domain
+   * (EndDeferredRun).
    */
-  bool RunDecodeStretch();
+  void RunDecodeStretch();
 
   /** RunDecodeStretch, from its pricing on. */
-  bool ContinueDecodeStretch();
+  void ContinueDecodeStretch();
 
   /**
    * Prices the next run of the batch's iterations into priced_, from a
@@ -294,16 +292,10 @@ class MuxWiseEngine : public fault::FaultAwareEngine {
   bool PriceDecodeRun();
 
   /**
-   * Accounts for the rest of the priced run and clears it; true when its
-   * last iteration finishes a request, whose token is left to
-   * FinishDecodeIteration.
+   * The priced run's end event: accounts for the rest of the run, then
+   * hands back what its last iteration finished (whose token is left to
+   * FinishDecodeIteration) or prices the next run.
    */
-  bool AccountDecodeRun();
-
-  /** Hands back what the run's last iteration finished. */
-  void FinishDecodeRun();
-
-  /** The deferred run's end event. */
   void EndDeferredRun();
 
   /** After a decode iteration: the next stretch, or the scheduling pass. */

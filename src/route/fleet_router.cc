@@ -54,14 +54,12 @@ FleetRouter::FleetRouter(sim::Simulator* simulator,
   MUX_CHECK(options_.min_replicas >= 1);
   replicas_.reserve(options_.replicas);
   for (std::size_t r = 0; r < options_.replicas; ++r) {
-    // A replica's events touch only the replica, so each of several gets
-    // its own domain, and its decode stretches run past the others'
-    // events. A lone replica stays in the global domain.
-    const sim::Domain domain = options_.replicas > 1 ? simulator->NewDomain()
-                                                     : sim::kGlobalDomain;
+    // A replica's events touch only the replica, so each gets its own
+    // domain, and its decode stretches run past the others' events.
     Replica replica;
     replica.engine = std::make_unique<core::MuxWiseEngine>(
-        simulator, deployment, estimator_, engine_options, domain);
+        simulator, deployment, estimator_, engine_options,
+        simulator->NewDomain());
     replica.engine->set_on_complete(
         [this, r](std::unique_ptr<serve::Request> request) {
           OnReplicaComplete(r, std::move(request));

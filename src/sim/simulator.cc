@@ -281,11 +281,6 @@ Time Simulator::AdvanceBound(Domain domain) {
   return std::min(horizon_, next - 1);
 }
 
-void Simulator::AdvanceTo(Time t, Time bound) {
-  MUX_CHECK(t >= now_ && t <= bound);
-  now_ = t;
-}
-
 void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
   registry.Register(
       "Simulator", "event-queue-consistency",

@@ -34,7 +34,10 @@ inline constexpr Domain kGlobalDomain = 0;
  * Single-threaded by design: all model components (GPU streams, serving
  * engines, workload frontends) interact solely by scheduling callbacks on
  * one Simulator, which executes them in (time, insertion-order) order.
- * That total order makes every experiment bit-reproducible.
+ * That total order makes every experiment bit-reproducible. The clock
+ * moves only when an event runs or a RunUntil horizon is reached; work
+ * priced ahead of the loop (a decode stretch) ends in an event of its
+ * own.
  *
  * Performance structure (the hottest loop in the codebase):
  *
@@ -149,24 +152,13 @@ class Simulator {
    * running RunUntil (Step and Run have none, and neither has code
    * running outside them), capped one tick before the earliest pending
    * event of `domain` or of the global domain. For kGlobalDomain that
-   * is every pending event: the latest time the clock may jump to
-   * without running one. Before Now() when such an event is due now.
-   * The answer holds until an event is scheduled or cancelled, which
-   * ScheduledEvents() and PendingEvents() witness. Non-const for the
-   * same reason as NextEventTime().
+   * is every pending event: the latest time an event scheduled now can
+   * fall due with no other event before it. Before Now() when such an
+   * event is due now.
+   * The answer holds until an event is scheduled or cancelled.
+   * Non-const for the same reason as NextEventTime().
    */
   Time AdvanceBound(Domain domain = kGlobalDomain);
-
-  /**
-   * Moves Now() to `t`, with Now() <= t <= `bound` and `bound` an
-   * AdvanceBound() answer that still holds. Runs no event and folds
-   * nothing into the event digest: the caller has shown that nothing
-   * else happens before `t` and accounts for [Now(), t) itself.
-   */
-  void AdvanceTo(Time t, Time bound);
-
-  /** Events scheduled since construction, cancelled or not. */
-  std::uint64_t ScheduledEvents() const { return next_id_ - 1; }
 
   /** True when no live events remain. */
   bool Empty() const { return live_events_ == 0; }

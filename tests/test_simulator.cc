@@ -237,32 +237,6 @@ TEST(SimulatorTest, AdvanceBoundStopsShortOfPendingEventsAndTheHorizon) {
   EXPECT_EQ(simulator.AdvanceBound(), Seconds(100) - 1);
 }
 
-TEST(SimulatorTest, AdvanceToRunsNoEventAndLeavesTheDigest) {
-  Simulator simulator;
-  simulator.ScheduleAt(Milliseconds(1), [] {});
-  simulator.Step();
-  const std::uint64_t digest = simulator.EventDigest();
-  bool fired = false;
-  simulator.ScheduleAt(Milliseconds(9), [&] { fired = true; });
-  const std::uint64_t scheduled = simulator.ScheduledEvents();
-  simulator.AdvanceTo(Milliseconds(6), simulator.AdvanceBound());
-  EXPECT_EQ(simulator.Now(), Milliseconds(6));
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(simulator.ExecutedEvents(), 1u);
-  EXPECT_EQ(simulator.EventDigest(), digest);
-  EXPECT_EQ(simulator.ScheduledEvents(), scheduled);
-  simulator.Run();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(simulator.Now(), Milliseconds(9));
-}
-
-TEST(SimulatorDeathTest, AdvancePastAPendingEventIsFatal) {
-  Simulator simulator;
-  simulator.ScheduleAt(Milliseconds(8), [] {});
-  EXPECT_DEATH(simulator.AdvanceTo(Milliseconds(8), simulator.AdvanceBound()),
-               "t <= bound");
-}
-
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
   Simulator simulator;
   int count = 0;
