@@ -39,8 +39,8 @@ struct FrozenDigest {
 };
 
 inline constexpr FrozenDigest kFrozenEngineDigests[] = {
-    {harness::EngineKind::kMuxWise, 0xca13dd56dda5fb83ull, 500,
-     0x5d681cdcbce1c54cull, 0xfeb8512794f8e8d0ull},
+    {harness::EngineKind::kMuxWise, 0x2abc5a0787d93945ull, 554,
+     0xfbdd2708b67243c8ull, 0xfeb8512794f8e8d0ull},
     {harness::EngineKind::kChunked, 0x600f439cd0e9b2a9ull, 5166,
      0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
     {harness::EngineKind::kNanoFlow, 0x98d55bf27e747a59ull, 8710,
@@ -49,10 +49,10 @@ inline constexpr FrozenDigest kFrozenEngineDigests[] = {
      0x07fe6833a90abc8aull, 0x35dca6a28b826b29ull},
     {harness::EngineKind::kLoongServe, 0x7c3cf241ee03682dull, 3912,
      0xf99ba7fa9202144dull, 0x2ba885b947fff49eull},
-    {harness::EngineKind::kWindServe, 0xaac1bb8d52e23b2full, 1166,
-     0x2efd4844fd1ad433ull, 0x27cac7363a6df15aull},
-    {harness::EngineKind::kTemporal, 0x455653cd8aaebaa0ull, 1346,
-     0x696d8785b792987dull, 0x2f11fa7423f897f7ull},
+    {harness::EngineKind::kWindServe, 0xb9b9c6d174bc70f4ull, 1216,
+     0xe1b2f4e7c149bb33ull, 0x27cac7363a6df15aull},
+    {harness::EngineKind::kTemporal, 0xaf6dd713744d598full, 1398,
+     0x5ba2f6f75f346c26ull, 0x2f11fa7423f897f7ull},
 };
 
 /** The deployment the frozen digests were recorded against. */
@@ -85,8 +85,8 @@ struct FaultPathDigest {
 };
 
 inline constexpr FaultPathDigest kFaultPathDigests[] = {
-    {harness::EngineKind::kMuxWise, false, 0xce455f74a3d34a70ull, 11527,
-     0x7179f9f6f67f7678ull, 0xda6607a947d35000ull},
+    {harness::EngineKind::kMuxWise, false, 0xae95db5c33b618b6ull, 11725,
+     0xb5022f5f8b45521full, 0xda6607a947d35000ull},
     {harness::EngineKind::kChunked, false, 0x3ea4aa555a54dc0full, 24741,
      0x35c2cf867c67b5b6ull, 0xe56f77f53013b038ull},
     {harness::EngineKind::kNanoFlow, false, 0xf0a5172faa5969c7ull, 49166,
@@ -95,16 +95,16 @@ inline constexpr FaultPathDigest kFaultPathDigests[] = {
      0xda5e49849428391eull, 0x17bbf0693d8ad1cbull},
     {harness::EngineKind::kLoongServe, false, 0xed4911bb0b0d243dull, 15641,
      0x25ed334c38a613dbull, 0x7d0ffe10a327193full},
-    {harness::EngineKind::kWindServe, false, 0x88970c6e08a30cffull, 32257,
-     0xbd3ff5378a48224aull, 0x8758ce5ef5d6b6ebull},
-    {harness::EngineKind::kTemporal, false, 0x8e19b992fd9d7934ull, 21542,
-     0x38b2b5a4c0f1baccull, 0x953c66f3798622deull},
-    {harness::EngineKind::kMuxWise, true, 0x5dc00fbe12ac2893ull, 12870,
-     0x67c5214f5b132134ull, 0x5c681c0ef3ad32d4ull},
-    {harness::EngineKind::kWindServe, true, 0xce4fa85500c0b7a4ull, 33598,
-     0xbfdbcefab3ef86afull, 0xaf35421640e7d7a9ull},
-    {harness::EngineKind::kTemporal, true, 0xe26f40be585ce051ull, 24693,
-     0x29c74f1ebcf93818ull, 0xa4b176cae27cf5f4ull},
+    {harness::EngineKind::kWindServe, false, 0x4d5349ba639190eeull, 32321,
+     0x8eb6ef4061ef932dull, 0x8758ce5ef5d6b6ebull},
+    {harness::EngineKind::kTemporal, false, 0xdffb770a067e6d82ull, 21635,
+     0xc5ae6c3e47afdc4cull, 0x953c66f3798622deull},
+    {harness::EngineKind::kMuxWise, true, 0xa5752b3181ee0aa6ull, 13027,
+     0xf9687c5cd7ad7c05ull, 0x5c681c0ef3ad32d4ull},
+    {harness::EngineKind::kWindServe, true, 0x15e83e39336ab9ecull, 33669,
+     0x22e4784e32fed1f8ull, 0xaf35421640e7d7a9ull},
+    {harness::EngineKind::kTemporal, true, 0x8b1cbb37669ff348ull, 24782,
+     0xaacf1fc1f98b0340ull, 0xa4b176cae27cf5f4ull},
 };
 
 /** The multi-turn trace the fault-path digests were recorded against. */
@@ -149,7 +149,7 @@ struct PinnedRun {
 };
 
 inline constexpr PinnedRun kKvPressurePreemptionDigest = {
-    0xf40a629a50ac939dull, 14349, 0x8ee0133123e02211ull,
+    0xf6e09a783773bfe6ull, 14397, 0x3adeee88e0b414d4ull,
     0x2a12f4228029198cull};
 
 /**
@@ -161,7 +161,9 @@ inline constexpr PinnedRun kKvPressurePreemptionDigest = {
  * scenario must be pinned here before it lands. The fleet rows' event
  * digests, event counts and outcome digests moved once, when each
  * replica got its own event domain and stopped stepping its decode
- * through the other replicas' events; their simulated digests did not.
+ * through the other replicas' events; the single-engine rows' moved
+ * once, when every priced decode run began to end in an event of its
+ * own. No simulated digest moved either time.
  */
 struct ScenarioFileDigest {
   const char* path;
@@ -172,22 +174,22 @@ struct ScenarioFileDigest {
 };
 
 inline constexpr ScenarioFileDigest kScenarioFileDigests[] = {
-    {"scenarios/acceptance_sharegpt.json", 0xca13dd56dda5fb83ull, 500,
-     0x5d681cdcbce1c54cull, 0xfeb8512794f8e8d0ull},
+    {"scenarios/acceptance_sharegpt.json", 0x2abc5a0787d93945ull, 554,
+     0xfbdd2708b67243c8ull, 0xfeb8512794f8e8d0ull},
     {"scenarios/chaos_grey_failover.json", 0x249a09ff40a6854eull, 2943,
      0x9105ff21f90e6448ull, 0x95deb7b3505d1399ull},
     {"scenarios/chunked_sharegpt.json", 0x600f439cd0e9b2a9ull, 5166,
      0x981fc9e9f5ce966eull, 0x0880e3bea4513e5eull},
     {"scenarios/fleet_failover.json", 0xadb2e760a9a9d608ull, 789,
      0xddf37936d0c6e2c5ull, 0x6dc13dd3157d8febull},
-    {"scenarios/loogle_longcontext.json", 0x1cde83954acf02ccull, 342,
-     0x6bf2d187b03ced64ull, 0x321f76523589c88aull},
-    {"scenarios/mixed_sharegpt_loogle.json", 0xaca898533e4ef4acull, 1756,
-     0xbffc88fe90210ceaull, 0xcf403401b35c5cc6ull},
-    {"scenarios/overload_mmpp_burst.json", 0x4cea0994577b3197ull, 1727,
-     0x2144ce259aa04eaeull, 0x867cbd5dd4f4cdc9ull},
-    {"scenarios/nightly/streaming_1e6.json", 0xeef57f140189e44bull, 2823774,
-     0x57d91abc495fa543ull, 0x9e92fef69084e87full},
+    {"scenarios/loogle_longcontext.json", 0xfbfbced7f739f45dull, 349,
+     0xdbcb69a79ba2d5c7ull, 0x321f76523589c88aull},
+    {"scenarios/mixed_sharegpt_loogle.json", 0x5747f3eb66676c96ull, 1769,
+     0x04ce1d76bfd9697eull, 0xcf403401b35c5cc6ull},
+    {"scenarios/overload_mmpp_burst.json", 0x67917f54e3e75eb0ull, 1879,
+     0xa988ce8d4465cbe5ull, 0x867cbd5dd4f4cdc9ull},
+    {"scenarios/nightly/streaming_1e6.json", 0x795fa640b67fea7cull, 2824242,
+     0x6a83de52a906ca05ull, 0x9e92fef69084e87full},
     {"tests/chaos_corpus/asym_partition.json", 0xef751b186e01164cull, 1050,
      0xc2a6ba522aea2f70ull, 0xfe8d5a30692e2cc2ull},
     {"tests/chaos_corpus/degrade_spill.json", 0x91735c31e1b93426ull, 649,
@@ -249,13 +251,15 @@ inline constexpr DriverDigest kLaunchChurnDigest = {20000,
 /** test_overload_scenario.cc: 1x/2x/4x MMPP bursts, 30 s each, on
  * MuxWise with control on and off, chunked prefill and SGLang-PD. */
 inline constexpr DriverDigest kOverloadGoodputDigest = {
-    108692, 0x735ecc3d7343f5e3ull};
+    109811, 0x99c4e0e22060e78dull};
 
 /** test_route.cc: a 40 s MMPP burst through 1/2/4-replica fleets, each
  * with and without a replica crash at t=30 s. Re-pinned with the fleet
- * rows above; the goodput and re-home counts it folds did not move. */
-inline constexpr DriverDigest kFleetGoodputDigest = {17135,
-                                                     0xb104926e68cf961full};
+ * rows above, and again when a lone replica's priced decode runs began
+ * to end in events; the goodput and re-home counts it folds did not
+ * move. */
+inline constexpr DriverDigest kFleetGoodputDigest = {17427,
+                                                     0x72eac6acf037930eull};
 
 }  // namespace muxwise::tests
 

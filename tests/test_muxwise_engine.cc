@@ -278,8 +278,9 @@ TEST_F(MuxWiseEngineTest, PartitionSummaryCountsEveryDecision) {
   EXPECT_LE(summary.multiplexing, summary.decisions);
 }
 
-// One 512-token request on an idle MuxWise engine: events executed,
-// first-token time and TBT gaps (ns), the same with 64 or 1,024 outputs.
+// One 512-token request on an idle MuxWise engine: events executed up
+// to its first decode iteration's completion, first-token time and TBT
+// gaps (ns), the same with 64 or 1,024 outputs.
 constexpr std::size_t kLoneRequestEvents = 22;
 constexpr sim::Time kLoneRequestFirstToken = 136159650;
 constexpr sim::Duration kLoneRequestFirstGap = 10804293;
@@ -324,14 +325,15 @@ LoneRequestRun RunLoneRequest(const ContentionEstimator& estimator,
   return run;
 }
 
-TEST_F(MuxWiseEngineTest, LoneRequestEventCountDoesNotGrowWithItsOutput) {
-  // With no prefill pending, decode iterations run inline: after the
-  // prefill, only the first iteration (launched from the prefill's
-  // completion) costs events, however many tokens the request generates.
+TEST_F(MuxWiseEngineTest, LoneRequestCostsOneEventPerPricedRun) {
+  // With no prefill pending, decode iterations run in priced runs of up
+  // to 256 that end in one event each: after the prefill, the first
+  // iteration (launched from the prefill's completion) costs events, and
+  // then each run one. 63 iterations fit one run, 1,023 four.
   const LoneRequestRun short_run = RunLoneRequest(*estimator_, 64);
   const LoneRequestRun long_run = RunLoneRequest(*estimator_, 1024);
-  EXPECT_EQ(short_run.events, kLoneRequestEvents);
-  EXPECT_EQ(long_run.events, kLoneRequestEvents);
+  EXPECT_EQ(short_run.events, kLoneRequestEvents + 1);
+  EXPECT_EQ(long_run.events, kLoneRequestEvents + 4);
 
   ASSERT_EQ(short_run.token_times.size(), 64u);
   ASSERT_EQ(long_run.token_times.size(), 1024u);
@@ -349,8 +351,8 @@ TEST_F(MuxWiseEngineTest, LoneRequestEventCountDoesNotGrowWithItsOutput) {
 
 // --- Decode stretches -------------------------------------------------
 //
-// With no prefill pending, MuxWise runs its decode batch inline, one
-// stretch of iterations at a time. A stretch may never pass anything
+// With no prefill pending, MuxWise runs its decode batch with no event
+// per iteration, one stretch of priced runs at a time. A stretch may never pass anything
 // the event loop would have run first, so a run that is stepped through
 // events throughout simulates exactly what a stretched run simulates.
 
@@ -380,7 +382,8 @@ class Ticker {
 
 /**
  * Every decode iteration lasts at least its 500 us graph launch, so a
- * tick every 250 us is always pending before it ends: none runs inline.
+ * tick every 250 us is always pending before it ends: none is priced
+ * into a run.
  */
 constexpr sim::Duration kTickPeriod = sim::Microseconds(250);
 
@@ -444,9 +447,10 @@ TEST_F(MuxWiseEngineTest, DecodeStretchEndsOnTheIterationThatFinishesARequest) {
   EXPECT_EQ(stretched.completions, stepped.completions);
   EXPECT_EQ(stretched.token_times, stepped.token_times);
   EXPECT_EQ(stretched.decode_iterations, stepped.decode_iterations);
-  // The next stretch starts at once: a longer tail costs no events.
+  // The next stretch starts at once: a longer tail costs one event per
+  // priced run of up to 256 iterations, here one more.
   EXPECT_EQ(RunBatch(*estimator_, {5, 9, 9, 300}, false).events,
-            stretched.events);
+            stretched.events + 1);
 }
 
 /**
@@ -491,9 +495,10 @@ TEST_F(MuxWiseEngineTest, DecodeStretchStopsStrictlyBeforeAPendingEvent) {
       RunLoneRequestAround(*estimator_, plain.token_times[k], {}, &run);
   // Iteration k would end at the event, which runs first; so k was
   // launched through events (two of them), and only k: the stretch ran
-  // up to iteration k - 1 and resumed once k completed.
+  // up to iteration k - 1 and resumed once k completed, one priced run
+  // on either side.
   EXPECT_EQ(begun, k);
-  EXPECT_EQ(run.events, kLoneRequestEvents + 1 + 2);
+  EXPECT_EQ(run.events, kLoneRequestEvents + 1 + 2 + 2);
   EXPECT_EQ(run.token_times, plain.token_times);
 }
 
@@ -504,10 +509,11 @@ TEST_F(MuxWiseEngineTest, DecodeStretchStopsAtTheRunUntilHorizon) {
   LoneRequestRun run;
   const std::size_t begun =
       RunLoneRequestAround(*estimator_, {}, plain.token_times[k], &run);
-  // The horizon is inclusive: iteration k ran inline to it, and k + 1,
-  // which ends past it, was launched through events.
+  // The horizon is inclusive: the priced run ended with iteration k at
+  // it, and k + 1, which ends past it, was launched through events; one
+  // priced run on either side.
   EXPECT_EQ(begun, k + 1);
-  EXPECT_EQ(run.events, kLoneRequestEvents + 2);
+  EXPECT_EQ(run.events, kLoneRequestEvents + 2 + 2);
   EXPECT_EQ(run.token_times, plain.token_times);
 }
 
@@ -556,7 +562,7 @@ TEST(DecodeStretchTest, SteppedRunsSimulateAndTraceWhatStretchedRunsDo) {
           RunStepped(row.kind, deployment, trace, estimator, config);
       EXPECT_EQ(harness::SimulatedDigest(stepped),
                 harness::SimulatedDigest(stretched));
-      // An inline iteration emits the trace events a stepped one does.
+      // A priced iteration emits the trace events a stepped one does.
       EXPECT_EQ(obs::TraceDigest(stepped_trace),
                 obs::TraceDigest(stretched_trace));
       if (!overload) {
