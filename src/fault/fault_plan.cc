@@ -326,6 +326,10 @@ Defect KindDefect(const Kind<Entry>& kind, const std::vector<Entry>& entries) {
 
 /** The first defect of the plan, kind by kind in block order. */
 Defect FirstDefect(const FaultPlan& plan) {
+  // PlanToJson writes the seed as a number, which must read back exactly.
+  if (plan.seed > static_cast<std::uint64_t>(json::kMaxExactInteger)) {
+    return {"seed", "above 2^53 - 1, not exactly representable"};
+  }
   Defect defect;
   ForEachKind([&](const auto& kind) {
     defect = KindDefect(kind, plan.*kind.entries);

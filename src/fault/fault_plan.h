@@ -166,15 +166,16 @@ struct FaultPlan {
 
   /**
    * Non-fatal validation: empty string when well-formed, else the first
-   * defect found as "<kind>[<i>]: <reason>", the entry's path inside a
-   * scenario's "faults" block (the fuzzer filters generated plans
-   * through this without dying). Rules: inverted or overlapping
-   * same-target windows, slowdown < 1, a recover time at or before its
-   * crash time, infinite zombie/flap/partition windows, flap period <= 0
-   * or duty outside (0, 1), degrade factors outside (0, 1] (link
-   * degrades must keep flops_factor == 1), partitions with both
+   * defect found as "<kind>[<i>]: <reason>" (or "seed: <reason>"), the
+   * entry's path inside a scenario's "faults" block (the fuzzer filters
+   * generated plans through this without dying). Rules: inverted or
+   * overlapping same-target windows, slowdown < 1, a recover time at or
+   * before its crash time, infinite zombie/flap/partition windows, flap
+   * period <= 0 or duty outside (0, 1), degrade factors outside (0, 1]
+   * (link degrades must keep flops_factor == 1), partitions with both
    * directions dropped (indistinguishable from a crash) or neither (a
-   * no-op).
+   * no-op), and a seed above json::kMaxExactInteger (2^53 - 1), which
+   * a scenario file cannot write exactly.
    */
   std::string Check() const;
 

@@ -404,14 +404,16 @@ bool FieldReader::GetDouble(const Value& object, const std::string& path,
 bool FieldReader::GetInteger(const Value& object, const std::string& path,
                              const std::string& key, bool required,
                              std::int64_t* out) {
-  double value = static_cast<double>(*out);
+  double value = 0.0;
   if (!GetDouble(object, path, key, required, &value)) return false;
+  // An absent optional key keeps the default, however large.
+  if (object.Find(key) == nullptr) return true;
   if (value != std::floor(value)) {
     return Fail(MemberPath(path, key), "expected an integer");
   }
-  // The cast below is defined only inside [-2^63, 2^63).
-  if (value < -0x1p63 || value >= 0x1p63) {
-    return Fail(MemberPath(path, key), "out of the 64-bit integer range");
+  if (std::fabs(value) > static_cast<double>(kMaxExactInteger)) {
+    return Fail(MemberPath(path, key),
+                "not exactly representable: magnitude above 2^53 - 1");
   }
   *out = static_cast<std::int64_t>(value);
   return true;

@@ -63,6 +63,12 @@ Value Arr(std::vector<Value> items = {});
 void SetKey(Value& object, const std::string& key, Value value);
 
 /**
+ * The largest integer a number reads back exactly: above it, neighbouring
+ * integers share a double (2^53 + 1 reads as 2^53).
+ */
+inline constexpr std::int64_t kMaxExactInteger = (std::int64_t{1} << 53) - 1;
+
+/**
  * Strict field reader for documents people write (scenario files).
  * Every read returns false after recording a path-qualified error, so a
  * malformed document names its own defect instead of silently running
@@ -85,7 +91,11 @@ class FieldReader {
 
   bool GetDouble(const Value& object, const std::string& path,
                  const std::string& key, bool required, double* out);
-  /** A number with no fractional part. */
+  /**
+   * A number with no fractional part and a magnitude of at most
+   * kMaxExactInteger; a larger literal may already have been rounded to
+   * its neighbour.
+   */
   bool GetInteger(const Value& object, const std::string& path,
                   const std::string& key, bool required, std::int64_t* out);
   /** GetInteger, rejecting a value an `int` cannot hold as out of range. */

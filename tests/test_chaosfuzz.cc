@@ -181,6 +181,44 @@ TEST(PlanCodecTest, GeneratedAndEdgePlansReencodeByteIdentically) {
   ExpectReencodes(narrow);
 }
 
+TEST(PlanCodecTest, SeedsANumberCannotHoldExactlyAreRejected) {
+  // 2^53 + 1 reads as 2^53, so neither the reader nor Check() takes a
+  // seed above 2^53 - 1; the largest one still reads back.
+  const auto read = [](const std::string& seed, json::FieldReader& in,
+                       fault::FaultPlan& plan) {
+    json::Value doc;
+    std::string error;
+    EXPECT_TRUE(json::Parse(R"({"seed": )" + seed +
+                                R"(, "zombies": [{"instance": 0,
+                                  "from_seconds": 1, "to_seconds": 2}]})",
+                            doc, error))
+        << error;
+    return fault::PlanFromJson(doc, "faults", in, &plan);
+  };
+  for (const char* seed : {"9007199254740993", "9007199254740992",
+                           "-9007199254740992", "16045690984503098046"}) {
+    SCOPED_TRACE(seed);
+    json::FieldReader in;
+    fault::FaultPlan plan;
+    EXPECT_FALSE(read(seed, in, plan));
+    EXPECT_NE(in.error().find("faults.seed: "), std::string::npos)
+        << in.error();
+  }
+  json::FieldReader in;
+  fault::FaultPlan plan;
+  ASSERT_TRUE(read("9007199254740991", in, plan)) << in.error();
+  EXPECT_EQ(plan.seed, 9007199254740991u);
+  ExpectReencodes(plan);
+
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53), (std::uint64_t{1} << 53) + 1,
+        std::uint64_t{0xdeadbeefdeadbeef}}) {
+    fault::FaultPlan big = AllKindsPlan();
+    big.seed = seed;
+    EXPECT_EQ(big.Check().rfind("seed: ", 0), 0u) << seed;
+  }
+}
+
 TEST(ReproTest, MakeReproTextIsByteDeterministic) {
   const json::Value doc = ParseBaseDoc();
   const fault::FaultPlan plan = AllKindsPlan();

@@ -492,7 +492,7 @@ TEST(ScenarioDslTest, RejectsFaultValuesNoEntryCanHold) {
                 "faults.crashes[0].instance", "expected an integer");
   ExpectRejects(WithFaults(R"("crashes": [{"instance": 1e300,
                                            "at_seconds": 1}])"),
-                "faults.crashes[0].instance", "out of the 64-bit");
+                "faults.crashes[0].instance", "not exactly representable");
   ExpectRejects(WithFaults(R"("crashes": [{"at_seconds": 1e300}])"),
                 "faults.crashes[0].at_seconds", "out of range");
   ExpectRejects(WithFaults(R"("crashes": [])"), "faults",
