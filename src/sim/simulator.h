@@ -154,9 +154,8 @@ class Simulator {
    * event of `domain` or of the global domain. For kGlobalDomain that
    * is every pending event: the latest time an event scheduled now can
    * fall due with no other event before it. Before Now() when such an
-   * event is due now.
-   * The answer holds until an event is scheduled or cancelled.
-   * Non-const for the same reason as NextEventTime().
+   * event is due now. The answer holds until an event is scheduled or
+   * cancelled. Non-const for the same reason as NextEventTime().
    */
   Time AdvanceBound(Domain domain = kGlobalDomain);
 

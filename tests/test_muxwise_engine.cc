@@ -278,9 +278,9 @@ TEST_F(MuxWiseEngineTest, PartitionSummaryCountsEveryDecision) {
   EXPECT_LE(summary.multiplexing, summary.decisions);
 }
 
-// One 512-token request on an idle MuxWise engine: events executed up
-// to its first decode iteration's completion, first-token time and TBT
-// gaps (ns), the same with 64 or 1,024 outputs.
+// One 512-token request on an idle MuxWise engine: events executed
+// besides the end events of its priced decode runs, first-token time and
+// TBT gaps (ns), the same with 64 or 1,024 outputs.
 constexpr std::size_t kLoneRequestEvents = 22;
 constexpr sim::Time kLoneRequestFirstToken = 136159650;
 constexpr sim::Duration kLoneRequestFirstGap = 10804293;
